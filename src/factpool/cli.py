@@ -15,7 +15,7 @@ from pathlib import Path
 
 from factpool.config import Config, load_config
 from factpool.data import load_dataset
-from factpool.encoders import encode_subgraph
+from factpool.encoders import encode_subgraph, read_embedding_cache, write_embedding_cache
 from factpool.experiment import (
     ExperimentConfig,
     count_aggregations,
@@ -32,7 +32,7 @@ from factpool.model import (
     create_model,
     evaluate,
     gradient_check,
-    ground_statement,
+    grounded_statements,
     load_model,
     prepare_dataset,
     relation_table,
@@ -71,35 +71,12 @@ def _dataset_slice(args, records):
     return sliced
 
 
-def _statements(kg, records):
-    for q_index, record in enumerate(records):
-        for c_index, cand in enumerate(record.candidates):
-            stmt = ground_statement(
-                kg,
-                record.context,
-                record.question,
-                cand,
-                label=(c_index == record.answer_index),
-                question_entities=(
-                    set(record.question_entities)
-                    if record.question_entities is not None
-                    else None
-                ),
-                answer_entities=(
-                    set(record.answer_entities[c_index])
-                    if record.answer_entities is not None
-                    else None
-                ),
-            )
-            yield q_index, c_index, stmt
-
-
 def _write_subgraphs(args, condition: str) -> Path:
     cfg = _load_cfg(args)
     kg = load_kg(args.kg)
     records = _dataset_slice(args, load_dataset(args.dataset))
     lines = []
-    for q_index, c_index, stmt in _statements(kg, records):
+    for q_index, c_index, stmt in grounded_statements(kg, records):
         sub = build_statement_subgraph(kg, stmt, cfg.max_nodes, condition)
         payload = json.loads(sub.canonical())
         payload["question_index"] = q_index
@@ -151,10 +128,17 @@ def cmd_encode(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cache_path = out / "embeddings.bin"
+    try:
+        cache, dim = read_embedding_cache(str(cache_path))
+    except FileNotFoundError:
+        cache, dim = {}, encoder.dim
+    known = len(cache)
     total = 0
-    for _, _, stmt in _statements(kg, records):
+    for _, _, stmt in grounded_statements(kg, records):
         sub = build_statement_subgraph(kg, stmt, cfg.max_nodes, WITH_ANSWERS)
-        total += len(encode_subgraph(sub, templates, encoder, cache_path=str(cache_path)))
+        total += len(encode_subgraph(sub, templates, encoder, cache))
+    if len(cache) > known:
+        write_embedding_cache(str(cache_path), cache, dim)
     print(f"cache: {cache_path} ({total} edge encodings)")
     return 0
 

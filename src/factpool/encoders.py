@@ -17,7 +17,10 @@ and rejects cls pooling.
 
 from __future__ import annotations
 
+import io
+import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -141,34 +144,21 @@ def encode_subgraph(
     sub: Subgraph,
     templates: TemplateTable,
     encoder,
-    cache_path: str | None = None,
+    cache: dict[str, np.ndarray] | None = None,
 ) -> list[EdgeEmbedding]:
     """One embedding per edge, in canonical (head, relation, tail) order.
 
-    With a cache path, existing entries bypass encoding and new entries are
-    merged back into the file.
+    With a cache dict keyed by `Fact.key()`, present entries bypass encoding
+    and new encodings are added to it.
     """
-    cached: dict[str, np.ndarray] = {}
-    dim = getattr(encoder, "dim", None)
-    if cache_path is not None:
-        try:
-            cached, dim = read_embedding_cache(cache_path)
-        except FileNotFoundError:
-            cached = {}
+    if cache is None:
+        cache = {}
     out: list[EdgeEmbedding] = []
-    dirty = False
     for fact in sub.sorted_edges():
         key = fact.key()
-        vec = cached.get(key)
-        if vec is None:
-            vec = encode_fact(verbalize(fact, templates), encoder).vector
-            cached[key] = vec
-            dirty = True
-        out.append(EdgeEmbedding(fact=fact, vector=vec))
-    if cache_path is not None and dirty:
-        if dim is None:
-            dim = out[0].vector.shape[0] if out else 0
-        write_embedding_cache(cache_path, cached, dim)
+        if key not in cache:
+            cache[key] = encode_fact(verbalize(fact, templates), encoder).vector
+        out.append(EdgeEmbedding(fact=fact, vector=cache[key]))
     return out
 
 
@@ -181,9 +171,6 @@ _CACHE_MAGIC = b"FPEMC001"
 
 
 def write_embedding_cache(path: str, entries: dict[str, np.ndarray], dim: int) -> None:
-    import io
-    import struct
-
     buf = io.BytesIO()
     buf.write(_CACHE_MAGIC)
     buf.write(struct.pack("<IQ", dim, len(entries)))
@@ -200,24 +187,32 @@ def write_embedding_cache(path: str, entries: dict[str, np.ndarray], dim: int) -
 
 
 def read_embedding_cache(path: str):
-    import struct
-    from pathlib import Path
-
     data = Path(path).read_bytes()
     if data[:8] != _CACHE_MAGIC:
         raise ValueError(f"{path}: not an embedding cache file")
-    dim, count = struct.unpack_from("<IQ", data, 8)
-    offset = 8 + 12
+    offset = 8
+
+    def take(size: int) -> int:
+        nonlocal offset
+        start = offset
+        offset += size
+        if offset > len(data):
+            raise ValueError(f"{path}: not an embedding cache file (truncated at byte {start})")
+        return start
+
+    dim, count = struct.unpack_from("<IQ", data, take(12))
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (key_len,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        key = data[offset : offset + key_len].decode("utf-8")
-        offset += key_len
-        (rec_dim,) = struct.unpack_from("<I", data, offset)
-        offset += 4
+        (key_len,) = struct.unpack_from("<I", data, take(4))
+        start = take(key_len)
+        key = data[start:offset].decode("utf-8")
+        (rec_dim,) = struct.unpack_from("<I", data, take(4))
         if rec_dim != dim:
             raise ValueError(f"{path}: record {key!r} width {rec_dim} != header width {dim}")
-        entries[key] = np.frombuffer(data, dtype="<f8", count=dim, offset=offset).copy()
-        offset += 8 * dim
+        entries[key] = np.frombuffer(data, dtype="<f8", count=dim, offset=take(8 * dim)).copy()
+    if offset != len(data):
+        raise ValueError(
+            f"{path}: not an embedding cache file "
+            f"({len(data) - offset} trailing bytes after {count} records)"
+        )
     return entries, dim

@@ -26,12 +26,13 @@ from factpool.model import (
     WITH_ANSWERS,
     WITHOUT_ANSWERS,
     Model,
+    apply_condition,
     batch_forward,
     build_encoder,
     build_statement_subgraph,
     create_model,
     evaluate,
-    ground_statement,
+    grounded_statements,
     prepare_dataset,
     prepare_question,
     relation_table,
@@ -246,37 +247,13 @@ def pipeline_hashes(
     linking = []
     retrieval = []
     perturbation = []
-    for record in records:
-        for idx, cand in enumerate(record.candidates):
-            stmt = ground_statement(
-                kg,
-                record.context,
-                record.question,
-                cand,
-                label=(idx == record.answer_index),
-                question_entities=(
-                    set(record.question_entities)
-                    if record.question_entities is not None
-                    else None
-                ),
-                answer_entities=(
-                    set(record.answer_entities[idx])
-                    if record.answer_entities is not None
-                    else None
-                ),
-            )
-            linking.append(
-                canonical_json(
-                    {
-                        "q": sorted(stmt.question_entities),
-                        "a": sorted(stmt.answer_entities),
-                    }
-                )
-            )
-            intact = build_statement_subgraph(kg, stmt, cfg.max_nodes, WITH_ANSWERS)
-            retrieval.append(intact.canonical())
-            conditioned = build_statement_subgraph(kg, stmt, cfg.max_nodes, condition)
-            perturbation.append(conditioned.canonical())
+    for _, _, stmt in grounded_statements(kg, records):
+        linking.append(
+            canonical_json({"q": sorted(stmt.question_entities), "a": sorted(stmt.answer_entities)})
+        )
+        intact = build_statement_subgraph(kg, stmt, cfg.max_nodes, WITH_ANSWERS)
+        retrieval.append(intact.canonical())
+        perturbation.append(apply_condition(intact, stmt, condition).canonical())
     return {
         "kg": kg_digest,
         "dataset": dataset_digest,

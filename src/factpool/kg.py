@@ -94,7 +94,9 @@ class KnowledgeGraph:
 
 def _build_adjacency(facts: set[Fact]) -> dict[str, tuple[Fact, ...]]:
     index: dict[str, list[Fact]] = {}
-    for fact in sorted(facts):
+    # The tuple key orders exactly as Fact's dataclass ordering does, without
+    # a Python-level __lt__ call per comparison.
+    for fact in sorted(facts, key=lambda f: (f.head, f.relation, f.tail)):
         index.setdefault(fact.head, []).append(fact)
         if fact.tail != fact.head:
             index.setdefault(fact.tail, []).append(fact)
@@ -279,9 +281,12 @@ def retrieve_subgraph(kg: KnowledgeGraph, stmt: GroundedStatement, max_nodes: in
             key=lambda ent: (-_relevance_score(ent, statement_tokens), ent),
         )
         candidates = set(ranked[:max_nodes])
+    # Every induced edge is incident to a retained node, so the adjacency
+    # lists of the retained nodes hold all of them.
     edges = {
         fact
-        for fact in kg.facts
+        for node in candidates
+        for fact in kg.adjacency.get(node, ())
         if fact.head in candidates and fact.tail in candidates
     }
     return Subgraph(

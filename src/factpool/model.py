@@ -22,6 +22,7 @@ differences by `gradient_check`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -198,16 +199,49 @@ class PreparedQuestion:
     answer_index: int
 
 
+def grounded_statements(
+    kg: KnowledgeGraph, records: list[QuestionRecord]
+) -> Iterator[tuple[int, int, GroundedStatement]]:
+    """(question index, candidate index, statement) for every candidate.
+
+    Pre-linked entity sets in a record take precedence over text linking.
+    """
+    for q_index, record in enumerate(records):
+        for c_index, cand_text in enumerate(record.candidates):
+            stmt = ground_statement(
+                kg,
+                record.context,
+                record.question,
+                cand_text,
+                label=(c_index == record.answer_index),
+                question_entities=(
+                    set(record.question_entities)
+                    if record.question_entities is not None
+                    else None
+                ),
+                answer_entities=(
+                    set(record.answer_entities[c_index])
+                    if record.answer_entities is not None
+                    else None
+                ),
+            )
+            yield q_index, c_index, stmt
+
+
+def apply_condition(sub: Subgraph, stmt: GroundedStatement, condition: str) -> Subgraph:
+    """The subgraph as seen under `condition`, from the intact subgraph."""
+    if condition == WITHOUT_ANSWERS:
+        return remove_answer_edges(sub, stmt)
+    if condition != WITH_ANSWERS:
+        raise ValueError(f"condition must be one of {CONDITIONS}")
+    return sub
+
+
 def build_statement_subgraph(
     kg: KnowledgeGraph, stmt: GroundedStatement, max_nodes: int, condition: str
 ) -> Subgraph:
-    sub = retrieve_subgraph(kg, stmt, max_nodes)
-    sub = add_virtual_question_node(sub, stmt)
-    if condition == WITHOUT_ANSWERS:
-        sub = remove_answer_edges(sub, stmt)
-    elif condition != WITH_ANSWERS:
-        raise ValueError(f"condition must be one of {CONDITIONS}")
-    return sub
+    sub = add_virtual_question_node(retrieve_subgraph(kg, stmt, max_nodes), stmt)
+    return apply_condition(sub, stmt, condition)
 
 
 def prepare_question(
@@ -226,20 +260,7 @@ def prepare_question(
             "the external-file encoder only serves cached facts"
         )
     candidates = []
-    for idx, cand_text in enumerate(record.candidates):
-        stmt = ground_statement(
-            kg,
-            record.context,
-            record.question,
-            cand_text,
-            label=(idx == record.answer_index),
-            question_entities=(
-                set(record.question_entities) if record.question_entities is not None else None
-            ),
-            answer_entities=(
-                set(record.answer_entities[idx]) if record.answer_entities is not None else None
-            ),
-        )
+    for _, _, stmt in grounded_statements(kg, [record]):
         sub = build_statement_subgraph(kg, stmt, cfg.max_nodes, condition)
         facts = sub.sorted_edges()
         texts = [verbalize(f, templates).text for f in facts]
@@ -251,7 +272,7 @@ def prepare_question(
             matrix = np.zeros((0, cfg.d))
         ids = np.asarray(
             tokenize_statement(
-                record.context, record.question, cand_text, model.tokenizer, cfg.max_tokens
+                stmt.context, stmt.question, stmt.candidate, model.tokenizer, cfg.max_tokens
             ),
             dtype=np.int64,
         )

@@ -34,18 +34,30 @@ def sha256_hex(data: bytes | str) -> str:
 
 
 def atomic_write_bytes(path: Path | str, data: bytes) -> None:
-    """Write via a temporary file in the same directory, then rename."""
+    """Write via a temporary file in the same directory, then rename.
+
+    The file gets the mode a plain `open` would give it (0o666 less the
+    umask), not the 0o600 that `mkstemp` creates the temporary file with.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        os.chmod(tmp, 0o666 & ~_current_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _current_umask() -> int:
+    # os.umask can only be read by setting it; restore it at once.
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:

@@ -192,6 +192,15 @@ def two_hop_nodes_oracle(facts, linked: set[str]) -> set[str]:
     return keep
 
 
+def induced_edges_oracle(facts, nodes: set[str]) -> set:
+    """Every fact whose two endpoints both lie in `nodes` (full scan)."""
+    out = set()
+    for fact in facts:
+        if fact.head in nodes and fact.tail in nodes:
+            out.add(fact)
+    return out
+
+
 def barycentric_membership(points: list[np.ndarray], target: np.ndarray, tol=1e-9) -> bool:
     """Is target a convex combination of <= 3 points (exhaustive solve)?"""
     pts = np.stack(points)

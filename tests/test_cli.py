@@ -81,6 +81,32 @@ def test_encode_writes_cache(workspace):
     assert (out / "embeddings.bin").stat().st_size > 20
 
 
+def test_encode_incremental_matches_one_pass(workspace, monkeypatch):
+    from factpool import cli, encoders
+
+    writes = []
+
+    def counting_write(*args, **kwargs):
+        writes.append(args[0])
+        return encoders.write_embedding_cache(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_embedding_cache", counting_write)
+    common = [*data_args(workspace), "--config", str(workspace / "run.cfg")]
+
+    def encode(count, out):
+        before = len(writes)
+        assert cli.main(["encode", *common, "--count", str(count), "--out", str(out)]) == 0
+        return len(writes) - before
+
+    grown = workspace / "enc_grown"
+    assert encode(3, grown) == 1
+    assert encode(6, grown) == 1
+    assert encode(6, grown) == 0  # nothing new to add
+    one_pass = workspace / "enc_one_pass"
+    assert encode(6, one_pass) == 1
+    assert (grown / "embeddings.bin").read_bytes() == (one_pass / "embeddings.bin").read_bytes()
+
+
 def test_train_eval_explain_roundtrip(workspace):
     out = workspace / "train"
     run_cli("train", *data_args(workspace), "--config", str(workspace / "run.cfg"),

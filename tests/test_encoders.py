@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -144,9 +146,12 @@ def test_encode_subgraph_with_cache_matches_direct(tmp_path):
     sub = small_subgraph()
     enc = HashBagEncoder(dim=8, seed=1)
     direct = encode_subgraph(sub, TEMPLATES, enc)
-    cache = tmp_path / "emb.bin"
-    first = encode_subgraph(sub, TEMPLATES, HashBagEncoder(dim=8, seed=1), cache_path=str(cache))
-    assert cache.exists()
+    cache: dict = {}
+    first = encode_subgraph(sub, TEMPLATES, HashBagEncoder(dim=8, seed=1), cache)
+    assert set(cache) == {fact.key() for fact in sub.edges}
+    path = tmp_path / "emb.bin"
+    write_embedding_cache(str(path), cache, 8)
+    reloaded, _ = read_embedding_cache(str(path))
 
     class Exploding:
         dim = 8
@@ -154,10 +159,40 @@ def test_encode_subgraph_with_cache_matches_direct(tmp_path):
         def encode_fact_text(self, fact, text):
             raise AssertionError("cache should have been hit")
 
-    cached = encode_subgraph(sub, TEMPLATES, Exploding(), cache_path=str(cache))
+    cached = encode_subgraph(sub, TEMPLATES, Exploding(), reloaded)
+    assert len(reloaded) == len(cache)  # nothing new was added
     for a, b, c in zip(direct, first, cached):
         assert a.fact == b.fact == c.fact
         assert a.vector.tobytes() == b.vector.tobytes() == c.vector.tobytes()
+
+
+def _cache_bytes(tmp_path):
+    path = tmp_path / "cache.bin"
+    write_embedding_cache(str(path), {"a\tr\tb": np.ones(4), "c\tr\td": np.zeros(4)}, 4)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("cut", [1, 7, 12, 20, 24, 33, 60, 90, 95])
+def test_read_cache_truncated_names_path(tmp_path, cut):
+    path, data = _cache_bytes(tmp_path)
+    path.write_bytes(data[: len(data) - cut])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not an embedding cache file")):
+        read_embedding_cache(str(path))
+
+
+def test_read_cache_trailing_bytes_names_path(tmp_path):
+    path, data = _cache_bytes(tmp_path)
+    path.write_bytes(data + b"\0")
+    expected = re.escape(f"{path}: not an embedding cache file (1 trailing")
+    with pytest.raises(ValueError, match=expected):
+        read_embedding_cache(str(path))
+
+
+def test_read_cache_bad_magic_names_path(tmp_path):
+    path, data = _cache_bytes(tmp_path)
+    path.write_bytes(b"XXXXXXXX" + data[8:])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not an embedding cache file")):
+        read_embedding_cache(str(path))
 
 
 def test_file_backed_encoder_uncached_fact(tmp_path):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import kg_from_facts
-from oracles import two_hop_nodes_oracle
+from oracles import induced_edges_oracle, two_hop_nodes_oracle
 
 from factpool.kg import (
     Fact,
@@ -254,3 +254,33 @@ def test_perturbation_completeness(facts, q_entities, a_entities):
     for edge in pruned.edges:
         assert edge.head not in a_entities and edge.tail not in a_entities
     assert pruned.nodes == sub.nodes
+
+
+self_loops = st.sets(entity_ids, min_size=1, max_size=4).map(
+    lambda ents: {(e, "r1", e) for e in ents}
+)
+
+
+@pytest.mark.parametrize("capped", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(
+    graphs,
+    self_loops,
+    st.sets(entity_ids, min_size=1, max_size=3),
+    st.sets(entity_ids, min_size=1, max_size=3),
+    st.integers(1, 6),
+)
+def test_induced_edges_match_full_scan_oracle(capped, facts, loops, q_entities, a_entities, cap):
+    kg = kg_from_facts(facts | loops)
+    a_entities = a_entities & kg.entities
+    q_entities = (q_entities & kg.entities) - a_entities
+    sub = retrieve_subgraph(
+        kg, make_stmt(q_entities, a_entities), max_nodes=cap if capped else 10_000
+    )
+    assert sub.edges == induced_edges_oracle(kg.facts, sub.nodes)
+
+
+def test_adjacency_lists_in_fact_order():
+    kg = kg_from_facts([("b", "r", "a"), ("a", "r", "a"), ("a", "q", "c"), ("c", "r", "a")])
+    for entity, incident in kg.adjacency.items():
+        assert list(incident) == sorted(f for f in kg.facts if entity in (f.head, f.tail))

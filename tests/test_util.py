@@ -1,3 +1,8 @@
+import os
+import stat
+
+import pytest
+
 from factpool.util import (
     atomic_write_text,
     canonical_json,
@@ -36,6 +41,16 @@ def test_atomic_write(tmp_path):
     assert target.read_text() == "hello"
     leftovers = [p for p in (tmp_path / "nested").iterdir() if p != target]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_atomic_write_mode_follows_umask(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "file.txt", "hello")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE((tmp_path / "file.txt").stat().st_mode) == mode
 
 
 def test_sha256_hex():
