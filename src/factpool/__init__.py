@@ -19,7 +19,7 @@ from factpool.kg import (
     remove_answer_edges,
     retrieve_subgraph,
 )
-from factpool.pooling import PoolingHead, attention_weights, pool, pool_backward, pool_multi
+from factpool.pooling import PoolingHead
 from factpool.verbalize import TemplateTable, VerbalizedFact, verbalize
 
 __all__ = [
@@ -32,12 +32,8 @@ __all__ = [
     "VerbalizedFact",
     "PoolingHead",
     "add_virtual_question_node",
-    "attention_weights",
     "link_entities",
     "load_kg",
-    "pool",
-    "pool_backward",
-    "pool_multi",
     "remove_answer_edges",
     "retrieve_subgraph",
     "verbalize",

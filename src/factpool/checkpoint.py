@@ -66,32 +66,36 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path):
-    """Returns (params dict, header dict)."""
+    """Returns (params dict, header dict).  Truncation raises CheckpointError."""
     data = Path(path).read_bytes()
-    view = memoryview(data)
-    if view[:8].tobytes() != _MAGIC:
+    if data[:8] != _MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
     offset = 8
-    (header_len,) = struct.unpack_from("<I", view, offset)
-    offset += 4
-    header = json.loads(view[offset : offset + header_len].tobytes().decode("utf-8"))
-    offset += header_len
-    (count,) = struct.unpack_from("<I", view, offset)
-    offset += 4
+
+    def take(size: int) -> int:
+        nonlocal offset
+        start = offset
+        offset += size
+        if offset > len(data):
+            raise CheckpointError(
+                f"{path}: truncated checkpoint ({len(data)} bytes, needs at least {offset})"
+            )
+        return start
+
+    (header_len,) = struct.unpack_from("<I", data, take(4))
+    start = take(header_len)
+    header = json.loads(data[start:offset].decode("utf-8"))
+    (count,) = struct.unpack_from("<I", data, take(4))
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", view, offset)
-        offset += 4
-        name = view[offset : offset + name_len].tobytes().decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<I", view, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{ndim}Q", view, offset) if ndim else ()
-        offset += 8 * ndim
-        size = int(np.prod(shape)) if shape else 1
-        tensor = np.frombuffer(view, dtype="<f8", count=size, offset=offset).reshape(shape)
-        offset += 8 * size
-        params[name] = tensor.copy()
+        (name_len,) = struct.unpack_from("<I", data, take(4))
+        start = take(name_len)
+        name = data[start:offset].decode("utf-8")
+        (ndim,) = struct.unpack_from("<I", data, take(4))
+        shape = struct.unpack_from(f"<{ndim}Q", data, take(8 * ndim))
+        size = int(np.prod(shape))
+        tensor = np.frombuffer(data, dtype="<f8", count=size, offset=take(8 * size))
+        params[name] = tensor.reshape(shape).copy()
     if offset != len(data):
         raise CheckpointError(f"{path}: trailing bytes after tensor block")
     return params, header

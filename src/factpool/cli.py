@@ -23,7 +23,7 @@ from factpool.experiment import (
     explain,
     sweep,
 )
-from factpool.kg import Fact, Subgraph, load_kg
+from factpool.kg import Subgraph, load_kg
 from factpool.model import (
     CONDITIONS,
     WITH_ANSWERS,
@@ -242,14 +242,12 @@ def cmd_count_aggs(args) -> int:
     nodes = sorted({n for n in (args.nodes or "4,16,32").split(",")}, key=int)
     for n in nodes:
         n = int(n)
-        entities = [f"n{i}" for i in range(n)]
-        edges = {Fact(entities[i], "r", entities[(i + 1) % n]) for i in range(n - 1)}
-        sub = Subgraph(nodes=set(entities), edges=edges, provenance={e: "kg" for e in edges})
+        sub = Subgraph(nodes={f"n{i}" for i in range(n)}, edges=set())
         pooled = count_aggregations("pooled", sub, cfg)
         gnn = count_aggregations("gnn", sub, cfg)
         print(
-            f"|V_q|={n}: pooled K={cfg.K} -> {pooled.count} aggregations; "
-            f"gnn L_g={cfg.gnn_layers} -> {gnn.count} node updates"
+            f"|V_q|={n}: pooled K={cfg.K} -> {pooled} aggregations; "
+            f"gnn L_g={cfg.gnn_layers} -> {gnn} node updates"
         )
     return 0
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from factpool.config import Config
 from factpool.data import QuestionRecord, load_dataset
-from factpool.gnn import GNNConfig, gnn_forward_arrays, init_gnn_params, subgraph_arrays
 from factpool.kg import KnowledgeGraph, Subgraph, load_kg
 from factpool.model import (
     CONDITIONS,
@@ -38,7 +37,6 @@ from factpool.model import (
     relation_table,
     train_model,
 )
-from factpool.pooling import init_pooling_head, pool_forward
 from factpool.util import atomic_write_text, canonical_json, round_half_away, sha256_hex
 from factpool.verbalize import TemplateTable, load_templates
 
@@ -345,35 +343,14 @@ def explain(
 # --- complexity instrumentation --------------------------------------------------
 
 
-@dataclass
-class AggregationCount:
-    model_kind: str
-    count: int
-    detail: dict
+def count_aggregations(model_kind: str, sub: Subgraph, cfg: Config) -> int:
+    """Aggregation events `batch_forward` runs for one statement's subgraph.
 
-
-def count_aggregations(model_kind: str, sub: Subgraph, cfg: Config) -> AggregationCount:
-    """Instrumented aggregation events for one statement's subgraph."""
-    rng = np.random.default_rng(0)
+    Pooled: one attention pooling per head, empty edge sets included.  GNN:
+    one update per node and layer.
+    """
     if model_kind == "pooled":
-        edges = sub.sorted_edges()
-        matrix = rng.standard_normal((len(edges), cfg.d))
-        count = 0
-        for _ in range(cfg.num_pooling_heads()):
-            head = init_pooling_head(cfg.d, rng)
-            if len(edges):
-                pool_forward(head, matrix)
-            count += 1
-        return AggregationCount("pooled", count, {"K": cfg.K, "edges": len(edges)})
+        return cfg.num_pooling_heads()
     if model_kind == "gnn":
-        relations = sorted({e.relation for e in sub.edges})
-        relation_index = {rel: i for i, rel in enumerate(relations)}
-        arrays = subgraph_arrays(sub, relation_index)
-        params = init_gnn_params(cfg.d, max(1, len(relations)), rng)
-        node_init = rng.standard_normal((len(arrays.node_ids), cfg.d))
-        gcfg = GNNConfig(layers=cfg.gnn_layers, aggregation=cfg.gnn_aggregation)
-        _, _, count = gnn_forward_arrays(params, gcfg, arrays, node_init)
-        return AggregationCount(
-            "gnn", count, {"nodes": len(arrays.node_ids), "layers": cfg.gnn_layers}
-        )
+        return len(sub.nodes) * cfg.gnn_layers
     raise ValueError("model_kind must be 'pooled' or 'gnn'")

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from factpool.kg import VIRTUAL_NODE_ID, Subgraph, id_to_surface
-from factpool.numerics import gelu, gelu_cached, gelu_grad_cached
+from factpool.kg import VIRTUAL_NODE_ID, Subgraph
+from factpool.numerics import gelu_cached, gelu_grad_cached
 from factpool.transformer import init_scalar_head
 
 
@@ -78,27 +78,6 @@ def subgraph_arrays(sub: Subgraph, relation_index: dict[str, int]) -> SubgraphAr
         rel=np.array(rel, dtype=np.int64),
         virtual_index=pos.get(VIRTUAL_NODE_ID),
     )
-
-
-def init_nodes(sub: Subgraph, question_repr: np.ndarray, encoder) -> dict[str, np.ndarray]:
-    """Layer-0 node states: virtual node gets the question vector, entities
-    get the frozen encoding of their surface text."""
-    states: dict[str, np.ndarray] = {}
-    for node in sorted(sub.nodes):
-        if node == VIRTUAL_NODE_ID:
-            states[node] = np.asarray(question_repr, dtype=np.float64)
-        else:
-            states[node] = encoder.encode_text(id_to_surface(node))
-    return states
-
-
-def message(
-    h_dst: np.ndarray, h_src: np.ndarray, relation_embedding: np.ndarray, params
-) -> np.ndarray:
-    """Message along one edge; depends on the source state and relation only."""
-    del h_dst
-    m_in = np.concatenate([h_src, relation_embedding])
-    return gelu(m_in @ params["gnn.msg.w"] + params["gnn.msg.b"])
 
 
 def gnn_forward_arrays(
@@ -163,30 +142,3 @@ def gnn_backward_arrays(
         np.add.at(grads["gnn.rel_emb"], arrays.rel, d_m_in[:, d:])
         dh = dh_prev
     return grads, dh
-
-
-def gnn_forward(
-    params: dict[str, np.ndarray],
-    cfg: GNNConfig,
-    sub: Subgraph,
-    node_state0: dict[str, np.ndarray],
-    relation_index: dict[str, int],
-) -> dict[str, np.ndarray]:
-    """Dictionary-level forward over a subgraph's node states."""
-    arrays = subgraph_arrays(sub, relation_index)
-    node_init = np.stack([node_state0[node] for node in arrays.node_ids])
-    final, _, _ = gnn_forward_arrays(params, cfg, arrays, node_init)
-    return {node: final[i] for i, node in enumerate(arrays.node_ids)}
-
-
-def gnn_score(
-    params: dict[str, np.ndarray],
-    node_states: dict[str, np.ndarray],
-    question_node: str = VIRTUAL_NODE_ID,
-) -> float:
-    """Graph-side candidate score read from the question node's final state."""
-    from factpool.transformer import scalar_head_forward
-
-    state = node_states[question_node]
-    out, _ = scalar_head_forward(params, "gnn.score", state[None, :])
-    return float(out[0])

@@ -19,7 +19,6 @@ from factpool.util import canonical_json
 VIRTUAL_NODE_ID = "question"
 VIRTUAL_QUESTION_RELATION = "entity"
 VIRTUAL_ANSWER_RELATION = "a_entity"
-VIRTUAL_RELATIONS = (VIRTUAL_QUESTION_RELATION, VIRTUAL_ANSWER_RELATION)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -47,13 +46,6 @@ class Fact:
     head: str
     relation: str
     tail: str
-
-    def __post_init__(self) -> None:
-        if self.head == VIRTUAL_NODE_ID and self.relation not in VIRTUAL_RELATIONS:
-            raise ValueError(
-                f"head '{VIRTUAL_NODE_ID}' is reserved for virtual edges, "
-                f"got relation {self.relation!r}"
-            )
 
     def key(self) -> str:
         return f"{self.head}\t{self.relation}\t{self.tail}"
@@ -107,7 +99,8 @@ def load_kg(path: str) -> KnowledgeGraph:
     """Load a KG from a UTF-8 TSV of `head\\trelation\\ttail` lines.
 
     Lines starting with '#' and blank lines are ignored.  Fields are
-    normalized through surface_to_id, duplicates collapse to one fact.
+    normalized through surface_to_id, duplicates collapse to one fact.  The
+    entity id of the virtual question node is reserved and rejected.
     """
     entities: set[str] = set()
     relations: set[str] = set()
@@ -121,14 +114,15 @@ def load_kg(path: str) -> KnowledgeGraph:
             if len(parts) != 3 or not all(p.strip() for p in parts):
                 raise KGFormatError(f"{path}: malformed line {lineno}: {line!r}")
             head, relation, tail = (surface_to_id(p) for p in parts)
-            try:
-                fact = Fact(head, relation, tail)
-            except ValueError as exc:
-                raise KGFormatError(f"{path}: line {lineno}: {exc}") from exc
+            if VIRTUAL_NODE_ID in (head, tail):
+                raise KGFormatError(
+                    f"{path}: line {lineno}: entity id '{VIRTUAL_NODE_ID}' is reserved "
+                    f"for the virtual question node: {line!r}"
+                )
             entities.add(head)
             entities.add(tail)
             relations.add(relation)
-            facts.add(fact)
+            facts.add(Fact(head, relation, tail))
     if not facts:
         raise KGFormatError(f"{path}: empty KG")
     return KnowledgeGraph(entities=entities, relations=relations, facts=facts)
@@ -227,18 +221,21 @@ def link_entities(statement_text: str, kg: KnowledgeGraph) -> set[str]:
 class Subgraph:
     nodes: set[str]
     edges: set[Fact]
-    provenance: dict[Fact, str] = field(default_factory=dict)
     virtual_node: str | None = None
 
     def sorted_edges(self) -> list[Fact]:
         return sorted(self.edges)
 
     def canonical(self) -> str:
+        """Canonical JSON; each edge ends with "virtual" or "kg" by its head.
+
+        `load_kg` rejects the virtual node id, so a KG fact never has it.
+        """
         payload = {
             "nodes": sorted(self.nodes),
             "virtual_node": self.virtual_node,
             "edges": [
-                [e.head, e.relation, e.tail, self.provenance.get(e, "kg")]
+                [e.head, e.relation, e.tail, "virtual" if e.head == VIRTUAL_NODE_ID else "kg"]
                 for e in sorted(self.edges)
             ],
         }
@@ -289,12 +286,7 @@ def retrieve_subgraph(kg: KnowledgeGraph, stmt: GroundedStatement, max_nodes: in
         for fact in kg.adjacency.get(node, ())
         if fact.head in candidates and fact.tail in candidates
     }
-    return Subgraph(
-        nodes=candidates,
-        edges=edges,
-        provenance={fact: "kg" for fact in edges},
-        virtual_node=None,
-    )
+    return Subgraph(nodes=candidates, edges=edges)
 
 
 def add_virtual_question_node(sub: Subgraph, stmt: GroundedStatement) -> Subgraph:
@@ -304,18 +296,13 @@ def add_virtual_question_node(sub: Subgraph, stmt: GroundedStatement) -> Subgrap
     nodes = set(sub.nodes)
     nodes.add(VIRTUAL_NODE_ID)
     edges = set(sub.edges)
-    provenance = dict(sub.provenance)
     for entity in sorted(stmt.question_entities):
         if entity in sub.nodes:
-            fact = Fact(VIRTUAL_NODE_ID, VIRTUAL_QUESTION_RELATION, entity)
-            edges.add(fact)
-            provenance[fact] = "virtual"
+            edges.add(Fact(VIRTUAL_NODE_ID, VIRTUAL_QUESTION_RELATION, entity))
     for entity in sorted(stmt.answer_entities):
         if entity in sub.nodes:
-            fact = Fact(VIRTUAL_NODE_ID, VIRTUAL_ANSWER_RELATION, entity)
-            edges.add(fact)
-            provenance[fact] = "virtual"
-    return Subgraph(nodes=nodes, edges=edges, provenance=provenance, virtual_node=VIRTUAL_NODE_ID)
+            edges.add(Fact(VIRTUAL_NODE_ID, VIRTUAL_ANSWER_RELATION, entity))
+    return Subgraph(nodes=nodes, edges=edges, virtual_node=VIRTUAL_NODE_ID)
 
 
 def remove_answer_edges(sub: Subgraph, stmt: GroundedStatement) -> Subgraph:
@@ -325,9 +312,4 @@ def remove_answer_edges(sub: Subgraph, stmt: GroundedStatement) -> Subgraph:
     """
     answers = stmt.answer_entities
     kept = {e for e in sub.edges if e.head not in answers and e.tail not in answers}
-    return replace(
-        sub,
-        nodes=set(sub.nodes),
-        edges=kept,
-        provenance={e: p for e, p in sub.provenance.items() if e in kept},
-    )
+    return replace(sub, nodes=set(sub.nodes), edges=kept)

@@ -52,14 +52,7 @@ from factpool.kg import (
     retrieve_subgraph,
 )
 from factpool.optim import RAdam
-from factpool.pooling import (
-    AttentionWeights,
-    GraphRepr,
-    PoolingHead,
-    init_pooling_head,
-    pool_backward_arrays,
-    pool_forward,
-)
+from factpool.pooling import PoolingHead, init_pooling_head, pool_backward_arrays, pool_forward
 from factpool.tokenizer import PAD_ID, Tokenizer, tokenize_statement
 from factpool.transformer import (
     init_scalar_head,
@@ -174,7 +167,12 @@ def build_encoder(model: Model, cache_path: str | None = None):
     if cfg.encoder_kind == "external-file":
         if cache_path is None:
             raise ValueError("external-file encoder needs a cache path")
-        return FileBackedEncoder(cache_path)
+        encoder = FileBackedEncoder(cache_path)
+        if encoder.dim != cfg.d:
+            raise ValueError(
+                f"{cache_path}: embedding cache width {encoder.dim} != model width d={cfg.d}"
+            )
+        return encoder
     raise ValueError(f"unknown encoder kind {cfg.encoder_kind!r}")
 
 
@@ -311,6 +309,10 @@ def prepare_dataset(
 # --- batched forward / backward ----------------------------------------------
 
 
+class DivergenceError(RuntimeError):
+    """Non-finite scores or loss: the model or its inputs have diverged."""
+
+
 @dataclass
 class BatchResult:
     loss: float
@@ -349,11 +351,6 @@ def candidate_log_probabilities(scores: np.ndarray) -> np.ndarray:
     """Log of softmax across one question's candidate scores."""
     z = scores - scores.max()
     return z - np.log(np.exp(z).sum())
-
-
-def candidate_probabilities(scores: np.ndarray) -> np.ndarray:
-    """Candidate scores -> probabilities (positive, summing to one)."""
-    return np.exp(candidate_log_probabilities(scores))
 
 
 def batch_forward(model: Model, questions: list[PreparedQuestion]) -> BatchResult:
@@ -407,6 +404,14 @@ def batch_forward(model: Model, questions: list[PreparedQuestion]) -> BatchResul
         gamma = graph_init if cfg.K == 0 else graph_final
         graph_scores, fg_cache = scalar_head_forward(params, "fg", gamma)
     scores = fq_scores + graph_scores
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        i = int(bad[0])
+        q = next(n for n, sl in enumerate(slices) if sl.start <= i < sl.stop)
+        raise DivergenceError(
+            f"non-finite score {scores[i]} for candidate {i - slices[q].start} "
+            f"of question {q} in the batch (kind={model.kind})"
+        )
     loss = 0.0
     d_scores = np.zeros(bs)
     probs_per_q: list[np.ndarray] = []
@@ -522,92 +527,6 @@ def batch_loss(model: Model, questions: list[PreparedQuestion]) -> float:
     return batch_forward(model, questions).loss
 
 
-# --- single-statement trace API ------------------------------------------------
-
-
-@dataclass
-class ForwardTrace:
-    final_states: np.ndarray  # [T, d]
-    graph_final: np.ndarray  # [d], graph token after layer L
-    question_final: np.ndarray  # [d], classification token after layer L
-    layer_graph_states: np.ndarray  # [L+1, d]: embedding stage, then per layer
-    pooling_weights: list[AttentionWeights] = field(default_factory=list)
-
-
-@dataclass
-class CandidateScores:
-    scores: np.ndarray  # [A] unnormalized
-    probabilities: np.ndarray  # [A], positive, sums to 1
-
-
-def forward(
-    model: Model,
-    ids: np.ndarray,
-    graph_reprs: list[GraphRepr],
-    mode: str | None = None,
-) -> ForwardTrace:
-    """Run one statement through the trunk with explicit graph vectors.
-
-    mode "early" expects exactly one graph vector, "early_late" expects K+1;
-    vector k targets the skip connection before layer L-k.
-    """
-    cfg = model.cfg
-    mode = mode or cfg.fusion_mode
-    expected = 1 if mode == "early" else cfg.num_pooling_heads()
-    if len(graph_reprs) != expected:
-        raise ValueError(
-            f"mode {mode!r} with K={cfg.K} expects {expected} graph vectors, "
-            f"got {len(graph_reprs)}"
-        )
-    vectors = [np.asarray(g.vector if isinstance(g, GraphRepr) else g) for g in graph_reprs]
-    ids = np.asarray(ids, dtype=np.int64)[None, :]
-    mask = np.ones_like(ids, dtype=bool)
-    injections = {
-        _injection_layer(cfg.L, k): vectors[k][None, :] for k in range(1, len(vectors))
-    }
-    states, cache = trunk_forward(
-        model.params, cfg.L, cfg.heads, ids, mask, vectors[0][None, :], injections
-    )
-    graph_states = np.stack([gs[0] for gs in cache[6]])
-    return ForwardTrace(
-        final_states=states[0],
-        graph_final=states[0, 0, :].copy(),
-        question_final=states[0, 1, :].copy(),
-        layer_graph_states=graph_states,
-    )
-
-
-def score_candidate(model: Model, trace: ForwardTrace, graph_repr_for_scoring) -> float:
-    """Unnormalized score; softmax across candidates happens in `predict`."""
-    vec = np.asarray(
-        graph_repr_for_scoring.vector
-        if isinstance(graph_repr_for_scoring, GraphRepr)
-        else graph_repr_for_scoring
-    )
-    fq, _ = scalar_head_forward(model.params, "fq", trace.question_final[None, :])
-    fg, _ = scalar_head_forward(model.params, "fg", vec[None, :])
-    return float(fq[0] + fg[0])
-
-
-def predict(
-    model: Model,
-    record: QuestionRecord,
-    kg: KnowledgeGraph,
-    templates: TemplateTable,
-    encoder,
-    condition: str = WITH_ANSWERS,
-):
-    """Full pipeline for one question.  Returns (choice index, CandidateScores).
-
-    Ties break toward the lowest candidate index.
-    """
-    prepared = prepare_question(model, kg, templates, encoder, record, condition)
-    result = batch_forward(model, [prepared])
-    return result.predictions[0], CandidateScores(
-        scores=result.scores.copy(), probabilities=result.probs[0]
-    )
-
-
 def evaluate(model: Model, questions: list[PreparedQuestion]) -> float:
     """Accuracy in percent over prepared questions."""
     if not questions:
@@ -623,10 +542,6 @@ def evaluate(model: Model, questions: list[PreparedQuestion]) -> float:
 
 
 # --- training -------------------------------------------------------------------
-
-
-class DivergenceError(RuntimeError):
-    pass
 
 
 def train_model(

@@ -24,24 +24,15 @@ def softmax_backward(weights: np.ndarray, d_weights: np.ndarray, axis: int = -1)
 
 def gelu_cached(x: np.ndarray):
     """tanh-approximation GELU.  Returns (y, tanh cache for the backward)."""
+    # Smooth everywhere, so finite-difference checks stay clean.
     x2 = x * x
     t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
     return 0.5 * x * (1.0 + t), t
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    # Smooth everywhere, so finite-difference checks stay clean.
-    return gelu_cached(x)[0]
-
-
 def gelu_grad_cached(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     du = _GELU_C * (1.0 + 0.134145 * (x * x))
     return 0.5 * (1.0 + t) + (0.5 * x * du) * (1.0 - t * t)
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    _, t = gelu_cached(x)
-    return gelu_grad_cached(x, t)
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):

@@ -15,11 +15,10 @@ composition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from factpool.numerics import gelu, gelu_cached, gelu_grad_cached, softmax_backward, softmax_stable
+from factpool.numerics import gelu_cached, gelu_grad_cached, softmax_backward, softmax_stable
 
 HEAD_PARAM_NAMES = ("w_value", "b_value", "w_key1", "b_key1", "w_key2", "b_key2")
 
@@ -32,10 +31,6 @@ class PoolingHead:
     b_key1: np.ndarray  # [d]
     w_key2: np.ndarray  # [d]
     b_key2: np.ndarray  # [1]
-
-    @property
-    def dim(self) -> int:
-        return self.w_value.shape[0]
 
 
 def init_pooling_head(d: int, rng: np.random.Generator, dtype=np.float64) -> PoolingHead:
@@ -54,43 +49,6 @@ def init_pooling_head(d: int, rng: np.random.Generator, dtype=np.float64) -> Poo
     )
 
 
-@dataclass
-class AttentionWeights:
-    weights: np.ndarray  # [E], sums to 1
-
-
-@dataclass
-class GraphRepr:
-    vector: np.ndarray  # [d]
-    layer_index: int = 0
-
-
-def _stack(edge_embeddings: Sequence) -> np.ndarray:
-    rows = [
-        np.asarray(e.vector if hasattr(e, "vector") else e, dtype=np.float64)
-        for e in edge_embeddings
-    ]
-    if not rows:
-        raise ValueError("empty edge set")
-    width = rows[0].shape
-    for row in rows:
-        if row.shape != width:
-            raise ValueError(f"edge embedding width mismatch: {row.shape} vs {width}")
-    return np.stack(rows)
-
-
-def edge_logits(head: PoolingHead, matrix: np.ndarray) -> np.ndarray:
-    """Key-network logits, one scalar per edge row."""
-    hidden = gelu(matrix @ head.w_key1 + head.b_key1)
-    return hidden @ head.w_key2 + head.b_key2[0]
-
-
-def attention_weights(head: PoolingHead, edge_embeddings: Sequence) -> AttentionWeights:
-    """Per-edge softmax weights in the order of `edge_embeddings`."""
-    matrix = _stack(edge_embeddings)
-    return AttentionWeights(weights=softmax_stable(edge_logits(head, matrix)))
-
-
 def pool_forward(head: PoolingHead, matrix: np.ndarray):
     """Array-level forward.  Returns (pooled [d], weights [E], cache)."""
     pre = matrix @ head.w_key1 + head.b_key1
@@ -101,19 +59,6 @@ def pool_forward(head: PoolingHead, matrix: np.ndarray):
     pooled = weights @ values
     cache = (matrix, pre, pre_t, hidden, weights, values)
     return pooled, weights, cache
-
-
-def pool(head: PoolingHead, edge_embeddings: Sequence, layer_index: int = 0) -> GraphRepr:
-    """Pooled graph vector; the zero vector stands in for an empty edge set."""
-    if len(edge_embeddings) == 0:
-        return GraphRepr(vector=np.zeros(head.dim), layer_index=layer_index)
-    pooled, _, _ = pool_forward(head, _stack(edge_embeddings))
-    return GraphRepr(vector=pooled, layer_index=layer_index)
-
-
-def pool_multi(heads: Sequence[PoolingHead], edge_embeddings: Sequence) -> list[GraphRepr]:
-    """One independently weighted graph vector per head, indexed 0..K."""
-    return [pool(head, edge_embeddings, layer_index=k) for k, head in enumerate(heads)]
 
 
 def pool_backward_arrays(head: PoolingHead, cache, upstream: np.ndarray):
@@ -144,17 +89,3 @@ def pool_backward_arrays(head: PoolingHead, cache, upstream: np.ndarray):
         "b_key2": d_b_key2,
     }
     return grads, d_matrix
-
-
-def pool_backward(head: PoolingHead, edge_embeddings: Sequence, upstream: np.ndarray):
-    """Gradients of the pooled vector w.r.t. head parameters and inputs.
-
-    `upstream` is dL/dg.  Returns (param grads dict keyed like PoolingHead
-    fields, per-edge input grads [E, d]).  Duplicate edges each receive their
-    own row of input gradient.
-    """
-    matrix = _stack(edge_embeddings)
-    if matrix.shape[1] != head.dim:
-        raise ValueError(f"width mismatch: edges are {matrix.shape[1]}-d, head is {head.dim}-d")
-    _, _, cache = pool_forward(head, matrix)
-    return pool_backward_arrays(head, cache, upstream)

@@ -24,7 +24,7 @@ from factpool.experiment import (
     pipeline_hashes,
     run_experiment,
 )
-from factpool.gnn import GNNConfig, gnn_forward_arrays, init_gnn_params, message, subgraph_arrays
+from factpool.gnn import GNNConfig, gnn_forward_arrays, init_gnn_params, subgraph_arrays
 from factpool.harness_data import tiny_gradcheck_setup
 from factpool.kg import (
     Fact,
@@ -40,19 +40,16 @@ from factpool.model import (
     batch_forward,
     build_encoder,
     create_model,
-    forward,
     gradient_check,
     load_model,
     prepare_dataset,
     prepare_question,
     relation_table,
-    score_candidate,
     train_model,
 )
 from factpool.numerics import softmax_stable
-from factpool.pooling import GraphRepr, init_pooling_head, pool_forward
+from factpool.pooling import init_pooling_head, pool_forward
 from factpool.synthetic import SyntheticSpec, write_synthetic
-from factpool.tokenizer import tokenize_statement
 
 from conftest import kg_from_facts
 
@@ -131,8 +128,7 @@ def test_criterion_04_fusion_reduction_bit_identical():
 
     kg, templates, records = tiny_benchmark(seed=11, questions=6)
     curves = {}
-    traces = {}
-    scores = {}
+    forwards = {}
     for mode in ("early", "early_late"):
         cfg = Config(
             L=2, d=16, heads=2, K=0, fusion_mode=mode, vocab_size=128,
@@ -141,20 +137,18 @@ def test_criterion_04_fusion_reduction_bit_identical():
         )
         model = create_model(cfg, "pooled", relation_table(kg))
         encoder = build_encoder(model)
-        ids = np.array(
-            tokenize_statement("", "what connects here", "that", model.tokenizer, 48)
-        )
-        g = GraphRepr(vector=np.random.default_rng(1).standard_normal(16))
-        trace = forward(model, ids, [g], mode)
-        traces[mode] = trace
-        scores[mode] = score_candidate(model, trace, g)
         prepared = prepare_dataset(model, kg, templates, encoder, records)
+        forwards[mode] = batch_forward(model, prepared)
         curves[mode] = train_model(model, prepared, epochs=2)
-    assert np.array_equal(traces["early"].final_states, traces["early_late"].final_states)
+    early, late = forwards["early"], forwards["early_late"]
+    assert np.array_equal(early.scores, late.scores)
+    for weights_e, weights_l in zip(early.pool_weights, late.pool_weights):
+        assert all(np.array_equal(a, b) for a, b in zip(weights_e, weights_l))
+    layer_states = [f._caches["trunk_cache"][6] for f in (early, late)]
+    assert all(np.array_equal(a, b) for a, b in zip(*layer_states))
     assert np.array_equal(
-        traces["early"].layer_graph_states, traces["early_late"].layer_graph_states
+        early._caches["graph_states_final"], late._caches["graph_states_final"]
     )
-    assert scores["early"] == scores["early_late"]
     assert curves["early"] == curves["early_late"]
     report(4, "early_late K=0 == early", f"bit-identical, {time.time()-start:.0f}s")
 
@@ -215,12 +209,19 @@ def test_criterion_06_oracle_equivalence():
         matrix = rng.standard_normal((n_edges, d))
         pooled, _, _ = pool_forward(head, matrix)
         assert np.max(np.abs(pooled - pool_oracle(head, matrix))) < 1e-12
-        # message vs loop oracle
+        # message vs loop oracle: the one message a -> b of a single-fact graph
         params = init_gnn_params(d, num_relations=3, rng=rng)
-        h_src = rng.standard_normal(d)
-        rel = params["gnn.rel_emb"][int(rng.integers(3))]
-        got = message(np.zeros(d), h_src, rel, params)
-        want = message_oracle(h_src, rel, params["gnn.msg.w"], params["gnn.msg.b"])
+        r = int(rng.integers(3))
+        single = subgraph_arrays(
+            Subgraph(nodes={"a", "b"}, edges={Fact("a", f"r{r}", "b")}),
+            {f"r{i}": i for i in range(3)},
+        )
+        h = rng.standard_normal((2, d))
+        _, (_, layer_caches, _), _ = gnn_forward_arrays(params, GNNConfig(layers=1), single, h)
+        got = layer_caches[0][4][1]
+        want = message_oracle(
+            h[0], params["gnn.rel_emb"][r], params["gnn.msg.w"], params["gnn.msg.b"]
+        )
         assert np.max(np.abs(got - want)) < 1e-12
         # gnn forward vs loop oracle on a <=5-node graph
         n_nodes = int(rng.integers(2, 6))
@@ -234,7 +235,7 @@ def test_criterion_06_oracle_equivalence():
             )
             for _ in range(n_facts)
         }
-        sub = Subgraph(nodes=set(names), edges=facts, provenance={f: "kg" for f in facts})
+        sub = Subgraph(nodes=set(names), edges=facts)
         relation_index = {f"r{i}": i for i in range(3)}
         arrays = subgraph_arrays(sub, relation_index)
         init = rng.standard_normal((n_nodes, d))
@@ -259,11 +260,29 @@ def test_criterion_07_aggregation_count_grid():
         for n in (4, 16, 32):
             names = [f"n{i}" for i in range(n)]
             edges = {Fact(names[i], "r", names[i + 1]) for i in range(n - 1)}
-            sub = Subgraph(nodes=set(names), edges=edges, provenance={e: "kg" for e in edges})
-            assert count_aggregations("pooled", sub, cfg).count == k + 1
+            sub = Subgraph(nodes=set(names), edges=edges)
+            assert count_aggregations("pooled", sub, cfg) == k + 1
             for layers in (1, 2):
                 gcfg = replace(cfg, gnn_layers=layers)
-                assert count_aggregations("gnn", sub, gcfg).count == n * layers
+                assert count_aggregations("gnn", sub, gcfg) == n * layers
+    # the structural count is what the real forward performs
+    from factpool.harness_data import tiny_benchmark
+
+    kg, templates, records = tiny_benchmark(seed=7, questions=4)
+    for kind, cfg in (
+        ("pooled", Config(L=2, d=16, heads=2, K=2, fusion_mode="early_late",
+                          vocab_size=64, max_tokens=48, max_nodes=8)),
+        ("gnn", Config(L=2, d=16, heads=2, vocab_size=64, max_tokens=48,
+                       max_nodes=8, gnn_layers=3)),
+    ):
+        model = create_model(cfg, kind, relation_table(kg))
+        prepared = prepare_dataset(model, kg, templates, build_encoder(model), records)
+        expected = sum(
+            count_aggregations(kind, cand.subgraph, cfg)
+            for q in prepared
+            for cand in q.candidates
+        )
+        assert batch_forward(model, prepared).aggregations == expected
     report(7, "aggregation counts", f"grid exact in {time.time()-start:.1f}s")
 
 

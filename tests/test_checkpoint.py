@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,21 @@ def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
     with pytest.raises(CheckpointError, match="not a checkpoint"):
+        load_checkpoint(path)
+
+
+# Prefix lengths inside each field of the 218-byte file written below: header
+# length, header, tensor count, then name length, name, ndim, shape and data
+# of the first tensor and of the last.
+@pytest.mark.parametrize("keep", [10, 30, 60, 64, 68, 71, 80, 120, 187, 190, 195, 210, 217])
+def test_truncated_checkpoint_names_path(tmp_path, keep):
+    path = tmp_path / "cut.ckpt"
+    params = {"a.w": np.arange(12.0).reshape(3, 4), "b": np.ones(2)}
+    save_checkpoint(path, params, config={"d": 4}, seed=0, step=0)
+    data = path.read_bytes()
+    assert len(data) == 218
+    path.write_bytes(data[:keep])
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: truncated checkpoint")):
         load_checkpoint(path)
 
 

@@ -190,19 +190,17 @@ def test_explain_requires_pooled(micro_assets):
 def path_subgraph(n):
     entities = [f"n{i}" for i in range(n)]
     edges = {Fact(entities[i], "r", entities[i + 1]) for i in range(n - 1)}
-    return Subgraph(nodes=set(entities), edges=edges, provenance={e: "kg" for e in edges})
+    return Subgraph(nodes=set(entities), edges=edges)
 
 
 @pytest.mark.parametrize("k", [0, 2, 5])
 def test_pooled_aggregation_count_is_k_plus_one(k):
     cfg = Config(L=6, d=16, heads=2, K=k,
                  fusion_mode="early" if k == 0 else "early_late", vocab_size=64)
-    record = count_aggregations("pooled", path_subgraph(6), cfg)
-    assert record.count == k + 1
+    assert count_aggregations("pooled", path_subgraph(6), cfg) == k + 1
 
 
 @pytest.mark.parametrize("nodes,layers", [(4, 1), (10, 2), (16, 2)])
 def test_gnn_aggregation_count_is_nodes_times_layers(nodes, layers):
     cfg = Config(L=2, d=16, heads=2, gnn_layers=layers, vocab_size=64)
-    record = count_aggregations("gnn", path_subgraph(nodes), cfg)
-    assert record.count == nodes * layers
+    assert count_aggregations("gnn", path_subgraph(nodes), cfg) == nodes * layers

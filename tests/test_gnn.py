@@ -3,18 +3,32 @@ import numpy as np
 from conftest import kg_from_facts
 from oracles import fd_gradient, gnn_oracle, message_oracle
 
-from factpool.encoders import HashBagEncoder
+from factpool.config import Config
 from factpool.gnn import (
     GNNConfig,
     gnn_backward_arrays,
     gnn_forward_arrays,
-    gnn_forward,
     init_gnn_params,
-    init_nodes,
-    message,
     subgraph_arrays,
 )
-from factpool.kg import GroundedStatement, add_virtual_question_node, retrieve_subgraph
+from factpool.harness_data import tiny_benchmark
+from factpool.kg import (
+    VIRTUAL_NODE_ID,
+    Fact,
+    GroundedStatement,
+    Subgraph,
+    add_virtual_question_node,
+    id_to_surface,
+    retrieve_subgraph,
+)
+from factpool.model import (
+    batch_forward,
+    build_encoder,
+    create_model,
+    prepare_question,
+    relation_table,
+)
+from factpool.transformer import scalar_head_forward
 
 
 def make_sub(facts, question_entities, answer_entities=()):
@@ -33,32 +47,61 @@ def rel_index(sub):
     return {r: i for i, r in enumerate(sorted({e.relation for e in sub.edges}))}
 
 
+def gnn_question(gnn_layers=2):
+    """A tiny gnn model, its encoder and one prepared graph-determined question."""
+    cfg = Config(L=2, d=8, heads=2, vocab_size=64, max_tokens=48, max_nodes=8,
+                 gnn_layers=gnn_layers, seed=0)
+    kg, templates, records = tiny_benchmark(seed=1, questions=4)
+    model = create_model(cfg, "gnn", relation_table(kg))
+    encoder = build_encoder(model)
+    record = next(r for r in records if r.meta.get("kind") == "kg")
+    return model, encoder, prepare_question(model, kg, templates, encoder, record)
+
+
+def single_edge_messages(params, init):
+    """Messages aggregated at each node of the one-fact graph a -r-> b."""
+    arrays = subgraph_arrays(Subgraph(nodes={"a", "b"}, edges={Fact("a", "r", "b")}), {"r": 1})
+    _, cache, _ = gnn_forward_arrays(params, GNNConfig(layers=1), arrays, init)
+    _, layer_caches, _ = cache
+    return layer_caches[0][4]  # sum aggregate: one message per node here
+
+
 def test_init_nodes_virtual_and_entities():
-    _, stmt, sub = make_sub([("bird", "r", "worm")], {"bird", "worm"})
-    enc = HashBagEncoder(dim=8, seed=0)
-    question_repr = np.arange(8.0)
-    states = init_nodes(sub, question_repr, enc)
-    assert np.array_equal(states["question"], question_repr)
-    assert np.array_equal(states["bird"], enc.encode_text("bird"))
+    model, encoder, prepared = gnn_question()
+    result = batch_forward(model, [prepared])
+    for i, cand in enumerate(prepared.candidates):
+        assert cand.gnn.node_ids == sorted(cand.subgraph.nodes)
+        assert len(cand.gnn.node_ids) > 1
+        _, layer_caches, _ = result._caches["gnn_caches"][i]
+        layer0 = layer_caches[0][0]
+        for row, node in enumerate(cand.gnn.node_ids):
+            if node == VIRTUAL_NODE_ID:
+                assert np.array_equal(layer0[row], result._caches["q_final"][i])
+            else:
+                assert np.array_equal(layer0[row], encoder.encode_text(id_to_surface(node)))
 
 
 def test_message_matches_oracle_and_is_pure():
     rng = np.random.default_rng(0)
     d = 8
     params = init_gnn_params(d, num_relations=3, rng=rng)
-    h_src = rng.standard_normal(d)
-    rel = params["gnn.rel_emb"][1]
-    got = message(np.zeros(d), h_src, rel, params)
-    expected = message_oracle(h_src, rel, params["gnn.msg.w"], params["gnn.msg.b"])
+    init = rng.standard_normal((2, d))
+    got = single_edge_messages(params, init)[1]  # a -> b
+    expected = message_oracle(
+        init[0], params["gnn.rel_emb"][1], params["gnn.msg.w"], params["gnn.msg.b"]
+    )
     assert np.allclose(got, expected, atol=1e-12)
-    assert np.array_equal(got, message(np.ones(d), h_src, rel, params))  # dest state unused
+    moved = init.copy()
+    moved[1] += 1.0
+    assert np.array_equal(got, single_edge_messages(params, moved)[1])  # dest state unused
 
 
 def test_zero_source_zero_relation_zero_bias_message():
     rng = np.random.default_rng(1)
     params = init_gnn_params(6, num_relations=2, rng=rng)
     params["gnn.msg.b"][:] = 0.0
-    assert np.all(message(np.zeros(6), np.zeros(6), np.zeros(6), params) == 0.0)
+    params["gnn.rel_emb"][:] = 0.0
+    assert np.all(single_edge_messages(params, np.zeros((2, 6))) == 0.0)
 
 
 def test_zero_layers_leaves_states():
@@ -203,33 +246,30 @@ def test_gnn_backward_vs_finite_differences():
     assert np.max(np.abs(d_init - numeric) / np.maximum(np.abs(numeric), 1e-4)) < 1e-4
 
 
-def test_dict_level_forward_wrapper():
+def test_forward_arrays_cover_every_node():
     _, _, sub = make_sub([("a", "r", "b")], {"a", "b"})
     index = rel_index(sub)
     params = init_gnn_params(4, len(index), np.random.default_rng(2))
-    enc = HashBagEncoder(dim=4, seed=0)
-    states0 = init_nodes(sub, np.zeros(4), enc)
-    final = gnn_forward(params, GNNConfig(layers=1), sub, states0, index)
-    assert set(final) == set(sub.nodes)
+    arrays = subgraph_arrays(sub, index)
+    assert set(arrays.node_ids) == sub.nodes
+    init = np.random.default_rng(3).standard_normal((len(arrays.node_ids), 4))
+    final, _, _ = gnn_forward_arrays(params, GNNConfig(layers=1), arrays, init)
+    assert final.shape == (len(sub.nodes), 4)
 
 
 def test_gnn_score_reads_question_state():
-    from factpool.gnn import gnn_score
-
-    _, _, sub = make_sub([("a", "r", "b")], {"a", "b"})
-    index = rel_index(sub)
-    params = init_gnn_params(4, len(index), np.random.default_rng(2))
-    enc = HashBagEncoder(dim=4, seed=0)
-    q_repr = np.arange(4.0)
-    states0 = init_nodes(sub, q_repr, enc)
     # zero-layer propagation: the score depends on the question vector only
-    final = gnn_forward(params, GNNConfig(layers=0), sub, states0, index)
-    score = gnn_score(params, final)
-    other = init_nodes(sub, q_repr, HashBagEncoder(dim=4, seed=99))
-    final_other = gnn_forward(params, GNNConfig(layers=0), sub, other, index)
-    assert score == gnn_score(params, final_other)
-    # a zeroed head scores everything identically (uniform after softmax)
-    for name in list(params):
+    model, _, prepared = gnn_question(gnn_layers=0)
+    scores = batch_forward(model, [prepared]).scores
+    rng = np.random.default_rng(4)
+    for cand in prepared.candidates:
+        cand.node_init = rng.standard_normal(cand.node_init.shape)
+    result = batch_forward(model, [prepared])
+    assert np.array_equal(result.scores, scores)
+    # a zeroed head adds exactly nothing to the text score
+    for name in list(model.params):
         if name.startswith("gnn.score"):
-            params[name][:] = 0.0
-    assert gnn_score(params, final) == 0.0
+            model.params[name][:] = 0.0
+    result = batch_forward(model, [prepared])
+    fq, _ = scalar_head_forward(model.params, "fq", result._caches["q_final"])
+    assert np.array_equal(result.scores, fq)

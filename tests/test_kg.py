@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -59,10 +61,17 @@ def test_load_kg_malformed_line_reports_number(tmp_path):
 
 
 def test_reserved_virtual_head_rejected(tmp_path):
+    # the virtual node id is reserved as head or tail, under any relation
     path = tmp_path / "virt.tsv"
-    path.write_text("question\tcauses\tx\n", encoding="utf-8")
-    with pytest.raises(KGFormatError, match="line 1"):
-        load_kg(str(path))
+    for line in (
+        "question\tcauses\tx",
+        "ask\trelated_to\tquestion",
+        "question\tentity\tx",
+        "x\tcauses\tQuestion",
+    ):
+        path.write_text(f"a\tr\tb\n{line}\n", encoding="utf-8")
+        with pytest.raises(KGFormatError, match="line 2.*reserved"):
+            load_kg(str(path))
 
 
 def test_surface_id_round_trip():
@@ -160,7 +169,9 @@ def test_add_virtual_edges():
     sub = add_virtual_question_node(retrieve_subgraph(kg, stmt, 8), stmt)
     assert Fact("question", "entity", "bird") in sub.edges
     assert Fact("question", "a_entity", "children") in sub.edges
-    assert sub.provenance[Fact("question", "entity", "bird")] == "virtual"
+    edges = json.loads(sub.canonical())["edges"]
+    assert ["question", "entity", "bird", "virtual"] in edges
+    assert ["bird", "r", "children", "kg"] in edges
 
 
 def test_add_virtual_twice_errors():
@@ -175,7 +186,8 @@ def test_add_virtual_no_answer_entities():
     kg = kg_from_facts([("bird", "r", "worm")])
     stmt = make_stmt({"bird"}, set())
     sub = add_virtual_question_node(retrieve_subgraph(kg, stmt, 8), stmt)
-    relations = {e.relation for e in sub.edges if sub.provenance[e] == "virtual"}
+    edges = json.loads(sub.canonical())["edges"]
+    relations = {rel for _, rel, _, origin in edges if origin == "virtual"}
     assert relations == {"entity"}
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,20 +13,17 @@ from factpool.model import (
     batch_forward,
     batch_loss,
     build_encoder,
-    candidate_probabilities,
+    candidate_log_probabilities,
     create_model,
-    forward,
+    evaluate,
     loss_and_grads,
-    predict,
     prepare_dataset,
     prepare_question,
     relation_table,
-    score_candidate,
     train_model,
 )
-from factpool.pooling import GraphRepr
 from factpool.data import QuestionRecord
-from factpool.tokenizer import tokenize_statement
+from factpool.encoders import write_embedding_cache
 
 
 def small_cfg(**overrides):
@@ -47,6 +45,10 @@ def make_setup(kind="pooled", cfg=None, questions=4):
 
 
 # --- probabilities -------------------------------------------------------------
+
+
+def candidate_probabilities(scores):
+    return np.exp(candidate_log_probabilities(scores))
 
 
 def test_candidate_probabilities_softmax_example():
@@ -82,33 +84,38 @@ def test_early_late_k0_bit_identical_to_early():
     m_late = create_model(cfg_late, "pooled", relation_table(kg))
     for name in m_early.params:
         assert np.array_equal(m_early.params[name], m_late.params[name])
-    ids = np.array(tokenize_statement("", "what is this", "that", m_early.tokenizer, 48))
-    g = GraphRepr(vector=np.random.default_rng(3).standard_normal(16))
-    t_early = forward(m_early, ids, [g], "early")
-    t_late = forward(m_late, ids, [g], "early_late")
-    assert np.array_equal(t_early.final_states, t_late.final_states)
-    assert np.array_equal(t_early.layer_graph_states, t_late.layer_graph_states)
-    s_early = score_candidate(m_early, t_early, g)
-    s_late = score_candidate(m_late, t_late, g)
-    assert s_early == s_late
+    results = []
+    for model in (m_early, m_late):
+        prepared = prepare_dataset(model, kg, templates, build_encoder(model), records)
+        results.append(batch_forward(model, prepared))
+    early, late = results
+    assert np.array_equal(early.scores, late.scores)
+    assert all(
+        np.array_equal(a, b)
+        for wa, wb in zip(early.pool_weights, late.pool_weights)
+        for a, b in zip(wa, wb)
+    )
+    assert np.array_equal(
+        early._caches["graph_states_final"], late._caches["graph_states_final"]
+    )
+    layer_states = [r._caches["trunk_cache"][6] for r in results]
+    assert len(layer_states[0]) == cfg_early.L + 1
+    assert all(np.array_equal(a, b) for a, b in zip(*layer_states))
 
 
 def test_zero_graph_vectors_match_early_zero():
-    cfg = small_cfg(fusion_mode="early_late", K=2, L=4)
+    # Zero value projections pool every edge set to the zero vector, so the
+    # injections before layers L-1 and L-2 leave the trunk states untouched.
     kg, templates, records = tiny_benchmark(seed=2)
-    model = create_model(cfg, "pooled", relation_table(kg))
-    ids = np.array(tokenize_statement("", "what is this", "that", model.tokenizer, 48))
-    zeros = [GraphRepr(vector=np.zeros(16), layer_index=k) for k in range(3)]
-    t_fused = forward(model, ids, zeros, "early_late")
-    t_plain = forward(model, ids, zeros[:1], "early")
-    assert np.allclose(t_fused.final_states, t_plain.final_states, atol=0)
-
-
-def test_forward_count_mismatch_errors():
-    model, *_ = make_setup(cfg=small_cfg(fusion_mode="early_late", K=2, L=4))
-    ids = np.array(tokenize_statement("", "a b", "c", model.tokenizer, 48))
-    with pytest.raises(ValueError, match="graph vectors"):
-        forward(model, ids, [GraphRepr(vector=np.zeros(16))], "early_late")
+    states = []
+    for cfg in (small_cfg(fusion_mode="early_late", K=2, L=4), small_cfg(L=4)):
+        model = create_model(cfg, "pooled", relation_table(kg))
+        for k in range(cfg.num_pooling_heads()):
+            model.params[f"pool{k}.w_value"][:] = 0.0
+        prepared = prepare_dataset(model, kg, templates, build_encoder(model), records)
+        assert any(c.edge_matrix.shape[0] for q in prepared for c in q.candidates)
+        states.append(batch_forward(model, prepared)._caches["graph_states_final"])
+    assert np.allclose(states[0], states[1], atol=0)
 
 
 def test_zeroed_scoring_heads_give_uniform():
@@ -125,12 +132,18 @@ def test_zeroed_scoring_heads_give_uniform():
 # --- predict -----------------------------------------------------------------------
 
 
+def predict(model, record, kg, templates, encoder):
+    """(choice index, probabilities) for one question through batch_forward."""
+    result = batch_forward(model, [prepare_question(model, kg, templates, encoder, record)])
+    return result.predictions[0], result.probs[0]
+
+
 def test_predict_single_candidate():
     model, kg, templates, encoder, records, _ = make_setup()
     record = QuestionRecord(question="what connects with nothing", candidates=["only"], answer_index=0)
-    idx, scores = predict(model, record, kg, templates, encoder)
+    idx, probs = predict(model, record, kg, templates, encoder)
     assert idx == 0
-    assert np.allclose(scores.probabilities, [1.0])
+    assert np.allclose(probs, [1.0])
 
 
 def test_predict_identical_candidates_tie_breaks_low():
@@ -138,9 +151,9 @@ def test_predict_identical_candidates_tie_breaks_low():
     record = QuestionRecord(
         question="what connects with nothing", candidates=["same", "same", "same"], answer_index=1
     )
-    idx, scores = predict(model, record, kg, templates, encoder)
+    idx, probs = predict(model, record, kg, templates, encoder)
     assert idx == 0
-    assert np.allclose(scores.probabilities, 1.0 / 3.0, atol=1e-12)
+    assert np.allclose(probs, 1.0 / 3.0, atol=1e-12)
 
 
 # --- training --------------------------------------------------------------------
@@ -190,6 +203,39 @@ def test_divergence_raises():
     model.params["fq.w2"][:] = np.nan
     with pytest.raises(DivergenceError):
         train_model(model, prepared, epochs=1)
+
+
+def fact_entries(prepared, width):
+    """Embedding cache entries for every fact of the prepared questions."""
+    return {
+        fact.key(): np.resize(row, width)
+        for q in prepared
+        for cand in q.candidates
+        for fact, row in zip(cand.facts, cand.edge_matrix)
+    }
+
+
+def test_external_cache_width_must_match_model(tmp_path):
+    model, kg, templates, encoder, records, prepared = make_setup()
+    path = tmp_path / "wide.bin"
+    write_embedding_cache(str(path), fact_entries(prepared, 17), 17)
+    external = create_model(small_cfg(encoder_kind="external-file"), "pooled", model.relations)
+    expected = re.escape(f"{path}: embedding cache width 17 != model width d=16")
+    with pytest.raises(ValueError, match=expected):
+        build_encoder(external, cache_path=str(path))
+
+
+def test_non_finite_embedding_fails_evaluation(tmp_path):
+    model, kg, templates, encoder, records, prepared = make_setup()
+    path = tmp_path / "nan.bin"
+    entries = fact_entries(prepared, 16)
+    entries[min(entries)] = np.full(16, np.nan)
+    write_embedding_cache(str(path), entries, 16)
+    external = create_model(small_cfg(encoder_kind="external-file"), "pooled", model.relations)
+    cached = build_encoder(external, cache_path=str(path))
+    questions = prepare_dataset(external, kg, templates, cached, records[:4])
+    with pytest.raises(DivergenceError, match=r"non-finite score .*\(kind=pooled\)"):
+        evaluate(external, questions)
 
 
 def test_training_needs_two_candidates():

@@ -1,21 +1,24 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import barycentric_membership, fd_gradient, pool_oracle, softmax_oracle
 
-from factpool.kg import Fact
-from factpool.encoders import EdgeEmbedding
+from factpool.config import Config
+from factpool.data import QuestionRecord
+from factpool.harness_data import tiny_benchmark
+from factpool.model import (
+    batch_forward,
+    build_encoder,
+    create_model,
+    prepare_question,
+    relation_table,
+)
 from factpool.numerics import softmax_stable
 from factpool.pooling import (
     HEAD_PARAM_NAMES,
-    attention_weights,
-    edge_logits,
     init_pooling_head,
-    pool,
-    pool_backward,
+    pool_backward_arrays,
     pool_forward,
-    pool_multi,
 )
 
 
@@ -23,11 +26,20 @@ def make_head(d, seed=0):
     return init_pooling_head(d, np.random.default_rng(seed))
 
 
-def make_edges(matrix):
-    return [
-        EdgeEmbedding(fact=Fact(f"h{i}", "r", f"t{i}"), vector=row)
-        for i, row in enumerate(matrix)
-    ]
+def forward_backward(head, matrix, upstream):
+    _, _, cache = pool_forward(head, matrix)
+    return pool_backward_arrays(head, cache, upstream)
+
+
+def pooled_model(K=0):
+    """A tiny model, its KG assets and encoder, for batch_forward checks."""
+    cfg = Config(
+        L=2, d=8, heads=2, K=K, fusion_mode="early" if K == 0 else "early_late",
+        vocab_size=64, max_tokens=48, max_nodes=8, seed=0,
+    )
+    kg, templates, records = tiny_benchmark(seed=1, questions=4)
+    model = create_model(cfg, "pooled", relation_table(kg))
+    return model, kg, templates, build_encoder(model), records
 
 
 def zero_key_head(d):
@@ -54,13 +66,13 @@ def test_uniform_logits_give_exact_quarter():
     d = 8
     head = make_head(d)
     row = np.random.default_rng(1).standard_normal(d)
-    weights = attention_weights(head, make_edges(np.tile(row, (4, 1)))).weights
+    _, weights, _ = pool_forward(head, np.tile(row, (4, 1)))
     assert np.all(weights == 0.25)
 
 
 def test_single_edge_weight_is_one():
     head = make_head(6)
-    weights = attention_weights(head, make_edges(np.ones((1, 6)))).weights
+    _, weights, _ = pool_forward(head, np.ones((1, 6)))
     assert weights.tolist() == [1.0]
 
 
@@ -71,11 +83,6 @@ def test_softmax_oracle_values():
     assert np.allclose(got, [0.0900, 0.2447, 0.6652], atol=5e-5)
 
 
-def test_empty_edge_set_errors():
-    with pytest.raises(ValueError, match="empty"):
-        attention_weights(make_head(4), [])
-
-
 # --- pooled vector ---------------------------------------------------------------
 
 
@@ -83,17 +90,17 @@ def test_single_edge_identity_value():
     d = 8
     head = identity_value_head(d)
     vec = np.random.default_rng(2).standard_normal(d)
-    g = pool(head, make_edges(vec[None, :]))
-    assert np.allclose(g.vector, vec, atol=0)
+    pooled, _, _ = pool_forward(head, vec[None, :])
+    assert np.allclose(pooled, vec, atol=0)
 
 
 def test_identical_edges_pool_to_projected_point():
     d = 6
     head = make_head(d, seed=5)
     row = np.random.default_rng(3).standard_normal(d)
-    g = pool(head, make_edges(np.tile(row, (3, 1))))
+    pooled, _, _ = pool_forward(head, np.tile(row, (3, 1)))
     expected = row @ head.w_value + head.b_value
-    assert np.allclose(g.vector, expected, atol=1e-12)
+    assert np.allclose(pooled, expected, atol=1e-12)
 
 
 def test_pool_matches_loop_oracle():
@@ -101,28 +108,46 @@ def test_pool_matches_loop_oracle():
     rng = np.random.default_rng(7)
     head = make_head(d, seed=11)
     matrix = rng.standard_normal((3, d))
-    g = pool(head, make_edges(matrix))
-    assert np.allclose(g.vector, pool_oracle(head, matrix), atol=1e-12)
+    pooled, _, _ = pool_forward(head, matrix)
+    assert np.allclose(pooled, pool_oracle(head, matrix), atol=1e-12)
 
 
 def test_empty_pool_returns_zero_vector():
-    g = pool(make_head(5), [])
-    assert np.all(g.vector == 0.0) and g.vector.shape == (5,)
+    # A statement linking no entity has no edges; its graph vector is zero, so
+    # the pooled model scores exactly like the text-only model sharing its
+    # trunk and heads.
+    model, kg, templates, encoder, _ = pooled_model()
+    record = QuestionRecord(question="zzq xqv", candidates=["vvx", "qqz"], answer_index=0)
+    prepared = prepare_question(model, kg, templates, encoder, record)
+    assert all(c.edge_matrix.shape == (0, 8) for c in prepared.candidates)
+    result = batch_forward(model, [prepared])
+    assert all(w[0].shape == (0,) for w in result.pool_weights)
+    text_only = create_model(model.cfg, "lm", model.relations)
+    text_only.params = {n: a for n, a in model.params.items() if not n.startswith("pool")}
+    assert np.array_equal(batch_forward(text_only, [prepared]).scores, result.scores)
 
 
 def test_pool_multi_reductions():
-    d = 6
-    rng = np.random.default_rng(0)
-    matrix = rng.standard_normal((4, d))
-    edges = make_edges(matrix)
-    h0 = make_head(d, seed=1)
-    assert np.array_equal(pool_multi([h0], edges)[0].vector, pool(h0, edges).vector)
-    same = pool_multi([h0, h0, h0], edges)
-    assert all(np.array_equal(g.vector, same[0].vector) for g in same)
-    distinct = [make_head(d, seed=s) for s in (1, 2, 3)]
-    for k, g in enumerate(pool_multi(distinct, edges)):
-        assert g.layer_index == k
-        assert np.allclose(g.vector, pool_oracle(distinct[k], matrix), atol=1e-12)
+    # batch_forward runs one independent pooling head per fusion slot.
+    model, kg, templates, encoder, records = pooled_model(K=2)
+    record = next(r for r in records if r.meta.get("kind") == "kg")
+    prepared = prepare_question(model, kg, templates, encoder, record)
+    matrix = prepared.candidates[0].edge_matrix
+    assert matrix.shape[0] >= 2
+    heads = model.pooling_heads()
+    result = batch_forward(model, [prepared])
+    for k, head in enumerate(heads):
+        _, _, _, _, weights, values = result._caches["pool_caches"][0][k]
+        assert np.array_equal(result.pool_weights[0][k], weights)
+        assert np.allclose(weights @ values, pool_oracle(head, matrix), atol=1e-12)
+    assert not np.array_equal(result.pool_weights[0][0], result.pool_weights[0][1])
+    # identical heads reduce to one pooled vector in every slot
+    for k in (1, 2):
+        for name in HEAD_PARAM_NAMES:
+            model.params[f"pool{k}.{name}"][...] = model.params[f"pool0.{name}"]
+    same = batch_forward(model, [prepared])
+    for k in (1, 2):
+        assert np.array_equal(same.pool_weights[0][k], same.pool_weights[0][0])
 
 
 # --- gradients --------------------------------------------------------------------
@@ -139,7 +164,7 @@ def test_pool_backward_vs_finite_differences():
         pooled, _, _ = pool_forward(head, matrix)
         return float(pooled @ upstream)
 
-    grads, d_matrix = pool_backward(head, make_edges(matrix), upstream)
+    grads, d_matrix = forward_backward(head, matrix, upstream)
     for name in HEAD_PARAM_NAMES:
         numeric = fd_gradient(loss, getattr(head, name))
         denom = np.maximum(np.abs(numeric), 1e-4)
@@ -152,7 +177,7 @@ def test_pool_backward_zero_upstream():
     d = 6
     head = make_head(d)
     matrix = np.random.default_rng(5).standard_normal((4, d))
-    grads, d_matrix = pool_backward(head, make_edges(matrix), np.zeros(d))
+    grads, d_matrix = forward_backward(head, matrix, np.zeros(d))
     assert all(np.all(g == 0.0) for g in grads.values())
     assert np.all(d_matrix == 0.0)
 
@@ -169,7 +194,7 @@ def test_duplicate_edges_get_per_position_gradients():
         pooled, _, _ = pool_forward(head, matrix)
         return float(pooled @ upstream)
 
-    _, d_matrix = pool_backward(head, make_edges(matrix), upstream)
+    _, d_matrix = forward_backward(head, matrix, upstream)
     numeric = fd_gradient(loss, matrix)
     assert d_matrix.shape == (2, d)
     assert np.max(np.abs(d_matrix - numeric) / np.maximum(np.abs(numeric), 1e-4)) < 1e-4
@@ -225,9 +250,9 @@ def test_logit_shift_via_output_bias_close():
     d = 8
     matrix = np.random.default_rng(2).standard_normal((5, d))
     head = make_head(d, seed=4)
-    base = softmax_stable(edge_logits(head, matrix))
+    _, base, _ = pool_forward(head, matrix)
     head.b_key2[0] += 3.75
-    shifted = softmax_stable(edge_logits(head, matrix))
+    _, shifted, _ = pool_forward(head, matrix)
     assert np.allclose(base, shifted, atol=1e-12)
 
 
