@@ -66,7 +66,11 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path):
-    """Returns (params dict, header dict).  Truncation raises CheckpointError."""
+    """Returns (params dict, header dict).
+
+    Truncation, an undecodable or non-JSON header and an undecodable tensor
+    name raise CheckpointError naming the path.
+    """
     data = Path(path).read_bytes()
     if data[:8] != _MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
@@ -84,13 +88,21 @@ def load_checkpoint(path: str | Path):
 
     (header_len,) = struct.unpack_from("<I", data, take(4))
     start = take(header_len)
-    header = json.loads(data[start:offset].decode("utf-8"))
+    try:
+        header = json.loads(data[start:offset].decode("utf-8"))
+    except ValueError as err:  # UnicodeDecodeError or JSONDecodeError
+        raise CheckpointError(f"{path}: corrupt checkpoint header ({err})") from None
     (count,) = struct.unpack_from("<I", data, take(4))
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack_from("<I", data, take(4))
         start = take(name_len)
-        name = data[start:offset].decode("utf-8")
+        try:
+            name = data[start:offset].decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointError(
+                f"{path}: corrupt checkpoint tensor name at byte {start} ({err})"
+            ) from None
         (ndim,) = struct.unpack_from("<I", data, take(4))
         shape = struct.unpack_from(f"<{ndim}Q", data, take(8 * ndim))
         size = int(np.prod(shape))

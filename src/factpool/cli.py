@@ -15,7 +15,7 @@ from pathlib import Path
 
 from factpool.config import Config, load_config
 from factpool.data import load_dataset
-from factpool.encoders import encode_subgraph, read_embedding_cache, write_embedding_cache
+from factpool.encoders import encode_subgraphs, read_embedding_cache, write_embedding_cache
 from factpool.experiment import (
     ExperimentConfig,
     count_aggregations,
@@ -133,10 +133,11 @@ def cmd_encode(args) -> int:
     except FileNotFoundError:
         cache, dim = {}, encoder.dim
     known = len(cache)
-    total = 0
-    for _, _, stmt in grounded_statements(kg, records):
-        sub = build_statement_subgraph(kg, stmt, cfg.max_nodes, WITH_ANSWERS)
-        total += len(encode_subgraph(sub, templates, encoder, cache))
+    subgraphs = (
+        build_statement_subgraph(kg, stmt, cfg.max_nodes, WITH_ANSWERS)
+        for _, _, stmt in grounded_statements(kg, records)
+    )
+    total = encode_subgraphs(subgraphs, templates, encoder, cache)
     if len(cache) > known:
         write_embedding_cache(str(cache_path), cache, dim)
     print(f"cache: {cache_path} ({total} edge encodings)")
@@ -239,9 +240,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_count_aggs(args) -> int:
     cfg = _load_cfg(args)
-    nodes = sorted({n for n in (args.nodes or "4,16,32").split(",")}, key=int)
-    for n in nodes:
-        n = int(n)
+    for n in sorted(set(args.nodes)):
         sub = Subgraph(nodes={f"n{i}" for i in range(n)}, edges=set())
         pooled = count_aggregations("pooled", sub, cfg)
         gnn = count_aggregations("gnn", sub, cfg)
@@ -250,6 +249,16 @@ def cmd_count_aggs(args) -> int:
             f"gnn L_g={cfg.gnn_layers} -> {gnn} node updates"
         )
     return 0
+
+
+def _positive_ints(text: str) -> list[int]:
+    try:
+        values = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+    if any(v < 1 for v in values):
+        raise argparse.ArgumentTypeError(f"values must be positive: {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count-aggs", help="aggregation counts per statement")
     _common_flags(p)
-    p.add_argument("--nodes", type=str, default="4,16,32")
+    p.add_argument("--nodes", type=_positive_ints, default="4,16,32", help="comma-separated")
     p.set_defaults(func=cmd_count_aggs)
 
     return parser

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -31,10 +31,9 @@ from factpool.util import atomic_write_bytes, derive_seed
 from factpool.verbalize import TemplateTable, verbalize
 
 
-@dataclass
-class EdgeEmbedding:
-    fact: Fact
-    vector: np.ndarray
+# Sequences per trunk forward in `ToyTrunkEncoder.encode_texts`.  A forward
+# keeps every layer's backward cache, so this bounds the memory of a batch.
+ENCODE_BATCH = 8
 
 
 class UncachedFactError(KeyError):
@@ -72,6 +71,9 @@ class HashBagEncoder:
         self._memo[text] = vec
         return vec
 
+    def encode_texts(self, texts: list[str]) -> list[np.ndarray]:
+        return [self.encode_text(text) for text in texts]
+
     def encode_fact_text(self, fact: Fact, text: str) -> np.ndarray:
         return self.encode_text(text)
 
@@ -98,24 +100,44 @@ class ToyTrunkEncoder:
         self._memo: dict[str, np.ndarray] = {}
 
     def encode_text(self, text: str) -> np.ndarray:
-        cached = self._memo.get(text)
-        if cached is not None:
-            return cached
-        ids = self.tokenizer.encode_text(text)
-        if not ids:
-            raise ValueError(f"cannot encode empty text: {text!r}")
-        ids = ids[: self.max_tokens - 1]
-        seq = np.array([[CLS_ID] + ids], dtype=np.int64)
-        mask = np.ones_like(seq, dtype=bool)
+        return self.encode_texts([text])[0]
+
+    def encode_texts(self, texts: list[str]) -> list[np.ndarray]:
+        """One vector per text, each equal to its batch-1 encoding.
+
+        Texts not yet memoized are grouped by token length and run through
+        the trunk up to ENCODE_BATCH at a time.  Nothing is padded, so each
+        sequence sees the GEMM shapes and row reductions of a forward on its
+        own (numpy's matmul loops over the batch axis).
+        """
+        pending: dict[str, list[int]] = {}
+        for text in texts:
+            if text in self._memo or text in pending:
+                continue
+            ids = self.tokenizer.encode_text(text)
+            if not ids:
+                raise ValueError(f"cannot encode empty text: {text!r}")
+            pending[text] = [CLS_ID] + ids[: self.max_tokens - 1]
+        by_length: dict[int, list[str]] = {}
+        for text, seq in pending.items():
+            by_length.setdefault(len(seq), []).append(text)
         # Position 0 carries the [CLS] embedding itself.
-        cls_row = self.snapshot["tok_emb"][CLS_ID][None, :]
-        states, _ = trunk_forward(self.snapshot, self.L, self.heads, seq, mask, cls_row)
-        if self.token_pooling == "cls":
-            vec = states[0, 0, :].copy()
-        else:
-            vec = states[0, 1:, :].mean(axis=0)
-        self._memo[text] = vec
-        return vec
+        cls_row = self.snapshot["tok_emb"][CLS_ID]
+        for group in by_length.values():
+            for start in range(0, len(group), ENCODE_BATCH):
+                batch = group[start : start + ENCODE_BATCH]
+                seqs = np.array([pending[text] for text in batch], dtype=np.int64)
+                mask = np.ones_like(seqs, dtype=bool)
+                cls_rows = np.broadcast_to(cls_row, (len(batch), self.dim))
+                states, _ = trunk_forward(
+                    self.snapshot, self.L, self.heads, seqs, mask, cls_rows
+                )
+                for text, seq_states in zip(batch, states):
+                    if self.token_pooling == "cls":
+                        self._memo[text] = seq_states[0, :].copy()
+                    else:
+                        self._memo[text] = seq_states[1:, :].mean(axis=0)
+        return [self._memo[text] for text in texts]
 
     def encode_fact_text(self, fact: Fact, text: str) -> np.ndarray:
         return self.encode_text(text)
@@ -135,31 +157,29 @@ class FileBackedEncoder:
         return vec
 
 
-def encode_fact(vf, encoder) -> EdgeEmbedding:
-    """Encode one verbalized fact."""
-    return EdgeEmbedding(fact=vf.fact, vector=encoder.encode_fact_text(vf.fact, vf.text))
-
-
-def encode_subgraph(
-    sub: Subgraph,
+def encode_subgraphs(
+    subgraphs: Iterable[Subgraph],
     templates: TemplateTable,
     encoder,
-    cache: dict[str, np.ndarray] | None = None,
-) -> list[EdgeEmbedding]:
-    """One embedding per edge, in canonical (head, relation, tail) order.
+    cache: dict[str, np.ndarray],
+) -> int:
+    """Add every edge missing from `cache` (keyed by `Fact.key()`) to it.
 
-    With a cache dict keyed by `Fact.key()`, present entries bypass encoding
-    and new encodings are added to it.
+    The missing facts are verbalized once each, in first-seen canonical edge
+    order, and encoded in one `encode_texts` call.  Returns the number of
+    edges over all subgraphs.
     """
-    if cache is None:
-        cache = {}
-    out: list[EdgeEmbedding] = []
-    for fact in sub.sorted_edges():
-        key = fact.key()
-        if key not in cache:
-            cache[key] = encode_fact(verbalize(fact, templates), encoder).vector
-        out.append(EdgeEmbedding(fact=fact, vector=cache[key]))
-    return out
+    missing: dict[str, Fact] = {}
+    total = 0
+    for sub in subgraphs:
+        total += len(sub.edges)
+        for fact in sub.sorted_edges():
+            key = fact.key()
+            if key not in cache and key not in missing:
+                missing[key] = fact
+    texts = [verbalize(fact, templates).text for fact in missing.values()]
+    cache.update(zip(missing, encoder.encode_texts(texts)))
+    return total
 
 
 # --- embedding cache file ----------------------------------------------------

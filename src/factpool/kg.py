@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from factpool.util import canonical_json
 
@@ -41,8 +42,9 @@ def text_tokens(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True, order=True)
-class Fact:
+class Fact(NamedTuple):
+    """Orders, compares and hashes as its (head, relation, tail) tuple."""
+
     head: str
     relation: str
     tail: str
@@ -62,15 +64,20 @@ class KnowledgeGraph:
         if not self.adjacency:
             self.adjacency = _build_adjacency(self.facts)
         # Built eagerly: the graph is immutable after construction and may be
-        # read from concurrent retrievals.
-        index: dict[str, set[str]] = {}
-        for entity in self.entities:
-            tokens = text_tokens(id_to_surface(entity))
-            if not tokens:
+        # read from concurrent retrievals.  Entities are visited in sorted
+        # order, so every bucket is built sorted.
+        index: dict[str, list[str]] = {}
+        for entity in sorted(self.entities):
+            # The first surface token; '_' is not a token character.
+            match = _TOKEN_RE.search(entity.lower())
+            if match is None:
                 continue
-            for key in {tokens[0], _strip_plural(tokens[0])}:
-                index.setdefault(key, set()).add(entity)
-        self._first_token_index = {key: tuple(sorted(vals)) for key, vals in index.items()}
+            first = match.group()
+            index.setdefault(first, []).append(entity)
+            folded = _strip_plural(first)
+            if folded != first:
+                index.setdefault(folded, []).append(entity)
+        self._first_token_index = {key: tuple(vals) for key, vals in index.items()}
 
     def neighbors(self, entity: str) -> set[str]:
         out = set()
@@ -86,13 +93,19 @@ class KnowledgeGraph:
 
 def _build_adjacency(facts: set[Fact]) -> dict[str, tuple[Fact, ...]]:
     index: dict[str, list[Fact]] = {}
-    # The tuple key orders exactly as Fact's dataclass ordering does, without
-    # a Python-level __lt__ call per comparison.
-    for fact in sorted(facts, key=lambda f: (f.head, f.relation, f.tail)):
+    for fact in sorted(facts):
         index.setdefault(fact.head, []).append(fact)
         if fact.tail != fact.head:
             index.setdefault(fact.tail, []).append(fact)
     return {entity: tuple(incident) for entity, incident in index.items()}
+
+
+class _SurfaceIds(dict):
+    """surface_to_id, memoized per distinct field text."""
+
+    def __missing__(self, surface: str) -> str:
+        self[surface] = entity_id = surface_to_id(surface)
+        return entity_id
 
 
 def load_kg(path: str) -> KnowledgeGraph:
@@ -102,8 +115,7 @@ def load_kg(path: str) -> KnowledgeGraph:
     normalized through surface_to_id, duplicates collapse to one fact.  The
     entity id of the virtual question node is reserved and rejected.
     """
-    entities: set[str] = set()
-    relations: set[str] = set()
+    ids = _SurfaceIds()
     facts: set[Fact] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -111,21 +123,22 @@ def load_kg(path: str) -> KnowledgeGraph:
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             parts = line.split("\t")
-            if len(parts) != 3 or not all(p.strip() for p in parts):
+            if len(parts) != 3 or not all(map(str.strip, parts)):
                 raise KGFormatError(f"{path}: malformed line {lineno}: {line!r}")
-            head, relation, tail = (surface_to_id(p) for p in parts)
-            if VIRTUAL_NODE_ID in (head, tail):
+            head, relation, tail = ids[parts[0]], ids[parts[1]], ids[parts[2]]
+            if head == VIRTUAL_NODE_ID or tail == VIRTUAL_NODE_ID:
                 raise KGFormatError(
                     f"{path}: line {lineno}: entity id '{VIRTUAL_NODE_ID}' is reserved "
                     f"for the virtual question node: {line!r}"
                 )
-            entities.add(head)
-            entities.add(tail)
-            relations.add(relation)
             facts.add(Fact(head, relation, tail))
     if not facts:
         raise KGFormatError(f"{path}: empty KG")
-    return KnowledgeGraph(entities=entities, relations=relations, facts=facts)
+    return KnowledgeGraph(
+        entities={f.head for f in facts} | {f.tail for f in facts},
+        relations={f.relation for f in facts},
+        facts=facts,
+    )
 
 
 @dataclass

@@ -578,6 +578,12 @@ def train_model(
                     f"non-finite loss {loss} at epoch {epoch} step {step} "
                     f"(kind={model.kind}, lr_lm={cfg.lr_lm}, lr_graph={cfg.lr_graph})"
                 )
+            bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
+            if bad is not None:
+                raise DivergenceError(
+                    f"non-finite gradient of {bad} at epoch {epoch} step {step} "
+                    f"(kind={model.kind}, lr_lm={cfg.lr_lm}, lr_graph={cfg.lr_graph})"
+                )
             optimizer.step(model.params, grads)
             epoch_loss += loss
             batches += 1

@@ -7,6 +7,7 @@ not by calling the package kernels, so agreement is meaningful.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -199,6 +200,65 @@ def induced_edges_oracle(facts, nodes: set[str]) -> set:
         if fact.head in nodes and fact.tail in nodes:
             out.add(fact)
     return out
+
+
+def load_kg_oracle(path: str):
+    """The line-by-line KG parser: per-line id normalization, per-key sorts.
+
+    Returns (entities, relations, facts, adjacency, first_token_index) with
+    facts as plain (head, relation, tail) tuples, or raises KGFormatError
+    with the message `load_kg` gives.
+    """
+    from factpool.kg import KGFormatError
+
+    def to_id(surface: str) -> str:
+        return "_".join(surface.lower().split())
+
+    entities: set[str] = set()
+    relations: set[str] = set()
+    facts: set[tuple[str, str, str]] = set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3 or not all(p.strip() for p in parts):
+                raise KGFormatError(f"{path}: malformed line {lineno}: {line!r}")
+            head, relation, tail = (to_id(p) for p in parts)
+            if "question" in (head, tail):
+                raise KGFormatError(
+                    f"{path}: line {lineno}: entity id 'question' is reserved "
+                    f"for the virtual question node: {line!r}"
+                )
+            entities.add(head)
+            entities.add(tail)
+            relations.add(relation)
+            facts.add((head, relation, tail))
+    if not facts:
+        raise KGFormatError(f"{path}: empty KG")
+    adjacency: dict[str, list] = {}
+    for fact in sorted(facts):
+        head, _, tail = fact
+        adjacency.setdefault(head, []).append(fact)
+        if tail != head:
+            adjacency.setdefault(tail, []).append(fact)
+    index: dict[str, set[str]] = {}
+    for entity in entities:
+        tokens = re.findall(r"[a-z0-9]+", entity.replace("_", " ").lower())
+        if not tokens:
+            continue
+        first = tokens[0]
+        plural_folded = first[:-1] if len(first) > 1 and first.endswith("s") else first
+        for key in {first, plural_folded}:
+            index.setdefault(key, set()).add(entity)
+    return (
+        entities,
+        relations,
+        facts,
+        {entity: tuple(incident) for entity, incident in adjacency.items()},
+        {key: tuple(sorted(vals)) for key, vals in index.items()},
+    )
 
 
 def barycentric_membership(points: list[np.ndarray], target: np.ndarray, tol=1e-9) -> bool:

@@ -68,6 +68,31 @@ def test_truncated_checkpoint_names_path(tmp_path, keep):
         load_checkpoint(path)
 
 
+# One byte of the file below flipped, at an offset from the start of the
+# header JSON or of a tensor name: a byte that is not UTF-8 or not JSON.
+@pytest.mark.parametrize(
+    "anchor, at, mask, what",
+    [
+        (b'{"config"', 0, 0x80, "header"),
+        (b'{"config"', 2, 0x80, "header"),  # byte 14 of the file
+        (b'{"config"', 0, 0x01, "header"),  # '{' -> 'z'
+        (b'"seed":0', 7, 0x10, "header"),  # '0' -> ' '
+        (b"a.w", 0, 0x80, "tensor name"),
+        (b"\x01\x00\x00\x00b", 4, 0xC0, "tensor name"),
+    ],
+)
+def test_corrupt_checkpoint_names_path(tmp_path, anchor, at, mask, what):
+    path = tmp_path / "flip.ckpt"
+    params = {"a.w": np.arange(12.0).reshape(3, 4), "b": np.ones(2)}
+    save_checkpoint(path, params, config={"d": 4}, seed=0, step=0)
+    data = bytearray(path.read_bytes())
+    offset = data.index(anchor) + at
+    data[offset] ^= mask
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: corrupt checkpoint {what}")):
+        load_checkpoint(path)
+
+
 def test_model_checkpoint_restores_everything(tmp_path):
     cfg = Config(L=2, d=16, heads=2, K=1, fusion_mode="early_late",
                  vocab_size=128, max_tokens=48, max_nodes=8, epochs=1, batch_size=4)

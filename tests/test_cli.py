@@ -107,6 +107,37 @@ def test_encode_incremental_matches_one_pass(workspace, monkeypatch):
     assert (grown / "embeddings.bin").read_bytes() == (one_pass / "embeddings.bin").read_bytes()
 
 
+def test_encode_toy_encoder_cache_matches_fresh_encoder(workspace):
+    from factpool import cli
+    from factpool.config import load_config
+    from factpool.encoders import read_embedding_cache
+    from factpool.kg import Fact, load_kg
+    from factpool.model import build_encoder, create_model, relation_table
+    from factpool.verbalize import load_templates, verbalize
+
+    cfg_path = workspace / "toy.cfg"
+    cfg_path.write_text(
+        CONFIG_TEXT.replace("encoder_kind=hash-bag", "encoder_kind=shared-toy-encoder"),
+        encoding="utf-8",
+    )
+    common = [*data_args(workspace), "--config", str(cfg_path)]
+    grown, one_pass = workspace / "toy_grown", workspace / "toy_one_pass"
+    for count, out in ((3, grown), (6, grown), (6, one_pass)):
+        assert cli.main(["encode", *common, "--count", str(count), "--out", str(out)]) == 0
+    data = (one_pass / "embeddings.bin").read_bytes()
+    assert (grown / "embeddings.bin").read_bytes() == data
+
+    entries, dim = read_embedding_cache(str(one_pass / "embeddings.bin"))
+    kg = load_kg(str(workspace / "data" / "kg.tsv"))
+    templates = load_templates(str(workspace / "data" / "templates.tsv"))
+    fresh = build_encoder(create_model(load_config(str(cfg_path)), "pooled", relation_table(kg)))
+    assert entries and dim == fresh.dim
+    for key, vec in entries.items():
+        fact = Fact(*key.split("\t"))
+        expected = fresh.encode_fact_text(fact, verbalize(fact, templates).text)
+        assert vec.tobytes() == expected.tobytes(), key
+
+
 def test_train_eval_explain_roundtrip(workspace):
     out = workspace / "train"
     run_cli("train", *data_args(workspace), "--config", str(workspace / "run.cfg"),
@@ -131,6 +162,24 @@ def test_count_aggs(workspace):
     stdout = run_cli("count-aggs", "--config", str(workspace / "run.cfg"), "--nodes", "4,6")
     assert "pooled K=1 -> 2 aggregations" in stdout
     assert "gnn L_g=2 -> 8 node updates" in stdout
+
+
+def test_count_aggs_nodes_dedup_by_value(capsys):
+    from factpool import cli
+
+    assert cli.main(["count-aggs", "--nodes", "16,4,04,16"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["|V_q|=4", "|V_q|=16"]
+
+
+@pytest.mark.parametrize("nodes", ["4,x", "4,,16", "", "0", "4,-1", "2.5"])
+def test_count_aggs_bad_nodes_is_usage_error(capsys, nodes):
+    from factpool import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count-aggs", f"--nodes={nodes}"])
+    assert exc.value.code == 2
+    assert "--nodes" in capsys.readouterr().err
 
 
 def test_gradcheck_cli(workspace):

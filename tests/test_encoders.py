@@ -7,20 +7,20 @@ from conftest import kg_from_facts
 
 from factpool.config import Config
 from factpool.encoders import (
+    ENCODE_BATCH,
     FileBackedEncoder,
     HashBagEncoder,
     ToyTrunkEncoder,
     UncachedFactError,
-    encode_fact,
-    encode_subgraph,
+    encode_subgraphs,
     read_embedding_cache,
     write_embedding_cache,
 )
 from factpool.kg import Fact, add_virtual_question_node, retrieve_subgraph
 from factpool.model import build_encoder, create_model
-from factpool.tokenizer import Tokenizer
-from factpool.transformer import init_trunk_params
-from factpool.verbalize import TemplateTable, VerbalizedFact
+from factpool.tokenizer import CLS_ID, Tokenizer
+from factpool.transformer import init_trunk_params, trunk_forward
+from factpool.verbalize import TemplateTable, verbalize
 
 TEMPLATES = TemplateTable({"causes": "{h} causes {t}", "related_to": "{h} relates to {t}"})
 
@@ -46,9 +46,8 @@ def small_subgraph():
 
 def test_hash_bag_singleton_is_token_vector():
     enc = HashBagEncoder(dim=16, seed=0)
-    vf = VerbalizedFact(fact=Fact("b", "r", "b"), text="bird")
-    emb = encode_fact(vf, enc)
-    assert np.array_equal(emb.vector, enc.token_vector("bird"))
+    assert np.array_equal(enc.encode_fact_text(Fact("b", "r", "b"), "bird"), enc.token_vector("bird"))
+    assert np.array_equal(enc.encode_texts(["bird"])[0], enc.token_vector("bird"))
 
 
 def test_hash_bag_mean_of_two_tokens():
@@ -82,7 +81,9 @@ def test_mean_pooling_of_constant_sequence_is_the_constant():
 def make_toy_encoder(pooling="mean", seed=0):
     rng = np.random.default_rng(seed)
     params = init_trunk_params(L=2, d=16, vocab_size=128, max_tokens=32, rng=rng)
-    return ToyTrunkEncoder(params, L=2, heads=2, tokenizer=Tokenizer(128), token_pooling=pooling)
+    return ToyTrunkEncoder(
+        params, L=2, heads=2, tokenizer=Tokenizer(128), token_pooling=pooling, max_tokens=32
+    )
 
 
 def test_toy_encoder_deterministic_and_width():
@@ -100,6 +101,49 @@ def test_toy_encoder_cls_vs_mean_differ():
     assert not np.allclose(mean_enc.encode_text(text), cls_enc.encode_text(text))
 
 
+@pytest.mark.parametrize("pooling", ["mean", "cls"])
+def test_encode_texts_matches_per_text_encoding(pooling):
+    words = ["winter", "bird", "storm", "chirp", "migration", "wing", "cold"]
+    rng = np.random.default_rng(5)
+    texts = [
+        " ".join(rng.choice(words, size=n))
+        for n in (1, 2, 3, 3, 5, 8, 2, 3)
+        for _ in range(ENCODE_BATCH // 2 + 1)
+    ]
+    texts += texts[:5]  # duplicates, also of texts already in the call
+    # With [CLS], both fill max_tokens=32: the first is cut, the second fits.
+    texts += [" ".join(["bird"] * 40), " ".join(["storm"] * 31)]
+    # Several token lengths, one of them over more than one chunk.
+    assert len({len(t.split()) for t in texts}) > 3
+    assert len({t for t in texts if len(t.split()) == 3}) > ENCODE_BATCH
+    batched = make_toy_encoder(pooling).encode_texts(texts)
+    single = make_toy_encoder(pooling)
+    assert len(batched) == len(texts)
+    for text, vec in zip(texts, batched):
+        assert vec.shape == (16,)
+        assert vec.tobytes() == single.encode_text(text).tobytes()
+        assert vec.tobytes() == batch1_trunk_encoding(single, text).tobytes()
+
+
+def batch1_trunk_encoding(enc, text):
+    """A batch-1 trunk forward over [CLS] + the first max_tokens - 1 token ids."""
+    ids = [CLS_ID] + enc.tokenizer.encode_text(text)[: enc.max_tokens - 1]
+    seq = np.array([ids], dtype=np.int64)
+    cls_row = enc.snapshot["tok_emb"][CLS_ID][None, :]
+    states, _ = trunk_forward(enc.snapshot, enc.L, enc.heads, seq, np.ones_like(seq, bool), cls_row)
+    return states[0, 0, :] if enc.token_pooling == "cls" else states[0, 1:, :].mean(axis=0)
+
+
+def test_encode_texts_memoizes_and_rejects_empty_text():
+    enc = make_toy_encoder()
+    first = enc.encode_texts(["winter storm", "bird"])
+    again = enc.encode_texts(["bird", "winter storm"])
+    assert again[0] is first[1] and again[1] is first[0]
+    assert enc.encode_texts([]) == []
+    with pytest.raises(ValueError, match="empty text"):
+        enc.encode_texts(["bird", "!!"])
+
+
 def test_shared_toy_encoder_matches_model_snapshot():
     cfg = Config(L=2, d=16, heads=2, vocab_size=128, max_tokens=32,
                  encoder_kind="shared-toy-encoder", seed=9)
@@ -114,20 +158,38 @@ def test_shared_toy_encoder_matches_model_snapshot():
 # --- subgraph encoding and the cache ----------------------------------------------
 
 
+class RecordingEncoder(HashBagEncoder):
+    """Hash-bag encoder that records the text lists it is asked to encode."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def encode_texts(self, texts):
+        self.calls.append(list(texts))
+        return super().encode_texts(texts)
+
+
 def test_encode_subgraph_canonical_order():
     sub = small_subgraph()
-    enc = HashBagEncoder(dim=8, seed=0)
-    embs = encode_subgraph(sub, TEMPLATES, enc)
-    assert len(embs) == len(sub.edges)
-    keys = [e.fact for e in embs]
-    assert keys == sorted(keys)
+    enc = RecordingEncoder(dim=8, seed=0)
+    cache: dict = {}
+    # The same subgraph twice: every fact is verbalized and encoded once, in
+    # canonical edge order, in one call.
+    assert encode_subgraphs([sub, sub], TEMPLATES, enc, cache) == 2 * len(sub.edges)
+    facts = sorted(sub.edges)
+    assert enc.calls == [[verbalize(f, TEMPLATES).text for f in facts]]
+    assert list(cache) == [f.key() for f in facts]
 
 
 def test_encode_subgraph_empty():
     from factpool.kg import Subgraph
 
-    sub = Subgraph(nodes=set(), edges=set())
-    assert encode_subgraph(sub, TEMPLATES, HashBagEncoder(dim=8)) == []
+    enc = RecordingEncoder(dim=8)
+    cache: dict = {}
+    assert encode_subgraphs([Subgraph(nodes=set(), edges=set())], TEMPLATES, enc, cache) == 0
+    assert cache == {}
+    assert enc.calls == [[]]
 
 
 def test_cache_round_trip_exact(tmp_path):
@@ -145,10 +207,10 @@ def test_cache_round_trip_exact(tmp_path):
 def test_encode_subgraph_with_cache_matches_direct(tmp_path):
     sub = small_subgraph()
     enc = HashBagEncoder(dim=8, seed=1)
-    direct = encode_subgraph(sub, TEMPLATES, enc)
+    direct = {f.key(): enc.encode_fact_text(f, verbalize(f, TEMPLATES).text) for f in sub.edges}
     cache: dict = {}
-    first = encode_subgraph(sub, TEMPLATES, HashBagEncoder(dim=8, seed=1), cache)
-    assert set(cache) == {fact.key() for fact in sub.edges}
+    encode_subgraphs([sub], TEMPLATES, HashBagEncoder(dim=8, seed=1), cache)
+    assert set(cache) == set(direct)
     path = tmp_path / "emb.bin"
     write_embedding_cache(str(path), cache, 8)
     reloaded, _ = read_embedding_cache(str(path))
@@ -156,14 +218,14 @@ def test_encode_subgraph_with_cache_matches_direct(tmp_path):
     class Exploding:
         dim = 8
 
-        def encode_fact_text(self, fact, text):
-            raise AssertionError("cache should have been hit")
+        def encode_texts(self, texts):
+            assert not texts, "cache should have been hit"
+            return []
 
-    cached = encode_subgraph(sub, TEMPLATES, Exploding(), reloaded)
+    assert encode_subgraphs([sub], TEMPLATES, Exploding(), reloaded) == len(sub.edges)
     assert len(reloaded) == len(cache)  # nothing new was added
-    for a, b, c in zip(direct, first, cached):
-        assert a.fact == b.fact == c.fact
-        assert a.vector.tobytes() == b.vector.tobytes() == c.vector.tobytes()
+    for key, vec in direct.items():
+        assert vec.tobytes() == cache[key].tobytes() == reloaded[key].tobytes()
 
 
 def _cache_bytes(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import kg_from_facts
-from oracles import induced_edges_oracle, two_hop_nodes_oracle
+from oracles import induced_edges_oracle, load_kg_oracle, two_hop_nodes_oracle
 
 from factpool.kg import (
     Fact,
@@ -72,6 +72,66 @@ def test_reserved_virtual_head_rejected(tmp_path):
         path.write_text(f"a\tr\tb\n{line}\n", encoding="utf-8")
         with pytest.raises(KGFormatError, match="line 2.*reserved"):
             load_kg(str(path))
+
+
+# Surface forms with mixed case, runs of spaces, plural and token-less forms;
+# then the reserved id in any case and fields that are blank or whitespace only.
+good_kg_fields = st.sampled_from([
+    "bird", "Bird", "BIRDS", "birds", "bird  migration", " Bird Migration ",
+    "bird_migration", "s", "ss", "e-1", "2x", "!!", "winter", "Winter\u00a0storm",
+    "causes", "related to",
+])
+kg_fields = st.one_of(good_kg_fields, st.sampled_from(["Question", "question", "", "  ", "\u3000"]))
+kg_lines = st.one_of(
+    st.tuples(good_kg_fields, good_kg_fields, good_kg_fields).map("\t".join),
+    st.sampled_from(["", "   ", "\t", "# a comment", "  # indented\tcomment", "#"]),
+    st.tuples(kg_fields, kg_fields, kg_fields).map("\t".join),
+    st.tuples(kg_fields, kg_fields).map("\t".join),
+    st.tuples(kg_fields, kg_fields, kg_fields, kg_fields).map("\t".join),
+)
+kg_texts = st.tuples(
+    st.lists(
+        st.tuples(kg_lines, st.sampled_from(["\n", "\r\n"])).map("".join), max_size=25
+    ),
+    st.sampled_from(["", "bird\tcauses\twinter", "Bird\tcauses\tbirds\r"]),
+).map(lambda parts: "".join(parts[0]) + parts[1])
+
+
+def _fields(fact):
+    return (fact.head, fact.relation, fact.tail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kg_texts)
+def test_load_kg_matches_line_parser_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "oracle_kg.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = load_kg_oracle(str(path))
+    except KGFormatError as err:
+        with pytest.raises(KGFormatError) as got:
+            load_kg(str(path))
+        assert type(got.value) is type(err) and str(got.value) == str(err)
+        return
+    entities, relations, facts, adjacency, first_token_index = expected
+    kg = load_kg(str(path))
+    assert kg.entities == entities
+    assert kg.relations == relations
+    assert all(type(f) is Fact for f in kg.facts)
+    assert {_fields(f) for f in kg.facts} == facts
+    assert {e: tuple(map(_fields, inc)) for e, inc in kg.adjacency.items()} == adjacency
+    assert kg.first_token_index() == first_token_index
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.text(max_size=3), st.text(max_size=3), st.text(max_size=3)), max_size=8))
+def test_fact_ordering_hash_and_key(triples):
+    facts = [Fact(*t) for t in triples]
+    # A fact orders, hashes and keys as its (head, relation, tail) field tuple.
+    assert [_fields(f) for f in sorted(facts)] == sorted(triples)
+    for fact, (head, relation, tail) in zip(facts, triples):
+        assert hash(fact) == hash((head, relation, tail))
+        assert fact.key() == f"{head}\t{relation}\t{tail}"
 
 
 def test_surface_id_round_trip():

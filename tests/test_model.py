@@ -205,6 +205,31 @@ def test_divergence_raises():
         train_model(model, prepared, epochs=1)
 
 
+def test_non_finite_gradient_raises(monkeypatch):
+    from factpool import model as model_mod
+
+    model, kg, templates, encoder, records, prepared = make_setup(questions=8)
+    real = model_mod.loss_and_grads
+    calls = []
+
+    def nan_grad_on_second_step(model, questions):
+        loss, grads, result = real(model, questions)
+        calls.append(loss)
+        if len(calls) == 2:
+            grads["fq.w2"] = grads["fq.w2"].copy()
+            grads["fq.w2"].flat[3] = np.nan
+        return loss, grads, result
+
+    monkeypatch.setattr(model_mod, "loss_and_grads", nan_grad_on_second_step)
+    before = {k: v.copy() for k, v in model.params.items()}
+    with pytest.raises(DivergenceError, match=r"non-finite gradient of fq\.w2 at epoch 1 step 1 "):
+        train_model(model, prepared, epochs=1)
+    assert all(np.isfinite(loss) for loss in calls)
+    # Only the first step was applied; the bad gradient never reached the parameters.
+    assert all(np.isfinite(v).all() for v in model.params.values())
+    assert any(not np.array_equal(v, before[k]) for k, v in model.params.items())
+
+
 def fact_entries(prepared, width):
     """Embedding cache entries for every fact of the prepared questions."""
     return {
