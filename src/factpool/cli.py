@@ -43,6 +43,10 @@ from factpool.util import atomic_write_text
 from factpool.verbalize import load_templates
 
 
+class UsageError(ValueError):
+    """A flag value that only the loaded data can reject; exits 2 like argparse."""
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -216,6 +220,11 @@ def cmd_explain(args) -> int:
     kg = load_kg(args.kg)
     templates = load_templates(args.templates)
     records = load_dataset(args.dataset)
+    if args.question_index >= len(records):
+        raise UsageError(
+            f"--question-index {args.question_index} is out of range: "
+            f"{args.dataset} has {len(records)} questions"
+        )
     record = records[args.question_index]
     encoder = build_encoder(model, cache_path=getattr(args, "cache", None))
     report = explain(model, kg, templates, encoder, record, top_n=args.top_n)
@@ -251,14 +260,32 @@ def cmd_count_aggs(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}: {text!r}")
+        return value
+
+    return parse
+
+
+_non_negative_int = _int_at_least(0)
+_positive_int = _int_at_least(1)
+
+
+def _add_slice_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--skip", type=_non_negative_int, default=0)
+    parser.add_argument("--count", type=_positive_int, default=None)
+
+
 def _positive_ints(text: str) -> list[int]:
-    try:
-        values = [int(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
-    if any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(f"values must be positive: {text!r}")
-    return values
+    return [_positive_int(v) for v in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,15 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _common_flags(p)
         _add_data_flags(p)
-        p.add_argument("--skip", type=int, default=0)
-        p.add_argument("--count", type=int, default=None)
+        _add_slice_flags(p)
         p.set_defaults(func=func)
 
     p = sub.add_parser("encode", help="populate an edge-embedding cache file")
     _common_flags(p)
     _add_data_flags(p)
-    p.add_argument("--skip", type=int, default=0)
-    p.add_argument("--count", type=int, default=None)
+    _add_slice_flags(p)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("train", help="train a model")
@@ -298,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--model", choices=("pooled", "gnn", "lm"), default="pooled")
     p.add_argument("--condition", choices=CONDITIONS, default=WITH_ANSWERS)
-    p.add_argument("--skip", type=int, default=0)
-    p.add_argument("--count", type=int, default=None)
+    _add_slice_flags(p)
     p.add_argument("--cache", type=str, default=None, help="embedding cache file")
     p.set_defaults(func=cmd_train)
 
@@ -307,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     _add_data_flags(p)
     p.add_argument("--checkpoint", type=str, required=True)
-    p.add_argument("--skip", type=int, default=0)
-    p.add_argument("--count", type=int, default=None)
+    _add_slice_flags(p)
     p.add_argument("--cache", type=str, default=None)
     p.set_defaults(func=cmd_eval)
 
@@ -328,8 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     _add_data_flags(p)
     p.add_argument("--checkpoint", type=str, required=True)
-    p.add_argument("--question-index", dest="question_index", type=int, default=0)
-    p.add_argument("--top-n", dest="top_n", type=int, default=3)
+    p.add_argument(
+        "--question-index", dest="question_index", type=_non_negative_int, default=0
+    )
+    p.add_argument("--top-n", dest="top_n", type=_positive_int, default=3)
     p.add_argument("--cache", type=str, default=None)
     p.set_defaults(func=cmd_explain)
 
@@ -348,8 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

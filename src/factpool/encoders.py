@@ -31,8 +31,10 @@ from factpool.util import atomic_write_bytes, derive_seed
 from factpool.verbalize import TemplateTable, verbalize
 
 
-# Sequences per trunk forward in `ToyTrunkEncoder.encode_texts`.  A forward
-# keeps every layer's backward cache, so this bounds the memory of a batch.
+# Sequences per trunk forward in `ToyTrunkEncoder.encode_texts`.  The forward
+# keeps no backward cache, so a batch holds one layer's activations at a
+# time (at most [8, max_tokens, 4d] floats); the bound now trades per-forward
+# overhead against batch size, not memory.
 ENCODE_BATCH = 8
 
 

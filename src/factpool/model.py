@@ -55,6 +55,7 @@ from factpool.optim import RAdam
 from factpool.pooling import PoolingHead, init_pooling_head, pool_backward_arrays, pool_forward
 from factpool.tokenizer import PAD_ID, Tokenizer, tokenize_statement
 from factpool.transformer import (
+    NoBackwardCacheError,
     init_scalar_head,
     init_trunk_params,
     scalar_head_backward,
@@ -353,7 +354,16 @@ def candidate_log_probabilities(scores: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum())
 
 
-def batch_forward(model: Model, questions: list[PreparedQuestion]) -> BatchResult:
+def batch_forward(
+    model: Model, questions: list[PreparedQuestion], backward_cache: bool = False
+) -> BatchResult:
+    """Scores, loss and predictions for a batch of questions.
+
+    backward_cache: keep what `batch_backward` reads (the trunk's per-layer
+    activations, the pooling, GNN and head caches and the score gradient).
+    Without it the result carries only the trunk's inputs and per-layer
+    graph-token states, its final states and the question states.
+    """
     cfg = model.cfg
     params = model.params
     flat, slices, ids, mask = _flatten(questions)
@@ -371,7 +381,8 @@ def batch_forward(model: Model, questions: list[PreparedQuestion]) -> BatchResul
                     g[k, i] = pooled
                 else:
                     weights, cache = np.zeros(0), None
-                pool_caches[i].append(cache)
+                if backward_cache:
+                    pool_caches[i].append(cache)
                 pool_weights[i].append(weights)
                 aggregations += 1
         graph_init = g[0]
@@ -383,7 +394,7 @@ def batch_forward(model: Model, questions: list[PreparedQuestion]) -> BatchResul
         graph_init = g[0]
         injections = {}
     states, trunk_cache = trunk_forward(
-        params, cfg.L, cfg.heads, ids, mask, graph_init, injections
+        params, cfg.L, cfg.heads, ids, mask, graph_init, injections, backward_cache
     )
     q_final = states[:, 1, :]
     graph_final = states[:, 0, :]
@@ -397,7 +408,8 @@ def batch_forward(model: Model, questions: list[PreparedQuestion]) -> BatchResul
             node_init[cand.gnn.virtual_index] = q_final[i]
             final, gcache, count = gnn_forward_arrays(params, gcfg, cand.gnn, node_init)
             gamma[i] = final[cand.gnn.virtual_index]
-            gnn_caches.append(gcache)
+            if backward_cache:
+                gnn_caches.append(gcache)
             aggregations += count
         graph_scores, fg_cache = scalar_head_forward(params, "gnn.score", gamma)
     else:
@@ -424,20 +436,20 @@ def batch_forward(model: Model, questions: list[PreparedQuestion]) -> BatchResul
         probs_per_q.append(probs)
         predictions.append(int(np.argmax(s)))
         loss += -log_probs[q.answer_index] / nq
-        d = probs.copy()
-        d[q.answer_index] -= 1.0
-        d_scores[sl] = d / nq
-    caches = {
-        "flat": flat,
-        "pool_caches": pool_caches,
-        "trunk_cache": trunk_cache,
-        "fq_cache": fq_cache,
-        "fg_cache": fg_cache,
-        "gnn_caches": gnn_caches,
-        "d_scores": d_scores,
-        "q_final": q_final,
-        "graph_states_final": states,
-    }
+        if backward_cache:
+            d = probs.copy()
+            d[q.answer_index] -= 1.0
+            d_scores[sl] = d / nq
+    caches = {"trunk_cache": trunk_cache, "q_final": q_final, "graph_states_final": states}
+    if backward_cache:
+        caches.update(
+            flat=flat,
+            pool_caches=pool_caches,
+            fq_cache=fq_cache,
+            fg_cache=fg_cache,
+            gnn_caches=gnn_caches,
+            d_scores=d_scores,
+        )
     return BatchResult(
         loss=float(loss),
         scores=scores,
@@ -454,6 +466,10 @@ def batch_backward(model: Model, result: BatchResult) -> dict[str, np.ndarray]:
     cfg = model.cfg
     params = model.params
     caches = result._caches
+    if "d_scores" not in caches:
+        raise NoBackwardCacheError(
+            "batch_forward ran without a backward cache; call it with backward_cache=True"
+        )
     flat = caches["flat"]
     bs = len(flat)
     d_scores = caches["d_scores"]
@@ -518,7 +534,7 @@ def batch_backward(model: Model, result: BatchResult) -> dict[str, np.ndarray]:
 
 
 def loss_and_grads(model: Model, questions: list[PreparedQuestion]):
-    result = batch_forward(model, questions)
+    result = batch_forward(model, questions, backward_cache=True)
     grads = batch_backward(model, result)
     return result.loss, grads, result
 

@@ -23,36 +23,72 @@ def softmax_backward(weights: np.ndarray, d_weights: np.ndarray, axis: int = -1)
 
 
 def gelu_cached(x: np.ndarray):
-    """tanh-approximation GELU.  Returns (y, tanh cache for the backward)."""
+    """tanh-approximation GELU.  Returns (y, tanh cache for the backward).
+
+    Computed in two result buffers and one temporary, with the operations of
+    0.5 * x * (1 + tanh(c * (x + 0.044715 * x^3))) in the same order; `x` is
+    never written.
+    """
     # Smooth everywhere, so finite-difference checks stay clean.
-    x2 = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
-    return 0.5 * x * (1.0 + t), t
+    t = np.multiply(x, x)
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = np.add(t, 1.0)
+    y *= np.multiply(x, 0.5)
+    return y, t
 
 
 def gelu_grad_cached(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    du = _GELU_C * (1.0 + 0.134145 * (x * x))
-    return 0.5 * (1.0 + t) + (0.5 * x * du) * (1.0 - t * t)
+    """dGELU/dx from the forward's tanh cache; writes neither input."""
+    # 0.5 * (1 + t) + (0.5 * x * du) * (1 - t * t), du = c * (1 + 0.134145 * x^2)
+    buf = np.multiply(x, x)
+    buf *= 0.134145
+    buf += 1.0
+    buf *= _GELU_C
+    slope = np.multiply(x, 0.5)
+    slope *= buf
+    np.multiply(t, t, out=buf)
+    np.subtract(1.0, buf, out=buf)
+    slope *= buf
+    np.add(t, 1.0, out=buf)
+    buf *= 0.5
+    buf += slope
+    return buf
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    """Normalize over the last axis.  Returns (y, cache) for the backward pass."""
+    """Normalize over the last axis.  Returns (y, cache) for the backward pass.
+
+    The operations of gain * ((x - mu) * (1 / sqrt(var + eps))) + bias in the
+    same order, in two buffers; `x` is not written.
+    """
     mu = np.mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = np.mean(centered**2, axis=-1, keepdims=True)
+    xhat = np.subtract(x, mu)
+    y = np.square(xhat)
+    var = np.mean(y, axis=-1, keepdims=True)
     inv_sigma = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = centered * inv_sigma
-    y = gain * xhat + bias
+    xhat *= inv_sigma
+    np.multiply(xhat, gain, out=y)
+    y += bias
     return y, (xhat, inv_sigma)
 
 
 def layer_norm_backward(d_y: np.ndarray, cache, gain: np.ndarray):
-    """Returns (d_x, d_gain, d_bias)."""
+    """Returns (d_x, d_gain, d_bias); `d_y` is not written."""
     xhat, inv_sigma = cache
-    d_gain = np.sum(d_y * xhat, axis=tuple(range(d_y.ndim - 1)))
-    d_bias = np.sum(d_y, axis=tuple(range(d_y.ndim - 1)))
-    d_xhat = d_y * gain
-    mean_d = np.mean(d_xhat, axis=-1, keepdims=True)
-    mean_dx = np.mean(d_xhat * xhat, axis=-1, keepdims=True)
-    d_x = inv_sigma * (d_xhat - mean_d - xhat * mean_dx)
+    lead = tuple(range(d_y.ndim - 1))
+    buf = np.multiply(d_y, xhat)
+    d_gain = np.sum(buf, axis=lead)
+    d_bias = np.sum(d_y, axis=lead)
+    d_x = np.multiply(d_y, gain)  # d_xhat until the last three steps
+    mean_d = np.mean(d_x, axis=-1, keepdims=True)
+    np.multiply(d_x, xhat, out=buf)
+    mean_dx = np.mean(buf, axis=-1, keepdims=True)
+    d_x -= mean_d
+    np.multiply(xhat, mean_dx, out=buf)
+    d_x -= buf
+    d_x *= inv_sigma
     return d_x, d_gain, d_bias

@@ -71,6 +71,36 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
 
 
+class NoBackwardCacheError(RuntimeError):
+    """A backward pass was asked of a forward that kept no backward cache."""
+
+
+def _layer_forward(params, p: str, x: np.ndarray, heads: int, key_bias: np.ndarray, caches):
+    """One post-norm layer; appends its backward cache to `caches` unless None.
+
+    A function of its own so that, without a cache, the layer's activations
+    are freed on return rather than held until the next layer rebinds them.
+    """
+    dk = x.shape[-1] // heads
+    q = _split_heads(x @ params[f"{p}.attn.wq"] + params[f"{p}.attn.bq"], heads)
+    k = _split_heads(x @ params[f"{p}.attn.wk"] + params[f"{p}.attn.bk"], heads)
+    v = _split_heads(x @ params[f"{p}.attn.wv"] + params[f"{p}.attn.bv"], heads)
+    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dk) + key_bias
+    attn = softmax_stable(scores)
+    ctx = _merge_heads(attn @ v)
+    attn_out = ctx @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
+    r1 = x + attn_out
+    x1, ln1_cache = layer_norm(r1, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
+    pre = x1 @ params[f"{p}.ffn.w1"] + params[f"{p}.ffn.b1"]
+    hid, pre_t = gelu_cached(pre)
+    ffn_out = hid @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"]
+    r2 = x1 + ffn_out
+    x_next, ln2_cache = layer_norm(r2, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
+    if caches is not None:
+        caches.append((x, q, k, v, attn, ctx, ln1_cache, x1, pre, pre_t, hid, ln2_cache))
+    return x_next
+
+
 def trunk_forward(
     params: dict[str, np.ndarray],
     L: int,
@@ -79,6 +109,7 @@ def trunk_forward(
     real_mask: np.ndarray,
     graph_init: np.ndarray,
     injections: dict[int, np.ndarray] | None = None,
+    backward_cache: bool = False,
 ):
     """Run the encoder.
 
@@ -86,40 +117,26 @@ def trunk_forward(
     graph_init: [B, d] initial graph-token content (position 0);
     injections: 1-based layer index -> [B, d] added to the graph token's
     state immediately before that layer (index 0 targets the input state).
+    backward_cache: keep every layer's activations for `trunk_backward`.
+    Without it a layer's activations are freed when the next layer starts,
+    and the cache holds only the inputs and the per-layer graph-token
+    states (cache[6]).
     Returns (states [B, T, d], cache).
     """
     injections = injections or {}
-    b, t = ids.shape
-    d = params["tok_emb"].shape[1]
-    dk = d // heads
+    t = ids.shape[1]
     x = params["tok_emb"][ids] + params["pos_emb"][:t]
     x[:, 0, :] = graph_init + params["pos_emb"][0]
     if 0 in injections:
         x[:, 0, :] += injections[0]
     key_bias = np.where(real_mask[:, None, None, :], 0.0, _MASK_VALUE)
-    layer_caches = []
+    layer_caches = [] if backward_cache else None
     graph_states = [x[:, 0, :].copy()]  # embedding stage, then after each layer
     for i in range(1, L + 1):
         if i in injections:
             x = x.copy()
             x[:, 0, :] += injections[i]
-        p = f"layer{i}"
-        q = _split_heads(x @ params[f"{p}.attn.wq"] + params[f"{p}.attn.bq"], heads)
-        k = _split_heads(x @ params[f"{p}.attn.wk"] + params[f"{p}.attn.bk"], heads)
-        v = _split_heads(x @ params[f"{p}.attn.wv"] + params[f"{p}.attn.bv"], heads)
-        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dk) + key_bias
-        attn = softmax_stable(scores)
-        ctx = _merge_heads(attn @ v)
-        attn_out = ctx @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
-        r1 = x + attn_out
-        x1, ln1_cache = layer_norm(r1, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
-        pre = x1 @ params[f"{p}.ffn.w1"] + params[f"{p}.ffn.b1"]
-        hid, pre_t = gelu_cached(pre)
-        ffn_out = hid @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"]
-        r2 = x1 + ffn_out
-        x_next, ln2_cache = layer_norm(r2, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
-        layer_caches.append((x, q, k, v, attn, ctx, ln1_cache, x1, pre, pre_t, hid, ln2_cache))
-        x = x_next
+        x = _layer_forward(params, f"layer{i}", x, heads, key_bias, layer_caches)
         graph_states.append(x[:, 0, :].copy())
     cache = (ids, real_mask, graph_init, injections, layer_caches, heads, graph_states)
     return x, cache
@@ -132,6 +149,10 @@ def trunk_backward(params: dict[str, np.ndarray], L: int, cache, d_states: np.nd
     d_injections {layer: [B, d]}).
     """
     ids, real_mask, _graph_init, injections, layer_caches, heads, _graph_states = cache
+    if layer_caches is None:
+        raise NoBackwardCacheError(
+            "trunk_forward ran without a backward cache; call it with backward_cache=True"
+        )
     d = params["tok_emb"].shape[1]
     dk = d // heads
     grads: dict[str, np.ndarray] = {}
@@ -148,7 +169,8 @@ def trunk_backward(params: dict[str, np.ndarray], L: int, cache, d_states: np.nd
         grads[f"{p}.ffn.w2"] = np.tensordot(hid, d_ffn, axes=([0, 1], [0, 1]))
         grads[f"{p}.ffn.b2"] = d_ffn.sum(axis=(0, 1))
         d_hid = d_ffn @ params[f"{p}.ffn.w2"].T
-        d_pre = d_hid * gelu_grad_cached(pre, pre_t)
+        d_pre = gelu_grad_cached(pre, pre_t)
+        d_pre *= d_hid
         grads[f"{p}.ffn.w1"] = np.tensordot(x1, d_pre, axes=([0, 1], [0, 1]))
         grads[f"{p}.ffn.b1"] = d_pre.sum(axis=(0, 1))
         d_x1 = d_r2 + d_pre @ params[f"{p}.ffn.w1"].T

@@ -99,6 +99,44 @@ def layer_norm_oracle(x, gain, bias, eps=1e-5) -> np.ndarray:
     return np.array([gain[j] * (x[j] - mu) / math.sqrt(var + eps) + bias[j] for j in range(len(x))])
 
 
+# The array formulas of GELU, its gradient and LayerNorm as first written:
+# one temporary per operation.  The in-place kernels in factpool.numerics
+# apply the same operations in the same order and must match these byte for
+# byte.
+
+
+def gelu_reference(x: np.ndarray):
+    c = math.sqrt(2.0 / math.pi)
+    x2 = x * x
+    t = np.tanh(c * (x + 0.044715 * (x2 * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
+def gelu_grad_reference(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    du = math.sqrt(2.0 / math.pi) * (1.0 + 0.134145 * (x * x))
+    return 0.5 * (1.0 + t) + (0.5 * x * du) * (1.0 - t * t)
+
+
+def layer_norm_reference(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps=1e-5):
+    mu = np.mean(x, axis=-1, keepdims=True)
+    centered = x - mu
+    var = np.mean(centered**2, axis=-1, keepdims=True)
+    inv_sigma = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_sigma
+    return gain * xhat + bias, (xhat, inv_sigma)
+
+
+def layer_norm_backward_reference(d_y: np.ndarray, cache, gain: np.ndarray):
+    xhat, inv_sigma = cache
+    d_gain = np.sum(d_y * xhat, axis=tuple(range(d_y.ndim - 1)))
+    d_bias = np.sum(d_y, axis=tuple(range(d_y.ndim - 1)))
+    d_xhat = d_y * gain
+    mean_d = np.mean(d_xhat, axis=-1, keepdims=True)
+    mean_dx = np.mean(d_xhat * xhat, axis=-1, keepdims=True)
+    d_x = inv_sigma * (d_xhat - mean_d - xhat * mean_dx)
+    return d_x, d_gain, d_bias
+
+
 def trunk_oracle(params, L, heads, ids, graph_init, injections=None) -> np.ndarray:
     """Single-sequence dense transformer, loops over layers/heads/positions."""
     injections = injections or {}

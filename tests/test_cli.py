@@ -196,3 +196,41 @@ def test_sweep_cli(workspace):
                      "--out", str(out))
     assert "axis=K" in stdout
     assert (out / "sweep_K.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("retrieve", "--skip", "-1"),
+        ("retrieve", "--count", "-1"),
+        ("perturb", "--count", "0"),
+        ("encode", "--skip", "x"),
+        ("train", "--count", "-3"),
+        ("eval", "--skip", "-2"),
+        ("explain", "--question-index", "-1"),
+        ("explain", "--top-n", "0"),
+        ("explain", "--top-n", "-2"),
+    ],
+)
+def test_bad_slice_flags_are_usage_errors(capsys, command, flag, value):
+    from factpool import cli
+
+    extra = ["--checkpoint", "none.ckpt"] if command in ("eval", "explain") else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--kg", "kg.tsv", "--dataset", "d.jsonl", *extra, f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_explain_question_index_out_of_range_is_usage_error(workspace, capsys):
+    from factpool import cli
+
+    out = workspace / "train_explain"
+    run_cli("train", *data_args(workspace), "--config", str(workspace / "run.cfg"),
+            "--count", "4", "--out", str(out))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["explain", *data_args(workspace), "--checkpoint", str(out / "final.ckpt"),
+                  "--question-index", "14", "--out", str(workspace / "explain_oob")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--question-index 14 is out of range" in err and "has 14 questions" in err

@@ -125,13 +125,26 @@ def test_encode_texts_matches_per_text_encoding(pooling):
         assert vec.tobytes() == batch1_trunk_encoding(single, text).tobytes()
 
 
-def batch1_trunk_encoding(enc, text):
+def batch1_trunk_encoding(enc, text, backward_cache=False):
     """A batch-1 trunk forward over [CLS] + the first max_tokens - 1 token ids."""
     ids = [CLS_ID] + enc.tokenizer.encode_text(text)[: enc.max_tokens - 1]
     seq = np.array([ids], dtype=np.int64)
     cls_row = enc.snapshot["tok_emb"][CLS_ID][None, :]
-    states, _ = trunk_forward(enc.snapshot, enc.L, enc.heads, seq, np.ones_like(seq, bool), cls_row)
+    states, _ = trunk_forward(
+        enc.snapshot, enc.L, enc.heads, seq, np.ones_like(seq, bool), cls_row,
+        backward_cache=backward_cache,
+    )
     return states[0, 0, :] if enc.token_pooling == "cls" else states[0, 1:, :].mean(axis=0)
+
+
+@pytest.mark.parametrize("pooling", ["mean", "cls"])
+def test_encoder_vectors_byte_equal_to_caching_forward(pooling):
+    # The encoder's forwards keep no backward cache; a caching forward of each
+    # text gives the same bytes.
+    texts = ["winter causes bird migration", "storm relates to cold wing", "bird", "chirp wing"]
+    enc = make_toy_encoder(pooling)
+    for text, vec in zip(texts, enc.encode_texts(texts)):
+        assert vec.tobytes() == batch1_trunk_encoding(enc, text, backward_cache=True).tobytes()
 
 
 def test_encode_texts_memoizes_and_rejects_empty_text():

@@ -68,7 +68,7 @@ def single_edge_messages(params, init):
 
 def test_init_nodes_virtual_and_entities():
     model, encoder, prepared = gnn_question()
-    result = batch_forward(model, [prepared])
+    result = batch_forward(model, [prepared], backward_cache=True)
     for i, cand in enumerate(prepared.candidates):
         assert cand.gnn.node_ids == sorted(cand.subgraph.nodes)
         assert len(cand.gnn.node_ids) > 1

@@ -1,15 +1,19 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import kg_from_facts
 from oracles import softmax_oracle
 
 from factpool.config import Config
 from factpool.harness_data import tiny_benchmark
 from factpool.model import (
     DivergenceError,
+    NoBackwardCacheError,
+    batch_backward,
     batch_forward,
     batch_loss,
     build_encoder,
@@ -24,6 +28,7 @@ from factpool.model import (
 )
 from factpool.data import QuestionRecord
 from factpool.encoders import write_embedding_cache
+from factpool.synthetic import SyntheticSpec, generate_synthetic
 
 
 def small_cfg(**overrides):
@@ -323,3 +328,54 @@ def test_graph_vectors_change_scores_only_through_fg_paths():
     # with shared graph vectors and shared question text, score differences
     # can come only from the candidate tokens through f_q
     assert not np.allclose(distinct.scores, scores, atol=1e-12)
+
+
+# --- inference without the backward cache -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind, overrides",
+    [("pooled", dict(fusion_mode="early_late", K=1)), ("gnn", {}), ("lm", {})],
+)
+def test_cache_free_batch_forward_byte_equal_to_caching(kind, overrides):
+    model, _, _, _, _, prepared = make_setup(kind, small_cfg(**overrides))
+    free = batch_forward(model, prepared)
+    cached = batch_forward(model, prepared, backward_cache=True)
+    assert free.scores.tobytes() == cached.scores.tobytes()
+    assert free.predictions == cached.predictions
+    assert free.loss == cached.loss
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(free.probs, cached.probs))
+    assert all(
+        a.tobytes() == b.tobytes()
+        for wa, wb in zip(free.pool_weights, cached.pool_weights)
+        for a, b in zip(wa, wb)
+    )
+    assert batch_loss(model, prepared) == cached.loss
+    with pytest.raises(NoBackwardCacheError, match="without a backward cache"):
+        batch_backward(model, free)
+
+
+def test_evaluate_peak_memory_below_half_of_caching_forward():
+    # numpy reports its buffers to tracemalloc, so the peaks are deterministic.
+    cfg = small_cfg(L=4, d=64, heads=4, K=2, fusion_mode="early_late", max_tokens=40,
+                    max_nodes=32)
+    bench = generate_synthetic(
+        SyntheticSpec(entities=1000, relations=3, questions=64, candidates=4,
+                      distractor_rate=0.5, kg_fraction=0.7, seed=0)
+    )
+    kg = kg_from_facts(bench.facts)
+    model = create_model(cfg, "pooled", relation_table(kg))
+    prepared = prepare_dataset(model, kg, bench.templates, build_encoder(model), bench.records)
+    assert len(prepared) == 64
+
+    def peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cached_peak = peak(lambda: batch_forward(model, prepared, backward_cache=True))
+    eval_peak = peak(lambda: evaluate(model, prepared))
+    assert eval_peak < cached_peak / 2, (eval_peak, cached_peak)

@@ -135,7 +135,7 @@ def test_pool_multi_reductions():
     matrix = prepared.candidates[0].edge_matrix
     assert matrix.shape[0] >= 2
     heads = model.pooling_heads()
-    result = batch_forward(model, [prepared])
+    result = batch_forward(model, [prepared], backward_cache=True)
     for k, head in enumerate(heads):
         _, _, _, _, weights, values = result._caches["pool_caches"][0][k]
         assert np.array_equal(result.pool_weights[0][k], weights)

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from oracles import fd_gradient, trunk_oracle
 
 from factpool.transformer import (
+    NoBackwardCacheError,
     init_scalar_head,
     init_trunk_params,
     scalar_head_backward,
@@ -58,6 +60,38 @@ def test_padding_does_not_change_real_positions():
     assert np.allclose(padded_states[0, :6], states[0], atol=1e-12)
 
 
+def padded_injected_batch():
+    """L=4: three sequences, two of them padded, injections at 0, 2 and 3."""
+    params, _, _, rng = make_setup(L=4, d=16, heads=4, T=9, vocab=64, seed=5)
+    ids = rng.integers(4, 64, size=(3, 9))
+    mask = np.ones_like(ids, dtype=bool)
+    mask[1, 6:] = False
+    mask[2, 3:] = False
+    ids[~mask] = 3
+    graph_init = rng.standard_normal((3, 16))
+    injections = {layer: rng.standard_normal((3, 16)) for layer in (0, 2, 3)}
+    return params, ids, mask, graph_init, injections
+
+
+def test_cache_free_forward_byte_equal_to_caching_forward():
+    params, ids, mask, graph_init, injections = padded_injected_batch()
+    states, cache = trunk_forward(params, 4, 4, ids, mask, graph_init, injections)
+    cached_states, full_cache = trunk_forward(
+        params, 4, 4, ids, mask, graph_init, injections, backward_cache=True
+    )
+    assert states.tobytes() == cached_states.tobytes()
+    assert len(cache[6]) == len(full_cache[6]) == 5
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(cache[6], full_cache[6]))
+    assert cache[4] is None and len(full_cache[4]) == 4
+
+
+def test_backward_without_cache_is_typed_error():
+    params, ids, mask, graph_init, injections = padded_injected_batch()
+    states, cache = trunk_forward(params, 4, 4, ids, mask, graph_init, injections)
+    with pytest.raises(NoBackwardCacheError, match="without a backward cache"):
+        trunk_backward(params, 4, cache, np.ones_like(states))
+
+
 def test_trunk_backward_vs_finite_differences():
     params, ids, graph_init, rng = make_setup(L=1, d=8, heads=2, T=5, vocab=24, seed=7)
     mask = np.ones_like(ids, dtype=bool)
@@ -67,7 +101,7 @@ def test_trunk_backward_vs_finite_differences():
         states, _ = trunk_forward(params, 1, 2, ids, mask, graph_init)
         return float(np.sum(states * probe))
 
-    _, cache = trunk_forward(params, 1, 2, ids, mask, graph_init)
+    _, cache = trunk_forward(params, 1, 2, ids, mask, graph_init, backward_cache=True)
     grads, d_graph_init, _ = trunk_backward(params, 1, cache, probe)
     for name in ("layer1.attn.wq", "layer1.ffn.w1", "layer1.ln1.gain", "pos_emb"):
         numeric = fd_gradient(loss, params[name])
