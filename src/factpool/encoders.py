@@ -17,13 +17,11 @@ and rejects cls pooling.
 
 from __future__ import annotations
 
-import io
-import struct
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
+from factpool.checkpoint import CheckpointError, _container_bytes, _read_container
 from factpool.kg import Fact, Subgraph, text_tokens
 from factpool.tokenizer import CLS_ID, Tokenizer
 from factpool.transformer import trunk_forward
@@ -185,56 +183,28 @@ def encode_subgraphs(
 
 
 # --- embedding cache file ----------------------------------------------------
-#
-# header: magic b"FPEMC001", u32 d, u64 record count
-# record: u32 key length, key utf-8, u32 d, d float64 little-endian
+# The checkpoint container under its own magic: header {"dim": d}, one [d]
+# tensor per fact key.
 
-_CACHE_MAGIC = b"FPEMC001"
+_CACHE_MAGIC = b"FPEMC002"
 
 
 def write_embedding_cache(path: str, entries: dict[str, np.ndarray], dim: int) -> None:
-    buf = io.BytesIO()
-    buf.write(_CACHE_MAGIC)
-    buf.write(struct.pack("<IQ", dim, len(entries)))
-    for key in sorted(entries):
-        vec = np.ascontiguousarray(entries[key], dtype="<f8")
-        if vec.shape != (dim,):
-            raise ValueError(f"entry {key!r} has shape {vec.shape}, expected ({dim},)")
-        encoded = key.encode("utf-8")
-        buf.write(struct.pack("<I", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<I", dim))
-        buf.write(vec.tobytes())
-    atomic_write_bytes(path, buf.getvalue())
+    for key, vec in entries.items():
+        if np.shape(vec) != (dim,):
+            raise ValueError(f"entry {key!r} has shape {np.shape(vec)}, expected ({dim},)")
+    atomic_write_bytes(path, _container_bytes(_CACHE_MAGIC, {"dim": dim}, entries))
 
 
 def read_embedding_cache(path: str):
-    data = Path(path).read_bytes()
-    if data[:8] != _CACHE_MAGIC:
-        raise ValueError(f"{path}: not an embedding cache file")
-    offset = 8
-
-    def take(size: int) -> int:
-        nonlocal offset
-        start = offset
-        offset += size
-        if offset > len(data):
-            raise ValueError(f"{path}: not an embedding cache file (truncated at byte {start})")
-        return start
-
-    dim, count = struct.unpack_from("<IQ", data, take(12))
-    entries: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (key_len,) = struct.unpack_from("<I", data, take(4))
-        start = take(key_len)
-        key = data[start:offset].decode("utf-8")
-        (rec_dim,) = struct.unpack_from("<I", data, take(4))
-        if rec_dim != dim:
-            raise ValueError(f"{path}: record {key!r} width {rec_dim} != header width {dim}")
-        entries[key] = np.frombuffer(data, dtype="<f8", count=dim, offset=take(8 * dim)).copy()
-    if offset != len(data):
-        raise ValueError(
-            f"{path}: not an embedding cache file "
-            f"({len(data) - offset} trailing bytes after {count} records)"
-        )
+    """Returns (entries, dim); a bad file raises CheckpointError naming it."""
+    entries, header = _read_container(path, _CACHE_MAGIC, "embedding cache")
+    dim = header.get("dim")
+    if type(dim) is not int or dim < 1:
+        raise CheckpointError(f"{path}: embedding cache header needs a positive integer dim")
+    for key, vec in entries.items():
+        if vec.shape != (dim,):
+            raise CheckpointError(
+                f"{path}: entry {key!r} has shape {vec.shape}, header width is {dim}"
+            )
     return entries, dim

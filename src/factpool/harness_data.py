@@ -21,6 +21,8 @@ def tiny_benchmark(seed: int = 0, questions: int = 4, candidates: int = 3):
         kg_fraction=0.7,
         seed=seed,
     )
+    # The pool above is roomy for small sets; larger ones take the minimum.
+    spec.entities = max(spec.entities, spec.entities_needed())
     bench = generate_synthetic(spec)
     facts = set(bench.facts)
     kg = KnowledgeGraph(

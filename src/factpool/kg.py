@@ -148,7 +148,6 @@ class GroundedStatement:
     candidate: str
     question_entities: set[str]
     answer_entities: set[str]
-    label: bool = False
 
     def __post_init__(self) -> None:
         overlap = self.question_entities & self.answer_entities
@@ -164,7 +163,6 @@ def ground_statement(
     context: str,
     question: str,
     candidate: str,
-    label: bool = False,
     question_entities: set[str] | None = None,
     answer_entities: set[str] | None = None,
 ) -> GroundedStatement:
@@ -187,7 +185,6 @@ def ground_statement(
         candidate=candidate,
         question_entities=question_entities - answer_entities,
         answer_entities=answer_entities,
-        label=label,
     )
 
 

@@ -21,7 +21,7 @@ differences by `gradient_check`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
@@ -65,7 +65,7 @@ from factpool.transformer import (
 )
 from factpool.util import derive_seed
 from factpool.verbalize import TemplateTable, verbalize
-from factpool.checkpoint import load_checkpoint, save_checkpoint
+from factpool.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 MODEL_KINDS = ("pooled", "gnn", "lm")
 WITH_ANSWERS = "with_answers"
@@ -187,7 +187,6 @@ class PreparedCandidate:
     fact_texts: list[str]
     edge_matrix: np.ndarray  # [E, d]; E may be 0
     subgraph: Subgraph
-    statement: GroundedStatement
     gnn: SubgraphArrays | None = None
     node_init: np.ndarray | None = None  # [N, d]; virtual row is a placeholder
 
@@ -212,7 +211,6 @@ def grounded_statements(
                 record.context,
                 record.question,
                 cand_text,
-                label=(c_index == record.answer_index),
                 question_entities=(
                     set(record.question_entities)
                     if record.question_entities is not None
@@ -281,7 +279,6 @@ def prepare_question(
             fact_texts=texts,
             edge_matrix=matrix,
             subgraph=sub,
-            statement=stmt,
         )
         if needs_gnn:
             cand.gnn = subgraph_arrays(sub, model.relation_index)
@@ -629,16 +626,35 @@ def save_model(model: Model, path: str, step: int = 0) -> None:
 
 
 def load_model(path: str) -> Model:
+    """The model a checkpoint holds.  CheckpointError names the path and the
+    first way its header or tensors differ from what `create_model` builds."""
     params, header = load_checkpoint(path)
-    cfg = Config(**header["config"])
-    meta = header["meta"]
-    return Model(
-        cfg=cfg,
-        kind=meta["kind"],
-        params=params,
-        relations=list(meta["relations"]),
-        tokenizer=Tokenizer(cfg.vocab_size),
-    )
+    config, meta = header.get("config"), header.get("meta")
+    if not isinstance(config, dict) or not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: checkpoint header needs config and meta objects")
+    odd = sorted(set(config) ^ {f.name for f in fields(Config)})
+    if odd:
+        raise CheckpointError(f"{path}: checkpoint config fields differ from Config: {odd}")
+    try:
+        cfg = Config(**config)
+    except (TypeError, ValueError) as err:
+        raise CheckpointError(f"{path}: invalid checkpoint config ({err})") from None
+    kind, relations = meta.get("kind"), meta.get("relations")
+    if kind not in MODEL_KINDS:
+        raise CheckpointError(f"{path}: model kind {kind!r} is not one of {MODEL_KINDS}")
+    if not isinstance(relations, list) or not all(isinstance(r, str) for r in relations):
+        raise CheckpointError(f"{path}: checkpoint meta needs a relation list")
+    model = create_model(cfg, kind, relations)
+    have = {name: tensor.shape for name, tensor in params.items()}
+    need = {name: tensor.shape for name, tensor in model.params.items()}
+    for name in sorted(have.keys() | need.keys()):
+        if have.get(name) != need.get(name):
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has shape {have.get(name, 'none')}, "
+                f"a {kind} model needs {need.get(name, 'none')}"
+            )
+    model.params = params
+    return model
 
 
 # --- gradient checking ------------------------------------------------------------

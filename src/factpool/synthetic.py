@@ -63,6 +63,13 @@ class SyntheticSpec:
         if not 0.0 <= self.distractor_rate <= 1.0:
             raise ValueError("distractor_rate must be in [0, 1]")
 
+    def entities_needed(self) -> int:
+        """The fewest `entities` `generate_synthetic` accepts: qe1, qe2 and the
+        candidates of every question, one chain node per candidate on
+        graph-determined questions, and a noise pool of at least 4."""
+        n_kg = int(round(self.kg_fraction * self.questions))
+        return self.questions * (2 + self.candidates) + n_kg * self.candidates + 4
+
 
 @dataclass
 class SyntheticBenchmark:
@@ -83,15 +90,13 @@ def _name_pool(spec: SyntheticSpec, rng: np.random.Generator) -> list[str]:
 def generate_synthetic(spec: SyntheticSpec) -> SyntheticBenchmark:
     rng = np.random.default_rng(spec.seed)
     n_kg = int(round(spec.kg_fraction * spec.questions))
-    # qe1, qe2, candidate entities, plus one chain node per candidate on
-    # graph-determined questions.
-    needed = spec.questions * (2 + spec.candidates) + n_kg * spec.candidates
-    noise_pool_size = spec.entities - needed
-    if noise_pool_size < 4:
+    needed = spec.entities_needed()
+    if spec.entities < needed:
         raise ValueError(
-            f"infeasible spec: {spec.questions} questions need {needed + 4} entities, "
+            f"infeasible spec: {spec.questions} questions need {needed} entities, "
             f"only {spec.entities} available"
         )
+    noise_pool_size = spec.entities - needed + 4
     names = _name_pool(spec, rng)
     cursor = 0
 

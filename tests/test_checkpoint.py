@@ -5,11 +5,11 @@ import pytest
 
 from factpool.checkpoint import (
     CheckpointError,
-    checkpoint_bytes,
     load_checkpoint,
     save_checkpoint,
 )
 from factpool.config import Config
+from factpool.encoders import read_embedding_cache, write_embedding_cache
 from factpool.harness_data import tiny_benchmark
 from factpool.model import (
     build_encoder,
@@ -39,11 +39,13 @@ def test_round_trip_exact(tmp_path):
         assert loaded[name].shape == params[name].shape
 
 
-def test_bytes_deterministic_regardless_of_dict_order():
+def test_bytes_deterministic_regardless_of_dict_order(tmp_path):
     rng = np.random.default_rng(1)
     a = {"x": rng.standard_normal(3), "y": rng.standard_normal(2)}
     b = {"y": a["y"], "x": a["x"]}
-    assert checkpoint_bytes(a, {}, 0, 0) == checkpoint_bytes(b, {}, 0, 0)
+    save_checkpoint(tmp_path / "a.ckpt", a, {}, 0, 0)
+    save_checkpoint(tmp_path / "b.ckpt", b, {}, 0, 0)
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -126,3 +128,55 @@ def test_two_training_runs_byte_identical_checkpoints(tmp_path):
         blobs.append((out / "final.ckpt").read_bytes())
         assert (out / "epoch_001.ckpt").exists() and (out / "epoch_002.ckpt").exists()
     assert blobs[0] == blobs[1]
+
+
+def _saved_model(tmp_path):
+    cfg = Config(L=2, d=16, heads=2, K=1, fusion_mode="early_late",
+                 vocab_size=64, max_tokens=16, max_nodes=8)
+    path = tmp_path / "model.ckpt"
+    save_model(create_model(cfg, "pooled", ["r0", "r1"]), str(path))
+    return path
+
+
+# Each header edit and the message naming its first mismatch.
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda h: h["config"].update(extra=1),
+         "checkpoint config fields differ from Config: ['extra']"),
+        (lambda h: h["config"].pop("seed"),
+         "checkpoint config fields differ from Config: ['seed']"),
+        (lambda h: h["config"].update(heads=3),
+         "invalid checkpoint config (width d=16 must be divisible by heads=3)"),
+        (lambda h: h["meta"].pop("kind"),
+         "model kind None is not one of ('pooled', 'gnn', 'lm')"),
+        (lambda h: h["meta"].update(kind="foo"),
+         "model kind 'foo' is not one of ('pooled', 'gnn', 'lm')"),
+        (lambda h: h["meta"].pop("relations"), "checkpoint meta needs a relation list"),
+        (lambda h: h["config"].update(L=1),
+         "tensor 'layer2.attn.bk' has shape (16,), a pooled model needs none"),
+        (lambda h: h["config"].update(L=3),
+         "tensor 'layer3.attn.bk' has shape none, a pooled model needs (16,)"),
+        (lambda h: h["config"].update(vocab_size=32),
+         "tensor 'tok_emb' has shape (64, 16), a pooled model needs (32, 16)"),
+    ],
+    ids=["unknown-key", "missing-key", "invalid-config", "no-kind", "unknown-kind",
+         "no-relations", "fewer-layers", "more-layers", "tensor-shape"],
+)
+def test_load_model_checks_header_against_tensors(tmp_path, edit, message):
+    path = _saved_model(tmp_path)
+    params, header = load_checkpoint(path)
+    edit(header)
+    save_checkpoint(path, params, header["config"], header["seed"], header["step"], header["meta"])
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
+        load_model(str(path))
+
+
+def test_each_reader_rejects_the_other_kind(tmp_path):
+    ckpt = _saved_model(tmp_path)
+    cache = tmp_path / "embeddings.bin"
+    write_embedding_cache(str(cache), {"a\tr\tb": np.ones(16)}, 16)
+    with pytest.raises(CheckpointError, match=re.escape(f"{cache}: not a checkpoint file")):
+        load_model(str(cache))
+    with pytest.raises(CheckpointError, match=re.escape(f"{ckpt}: not an embedding cache file")):
+        read_embedding_cache(str(ckpt))

@@ -1,7 +1,10 @@
 import json
+import re
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 CONFIG_TEXT = """\
@@ -136,6 +139,38 @@ def test_encode_toy_encoder_cache_matches_fresh_encoder(workspace):
         fact = Fact(*key.split("\t"))
         expected = fresh.encode_fact_text(fact, verbalize(fact, templates).text)
         assert vec.tobytes() == expected.tobytes(), key
+
+
+def _fpemc001_bytes(key: str, vec) -> bytes:
+    """A one-entry cache in the retired record layout."""
+    encoded = key.encode("utf-8")
+    return (
+        b"FPEMC001" + struct.pack("<IQ", len(vec), 1)
+        + struct.pack("<I", len(encoded)) + encoded
+        + struct.pack("<I", len(vec)) + vec.tobytes()
+    )
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "FPEMC001"])
+def test_train_rejects_wrong_cache_file_naming_it(workspace, kind):
+    from factpool import cli
+    from factpool.checkpoint import CheckpointError, save_checkpoint
+
+    cfg_path = workspace / "external.cfg"
+    cfg_path.write_text(
+        CONFIG_TEXT.replace("encoder_kind=hash-bag", "encoder_kind=external-file"),
+        encoding="utf-8",
+    )
+    path = workspace / f"{kind}.bin"
+    if kind == "checkpoint":
+        save_checkpoint(path, {"b": np.ones(16)}, config={}, seed=0, step=0)
+        expected = f"{path}: not an embedding cache file"
+    else:
+        path.write_bytes(_fpemc001_bytes("a\tr\tb", np.ones(16)))
+        expected = f"{path}: retired FPEMC001 embedding cache; rerun `factpool encode`"
+    with pytest.raises(CheckpointError, match=re.escape(expected)):
+        cli.main(["train", *data_args(workspace), "--config", str(cfg_path), "--count", "2",
+                  "--cache", str(path), "--out", str(workspace / f"train_{kind}")])
 
 
 def test_train_eval_explain_roundtrip(workspace):

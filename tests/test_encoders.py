@@ -5,8 +5,10 @@ import pytest
 
 from conftest import kg_from_facts
 
+from factpool.checkpoint import CheckpointError, _container_bytes
 from factpool.config import Config
 from factpool.encoders import (
+    _CACHE_MAGIC,
     ENCODE_BATCH,
     FileBackedEncoder,
     HashBagEncoder,
@@ -247,26 +249,78 @@ def _cache_bytes(tmp_path):
     return path, path.read_bytes()
 
 
-@pytest.mark.parametrize("cut", [1, 7, 12, 20, 24, 33, 60, 90, 95])
+def test_cache_round_trip_empty(tmp_path):
+    path = tmp_path / "empty.bin"
+    write_embedding_cache(str(path), {}, 8)
+    assert read_embedding_cache(str(path)) == ({}, 8)
+
+
+def test_write_cache_rejects_wrong_width(tmp_path):
+    path = tmp_path / "cache.bin"
+    with pytest.raises(ValueError, match=re.escape("entry 'b' has shape (3,), expected (4,)")):
+        write_embedding_cache(str(path), {"a": np.ones(4), "b": np.ones(3)}, 4)
+    assert not path.exists()
+
+
+# Bytes cut from the end of the 131-byte file above, leaving a prefix that
+# ends inside: the header length (121), the header (116), the tensor count
+# (108), then name length, name, ndim, shape and data of the first tensor
+# (104, 100, 95, 90, 60) and of the second (50, 46, 42, 33, 24 .. 1).
+@pytest.mark.parametrize(
+    "cut", [1, 7, 12, 20, 24, 33, 42, 46, 50, 60, 90, 95, 100, 104, 108, 116, 121]
+)
 def test_read_cache_truncated_names_path(tmp_path, cut):
     path, data = _cache_bytes(tmp_path)
+    assert len(data) == 131
     path.write_bytes(data[: len(data) - cut])
-    with pytest.raises(ValueError, match=re.escape(f"{path}: not an embedding cache file")):
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: truncated embedding cache")):
         read_embedding_cache(str(path))
 
 
 def test_read_cache_trailing_bytes_names_path(tmp_path):
     path, data = _cache_bytes(tmp_path)
     path.write_bytes(data + b"\0")
-    expected = re.escape(f"{path}: not an embedding cache file (1 trailing")
-    with pytest.raises(ValueError, match=expected):
+    expected = re.escape(f"{path}: trailing bytes after tensor block")
+    with pytest.raises(CheckpointError, match=expected):
         read_embedding_cache(str(path))
 
 
 def test_read_cache_bad_magic_names_path(tmp_path):
     path, data = _cache_bytes(tmp_path)
     path.write_bytes(b"XXXXXXXX" + data[8:])
-    with pytest.raises(ValueError, match=re.escape(f"{path}: not an embedding cache file")):
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: not an embedding cache file")):
+        read_embedding_cache(str(path))
+
+
+# One byte of a fact key flipped so that the key is no longer UTF-8.
+@pytest.mark.parametrize("at, mask", [(0, 0x80), (2, 0xC0)])
+def test_read_cache_corrupt_key_names_path(tmp_path, at, mask):
+    path, data = _cache_bytes(tmp_path)
+    flipped = bytearray(data)
+    flipped[data.index(b"c\tr\td") + at] ^= mask
+    path.write_bytes(bytes(flipped))
+    expected = re.escape(f"{path}: corrupt embedding cache tensor name")
+    with pytest.raises(CheckpointError, match=expected):
+        read_embedding_cache(str(path))
+
+
+@pytest.mark.parametrize(
+    "header", [{}, {"width": 4}, {"dim": 0}, {"dim": -4}, {"dim": 4.0}, {"dim": "4"}, {"dim": True}]
+)
+def test_read_cache_header_needs_positive_integer_dim(tmp_path, header):
+    path = tmp_path / "cache.bin"
+    path.write_bytes(_container_bytes(_CACHE_MAGIC, header, {}))
+    expected = re.escape(f"{path}: embedding cache header needs a positive integer dim")
+    with pytest.raises(CheckpointError, match=expected):
+        read_embedding_cache(str(path))
+
+
+def test_read_cache_entry_width_must_match_header(tmp_path):
+    path = tmp_path / "cache.bin"
+    entries = {"a\tr\tb": np.ones(4), "c\tr\td": np.ones(3)}
+    path.write_bytes(_container_bytes(_CACHE_MAGIC, {"dim": 4}, entries))
+    expected = re.escape(f"{path}: entry 'c\\tr\\td' has shape (3,), header width is 4")
+    with pytest.raises(CheckpointError, match=expected):
         read_embedding_cache(str(path))
 
 

@@ -2,6 +2,9 @@ import pytest
 
 from oracles import bfs_distances
 
+from factpool.config import Config
+from factpool.harness_data import tiny_benchmark
+from factpool.model import build_encoder, create_model, prepare_dataset, relation_table
 from factpool.synthetic import LINK_RELATION, SyntheticSpec, generate_synthetic, write_synthetic
 
 
@@ -86,3 +89,19 @@ def test_hub_marker_only_on_correct_chain():
         r.candidates[r.answer_index] for r in bench.records if r.meta["kind"] == "kg"
     }
     assert set(hub_targets.values()) <= correct
+
+
+def test_entities_needed_is_the_feasibility_bound():
+    needed = small_spec().entities_needed()
+    assert len(generate_synthetic(small_spec(entities=needed)).records) == 20
+    with pytest.raises(ValueError, match=f"need {needed} entities, only {needed - 1} available"):
+        generate_synthetic(small_spec(entities=needed - 1))
+
+
+@pytest.mark.parametrize("questions", [24, 64])
+def test_tiny_benchmark_builds_and_prepares_larger_sets(questions):
+    kg, templates, records = tiny_benchmark(questions=questions)
+    cfg = Config(L=1, d=8, heads=2, vocab_size=64, max_tokens=32, max_nodes=8)
+    model = create_model(cfg, "pooled", relation_table(kg))
+    prepared = prepare_dataset(model, kg, templates, build_encoder(model), records)
+    assert len(prepared) == questions
