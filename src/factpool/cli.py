@@ -27,13 +27,14 @@ from factpool.kg import Subgraph, load_kg
 from factpool.model import (
     CONDITIONS,
     WITH_ANSWERS,
+    apply_condition,
     build_encoder,
-    build_statement_subgraph,
     create_model,
     evaluate,
     gradient_check,
-    grounded_statements,
+    ground_records,
     load_model,
+    prepare_conditions,
     prepare_dataset,
     relation_table,
     train_model,
@@ -69,10 +70,7 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
 def _dataset_slice(args, records):
     skip = getattr(args, "skip", 0) or 0
     count = getattr(args, "count", None)
-    sliced = records[skip:]
-    if count is not None:
-        sliced = sliced[:count]
-    return sliced
+    return records[skip:] if count is None else records[skip : skip + count]
 
 
 def _write_subgraphs(args, condition: str) -> Path:
@@ -80,12 +78,12 @@ def _write_subgraphs(args, condition: str) -> Path:
     kg = load_kg(args.kg)
     records = _dataset_slice(args, load_dataset(args.dataset))
     lines = []
-    for q_index, c_index, stmt in grounded_statements(kg, records):
-        sub = build_statement_subgraph(kg, stmt, cfg.max_nodes, condition)
-        payload = json.loads(sub.canonical())
-        payload["question_index"] = q_index
-        payload["candidate_index"] = c_index
-        lines.append(json.dumps(payload, sort_keys=True))
+    for q_index, statements in enumerate(ground_records(kg, records, cfg.max_nodes)):
+        for c_index, (stmt, sub) in enumerate(statements):
+            payload = json.loads(apply_condition(sub, stmt, condition).canonical())
+            payload["question_index"] = q_index
+            payload["candidate_index"] = c_index
+            lines.append(json.dumps(payload, sort_keys=True))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     name = "subgraphs.jsonl" if condition == WITH_ANSWERS else "subgraphs_perturbed.jsonl"
@@ -136,31 +134,23 @@ def cmd_encode(args) -> int:
         cache, dim = read_embedding_cache(str(cache_path))
     except FileNotFoundError:
         cache, dim = {}, encoder.dim
-    known = len(cache)
-    subgraphs = (
-        build_statement_subgraph(kg, stmt, cfg.max_nodes, WITH_ANSWERS)
-        for _, _, stmt in grounded_statements(kg, records)
-    )
-    total = encode_subgraphs(subgraphs, templates, encoder, cache)
-    if len(cache) > known:
+    if dim != encoder.dim:
+        raise UsageError(f"{cache_path}: embedding cache width {dim} != config width d={cfg.d}")
+    subgraphs = [sub for subs in ground_records(kg, records, cfg.max_nodes) for _, sub in subs]
+    if encode_subgraphs(subgraphs, templates, encoder, cache):
         write_embedding_cache(str(cache_path), cache, dim)
+    total = sum(len(sub.edges) for sub in subgraphs)
     print(f"cache: {cache_path} ({total} edge encodings)")
     return 0
 
 
-def _prepare_model_and_data(args, cfg: Config, condition: str):
+def cmd_train(args) -> int:
     kg = load_kg(args.kg)
     templates = load_templates(args.templates)
     records = _dataset_slice(args, load_dataset(args.dataset))
-    model = create_model(cfg, args.model, relation_table(kg))
-    encoder = build_encoder(model, cache_path=getattr(args, "cache", None))
-    prepared = prepare_dataset(model, kg, templates, encoder, records, condition)
-    return model, kg, templates, encoder, prepared
-
-
-def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
-    model, _, _, _, prepared = _prepare_model_and_data(args, cfg, args.condition)
+    model = create_model(_load_cfg(args), args.model, relation_table(kg))
+    encoder = build_encoder(model, cache_path=args.cache)
+    prepared = prepare_dataset(model, kg, templates, encoder, records, args.condition)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     losses = train_model(model, prepared, out_dir=str(out), log=True)
@@ -174,13 +164,10 @@ def cmd_eval(args) -> int:
     kg = load_kg(args.kg)
     templates = load_templates(args.templates)
     records = _dataset_slice(args, load_dataset(args.dataset))
-    encoder = build_encoder(model, cache_path=getattr(args, "cache", None))
-    lines = []
-    accs = {}
-    for condition in CONDITIONS:
-        prepared = prepare_dataset(model, kg, templates, encoder, records, condition)
-        accs[condition] = evaluate(model, prepared)
-        lines.append(f"acc_{condition}={accs[condition]:.10g}")
+    encoder = build_encoder(model, cache_path=args.cache)
+    prepared = prepare_conditions(model, kg, templates, encoder, records)
+    accs = {condition: evaluate(model, prepared[condition]) for condition in CONDITIONS}
+    lines = [f"acc_{condition}={accs[condition]:.10g}" for condition in CONDITIONS]
     lines.append(f"delta_acc={delta_acc(accs['with_answers'], accs['without_answers']):.10g}")
     text = "\n".join(lines) + "\n"
     out = Path(args.out)

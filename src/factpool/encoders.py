@@ -29,10 +29,10 @@ from factpool.util import atomic_write_bytes, derive_seed
 from factpool.verbalize import TemplateTable, verbalize
 
 
-# Sequences per trunk forward in `ToyTrunkEncoder.encode_texts`.  The forward
-# keeps no backward cache, so a batch holds one layer's activations at a
-# time (at most [8, max_tokens, 4d] floats); the bound now trades per-forward
-# overhead against batch size, not memory.
+# Sequences per trunk forward in `ToyTrunkEncoder.encode_texts`.  On the
+# perfbench `ground` workload 32 cut wall_s by ~6%, inside the run-to-run
+# spread, but raised peak_rss_mb in every run (~67.6 -> ~70.1 MB), so the
+# bound stays at 8.
 ENCODE_BATCH = 8
 
 
@@ -76,6 +76,9 @@ class HashBagEncoder:
 
     def encode_fact_text(self, fact: Fact, text: str) -> np.ndarray:
         return self.encode_text(text)
+
+    def encode_fact_texts(self, facts: list[Fact], texts: list[str]) -> list[np.ndarray]:
+        return self.encode_texts(texts)
 
 
 class ToyTrunkEncoder:
@@ -142,6 +145,9 @@ class ToyTrunkEncoder:
     def encode_fact_text(self, fact: Fact, text: str) -> np.ndarray:
         return self.encode_text(text)
 
+    def encode_fact_texts(self, facts: list[Fact], texts: list[str]) -> list[np.ndarray]:
+        return self.encode_texts(texts)
+
 
 class FileBackedEncoder:
     """Serves embeddings from a cache file; unknown facts are an error."""
@@ -150,11 +156,13 @@ class FileBackedEncoder:
         self.entries, self.dim = read_embedding_cache(path)
 
     def encode_fact_text(self, fact: Fact, text: str) -> np.ndarray:
-        key = fact.key()
-        vec = self.entries.get(key)
-        if vec is None:
-            raise UncachedFactError(f"uncached fact: {key!r}")
-        return vec
+        return self.encode_fact_texts([fact], [text])[0]
+
+    def encode_fact_texts(self, facts: list[Fact], texts: list[str]) -> list[np.ndarray]:
+        try:
+            return [self.entries[fact.key()] for fact in facts]
+        except KeyError as exc:
+            raise UncachedFactError(f"uncached fact: {exc.args[0]!r}") from None
 
 
 def encode_subgraphs(
@@ -162,24 +170,23 @@ def encode_subgraphs(
     templates: TemplateTable,
     encoder,
     cache: dict[str, np.ndarray],
-) -> int:
+) -> dict[str, str]:
     """Add every edge missing from `cache` (keyed by `Fact.key()`) to it.
 
     The missing facts are verbalized once each, in first-seen canonical edge
-    order, and encoded in one `encode_texts` call.  Returns the number of
-    edges over all subgraphs.
+    order, and encoded in one `encode_fact_texts` call.  Returns their texts
+    by fact key.
     """
     missing: dict[str, Fact] = {}
-    total = 0
     for sub in subgraphs:
-        total += len(sub.edges)
         for fact in sub.sorted_edges():
             key = fact.key()
             if key not in cache and key not in missing:
                 missing[key] = fact
-    texts = [verbalize(fact, templates).text for fact in missing.values()]
-    cache.update(zip(missing, encoder.encode_texts(texts)))
-    return total
+    facts = list(missing.values())
+    texts = [verbalize(fact, templates).text for fact in facts]
+    cache.update(zip(missing, encoder.encode_fact_texts(facts, texts)))
+    return dict(zip(missing, texts))
 
 
 # --- embedding cache file ----------------------------------------------------

@@ -28,12 +28,11 @@ from factpool.model import (
     apply_condition,
     batch_forward,
     build_encoder,
-    build_statement_subgraph,
     create_model,
     evaluate,
-    grounded_statements,
+    ground_records,
+    prepare_conditions,
     prepare_dataset,
-    prepare_question,
     relation_table,
     train_model,
 )
@@ -172,12 +171,8 @@ def run_experiment(ecfg: ExperimentConfig, assets: ExperimentAssets | None = Non
         if ecfg.out_dir is not None:
             ckpt_dir = str(Path(ecfg.out_dir) / f"{ecfg.model_kind}_seed{seed}")
         losses = train_model(model, train_q, out_dir=ckpt_dir)
-        accs = {}
-        for condition in CONDITIONS:
-            test_q = prepare_dataset(
-                model, assets.kg, assets.templates, encoder, assets.test_records, condition
-            )
-            accs[condition] = evaluate(model, test_q)
+        test = prepare_conditions(model, assets.kg, assets.templates, encoder, assets.test_records)
+        accs = {condition: evaluate(model, test[condition]) for condition in CONDITIONS}
         per_seed.append(
             SeedResult(
                 seed=seed,
@@ -245,13 +240,12 @@ def pipeline_hashes(
     linking = []
     retrieval = []
     perturbation = []
-    for _, _, stmt in grounded_statements(kg, records):
-        linking.append(
-            canonical_json({"q": sorted(stmt.question_entities), "a": sorted(stmt.answer_entities)})
-        )
-        intact = build_statement_subgraph(kg, stmt, cfg.max_nodes, WITH_ANSWERS)
-        retrieval.append(intact.canonical())
-        perturbation.append(apply_condition(intact, stmt, condition).canonical())
+    for statements in ground_records(kg, records, cfg.max_nodes):
+        for stmt, intact in statements:
+            linked = {"q": sorted(stmt.question_entities), "a": sorted(stmt.answer_entities)}
+            linking.append(canonical_json(linked))
+            retrieval.append(intact.canonical())
+            perturbation.append(apply_condition(intact, stmt, condition).canonical())
     return {
         "kg": kg_digest,
         "dataset": dataset_digest,
@@ -304,12 +298,11 @@ def explain(
     encoder,
     record: QuestionRecord,
     top_n: int = 3,
-    condition: str = WITH_ANSWERS,
 ) -> ExplainReport:
     """Top-N facts per fusion layer by attention weight, from a real forward."""
     if model.kind != "pooled":
         raise ValueError("explain requires a pooled model")
-    prepared = prepare_question(model, kg, templates, encoder, record, condition)
+    [prepared] = prepare_dataset(model, kg, templates, encoder, [record])
     result = batch_forward(model, [prepared])
     out = []
     for idx, cand in enumerate(prepared.candidates):

@@ -21,14 +21,14 @@ differences by `gradient_check`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator
 
 import numpy as np
 
 from factpool.config import Config
 from factpool.data import QuestionRecord
-from factpool.encoders import FileBackedEncoder, HashBagEncoder, ToyTrunkEncoder
+from factpool.encoders import FileBackedEncoder, HashBagEncoder, ToyTrunkEncoder, encode_subgraphs
 from factpool.gnn import (
     GNNConfig,
     SubgraphArrays,
@@ -64,7 +64,7 @@ from factpool.transformer import (
     trunk_backward,
 )
 from factpool.util import derive_seed
-from factpool.verbalize import TemplateTable, verbalize
+from factpool.verbalize import TemplateTable
 from factpool.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 MODEL_KINDS = ("pooled", "gnn", "lm")
@@ -88,19 +88,10 @@ class Model:
         return {rel: i for i, rel in enumerate(self.relations)}
 
     def pooling_heads(self) -> list[PoolingHead]:
-        heads = []
-        for k in range(self.cfg.num_pooling_heads()):
-            heads.append(
-                PoolingHead(
-                    w_value=self.params[f"pool{k}.w_value"],
-                    b_value=self.params[f"pool{k}.b_value"],
-                    w_key1=self.params[f"pool{k}.w_key1"],
-                    b_key1=self.params[f"pool{k}.b_key1"],
-                    w_key2=self.params[f"pool{k}.w_key2"],
-                    b_key2=self.params[f"pool{k}.b_key2"],
-                )
-            )
-        return heads
+        return [
+            PoolingHead(**{f.name: self.params[f"pool{k}.{f.name}"] for f in fields(PoolingHead)})
+            for k in range(self.cfg.num_pooling_heads())
+        ]
 
     def frozen_snapshot(self) -> dict[str, np.ndarray]:
         return {
@@ -130,12 +121,8 @@ def create_model(cfg: Config, kind: str, relations: list[str]) -> Model:
     if kind == "pooled":
         for k in range(cfg.num_pooling_heads()):
             head = init_pooling_head(cfg.d, rng, dtype)
-            params[f"pool{k}.w_value"] = head.w_value
-            params[f"pool{k}.b_value"] = head.b_value
-            params[f"pool{k}.w_key1"] = head.w_key1
-            params[f"pool{k}.b_key1"] = head.b_key1
-            params[f"pool{k}.w_key2"] = head.w_key2
-            params[f"pool{k}.b_key2"] = head.b_key2
+            for f in fields(head):
+                params[f"pool{k}.{f.name}"] = getattr(head, f.name)
     if kind == "gnn":
         params.update(init_gnn_params(cfg.d, len(relations), rng, dtype))
     if cfg.encoder_kind == "shared-toy-encoder":
@@ -197,32 +184,22 @@ class PreparedQuestion:
     answer_index: int
 
 
-def grounded_statements(
-    kg: KnowledgeGraph, records: list[QuestionRecord]
-) -> Iterator[tuple[int, int, GroundedStatement]]:
-    """(question index, candidate index, statement) for every candidate.
-
-    Pre-linked entity sets in a record take precedence over text linking.
-    """
-    for q_index, record in enumerate(records):
-        for c_index, cand_text in enumerate(record.candidates):
+def ground_records(
+    kg: KnowledgeGraph, records: list[QuestionRecord], max_nodes: int
+) -> Iterator[list[tuple[GroundedStatement, Subgraph]]]:
+    """Per record: each candidate's linked statement and its intact subgraph
+    with the virtual question node.  Pre-linked entity sets in a record take
+    precedence over text linking."""
+    for record in records:
+        answers = record.answer_entities or [None] * len(record.candidates)
+        statements = []
+        for text, linked in zip(record.candidates, answers):
             stmt = ground_statement(
-                kg,
-                record.context,
-                record.question,
-                cand_text,
-                question_entities=(
-                    set(record.question_entities)
-                    if record.question_entities is not None
-                    else None
-                ),
-                answer_entities=(
-                    set(record.answer_entities[c_index])
-                    if record.answer_entities is not None
-                    else None
-                ),
+                kg, record.context, record.question, text, record.question_entities, linked
             )
-            yield q_index, c_index, stmt
+            sub = add_virtual_question_node(retrieve_subgraph(kg, stmt, max_nodes), stmt)
+            statements.append((stmt, sub))
+        yield statements
 
 
 def apply_condition(sub: Subgraph, stmt: GroundedStatement, condition: str) -> Subgraph:
@@ -234,61 +211,14 @@ def apply_condition(sub: Subgraph, stmt: GroundedStatement, condition: str) -> S
     return sub
 
 
-def build_statement_subgraph(
-    kg: KnowledgeGraph, stmt: GroundedStatement, max_nodes: int, condition: str
-) -> Subgraph:
-    sub = add_virtual_question_node(retrieve_subgraph(kg, stmt, max_nodes), stmt)
-    return apply_condition(sub, stmt, condition)
+@dataclass
+class DatasetEncoding:
+    """What a dataset's questions share: its encoded facts and entities."""
 
-
-def prepare_question(
-    model: Model,
-    kg: KnowledgeGraph,
-    templates: TemplateTable,
-    encoder,
-    record: QuestionRecord,
-    condition: str = WITH_ANSWERS,
-) -> PreparedQuestion:
-    cfg = model.cfg
-    needs_gnn = model.kind == "gnn"
-    if needs_gnn and not hasattr(encoder, "encode_text"):
-        raise ValueError(
-            "gnn models need a text-capable encoder for entity node states; "
-            "the external-file encoder only serves cached facts"
-        )
-    candidates = []
-    for _, _, stmt in grounded_statements(kg, [record]):
-        sub = build_statement_subgraph(kg, stmt, cfg.max_nodes, condition)
-        facts = sub.sorted_edges()
-        texts = [verbalize(f, templates).text for f in facts]
-        if facts:
-            matrix = np.stack(
-                [encoder.encode_fact_text(f, t) for f, t in zip(facts, texts)]
-            )
-        else:
-            matrix = np.zeros((0, cfg.d))
-        ids = np.asarray(
-            tokenize_statement(
-                stmt.context, stmt.question, stmt.candidate, model.tokenizer, cfg.max_tokens
-            ),
-            dtype=np.int64,
-        )
-        cand = PreparedCandidate(
-            ids=ids,
-            facts=facts,
-            fact_texts=texts,
-            edge_matrix=matrix,
-            subgraph=sub,
-        )
-        if needs_gnn:
-            cand.gnn = subgraph_arrays(sub, model.relation_index)
-            init = np.zeros((len(cand.gnn.node_ids), cfg.d))
-            for i, node in enumerate(cand.gnn.node_ids):
-                if node != VIRTUAL_NODE_ID:
-                    init[i] = encoder.encode_text(id_to_surface(node))
-            cand.node_init = init
-        candidates.append(cand)
-    return PreparedQuestion(candidates=candidates, answer_index=record.answer_index)
+    texts: dict[str, str]  # fact key -> verbalized text
+    vectors: dict[str, np.ndarray]  # fact key -> edge vector
+    nodes: dict[str, np.ndarray]  # gnn: node id -> initial state
+    relation_index: dict[str, int]
 
 
 def prepare_dataset(
@@ -299,9 +229,92 @@ def prepare_dataset(
     records: list[QuestionRecord],
     condition: str = WITH_ANSWERS,
 ) -> list[PreparedQuestion]:
-    return [
-        prepare_question(model, kg, templates, encoder, rec, condition) for rec in records
+    return prepare_conditions(model, kg, templates, encoder, records, (condition,))[condition]
+
+
+def prepare_conditions(
+    model: Model,
+    kg: KnowledgeGraph,
+    templates: TemplateTable,
+    encoder,
+    records: list[QuestionRecord],
+    conditions: tuple[str, ...] = CONDITIONS,
+) -> dict[str, list[PreparedQuestion]]:
+    """`records` prepared under each of `conditions` from one grounding.
+
+    Every statement is retrieved once and every distinct fact verbalized
+    once.  All edge vectors come from one `encode_subgraphs` call and, for
+    gnn, all entity surfaces from one `encode_texts` call.
+    """
+    if model.kind == "gnn" and not hasattr(encoder, "encode_texts"):
+        raise ValueError(
+            "gnn models need a text-capable encoder for entity node states; "
+            "the external-file encoder only serves cached facts"
+        )
+    grounding = list(ground_records(kg, records, model.cfg.max_nodes))
+    subgraphs = [sub for statements in grounding for _, sub in statements]
+    vectors: dict[str, np.ndarray] = {}
+    texts = encode_subgraphs(subgraphs, templates, encoder, vectors)
+    nodes = {VIRTUAL_NODE_ID: np.zeros(model.cfg.d)}  # a placeholder for the question state
+    if model.kind == "gnn":
+        entities = sorted({node for sub in subgraphs for node in sub.nodes} - {VIRTUAL_NODE_ID})
+        surfaces = [id_to_surface(entity) for entity in entities]
+        nodes.update(zip(entities, encoder.encode_texts(surfaces)))
+    encoding = DatasetEncoding(texts, vectors, nodes, model.relation_index)
+    questions = [
+        prepare_question(model, record, statements, encoding, conditions)
+        for record, statements in zip(records, grounding)
     ]
+    return {condition: [q[condition] for q in questions] for condition in conditions}
+
+
+def prepare_question(
+    model: Model,
+    record: QuestionRecord,
+    statements: list[tuple[GroundedStatement, Subgraph]],
+    encoding: DatasetEncoding,
+    conditions: tuple[str, ...],
+) -> dict[str, PreparedQuestion]:
+    """One record under each condition, from its statements' intact subgraphs.
+
+    A without_answers candidate is the intact one minus the answer-incident
+    edges' rows; its nodes, and so its token ids and node states, stay.
+    """
+    cfg = model.cfg
+    prepared = {c: PreparedQuestion([], record.answer_index) for c in conditions}
+    for stmt, sub in statements:
+        facts = sub.sorted_edges()
+        keys = [fact.key() for fact in facts]
+        ids = tokenize_statement(
+            stmt.context, stmt.question, stmt.candidate, model.tokenizer, cfg.max_tokens
+        )
+        intact = PreparedCandidate(
+            ids=np.asarray(ids, dtype=np.int64),
+            facts=facts,
+            fact_texts=[encoding.texts[key] for key in keys],
+            edge_matrix=(
+                np.stack([encoding.vectors[key] for key in keys]) if keys else np.zeros((0, cfg.d))
+            ),
+            subgraph=sub,
+        )
+        if model.kind == "gnn":
+            intact.gnn = subgraph_arrays(sub, encoding.relation_index)
+            intact.node_init = np.stack([encoding.nodes[node] for node in intact.gnn.node_ids])
+        for condition, question in prepared.items():
+            kept = apply_condition(sub, stmt, condition)
+            cand = intact
+            if kept is not sub:
+                rows = [i for i, fact in enumerate(facts) if fact in kept.edges]
+                cand = replace(
+                    intact,
+                    facts=[facts[i] for i in rows],
+                    fact_texts=[intact.fact_texts[i] for i in rows],
+                    edge_matrix=intact.edge_matrix[rows],
+                    subgraph=kept,
+                    gnn=subgraph_arrays(kept, encoding.relation_index) if intact.gnn else None,
+                )
+            question.candidates.append(cand)
+    return prepared
 
 
 # --- batched forward / backward ----------------------------------------------

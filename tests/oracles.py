@@ -1,7 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written with explicit loops and scalar math,
-not by calling the package kernels, so agreement is meaningful.
+not by calling the package kernels, so agreement is meaningful.  The
+exception is `prepare_question_oracle`: it reuses the package's retrieval,
+verbalizer and encoders one statement and one fact at a time, so agreement
+checks the dataset-level batching and the derived `without_answers` subgraphs.
 """
 
 from __future__ import annotations
@@ -313,3 +316,63 @@ def barycentric_membership(points: list[np.ndarray], target: np.ndarray, tol=1e-
         return False
     lambdas = list(coeffs) + [1.0 - float(np.sum(coeffs))]
     return all(lam >= -tol for lam in lambdas)
+
+
+def prepare_question_oracle(model, kg, templates, encoder, record, condition):
+    """Per-question preparation: one retrieval per statement and condition,
+    one encoder call per fact and per GNN entity node."""
+    from factpool.gnn import subgraph_arrays
+    from factpool.kg import (
+        VIRTUAL_NODE_ID,
+        add_virtual_question_node,
+        ground_statement,
+        id_to_surface,
+        remove_answer_edges,
+        retrieve_subgraph,
+    )
+    from factpool.model import WITHOUT_ANSWERS, PreparedCandidate, PreparedQuestion
+    from factpool.tokenizer import tokenize_statement
+    from factpool.verbalize import verbalize
+
+    cfg = model.cfg
+    candidates = []
+    for c_index, cand_text in enumerate(record.candidates):
+        stmt = ground_statement(
+            kg,
+            record.context,
+            record.question,
+            cand_text,
+            question_entities=(
+                set(record.question_entities) if record.question_entities is not None else None
+            ),
+            answer_entities=(
+                set(record.answer_entities[c_index]) if record.answer_entities is not None else None
+            ),
+        )
+        sub = add_virtual_question_node(retrieve_subgraph(kg, stmt, cfg.max_nodes), stmt)
+        if condition == WITHOUT_ANSWERS:
+            sub = remove_answer_edges(sub, stmt)
+        facts = sub.sorted_edges()
+        texts = [verbalize(f, templates).text for f in facts]
+        if facts:
+            matrix = np.stack([encoder.encode_fact_text(f, t) for f, t in zip(facts, texts)])
+        else:
+            matrix = np.zeros((0, cfg.d))
+        ids = np.asarray(
+            tokenize_statement(
+                stmt.context, stmt.question, stmt.candidate, model.tokenizer, cfg.max_tokens
+            ),
+            dtype=np.int64,
+        )
+        cand = PreparedCandidate(
+            ids=ids, facts=facts, fact_texts=texts, edge_matrix=matrix, subgraph=sub
+        )
+        if model.kind == "gnn":
+            cand.gnn = subgraph_arrays(sub, model.relation_index)
+            init = np.zeros((len(cand.gnn.node_ids), cfg.d))
+            for i, node in enumerate(cand.gnn.node_ids):
+                if node != VIRTUAL_NODE_ID:
+                    init[i] = encoder.encode_text(id_to_surface(node))
+            cand.node_init = init
+        candidates.append(cand)
+    return PreparedQuestion(candidates=candidates, answer_index=record.answer_index)

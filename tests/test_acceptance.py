@@ -43,7 +43,6 @@ from factpool.model import (
     gradient_check,
     load_model,
     prepare_dataset,
-    prepare_question,
     relation_table,
     train_model,
 )
@@ -351,7 +350,7 @@ def test_criterion_09_explain_report():
     train_model(model, prepared, epochs=3)
     record = next(r for r in records if r.meta.get("kind") == "kg")
     result = batch_forward(
-        model, [prepare_question(model, kg, templates, encoder, record)]
+        model, prepare_dataset(model, kg, templates, encoder, [record])
     )
     rep = explain(model, kg, templates, encoder, record, top_n=3)
     for idx, cand in enumerate(rep.candidates):

@@ -269,3 +269,43 @@ def test_explain_question_index_out_of_range_is_usage_error(workspace, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--question-index 14 is out of range" in err and "has 14 questions" in err
+
+
+def test_encode_into_cache_of_another_width_is_a_usage_error(workspace, capsys):
+    from factpool import cli
+
+    out = workspace / "enc_width"
+    cache = out / "embeddings.bin"
+    common = [*data_args(workspace), "--out", str(out)]
+    assert cli.main(["encode", *common, "--config", str(workspace / "run.cfg"),
+                     "--count", "3"]) == 0
+    before = cache.read_bytes()
+    wide = workspace / "wide.cfg"
+    wide.write_text(CONFIG_TEXT.replace("d=16", "d=32"), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["encode", *common, "--config", str(wide), "--count", "6"])
+    assert exc.value.code == 2
+    assert f"{cache}: embedding cache width 16 != config width d=32" in capsys.readouterr().err
+    assert cache.read_bytes() == before
+
+
+def test_eval_retrieves_each_statement_once(workspace, monkeypatch):
+    from factpool import cli, model as model_mod
+    from factpool.data import load_dataset
+
+    train_out = workspace / "train_once"
+    assert cli.main(["train", *data_args(workspace), "--config", str(workspace / "run.cfg"),
+                     "--count", "4", "--out", str(train_out)]) == 0
+    calls = []
+    real_retrieve = model_mod.retrieve_subgraph
+
+    def retrieve(*args, **kwargs):
+        calls.append(args[1])
+        return real_retrieve(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "retrieve_subgraph", retrieve)
+    assert cli.main(["eval", *data_args(workspace), "--checkpoint",
+                     str(train_out / "final.ckpt"), "--skip", "4", "--count", "5",
+                     "--out", str(workspace / "eval_once")]) == 0
+    records = load_dataset(workspace / "data" / "dataset.jsonl")[4:9]
+    assert len(calls) == sum(len(r.candidates) for r in records)

@@ -191,10 +191,11 @@ def test_encode_subgraph_canonical_order():
     cache: dict = {}
     # The same subgraph twice: every fact is verbalized and encoded once, in
     # canonical edge order, in one call.
-    assert encode_subgraphs([sub, sub], TEMPLATES, enc, cache) == 2 * len(sub.edges)
+    texts = encode_subgraphs([sub, sub], TEMPLATES, enc, cache)
     facts = sorted(sub.edges)
     assert enc.calls == [[verbalize(f, TEMPLATES).text for f in facts]]
     assert list(cache) == [f.key() for f in facts]
+    assert texts == {f.key(): verbalize(f, TEMPLATES).text for f in facts}
 
 
 def test_encode_subgraph_empty():
@@ -202,7 +203,7 @@ def test_encode_subgraph_empty():
 
     enc = RecordingEncoder(dim=8)
     cache: dict = {}
-    assert encode_subgraphs([Subgraph(nodes=set(), edges=set())], TEMPLATES, enc, cache) == 0
+    assert encode_subgraphs([Subgraph(nodes=set(), edges=set())], TEMPLATES, enc, cache) == {}
     assert cache == {}
     assert enc.calls == [[]]
 
@@ -233,11 +234,11 @@ def test_encode_subgraph_with_cache_matches_direct(tmp_path):
     class Exploding:
         dim = 8
 
-        def encode_texts(self, texts):
-            assert not texts, "cache should have been hit"
+        def encode_fact_texts(self, facts, texts):
+            assert not facts and not texts, "cache should have been hit"
             return []
 
-    assert encode_subgraphs([sub], TEMPLATES, Exploding(), reloaded) == len(sub.edges)
+    assert encode_subgraphs([sub], TEMPLATES, Exploding(), reloaded) == {}
     assert len(reloaded) == len(cache)  # nothing new was added
     for key, vec in direct.items():
         assert vec.tobytes() == cache[key].tobytes() == reloaded[key].tobytes()

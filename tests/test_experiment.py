@@ -21,7 +21,6 @@ from factpool.model import (
     batch_forward,
     build_encoder,
     create_model,
-    prepare_question,
     relation_table,
     train_model,
     prepare_dataset,
@@ -143,7 +142,7 @@ def test_explain_report_structure(micro_assets):
     report = explain(model, assets.kg, assets.templates, encoder, record, top_n=3)
     forward = batch_forward(
         model,
-        [prepare_question(model, assets.kg, assets.templates, encoder, record)],
+        prepare_dataset(model, assets.kg, assets.templates, encoder, [record]),
     )
     assert len(report.candidates) == len(record.candidates)
     for idx, cand in enumerate(report.candidates):
@@ -169,7 +168,7 @@ def test_explain_top_n_larger_than_edges(micro_assets):
     encoder = build_encoder(model)
     record = assets.train_records[0]
     report = explain(model, assets.kg, assets.templates, encoder, record, top_n=50)
-    prepared = prepare_question(model, assets.kg, assets.templates, encoder, record)
+    [prepared] = prepare_dataset(model, assets.kg, assets.templates, encoder, [record])
     for cand_report, cand in zip(report.candidates, prepared.candidates):
         for entries in cand_report.per_layer:
             assert len(entries) == len(cand.facts)
@@ -204,3 +203,44 @@ def test_pooled_aggregation_count_is_k_plus_one(k):
 def test_gnn_aggregation_count_is_nodes_times_layers(nodes, layers):
     cfg = Config(L=2, d=16, heads=2, gnn_layers=layers, vocab_size=64)
     assert count_aggregations("gnn", path_subgraph(nodes), cfg) == nodes * layers
+
+
+# --- one grounding per statement --------------------------------------------------
+
+
+def count_preparation_retrievals(monkeypatch):
+    """Calls of retrieve_subgraph made outside pipeline_hashes."""
+    from factpool import experiment, model as model_mod
+
+    calls, hashing = [], []
+    real_retrieve, real_hashes = model_mod.retrieve_subgraph, experiment.pipeline_hashes
+
+    def retrieve(*args, **kwargs):
+        if not hashing:
+            calls.append(args[1])
+        return real_retrieve(*args, **kwargs)
+
+    def hashes(*args, **kwargs):
+        hashing.append(True)
+        try:
+            return real_hashes(*args, **kwargs)
+        finally:
+            hashing.pop()
+
+    monkeypatch.setattr(model_mod, "retrieve_subgraph", retrieve)
+    monkeypatch.setattr(experiment, "pipeline_hashes", hashes)
+    return calls
+
+
+def statement_count(records):
+    return sum(len(r.candidates) for r in records)
+
+
+def test_run_experiment_retrieves_each_statement_once(micro_assets, monkeypatch):
+    ecfg = micro_ecfg(micro_assets)
+    assets = load_assets(ecfg)
+    calls = count_preparation_retrievals(monkeypatch)
+    run_experiment(ecfg, assets)
+    assert len(calls) == statement_count(assets.train_records) + statement_count(
+        assets.test_records
+    )

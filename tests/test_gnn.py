@@ -25,7 +25,7 @@ from factpool.model import (
     batch_forward,
     build_encoder,
     create_model,
-    prepare_question,
+    prepare_dataset,
     relation_table,
 )
 from factpool.transformer import scalar_head_forward
@@ -55,7 +55,7 @@ def gnn_question(gnn_layers=2):
     model = create_model(cfg, "gnn", relation_table(kg))
     encoder = build_encoder(model)
     record = next(r for r in records if r.meta.get("kind") == "kg")
-    return model, encoder, prepare_question(model, kg, templates, encoder, record)
+    return model, encoder, prepare_dataset(model, kg, templates, encoder, [record])[0]
 
 
 def single_edge_messages(params, init):

@@ -1,16 +1,21 @@
 import math
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import kg_from_facts
-from oracles import softmax_oracle
+from oracles import prepare_question_oracle, softmax_oracle
 
 from factpool.config import Config
 from factpool.harness_data import tiny_benchmark
+from factpool.kg import VIRTUAL_NODE_ID, id_to_surface, link_entities
 from factpool.model import (
+    CONDITIONS,
+    WITH_ANSWERS,
+    WITHOUT_ANSWERS,
     DivergenceError,
     NoBackwardCacheError,
     batch_backward,
@@ -21,13 +26,13 @@ from factpool.model import (
     create_model,
     evaluate,
     loss_and_grads,
+    prepare_conditions,
     prepare_dataset,
-    prepare_question,
     relation_table,
     train_model,
 )
 from factpool.data import QuestionRecord
-from factpool.encoders import write_embedding_cache
+from factpool.encoders import UncachedFactError, write_embedding_cache
 from factpool.synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -139,7 +144,7 @@ def test_zeroed_scoring_heads_give_uniform():
 
 def predict(model, record, kg, templates, encoder):
     """(choice index, probabilities) for one question through batch_forward."""
-    result = batch_forward(model, [prepare_question(model, kg, templates, encoder, record)])
+    result = batch_forward(model, prepare_dataset(model, kg, templates, encoder, [record]))
     return result.predictions[0], result.probs[0]
 
 
@@ -317,7 +322,7 @@ def test_graph_vectors_change_scores_only_through_fg_paths():
     model = create_model(cfg, "pooled", relation_table(kg))
     encoder = build_encoder(model)
     record = next(r for r in records if r.meta.get("kind") == "kg")
-    prepared = prepare_question(model, kg, templates, encoder, record)
+    [prepared] = prepare_dataset(model, kg, templates, encoder, [record])
     distinct = batch_forward(model, [prepared])
     # force identical pooled vectors by pointing every candidate at the same edges
     for cand in prepared.candidates[1:]:
@@ -379,3 +384,152 @@ def test_evaluate_peak_memory_below_half_of_caching_forward():
     cached_peak = peak(lambda: batch_forward(model, prepared, backward_cache=True))
     eval_peak = peak(lambda: evaluate(model, prepared))
     assert eval_peak < cached_peak / 2, (eval_peak, cached_peak)
+
+
+# --- preparation -------------------------------------------------------------------
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_candidate(got, want):
+    assert_same_array(got.ids, want.ids)
+    assert got.facts == want.facts
+    assert got.fact_texts == want.fact_texts
+    assert_same_array(got.edge_matrix, want.edge_matrix)
+    assert got.subgraph.canonical() == want.subgraph.canonical()
+    if want.gnn is None:
+        assert got.gnn is None and got.node_init is None
+        return
+    assert got.gnn.node_ids == want.gnn.node_ids
+    assert got.gnn.virtual_index == want.gnn.virtual_index
+    for name in ("src", "dst", "rel"):
+        assert_same_array(getattr(got.gnn, name), getattr(want.gnn, name))
+    assert_same_array(got.node_init, want.node_init)
+
+
+ENCODER_SETUPS = {
+    "hash-bag": dict(encoder_kind="hash-bag"),
+    "toy-mean": dict(encoder_kind="shared-toy-encoder", token_pooling="mean"),
+    "toy-cls": dict(encoder_kind="shared-toy-encoder", token_pooling="cls"),
+    "external-file": dict(encoder_kind="external-file"),
+}
+
+
+@pytest.mark.parametrize("condition", [WITH_ANSWERS, WITHOUT_ANSWERS])
+@pytest.mark.parametrize("setup", sorted(ENCODER_SETUPS))
+@pytest.mark.parametrize("kind", ["pooled", "gnn", "lm"])
+def test_prepare_dataset_matches_per_question_oracle(tmp_path, kind, setup, condition):
+    kg, templates, records = tiny_benchmark(seed=1, questions=6)
+    edgeless = QuestionRecord(question="zzq xqv", candidates=["vvx", "qqz"], answer_index=1)
+    # Pre-linked entity sets, one of them naming an entity the KG lacks.
+    first = records[0]
+    prelinked = QuestionRecord(
+        question=first.question,
+        candidates=first.candidates,
+        answer_index=first.answer_index,
+        question_entities=sorted(link_entities(first.question, kg)) + ["not_in_kg"],
+        answer_entities=[sorted(link_entities(c, kg)) for c in first.candidates[:-1]] + [[]],
+    )
+    records = records + [edgeless, prelinked]
+    cfg = small_cfg(**ENCODER_SETUPS[setup])
+    model = create_model(cfg, kind, relation_table(kg))
+    cache_path = None
+    if setup == "external-file":
+        hash_bag = create_model(small_cfg(), "pooled", model.relations)
+        intact = [
+            prepare_question_oracle(hash_bag, kg, templates, build_encoder(hash_bag), r, WITH_ANSWERS)
+            for r in records
+        ]
+        cache_path = str(tmp_path / "embeddings.bin")
+        write_embedding_cache(cache_path, fact_entries(intact, cfg.d), cfg.d)
+        if kind == "gnn":
+            with pytest.raises(ValueError, match="text-capable encoder"):
+                prepare_dataset(model, kg, templates, build_encoder(model, cache_path), records)
+            return
+    got = prepare_dataset(
+        model, kg, templates, build_encoder(model, cache_path), records, condition
+    )
+    oracle_encoder = build_encoder(model, cache_path)
+    want = [
+        prepare_question_oracle(model, kg, templates, oracle_encoder, r, condition)
+        for r in records
+    ]
+    assert [q.answer_index for q in got] == [q.answer_index for q in want]
+    assert [len(q.candidates) for q in got] == [len(q.candidates) for q in want]
+    edges = []
+    for q_got, q_want in zip(got, want):
+        for c_got, c_want in zip(q_got.candidates, q_want.candidates):
+            assert_same_candidate(c_got, c_want)
+            edges.append(len(c_want.facts))
+    assert 0 in edges and max(edges) > 0
+
+
+def test_prepare_names_the_fact_an_external_cache_lacks(tmp_path):
+    model, kg, templates, encoder, records, prepared = make_setup()
+    entries = fact_entries(prepared, 16)
+    dropped = max(entries)
+    del entries[dropped]
+    path = tmp_path / "partial.bin"
+    write_embedding_cache(str(path), entries, 16)
+    external = create_model(small_cfg(encoder_kind="external-file"), "pooled", model.relations)
+    cached = build_encoder(external, cache_path=str(path))
+    with pytest.raises(UncachedFactError, match="uncached fact") as exc:
+        prepare_dataset(external, kg, templates, cached, records[:4])
+    assert exc.value.args[0] == f"uncached fact: {dropped!r}"
+
+
+def test_prepare_conditions_equals_one_condition_at_a_time():
+    model, kg, templates, encoder, records, _ = make_setup(kind="gnn", questions=5)
+    both = prepare_conditions(model, kg, templates, encoder, records[:5])
+    assert list(both) == list(CONDITIONS)
+    for condition in CONDITIONS:
+        alone = prepare_dataset(model, kg, templates, encoder, records[:5], condition)
+        for q_both, q_alone in zip(both[condition], alone):
+            for c_both, c_alone in zip(q_both.candidates, q_alone.candidates):
+                assert_same_candidate(c_both, c_alone)
+
+
+def test_prepare_rejects_unknown_condition():
+    model, kg, templates, encoder, records, _ = make_setup()
+    with pytest.raises(ValueError, match="condition must be one of"):
+        prepare_dataset(model, kg, templates, encoder, records[:1], "no_graph")
+
+
+@pytest.mark.parametrize("kind", ["pooled", "gnn"])
+def test_toy_encoder_runs_one_forward_per_batch_group(monkeypatch, kind):
+    from factpool import encoders
+
+    cfg = small_cfg(encoder_kind="shared-toy-encoder")
+    kg, templates, records = tiny_benchmark(seed=1, questions=8)
+    model = create_model(cfg, kind, relation_table(kg))
+    encoder = build_encoder(model)
+    forwards = []
+    real_forward = encoders.trunk_forward
+
+    def counting_forward(*args, **kwargs):
+        forwards.append(args[3].shape[0])
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(encoders, "trunk_forward", counting_forward)
+    prepared = prepare_dataset(model, kg, templates, encoder, records)
+
+    def groups(texts):
+        # Distinct texts per sequence length ([CLS] + text tokens, capped).
+        lengths = Counter(
+            min(len(model.tokenizer.encode_text(t)) + 1, cfg.max_tokens) for t in set(texts)
+        )
+        return sum(-(-n // encoders.ENCODE_BATCH) for n in lengths.values())
+
+    cands = [c for q in prepared for c in q.candidates]
+    texts = [t for c in cands for t in c.fact_texts]
+    bound = groups(texts)
+    if kind == "gnn":
+        entities = [n for c in cands for n in c.gnn.node_ids if n != VIRTUAL_NODE_ID]
+        texts += [id_to_surface(n) for n in entities]
+        bound += groups(id_to_surface(n) for n in entities)
+    assert bound < len(set(texts))  # batching has something to save
+    assert 0 < len(forwards) <= bound
+    assert sum(forwards) == len(set(texts))

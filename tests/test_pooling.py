@@ -10,7 +10,7 @@ from factpool.model import (
     batch_forward,
     build_encoder,
     create_model,
-    prepare_question,
+    prepare_dataset,
     relation_table,
 )
 from factpool.numerics import softmax_stable
@@ -118,7 +118,7 @@ def test_empty_pool_returns_zero_vector():
     # trunk and heads.
     model, kg, templates, encoder, _ = pooled_model()
     record = QuestionRecord(question="zzq xqv", candidates=["vvx", "qqz"], answer_index=0)
-    prepared = prepare_question(model, kg, templates, encoder, record)
+    [prepared] = prepare_dataset(model, kg, templates, encoder, [record])
     assert all(c.edge_matrix.shape == (0, 8) for c in prepared.candidates)
     result = batch_forward(model, [prepared])
     assert all(w[0].shape == (0,) for w in result.pool_weights)
@@ -131,7 +131,7 @@ def test_pool_multi_reductions():
     # batch_forward runs one independent pooling head per fusion slot.
     model, kg, templates, encoder, records = pooled_model(K=2)
     record = next(r for r in records if r.meta.get("kind") == "kg")
-    prepared = prepare_question(model, kg, templates, encoder, record)
+    [prepared] = prepare_dataset(model, kg, templates, encoder, [record])
     matrix = prepared.candidates[0].edge_matrix
     assert matrix.shape[0] >= 2
     heads = model.pooling_heads()
