@@ -19,7 +19,6 @@ from factpool.kg import (
     remove_answer_edges,
     retrieve_subgraph,
 )
-from factpool.pooling import PoolingHead
 from factpool.verbalize import TemplateTable, VerbalizedFact, verbalize
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "Subgraph",
     "TemplateTable",
     "VerbalizedFact",
-    "PoolingHead",
     "add_virtual_question_node",
     "link_entities",
     "load_kg",

@@ -178,7 +178,7 @@ def cmd_eval(args) -> int:
 
 
 def _experiment_config(args, cfg: Config) -> ExperimentConfig:
-    seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else (cfg.seed,)
+    seeds = tuple(args.seeds) if args.seeds else (cfg.seed,)
     return ExperimentConfig(
         config=cfg,
         kg_path=args.kg,
@@ -196,8 +196,7 @@ def _experiment_config(args, cfg: Config) -> ExperimentConfig:
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
     ecfg = _experiment_config(args, cfg)
-    values = [int(v) for v in args.values.split(",")] if args.values else None
-    _, text = sweep(ecfg, args.axis, values)
+    _, text = sweep(ecfg, args.axis, args.values)
     print(text, end="")
     return 0
 
@@ -271,8 +270,9 @@ def _add_slice_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--count", type=_positive_int, default=None)
 
 
-def _positive_ints(text: str) -> list[int]:
-    return [_positive_int(v) for v in text.split(",")]
+def _ints_at_least(low: int):
+    """argparse type: a comma-separated list of integers >= low."""
+    return lambda text: [_int_at_least(low)(v) for v in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,12 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     _add_data_flags(p)
     p.add_argument("--axis", choices=("K", "max_nodes"), required=True)
-    p.add_argument("--values", type=str, default=None, help="comma-separated")
+    p.add_argument("--values", type=_ints_at_least(0), default=None, help="comma-separated")
     p.add_argument("--model", choices=("pooled", "gnn", "lm"), default="pooled")
     p.add_argument("--condition", choices=CONDITIONS, default=WITH_ANSWERS)
-    p.add_argument("--train-count", dest="train_count", type=int, required=True)
-    p.add_argument("--test-count", dest="test_count", type=int, required=True)
-    p.add_argument("--seeds", type=str, default=None, help="comma-separated")
+    p.add_argument("--train-count", dest="train_count", type=_positive_int, required=True)
+    p.add_argument("--test-count", dest="test_count", type=_positive_int, required=True)
+    p.add_argument("--seeds", type=_ints_at_least(0), default=None, help="comma-separated")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("explain", help="top scored facts per fusion layer")
@@ -348,12 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     _common_flags(p)
     p.add_argument("--model", choices=("pooled", "gnn", "lm"), default="pooled")
-    p.add_argument("--max-per-param", dest="max_per_param", type=int, default=None)
+    p.add_argument("--max-per-param", dest="max_per_param", type=_positive_int, default=None)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("count-aggs", help="aggregation counts per statement")
     _common_flags(p)
-    p.add_argument("--nodes", type=_positive_ints, default="4,16,32", help="comma-separated")
+    p.add_argument("--nodes", type=_ints_at_least(1), default="4,16,32", help="comma-separated")
     p.set_defaults(func=cmd_count_aggs)
 
     return parser

@@ -80,6 +80,24 @@ def subgraph_arrays(sub: Subgraph, relation_index: dict[str, int]) -> SubgraphAr
     )
 
 
+def union_arrays(parts: list[SubgraphArrays]) -> tuple[SubgraphArrays, np.ndarray]:
+    """The disjoint union of `parts`, for one message-passing run over a batch.
+
+    Part i's nodes follow part i-1's and its message indices are offset to
+    match, so no message crosses parts.  Returns (union, each part's
+    virtual-node index in the union).
+    """
+    offsets = np.cumsum([0] + [len(part.node_ids) for part in parts[:-1]])
+    union = SubgraphArrays(
+        node_ids=[node for part in parts for node in part.node_ids],
+        src=np.concatenate([part.src + off for part, off in zip(parts, offsets)]),
+        dst=np.concatenate([part.dst + off for part, off in zip(parts, offsets)]),
+        rel=np.concatenate([part.rel for part in parts]),
+        virtual_index=None,
+    )
+    return union, offsets + [part.virtual_index for part in parts]
+
+
 def gnn_forward_arrays(
     params: dict[str, np.ndarray],
     cfg: GNNConfig,

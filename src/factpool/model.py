@@ -36,6 +36,7 @@ from factpool.gnn import (
     gnn_forward_arrays,
     init_gnn_params,
     subgraph_arrays,
+    union_arrays,
 )
 from factpool.kg import (
     VIRTUAL_ANSWER_RELATION,
@@ -52,7 +53,7 @@ from factpool.kg import (
     retrieve_subgraph,
 )
 from factpool.optim import RAdam
-from factpool.pooling import PoolingHead, init_pooling_head, pool_backward_arrays, pool_forward
+from factpool.pooling import init_pooling_head, pool_backward_arrays, pool_forward
 from factpool.tokenizer import PAD_ID, Tokenizer, tokenize_statement
 from factpool.transformer import (
     NoBackwardCacheError,
@@ -87,12 +88,6 @@ class Model:
     def relation_index(self) -> dict[str, int]:
         return {rel: i for i, rel in enumerate(self.relations)}
 
-    def pooling_heads(self) -> list[PoolingHead]:
-        return [
-            PoolingHead(**{f.name: self.params[f"pool{k}.{f.name}"] for f in fields(PoolingHead)})
-            for k in range(self.cfg.num_pooling_heads())
-        ]
-
     def frozen_snapshot(self) -> dict[str, np.ndarray]:
         return {
             name[len(_FROZEN_PREFIX) :]: arr
@@ -120,9 +115,7 @@ def create_model(cfg: Config, kind: str, relations: list[str]) -> Model:
         params.update(init_scalar_head("fg", cfg.d, rng, dtype))
     if kind == "pooled":
         for k in range(cfg.num_pooling_heads()):
-            head = init_pooling_head(cfg.d, rng, dtype)
-            for f in fields(head):
-                params[f"pool{k}.{f.name}"] = getattr(head, f.name)
+            params.update(init_pooling_head(f"pool{k}", cfg.d, rng, dtype))
     if kind == "gnn":
         params.update(init_gnn_params(cfg.d, len(relations), rng, dtype))
     if cfg.encoder_kind == "shared-toy-encoder":
@@ -378,28 +371,29 @@ def batch_forward(
     params = model.params
     flat, slices, ids, mask = _flatten(questions)
     bs = len(flat)
-    aggregations = 0
-    pool_caches: list[list] = [[] for _ in range(bs)]
+    pool_caches = []
     pool_weights: list[list[np.ndarray]] = [[] for _ in range(bs)]
     if model.kind == "pooled":
-        heads = model.pooling_heads()
-        g = np.zeros((len(heads), bs, cfg.d))
-        for i, cand in enumerate(flat):
-            for k, head in enumerate(heads):
-                if cand.edge_matrix.shape[0]:
-                    pooled, weights, cache = pool_forward(head, cand.edge_matrix)
-                    g[k, i] = pooled
-                else:
-                    weights, cache = np.zeros(0), None
-                if backward_cache:
-                    pool_caches[i].append(cache)
-                pool_weights[i].append(weights)
-                aggregations += 1
+        counts = [cand.edge_matrix.shape[0] for cand in flat]
+        bounds = np.cumsum(counts[:-1])
+        edges = np.concatenate([cand.edge_matrix for cand in flat])
+        heads = cfg.num_pooling_heads()
+        g = np.zeros((heads, bs, cfg.d))
+        head_weights = []
+        for k in range(heads):
+            g[k], weights, cache = pool_forward(params, edges, counts, f"pool{k}")
+            head_weights.append(np.split(weights, bounds))
+            # An edgeless batch keeps no pooling cache, so its pool* parameters
+            # get no gradient: RAdam would move them on a zero gradient.
+            if backward_cache and edges.shape[0]:
+                pool_caches.append(cache)
+        del edges, cache  # otherwise alive through the trunk forward, the peak
+        pool_weights = [list(per_head) for per_head in zip(*head_weights)]
+        aggregations = heads * bs
         graph_init = g[0]
-        injections = {
-            _injection_layer(cfg.L, k): g[k] for k in range(1, cfg.num_pooling_heads())
-        }
+        injections = {_injection_layer(cfg.L, k): g[k] for k in range(1, heads)}
     else:
+        aggregations = 0
         g = np.zeros((1, bs, cfg.d))
         graph_init = g[0]
         injections = {}
@@ -409,19 +403,14 @@ def batch_forward(
     q_final = states[:, 1, :]
     graph_final = states[:, 0, :]
     fq_scores, fq_cache = scalar_head_forward(params, "fq", q_final)
-    gnn_caches = []
     if model.kind == "gnn":
-        gcfg = model.gnn_config()
-        gamma = np.zeros((bs, cfg.d))
-        for i, cand in enumerate(flat):
-            node_init = cand.node_init.copy()
-            node_init[cand.gnn.virtual_index] = q_final[i]
-            final, gcache, count = gnn_forward_arrays(params, gcfg, cand.gnn, node_init)
-            gamma[i] = final[cand.gnn.virtual_index]
-            if backward_cache:
-                gnn_caches.append(gcache)
-            aggregations += count
-        graph_scores, fg_cache = scalar_head_forward(params, "gnn.score", gamma)
+        arrays, virtual = union_arrays([cand.gnn for cand in flat])
+        node_init = np.concatenate([cand.node_init for cand in flat])
+        node_init[virtual] = q_final
+        final, gnn_cache, aggregations = gnn_forward_arrays(
+            params, model.gnn_config(), arrays, node_init
+        )
+        graph_scores, fg_cache = scalar_head_forward(params, "gnn.score", final[virtual])
     else:
         gamma = graph_init if cfg.K == 0 else graph_final
         graph_scores, fg_cache = scalar_head_forward(params, "fg", gamma)
@@ -453,13 +442,13 @@ def batch_forward(
     caches = {"trunk_cache": trunk_cache, "q_final": q_final, "graph_states_final": states}
     if backward_cache:
         caches.update(
-            flat=flat,
             pool_caches=pool_caches,
             fq_cache=fq_cache,
             fg_cache=fg_cache,
-            gnn_caches=gnn_caches,
             d_scores=d_scores,
         )
+        if model.kind == "gnn":
+            caches.update(gnn_cache=gnn_cache, gnn_virtual=virtual)
     return BatchResult(
         loss=float(loss),
         scores=scores,
@@ -480,8 +469,6 @@ def batch_backward(model: Model, result: BatchResult) -> dict[str, np.ndarray]:
         raise NoBackwardCacheError(
             "batch_forward ran without a backward cache; call it with backward_cache=True"
         )
-    flat = caches["flat"]
-    bs = len(flat)
     d_scores = caches["d_scores"]
     grads: dict[str, np.ndarray] = {}
 
@@ -501,14 +488,13 @@ def batch_backward(model: Model, result: BatchResult) -> dict[str, np.ndarray]:
             params, "gnn.score", caches["fg_cache"], d_scores
         )
         accumulate(head_grads)
-        gcfg = model.gnn_config()
-        for i, cand in enumerate(flat):
-            n = len(cand.gnn.node_ids)
-            d_final = np.zeros((n, cfg.d))
-            d_final[cand.gnn.virtual_index] = d_gamma[i]
-            gnn_grads, d_init = gnn_backward_arrays(params, gcfg, caches["gnn_caches"][i], d_final)
-            accumulate(gnn_grads)
-            d_q_final[i] += d_init[cand.gnn.virtual_index]
+        gnn_cache, virtual = caches["gnn_cache"], caches["gnn_virtual"]
+        arrays, _, _ = gnn_cache
+        d_final = np.zeros((len(arrays.node_ids), cfg.d))
+        d_final[virtual] = d_gamma
+        gnn_grads, d_init = gnn_backward_arrays(params, model.gnn_config(), gnn_cache, d_final)
+        accumulate(gnn_grads)
+        d_q_final += d_init[virtual]
     else:
         head_grads, d_gamma = scalar_head_backward(params, "fg", caches["fg_cache"], d_scores)
         accumulate(head_grads)
@@ -522,24 +508,17 @@ def batch_backward(model: Model, result: BatchResult) -> dict[str, np.ndarray]:
     )
     accumulate(trunk_grads)
     if model.kind == "pooled":
-        heads = model.pooling_heads()
-        d_g = np.zeros((len(heads), bs, cfg.d))
+        d_g = np.zeros((cfg.num_pooling_heads(), len(d_scores), cfg.d))
         d_g[0] = d_graph_init
         if d_g0_direct is not None:
             d_g[0] += d_g0_direct
-        for k in range(1, len(heads)):
+        for k in range(1, len(d_g)):
             layer = _injection_layer(cfg.L, k)
             if layer in d_injections:
                 d_g[k] = d_injections[layer]
-        pool_caches = caches["pool_caches"]
-        for i, cand in enumerate(flat):
-            if not cand.edge_matrix.shape[0]:
-                continue
-            for k, head in enumerate(heads):
-                head_grads, _d_edges = pool_backward_arrays(
-                    head, pool_caches[i][k], d_g[k, i]
-                )
-                accumulate({f"pool{k}.{name}": grad for name, grad in head_grads.items()})
+        for k, cache in enumerate(caches["pool_caches"]):
+            head_grads, _d_edges = pool_backward_arrays(params, cache, d_g[k], f"pool{k}")
+            accumulate(head_grads)
     return grads
 
 

@@ -1,91 +1,89 @@
 """Global attention pooling over edge embeddings.
 
 Each edge embedding h_e is scored by a small key network producing one logit
-per edge; a stable softmax turns the logits into weights a_e, and the pooled
-graph vector is the weighted sum of value-projected embeddings:
+per edge; a stable softmax over a candidate's edges turns the logits into
+weights a_e, and the candidate's pooled graph vector is the weighted sum of
+value-projected embeddings:
 
     g = sum_e a_e * (h_e W_v + b_v),   a = softmax(key_net(h_e)).
 
 The key network is one hidden GELU layer mapping d -> d -> 1.  For late
 fusion, one independent head per fusion slot produces its own weights and
-pooled vector.  Backward passes are exact reverse-mode gradients of this
-composition.
+pooled vector.  A head pools a whole batch in one call: the candidates' edge
+rows are stacked, the key net and values run as one GEMM each, and the
+softmax and weighted sum run per candidate segment.  Backward passes are
+exact reverse-mode gradients of this composition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from factpool.numerics import gelu_cached, gelu_grad_cached, softmax_backward, softmax_stable
-
-HEAD_PARAM_NAMES = ("w_value", "b_value", "w_key1", "b_key1", "w_key2", "b_key2")
+from factpool.numerics import gelu_cached, gelu_grad_cached
 
 
-@dataclass
-class PoolingHead:
-    w_value: np.ndarray  # [d, d]
-    b_value: np.ndarray  # [d]
-    w_key1: np.ndarray  # [d, d]
-    b_key1: np.ndarray  # [d]
-    w_key2: np.ndarray  # [d]
-    b_key2: np.ndarray  # [1]
-
-
-def init_pooling_head(d: int, rng: np.random.Generator, dtype=np.float64) -> PoolingHead:
-    """Near-identity value projection; small uniform key net.
-
-    This keeps an untrained head close to unweighted mean pooling.
-    """
+def init_pooling_head(
+    prefix: str, d: int, rng: np.random.Generator, dtype=np.float64
+) -> dict[str, np.ndarray]:
+    """The `{prefix}.*` parameters: a near-identity value projection and a
+    small uniform key net, which keep an untrained head close to unweighted
+    mean pooling."""
     bound = 1.0 / np.sqrt(d)
-    return PoolingHead(
-        w_value=(np.eye(d) + 0.01 * rng.standard_normal((d, d))).astype(dtype),
-        b_value=np.zeros(d, dtype=dtype),
-        w_key1=rng.uniform(-bound, bound, size=(d, d)).astype(dtype),
-        b_key1=np.zeros(d, dtype=dtype),
-        w_key2=rng.uniform(-bound, bound, size=d).astype(dtype),
-        b_key2=np.zeros(1, dtype=dtype),
-    )
+    return {
+        f"{prefix}.w_value": (np.eye(d) + 0.01 * rng.standard_normal((d, d))).astype(dtype),
+        f"{prefix}.b_value": np.zeros(d, dtype=dtype),
+        f"{prefix}.w_key1": rng.uniform(-bound, bound, size=(d, d)).astype(dtype),
+        f"{prefix}.b_key1": np.zeros(d, dtype=dtype),
+        f"{prefix}.w_key2": rng.uniform(-bound, bound, size=d).astype(dtype),
+        f"{prefix}.b_key2": np.zeros(1, dtype=dtype),
+    }
 
 
-def pool_forward(head: PoolingHead, matrix: np.ndarray):
-    """Array-level forward.  Returns (pooled [d], weights [E], cache)."""
-    pre = matrix @ head.w_key1 + head.b_key1
+def pool_forward(params: dict[str, np.ndarray], matrix: np.ndarray, counts, prefix: str):
+    """Pool every candidate of a batch with head `prefix`.
+
+    matrix [E, d] stacks the candidates' edge rows in candidate order and
+    counts[i] is candidate i's number of rows.  Returns (pooled [B, d],
+    weights [E], cache).  An edgeless candidate pools to zeros.
+    """
+    counts = np.asarray(counts, dtype=np.intp)
+    nonempty = counts > 0
+    sizes = counts[nonempty]
+    starts = np.cumsum(sizes) - sizes  # first row of each non-empty segment
+    rows = np.repeat(np.arange(len(counts)), counts)  # each row's candidate
+    pre = matrix @ params[f"{prefix}.w_key1"] + params[f"{prefix}.b_key1"]
     hidden, pre_t = gelu_cached(pre)
-    logits = hidden @ head.w_key2 + head.b_key2[0]
-    weights = softmax_stable(logits)
-    values = matrix @ head.w_value + head.b_value
-    pooled = weights @ values
-    cache = (matrix, pre, pre_t, hidden, weights, values)
+    logits = hidden @ params[f"{prefix}.w_key2"] + params[f"{prefix}.b_key2"][0]
+    logits -= np.repeat(np.maximum.reduceat(logits, starts), sizes)
+    weights = np.exp(logits, out=logits)
+    weights /= np.repeat(np.add.reduceat(weights, starts), sizes)
+    values = matrix @ params[f"{prefix}.w_value"] + params[f"{prefix}.b_value"]
+    pooled = np.zeros((len(counts), values.shape[1]), dtype=values.dtype)
+    pooled[nonempty] = np.add.reduceat(weights[:, None] * values, starts, axis=0)
+    cache = (matrix, pre, pre_t, hidden, weights, values, starts, sizes, rows)
     return pooled, weights, cache
 
 
-def pool_backward_arrays(head: PoolingHead, cache, upstream: np.ndarray):
-    """Array-level backward.  Returns (param grads dict, d_matrix [E, d])."""
-    matrix, pre, pre_t, hidden, weights, values = cache
-    upstream = np.asarray(upstream, dtype=np.float64)
+def pool_backward_arrays(params: dict[str, np.ndarray], cache, upstream: np.ndarray, prefix: str):
+    """Backward of `pool_forward`; upstream [B, d] is each pooled vector's
+    gradient.  Returns (param grads by name, d_matrix [E, d])."""
+    matrix, pre, pre_t, hidden, weights, values, starts, sizes, rows = cache
+    upstream = upstream[rows]  # [E, d]: each row's candidate gradient
     # Value path: g = sum_e a_e * values_e.
-    d_values = np.outer(weights, upstream)
-    d_w_value = matrix.T @ d_values
-    d_b_value = d_values.sum(axis=0)
-    d_matrix = d_values @ head.w_value.T
-    # Weight path through the softmax and key net.
-    d_weights = values @ upstream
-    d_logits = softmax_backward(weights, d_weights)
-    d_w_key2 = hidden.T @ d_logits
-    d_b_key2 = np.array([d_logits.sum()])
-    d_hidden = np.outer(d_logits, head.w_key2)
-    d_pre = d_hidden * gelu_grad_cached(pre, pre_t)
-    d_w_key1 = matrix.T @ d_pre
-    d_b_key1 = d_pre.sum(axis=0)
-    d_matrix = d_matrix + d_pre @ head.w_key1.T
+    d_values = weights[:, None] * upstream
+    d_matrix = d_values @ params[f"{prefix}.w_value"].T
+    # Weight path through the segment softmax and the key net.
+    d_logits = weights * (values * upstream).sum(axis=1)
+    d_logits -= weights * np.repeat(np.add.reduceat(d_logits, starts), sizes)
+    d_pre = np.outer(d_logits, params[f"{prefix}.w_key2"])
+    d_pre *= gelu_grad_cached(pre, pre_t)
+    d_matrix += d_pre @ params[f"{prefix}.w_key1"].T
     grads = {
-        "w_value": d_w_value,
-        "b_value": d_b_value,
-        "w_key1": d_w_key1,
-        "b_key1": d_b_key1,
-        "w_key2": d_w_key2,
-        "b_key2": d_b_key2,
+        f"{prefix}.w_value": matrix.T @ d_values,
+        f"{prefix}.b_value": d_values.sum(axis=0),
+        f"{prefix}.w_key1": matrix.T @ d_pre,
+        f"{prefix}.b_key1": d_pre.sum(axis=0),
+        f"{prefix}.w_key2": hidden.T @ d_logits,
+        f"{prefix}.b_key2": d_logits.sum(keepdims=True),
     }
     return grads, d_matrix

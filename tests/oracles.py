@@ -21,26 +21,30 @@ def softmax_oracle(logits) -> list[float]:
     return [e / total for e in exps]
 
 
-def pool_oracle(head, matrix) -> np.ndarray:
-    """Loop re-implementation of attention pooling over edge rows."""
+def pool_oracle(params, matrix, prefix) -> np.ndarray:
+    """Loop re-implementation of attention pooling of one candidate's edge
+    rows with the head whose parameters are `{prefix}.*`."""
+    w_key1, b_key1 = params[f"{prefix}.w_key1"], params[f"{prefix}.b_key1"]
+    w_key2, b_key2 = params[f"{prefix}.w_key2"], params[f"{prefix}.b_key2"]
+    w_value, b_value = params[f"{prefix}.w_value"], params[f"{prefix}.b_value"]
     n, d = matrix.shape
     logits = []
     for i in range(n):
         hidden = []
-        for j in range(head.w_key1.shape[1]):
-            acc = head.b_key1[j]
+        for j in range(w_key1.shape[1]):
+            acc = b_key1[j]
             for t in range(d):
-                acc += matrix[i, t] * head.w_key1[t, j]
+                acc += matrix[i, t] * w_key1[t, j]
             hidden.append(gelu_scalar(acc))
-        z = head.b_key2[0]
+        z = b_key2[0]
         for j, hj in enumerate(hidden):
-            z += hj * head.w_key2[j]
+            z += hj * w_key2[j]
         logits.append(z)
     weights = softmax_oracle(logits)
     out = np.zeros(d)
     for i in range(n):
         value = [
-            head.b_value[j] + sum(matrix[i, t] * head.w_value[t, j] for t in range(d))
+            b_value[j] + sum(matrix[i, t] * w_value[t, j] for t in range(d))
             for j in range(d)
         ]
         for j in range(d):

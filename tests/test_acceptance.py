@@ -75,13 +75,13 @@ def test_criterion_02_pooling_invariant_suite():
     for i in range(1000):
         d = dims[i % len(dims)]
         n_edges = int(rng.integers(1, 41))
-        head = init_pooling_head(d, rng)
+        head = init_pooling_head("pool0", d, rng)
         matrix = rng.standard_normal((n_edges, d)) * rng.uniform(0.2, 3.0)
-        pooled, weights, _ = pool_forward(head, matrix)
+        pooled, weights, _ = pool_forward(head, matrix, [n_edges], "pool0")
         assert abs(weights.sum() - 1.0) < 1e-9
         assert np.all(weights >= 0.0) and np.all(weights <= 1.0)
         perm = rng.permutation(n_edges)
-        pooled_p, weights_p, _ = pool_forward(head, matrix[perm])
+        pooled_p, weights_p, _ = pool_forward(head, matrix[perm], [n_edges], "pool0")
         assert np.allclose(weights_p, weights[perm], atol=1e-12)
         assert np.allclose(pooled_p, pooled, atol=1e-12)
         # exact logit-shift invariance on exactly-representable shifts
@@ -89,13 +89,13 @@ def test_criterion_02_pooling_invariant_suite():
         shift = float(rng.integers(-(2**12), 2**12)) / 2.0**6
         assert np.array_equal(softmax_stable(logits), softmax_stable(logits + shift))
         # single-edge and uniform-logit cases are exact
-        _, w_single, _ = pool_forward(head, matrix[:1])
+        _, w_single, _ = pool_forward(head, matrix[:1], [1], "pool0")
         assert w_single.tolist() == [1.0]
         uniform = softmax_stable(np.full(n_edges, float(rng.integers(-6, 7))))
         assert np.all(uniform == 1.0 / n_edges)
         # identical embedding rows: uniform up to last-ulp BLAS blocking noise
         tiled = np.tile(matrix[:1], (n_edges, 1))
-        _, w_tiled, _ = pool_forward(head, tiled)
+        _, w_tiled, _ = pool_forward(head, tiled, [n_edges], "pool0")
         assert np.allclose(w_tiled, 1.0 / n_edges, rtol=0, atol=1e-12)
     report(2, "pooling invariants", f"1000 instances in {time.time()-start:.1f}s")
 
@@ -204,10 +204,10 @@ def test_criterion_06_oracle_equivalence():
         d = int(rng.integers(2, 9))
         # pooling vs loop oracle
         n_edges = int(rng.integers(1, 6))
-        head = init_pooling_head(d, rng)
+        head = init_pooling_head("pool0", d, rng)
         matrix = rng.standard_normal((n_edges, d))
-        pooled, _, _ = pool_forward(head, matrix)
-        assert np.max(np.abs(pooled - pool_oracle(head, matrix))) < 1e-12
+        [pooled], _, _ = pool_forward(head, matrix, [n_edges], "pool0")
+        assert np.max(np.abs(pooled - pool_oracle(head, matrix, "pool0"))) < 1e-12
         # message vs loop oracle: the one message a -> b of a single-fact graph
         params = init_gnn_params(d, num_relations=3, rng=rng)
         r = int(rng.integers(3))

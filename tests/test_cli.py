@@ -233,6 +233,41 @@ def test_sweep_cli(workspace):
     assert (out / "sweep_K.txt").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_gradcheck_max_per_param_must_be_positive(capsys, value):
+    from factpool import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gradcheck", f"--max-per-param={value}"])
+    assert exc.value.code == 2
+    assert "--max-per-param" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--train-count", "-38"),
+        ("--train-count", "0"),
+        ("--test-count", "-1"),
+        ("--values", "x"),
+        ("--values", "0,-1"),
+        ("--values", "1,,2"),
+        ("--seeds", "x"),
+        ("--seeds", "-1"),
+        ("--seeds", ""),
+    ],
+)
+def test_bad_sweep_flags_are_usage_errors(capsys, flag, value):
+    from factpool import cli
+
+    flags = {"--train-count": "8", "--test-count": "4", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--kg", "kg.tsv", "--dataset", "d.jsonl", "--axis", "K",
+                  *(f"{name}={text}" for name, text in flags.items())])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [

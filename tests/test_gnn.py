@@ -10,10 +10,12 @@ from factpool.gnn import (
     gnn_forward_arrays,
     init_gnn_params,
     subgraph_arrays,
+    union_arrays,
 )
 from factpool.harness_data import tiny_benchmark
 from factpool.kg import (
     VIRTUAL_NODE_ID,
+    VIRTUAL_QUESTION_RELATION,
     Fact,
     GroundedStatement,
     Subgraph,
@@ -21,6 +23,7 @@ from factpool.kg import (
     id_to_surface,
     retrieve_subgraph,
 )
+from factpool import model as model_mod
 from factpool.model import (
     batch_forward,
     build_encoder,
@@ -69,16 +72,64 @@ def single_edge_messages(params, init):
 def test_init_nodes_virtual_and_entities():
     model, encoder, prepared = gnn_question()
     result = batch_forward(model, [prepared], backward_cache=True)
+    _, layer_caches, _ = result._caches["gnn_cache"]
+    layer0 = layer_caches[0][0]  # the union graph's initial node states
+    offset = 0
     for i, cand in enumerate(prepared.candidates):
         assert cand.gnn.node_ids == sorted(cand.subgraph.nodes)
         assert len(cand.gnn.node_ids) > 1
-        _, layer_caches, _ = result._caches["gnn_caches"][i]
-        layer0 = layer_caches[0][0]
-        for row, node in enumerate(cand.gnn.node_ids):
+        for row, node in enumerate(cand.gnn.node_ids, start=offset):
             if node == VIRTUAL_NODE_ID:
+                assert result._caches["gnn_virtual"][i] == row
                 assert np.array_equal(layer0[row], result._caches["q_final"][i])
             else:
                 assert np.array_equal(layer0[row], encoder.encode_text(id_to_surface(node)))
+        offset += len(cand.gnn.node_ids)
+    assert offset == len(layer0)
+
+
+def test_batch_forward_message_passes_once(monkeypatch):
+    model, _, prepared = gnn_question()
+    calls = []
+    real = model_mod.gnn_forward_arrays
+
+    def counting(*args):
+        calls.append(len(args[2].node_ids))
+        return real(*args)
+
+    monkeypatch.setattr(model_mod, "gnn_forward_arrays", counting)
+    result = batch_forward(model, [prepared, prepared])
+    nodes = 2 * sum(len(cand.gnn.node_ids) for cand in prepared.candidates)
+    assert calls == [nodes]
+    assert result.aggregations == nodes * model.cfg.gnn_layers
+
+
+def test_union_matches_oracle_per_part():
+    # One run over the disjoint union equals a loop run per part.
+    facts = [
+        [("a", "r", "b"), ("b", "s", "c")],
+        [("x", "s", "y")],
+        [("p", "r", "q"), ("q", "r", "p"), ("p", "s", "s2"), ("s2", "r", "q")],
+    ]
+    subs = [make_sub(part, {f[0] for f in part} | {f[2] for f in part})[2] for part in facts]
+    index = {"r": 0, "s": 1, VIRTUAL_QUESTION_RELATION: 2}
+    parts = [subgraph_arrays(sub, index) for sub in subs]
+    union, virtual = union_arrays(parts)
+    sizes = [len(part.node_ids) for part in parts]
+    assert len(union.node_ids) == sum(sizes)
+    assert [union.node_ids[v] for v in virtual] == [VIRTUAL_NODE_ID] * len(parts)
+    d = 6
+    params = init_gnn_params(d, len(index), np.random.default_rng(15))
+    rng = np.random.default_rng(16)
+    inits = [rng.standard_normal((n, d)) for n in sizes]
+    for agg in ("sum", "mean"):
+        final, _, count = gnn_forward_arrays(
+            params, GNNConfig(layers=2, aggregation=agg), union, np.concatenate(inits)
+        )
+        assert count == 2 * sum(sizes)
+        for part, init, rows in zip(parts, inits, np.split(final, np.cumsum(sizes[:-1]))):
+            edges = list(zip(part.src, part.dst, part.rel))
+            assert np.max(np.abs(rows - gnn_oracle(params, 2, agg, init, edges))) < 1e-12
 
 
 def test_message_matches_oracle_and_is_pure():

@@ -6,29 +6,34 @@ from oracles import barycentric_membership, fd_gradient, pool_oracle, softmax_or
 from factpool.config import Config
 from factpool.data import QuestionRecord
 from factpool.harness_data import tiny_benchmark
+from factpool import model as model_mod
 from factpool.model import (
     batch_forward,
     build_encoder,
     create_model,
+    loss_and_grads,
     prepare_dataset,
     relation_table,
 )
 from factpool.numerics import softmax_stable
-from factpool.pooling import (
-    HEAD_PARAM_NAMES,
-    init_pooling_head,
-    pool_backward_arrays,
-    pool_forward,
-)
+from factpool.pooling import init_pooling_head, pool_backward_arrays, pool_forward
+
+HEAD = "pool0"
 
 
 def make_head(d, seed=0):
-    return init_pooling_head(d, np.random.default_rng(seed))
+    return init_pooling_head(HEAD, d, np.random.default_rng(seed))
+
+
+def pool_one(head, matrix):
+    """Pool a single candidate's rows: (pooled [d], weights [E], cache)."""
+    pooled, weights, cache = pool_forward(head, matrix, [matrix.shape[0]], HEAD)
+    return pooled[0], weights, cache
 
 
 def forward_backward(head, matrix, upstream):
-    _, _, cache = pool_forward(head, matrix)
-    return pool_backward_arrays(head, cache, upstream)
+    _, _, cache = pool_one(head, matrix)
+    return pool_backward_arrays(head, cache, upstream[None, :], HEAD)
 
 
 def pooled_model(K=0):
@@ -45,17 +50,15 @@ def pooled_model(K=0):
 def zero_key_head(d):
     """Logits are exactly the output bias: designed-near-uniform weights."""
     head = make_head(d)
-    head.w_key1[:] = 0.0
-    head.b_key1[:] = 0.0
-    head.w_key2[:] = 0.0
-    head.b_key2[:] = 0.0
+    for name in ("w_key1", "b_key1", "w_key2", "b_key2"):
+        head[f"{HEAD}.{name}"][:] = 0.0
     return head
 
 
 def identity_value_head(d):
     head = zero_key_head(d)
-    head.w_value[:] = np.eye(d)
-    head.b_value[:] = 0.0
+    head[f"{HEAD}.w_value"][:] = np.eye(d)
+    head[f"{HEAD}.b_value"][:] = 0.0
     return head
 
 
@@ -66,13 +69,13 @@ def test_uniform_logits_give_exact_quarter():
     d = 8
     head = make_head(d)
     row = np.random.default_rng(1).standard_normal(d)
-    _, weights, _ = pool_forward(head, np.tile(row, (4, 1)))
+    _, weights, _ = pool_one(head, np.tile(row, (4, 1)))
     assert np.all(weights == 0.25)
 
 
 def test_single_edge_weight_is_one():
     head = make_head(6)
-    _, weights, _ = pool_forward(head, np.ones((1, 6)))
+    _, weights, _ = pool_one(head, np.ones((1, 6)))
     assert weights.tolist() == [1.0]
 
 
@@ -90,7 +93,7 @@ def test_single_edge_identity_value():
     d = 8
     head = identity_value_head(d)
     vec = np.random.default_rng(2).standard_normal(d)
-    pooled, _, _ = pool_forward(head, vec[None, :])
+    pooled, _, _ = pool_one(head, vec[None, :])
     assert np.allclose(pooled, vec, atol=0)
 
 
@@ -98,8 +101,8 @@ def test_identical_edges_pool_to_projected_point():
     d = 6
     head = make_head(d, seed=5)
     row = np.random.default_rng(3).standard_normal(d)
-    pooled, _, _ = pool_forward(head, np.tile(row, (3, 1)))
-    expected = row @ head.w_value + head.b_value
+    pooled, _, _ = pool_one(head, np.tile(row, (3, 1)))
+    expected = row @ head[f"{HEAD}.w_value"] + head[f"{HEAD}.b_value"]
     assert np.allclose(pooled, expected, atol=1e-12)
 
 
@@ -108,8 +111,8 @@ def test_pool_matches_loop_oracle():
     rng = np.random.default_rng(7)
     head = make_head(d, seed=11)
     matrix = rng.standard_normal((3, d))
-    pooled, _, _ = pool_forward(head, matrix)
-    assert np.allclose(pooled, pool_oracle(head, matrix), atol=1e-12)
+    pooled, _, _ = pool_one(head, matrix)
+    assert np.allclose(pooled, pool_oracle(head, matrix, HEAD), atol=1e-12)
 
 
 def test_empty_pool_returns_zero_vector():
@@ -134,20 +137,63 @@ def test_pool_multi_reductions():
     [prepared] = prepare_dataset(model, kg, templates, encoder, [record])
     matrix = prepared.candidates[0].edge_matrix
     assert matrix.shape[0] >= 2
-    heads = model.pooling_heads()
+    n = matrix.shape[0]
     result = batch_forward(model, [prepared], backward_cache=True)
-    for k, head in enumerate(heads):
-        _, _, _, _, weights, values = result._caches["pool_caches"][0][k]
-        assert np.array_equal(result.pool_weights[0][k], weights)
-        assert np.allclose(weights @ values, pool_oracle(head, matrix), atol=1e-12)
+    for k in range(3):
+        _, _, _, _, weights, values, _, _, _ = result._caches["pool_caches"][k]
+        assert np.array_equal(result.pool_weights[0][k], weights[:n])
+        expected = pool_oracle(model.params, matrix, f"pool{k}")
+        assert np.allclose(weights[:n] @ values[:n], expected, atol=1e-12)
     assert not np.array_equal(result.pool_weights[0][0], result.pool_weights[0][1])
     # identical heads reduce to one pooled vector in every slot
     for k in (1, 2):
-        for name in HEAD_PARAM_NAMES:
-            model.params[f"pool{k}.{name}"][...] = model.params[f"pool0.{name}"]
+        for name in [name for name in model.params if name.startswith("pool0.")]:
+            model.params[name.replace("pool0.", f"pool{k}.")][...] = model.params[name]
     same = batch_forward(model, [prepared])
     for k in (1, 2):
         assert np.array_equal(same.pool_weights[0][k], same.pool_weights[0][0])
+
+
+def test_batch_pool_matches_oracle_per_candidate():
+    # One call pools a batch that mixes edgeless and non-empty candidates.
+    d = 6
+    rng = np.random.default_rng(31)
+    counts = [3, 0, 1, 5, 0, 2]
+    matrix = rng.standard_normal((sum(counts), d))
+    params = {}
+    for k in range(3):
+        params.update(init_pooling_head(f"pool{k}", d, rng))
+    bounds = np.cumsum(counts[:-1])
+    for k in range(3):
+        pooled, weights, _ = pool_forward(params, matrix, counts, f"pool{k}")
+        assert pooled.shape == (len(counts), d)
+        per_candidate = np.split(weights, bounds)
+        for i, rows in enumerate(np.split(matrix, bounds)):
+            if counts[i] == 0:
+                assert np.all(pooled[i] == 0.0)
+                assert per_candidate[i].shape == (0,)
+            else:
+                expected = pool_oracle(params, rows, f"pool{k}")
+                assert np.max(np.abs(pooled[i] - expected)) < 1e-12
+                assert abs(per_candidate[i].sum() - 1.0) < 1e-12
+        assert per_candidate[2].tolist() == [1.0]
+
+
+def test_batch_forward_pools_once_per_head(monkeypatch):
+    model, kg, templates, encoder, records = pooled_model(K=2)
+    prepared = prepare_dataset(model, kg, templates, encoder, records)
+    calls = []
+    real = model_mod.pool_forward
+
+    def counting(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(model_mod, "pool_forward", counting)
+    result = batch_forward(model, prepared, backward_cache=True)
+    assert calls == ["pool0", "pool1", "pool2"]
+    assert len(result.pool_weights) == sum(len(q.candidates) for q in prepared)
+    assert all(len(per_head) == 3 for per_head in result.pool_weights)
 
 
 # --- gradients --------------------------------------------------------------------
@@ -161,16 +207,52 @@ def test_pool_backward_vs_finite_differences():
     upstream = rng.standard_normal(d)
 
     def loss():
-        pooled, _, _ = pool_forward(head, matrix)
+        pooled, _, _ = pool_one(head, matrix)
         return float(pooled @ upstream)
 
     grads, d_matrix = forward_backward(head, matrix, upstream)
-    for name in HEAD_PARAM_NAMES:
-        numeric = fd_gradient(loss, getattr(head, name))
+    for name in head:
+        numeric = fd_gradient(loss, head[name])
         denom = np.maximum(np.abs(numeric), 1e-4)
         assert np.max(np.abs(grads[name] - numeric) / denom) < 1e-4, name
     numeric = fd_gradient(loss, matrix)
     assert np.max(np.abs(d_matrix - numeric) / np.maximum(np.abs(numeric), 1e-4)) < 1e-4
+
+
+def test_batch_pool_backward_vs_finite_differences():
+    # Segments of 2, 0, 3 and 1 rows; the edgeless candidate's upstream is
+    # ignored because its pooled vector is the constant zero.
+    d = 5
+    rng = np.random.default_rng(41)
+    counts = [2, 0, 3, 1]
+    head = make_head(d, seed=43)
+    matrix = rng.standard_normal((sum(counts), d))
+    upstream = rng.standard_normal((len(counts), d))
+
+    def loss():
+        pooled, _, _ = pool_forward(head, matrix, counts, HEAD)
+        return float(np.sum(pooled * upstream))
+
+    _, _, cache = pool_forward(head, matrix, counts, HEAD)
+    grads, d_matrix = pool_backward_arrays(head, cache, upstream, HEAD)
+    assert set(grads) == set(head)
+    for name in head:
+        numeric = fd_gradient(loss, head[name])
+        denom = np.maximum(np.abs(numeric), 1e-4)
+        assert np.max(np.abs(grads[name] - numeric) / denom) < 1e-4, name
+    numeric = fd_gradient(loss, matrix)
+    assert np.max(np.abs(d_matrix - numeric) / np.maximum(np.abs(numeric), 1e-4)) < 1e-4
+
+
+def test_edgeless_batch_gets_no_pool_gradient():
+    # RAdam moves a parameter on a zero gradient through its momentum, so a
+    # batch without edges must leave the pooling heads out of the gradients.
+    model, kg, templates, encoder, _ = pooled_model(K=1)
+    record = QuestionRecord(question="zzq xqv", candidates=["vvx", "qqz"], answer_index=0)
+    [prepared] = prepare_dataset(model, kg, templates, encoder, [record])
+    _, grads, _ = loss_and_grads(model, [prepared])
+    assert "fg.w1" in grads
+    assert not [name for name in grads if name.startswith("pool")]
 
 
 def test_pool_backward_zero_upstream():
@@ -191,7 +273,7 @@ def test_duplicate_edges_get_per_position_gradients():
     upstream = rng.standard_normal(d)
 
     def loss():
-        pooled, _, _ = pool_forward(head, matrix)
+        pooled, _, _ = pool_one(head, matrix)
         return float(pooled @ upstream)
 
     _, d_matrix = forward_backward(head, matrix, upstream)
@@ -225,10 +307,10 @@ vectors = st.integers(2, 10).flatmap(
 def test_weight_sum_and_permutation_invariance(rows, seed):
     matrix = np.array(rows)
     head = make_head(matrix.shape[1], seed=seed % 100)
-    pooled, weights, _ = pool_forward(head, matrix)
+    pooled, weights, _ = pool_one(head, matrix)
     assert abs(weights.sum() - 1.0) < 1e-9
     perm = np.random.default_rng(seed).permutation(matrix.shape[0])
-    pooled_p, weights_p, _ = pool_forward(head, matrix[perm])
+    pooled_p, weights_p, _ = pool_one(head, matrix[perm])
     assert np.allclose(weights_p, weights[perm], atol=1e-12)
     assert np.allclose(pooled_p, pooled, atol=1e-12)
 
@@ -250,9 +332,9 @@ def test_logit_shift_via_output_bias_close():
     d = 8
     matrix = np.random.default_rng(2).standard_normal((5, d))
     head = make_head(d, seed=4)
-    _, base, _ = pool_forward(head, matrix)
-    head.b_key2[0] += 3.75
-    _, shifted, _ = pool_forward(head, matrix)
+    _, base, _ = pool_one(head, matrix)
+    head[f"{HEAD}.b_key2"][0] += 3.75
+    _, shifted, _ = pool_one(head, matrix)
     assert np.allclose(base, shifted, atol=1e-12)
 
 
@@ -262,8 +344,8 @@ def test_pooled_vector_in_convex_hull(n_edges, d, seed):
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((n_edges, d))
     head = make_head(d, seed=seed % 50)
-    pooled, _, _ = pool_forward(head, matrix)
-    points = [matrix[i] @ head.w_value + head.b_value for i in range(n_edges)]
+    pooled, _, _ = pool_one(head, matrix)
+    points = [matrix[i] @ head[f"{HEAD}.w_value"] + head[f"{HEAD}.b_value"] for i in range(n_edges)]
     assert barycentric_membership(points, pooled, tol=1e-8)
 
 
@@ -271,5 +353,5 @@ def test_near_uniform_designed_head():
     d = 8
     head = zero_key_head(d)
     matrix = np.random.default_rng(6).standard_normal((7, d))
-    _, weights, _ = pool_forward(head, matrix)
+    _, weights, _ = pool_one(head, matrix)
     assert np.max(np.abs(weights - 1.0 / 7.0)) < 1e-6

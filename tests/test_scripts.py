@@ -1,0 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "script",
+    ["alignment_ab", "fusion_sweep", "robustness_experiment", "subgraph_size_sweep"],
+)
+def test_script_imports_and_parses_help(script):
+    # The scripts import package internals; --help catches API drift cheaply.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / f"{script}.py"), "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
