@@ -17,11 +17,14 @@ from factpool.config import Config, load_config
 from factpool.data import load_dataset
 from factpool.encoders import encode_subgraphs, read_embedding_cache, write_embedding_cache
 from factpool.experiment import (
+    DatasetTooSmallError,
     ExperimentConfig,
     count_aggregations,
     delta_acc,
     explain,
+    load_assets,
     sweep,
+    sweep_cells,
 )
 from factpool.kg import Subgraph, load_kg
 from factpool.model import (
@@ -30,7 +33,7 @@ from factpool.model import (
     apply_condition,
     build_encoder,
     create_model,
-    evaluate,
+    evaluate_conditions,
     gradient_check,
     ground_records,
     load_model,
@@ -166,7 +169,7 @@ def cmd_eval(args) -> int:
     records = _dataset_slice(args, load_dataset(args.dataset))
     encoder = build_encoder(model, cache_path=args.cache)
     prepared = prepare_conditions(model, kg, templates, encoder, records)
-    accs = {condition: evaluate(model, prepared[condition]) for condition in CONDITIONS}
+    accs = evaluate_conditions(model, prepared)
     lines = [f"acc_{condition}={accs[condition]:.10g}" for condition in CONDITIONS]
     lines.append(f"delta_acc={delta_acc(accs['with_answers'], accs['without_answers']):.10g}")
     text = "\n".join(lines) + "\n"
@@ -196,7 +199,17 @@ def _experiment_config(args, cfg: Config) -> ExperimentConfig:
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
     ecfg = _experiment_config(args, cfg)
-    _, text = sweep(ecfg, args.axis, args.values)
+    try:
+        sweep_cells(ecfg, args.axis, args.values)
+    except ValueError as err:
+        raise UsageError(f"--axis {args.axis} --values: {err}") from None
+    try:
+        assets = load_assets(ecfg)
+    except DatasetTooSmallError as err:
+        raise UsageError(
+            f"--train-count {args.train_count} --test-count {args.test_count}: {err}"
+        ) from None
+    _, text = sweep(ecfg, args.axis, args.values, assets)
     print(text, end="")
     return 0
 

@@ -29,7 +29,7 @@ from factpool.model import (
     batch_forward,
     build_encoder,
     create_model,
-    evaluate,
+    evaluate_conditions,
     ground_records,
     prepare_conditions,
     prepare_dataset,
@@ -137,18 +137,20 @@ class ExperimentAssets:
     test_records: list[QuestionRecord]
 
 
+class DatasetTooSmallError(ValueError):
+    """The dataset holds fewer records than the train and test counts need."""
+
+
 def load_assets(ecfg: ExperimentConfig) -> ExperimentAssets:
-    kg = load_kg(ecfg.kg_path)
-    templates = load_templates(ecfg.templates_path)
     records = load_dataset(ecfg.dataset_path)
     if len(records) < ecfg.train_count + ecfg.test_count:
-        raise ValueError(
-            f"dataset has {len(records)} records, need "
+        raise DatasetTooSmallError(
+            f"{ecfg.dataset_path} has {len(records)} records, need "
             f"{ecfg.train_count}+{ecfg.test_count}"
         )
     return ExperimentAssets(
-        kg=kg,
-        templates=templates,
+        kg=load_kg(ecfg.kg_path),
+        templates=load_templates(ecfg.templates_path),
         train_records=records[: ecfg.train_count],
         test_records=records[ecfg.train_count : ecfg.train_count + ecfg.test_count],
     )
@@ -172,7 +174,7 @@ def run_experiment(ecfg: ExperimentConfig, assets: ExperimentAssets | None = Non
             ckpt_dir = str(Path(ecfg.out_dir) / f"{ecfg.model_kind}_seed{seed}")
         losses = train_model(model, train_q, out_dir=ckpt_dir)
         test = prepare_conditions(model, assets.kg, assets.templates, encoder, assets.test_records)
-        accs = {condition: evaluate(model, test[condition]) for condition in CONDITIONS}
+        accs = evaluate_conditions(model, test)
         per_seed.append(
             SeedResult(
                 seed=seed,
@@ -193,23 +195,36 @@ def run_experiment(ecfg: ExperimentConfig, assets: ExperimentAssets | None = Non
     return metrics
 
 
-def sweep(ecfg: ExperimentConfig, axis: str, values=None):
-    """One run per value along `axis` ('K' or 'max_nodes'), shared seeds."""
+def sweep_cells(ecfg: ExperimentConfig, axis: str, values=None) -> list[tuple]:
+    """(value, experiment config) per value along `axis` ('K' or 'max_nodes').
+
+    ValueError names the first value the config rejects.
+    """
     if axis not in ("K", "max_nodes"):
         raise ValueError("axis must be 'K' or 'max_nodes'")
     if values is None:
         values = ecfg.k_values if axis == "K" else ecfg.max_nodes_values
     if not values:
         raise ValueError("sweep needs at least one value")
-    assets = load_assets(ecfg)
-    rows = []
+    cells = []
     for value in values:
-        if axis == "K":
-            cfg = replace(ecfg.config, K=int(value), fusion_mode="early_late")
-        else:
-            cfg = replace(ecfg.config, max_nodes=int(value))
-        cell = replace(ecfg, config=cfg, out_dir=None)
-        rows.append((value, run_experiment(cell, assets)))
+        try:
+            if axis == "K":
+                cfg = replace(ecfg.config, K=int(value), fusion_mode="early_late")
+            else:
+                cfg = replace(ecfg.config, max_nodes=int(value))
+        except ValueError as err:
+            raise ValueError(f"{axis}={value}: {err}") from None
+        cells.append((value, replace(ecfg, config=cfg, out_dir=None)))
+    return cells
+
+
+def sweep(ecfg: ExperimentConfig, axis: str, values=None, assets: ExperimentAssets | None = None):
+    """One run per value along `axis`, shared seeds.  Every cell's config is
+    built before the data is read."""
+    cells = sweep_cells(ecfg, axis, values)
+    assets = assets or load_assets(ecfg)
+    rows = [(value, run_experiment(cell, assets)) for value, cell in cells]
     table = [f"axis={axis}", "value\tacc_with_mean\tacc_without_mean\tdelta_acc"]
     for value, metrics in rows:
         table.append(

@@ -271,7 +271,8 @@ def prepare_question(
     """One record under each condition, from its statements' intact subgraphs.
 
     A without_answers candidate is the intact one minus the answer-incident
-    edges' rows; its nodes, and so its token ids and node states, stay.
+    edges' rows; its nodes, and so its token ids and node states, stay.  A
+    candidate that loses no edge is the intact candidate itself.
     """
     cfg = model.cfg
     prepared = {c: PreparedQuestion([], record.answer_index) for c in conditions}
@@ -296,7 +297,7 @@ def prepare_question(
         for condition, question in prepared.items():
             kept = apply_condition(sub, stmt, condition)
             cand = intact
-            if kept is not sub:
+            if len(kept.edges) != len(sub.edges):
                 rows = [i for i, fact in enumerate(facts) if fact in kept.edges]
                 cand = replace(
                     intact,
@@ -367,64 +368,15 @@ def batch_forward(
     Without it the result carries only the trunk's inputs and per-layer
     graph-token states, its final states and the question states.
     """
-    cfg = model.cfg
-    params = model.params
     flat, slices, ids, mask = _flatten(questions)
-    bs = len(flat)
-    pool_caches = []
-    pool_weights: list[list[np.ndarray]] = [[] for _ in range(bs)]
-    if model.kind == "pooled":
-        counts = [cand.edge_matrix.shape[0] for cand in flat]
-        bounds = np.cumsum(counts[:-1])
-        edges = np.concatenate([cand.edge_matrix for cand in flat])
-        heads = cfg.num_pooling_heads()
-        g = np.zeros((heads, bs, cfg.d))
-        head_weights = []
-        for k in range(heads):
-            g[k], weights, cache = pool_forward(params, edges, counts, f"pool{k}")
-            head_weights.append(np.split(weights, bounds))
-            # An edgeless batch keeps no pooling cache, so its pool* parameters
-            # get no gradient: RAdam would move them on a zero gradient.
-            if backward_cache and edges.shape[0]:
-                pool_caches.append(cache)
-        del edges, cache  # otherwise alive through the trunk forward, the peak
-        pool_weights = [list(per_head) for per_head in zip(*head_weights)]
-        aggregations = heads * bs
-        graph_init = g[0]
-        injections = {_injection_layer(cfg.L, k): g[k] for k in range(1, heads)}
-    else:
-        aggregations = 0
-        g = np.zeros((1, bs, cfg.d))
-        graph_init = g[0]
-        injections = {}
-    states, trunk_cache = trunk_forward(
-        params, cfg.L, cfg.heads, ids, mask, graph_init, injections, backward_cache
-    )
+    g, pool_weights, pool_caches = _graph_vectors(model, flat, backward_cache)
+    states, trunk_cache = _run_trunk(model, ids, mask, g, backward_cache)
     q_final = states[:, 1, :]
-    graph_final = states[:, 0, :]
-    fq_scores, fq_cache = scalar_head_forward(params, "fq", q_final)
-    if model.kind == "gnn":
-        arrays, virtual = union_arrays([cand.gnn for cand in flat])
-        node_init = np.concatenate([cand.node_init for cand in flat])
-        node_init[virtual] = q_final
-        final, gnn_cache, aggregations = gnn_forward_arrays(
-            params, model.gnn_config(), arrays, node_init
-        )
-        graph_scores, fg_cache = scalar_head_forward(params, "gnn.score", final[virtual])
-    else:
-        gamma = graph_init if cfg.K == 0 else graph_final
-        graph_scores, fg_cache = scalar_head_forward(params, "fg", gamma)
-    scores = fq_scores + graph_scores
-    bad = np.flatnonzero(~np.isfinite(scores))
-    if bad.size:
-        i = int(bad[0])
-        q = next(n for n, sl in enumerate(slices) if sl.start <= i < sl.stop)
-        raise DivergenceError(
-            f"non-finite score {scores[i]} for candidate {i - slices[q].start} "
-            f"of question {q} in the batch (kind={model.kind})"
-        )
+    scores, aggregations, head_caches = _score(
+        model, flat, slices, g, q_final, states[:, 0, :]
+    )
     loss = 0.0
-    d_scores = np.zeros(bs)
+    d_scores = np.zeros(len(flat))
     probs_per_q: list[np.ndarray] = []
     predictions = []
     nq = len(questions)
@@ -441,14 +393,7 @@ def batch_forward(
             d_scores[sl] = d / nq
     caches = {"trunk_cache": trunk_cache, "q_final": q_final, "graph_states_final": states}
     if backward_cache:
-        caches.update(
-            pool_caches=pool_caches,
-            fq_cache=fq_cache,
-            fg_cache=fg_cache,
-            d_scores=d_scores,
-        )
-        if model.kind == "gnn":
-            caches.update(gnn_cache=gnn_cache, gnn_virtual=virtual)
+        caches.update(head_caches, pool_caches=pool_caches, d_scores=d_scores)
     return BatchResult(
         loss=float(loss),
         scores=scores,
@@ -459,6 +404,75 @@ def batch_forward(
         aggregations=aggregations,
         _caches=caches,
     )
+
+
+def _graph_vectors(model: Model, flat: list[PreparedCandidate], backward_cache: bool = False):
+    """Pooling stage: ([heads, B, d] graph vectors, per-candidate per-head
+    pool weights, pooling caches).  A gnn or lm model has one head of zeros."""
+    cfg = model.cfg
+    bs = len(flat)
+    if model.kind != "pooled":
+        return np.zeros((1, bs, cfg.d)), [[] for _ in range(bs)], []
+    counts = [cand.edge_matrix.shape[0] for cand in flat]
+    bounds = np.cumsum(counts[:-1])
+    edges = np.concatenate([cand.edge_matrix for cand in flat])
+    heads = cfg.num_pooling_heads()
+    g = np.zeros((heads, bs, cfg.d))
+    head_weights = []
+    pool_caches = []
+    for k in range(heads):
+        g[k], weights, cache = pool_forward(model.params, edges, counts, f"pool{k}")
+        head_weights.append(np.split(weights, bounds))
+        # An edgeless batch keeps no pooling cache, so its pool* parameters
+        # get no gradient: RAdam would move them on a zero gradient.
+        if backward_cache and edges.shape[0]:
+            pool_caches.append(cache)
+    return g, [list(per_head) for per_head in zip(*head_weights)], pool_caches
+
+
+def _run_trunk(model: Model, ids, mask, g: np.ndarray, backward_cache: bool = False):
+    """Trunk stage: graph vector 0 initializes the graph token and vector k
+    is injected before layer L-k."""
+    cfg = model.cfg
+    injections = {_injection_layer(cfg.L, k): g[k] for k in range(1, len(g))}
+    return trunk_forward(
+        model.params, cfg.L, cfg.heads, ids, mask, g[0], injections, backward_cache
+    )
+
+
+def _score(model: Model, flat, slices, g: np.ndarray, q_final, graph_final):
+    """Scoring stage: (candidate scores, aggregation count, head caches).
+
+    DivergenceError names the first candidate with a non-finite score.
+    """
+    cfg = model.cfg
+    params = model.params
+    fq_scores, fq_cache = scalar_head_forward(params, "fq", q_final)
+    caches = {"fq_cache": fq_cache}
+    if model.kind == "gnn":
+        arrays, virtual = union_arrays([cand.gnn for cand in flat])
+        node_init = np.concatenate([cand.node_init for cand in flat])
+        node_init[virtual] = q_final
+        final, gnn_cache, aggregations = gnn_forward_arrays(
+            params, model.gnn_config(), arrays, node_init
+        )
+        graph_scores, fg_cache = scalar_head_forward(params, "gnn.score", final[virtual])
+        caches.update(gnn_cache=gnn_cache, gnn_virtual=virtual)
+    else:
+        aggregations = g.shape[0] * g.shape[1] if model.kind == "pooled" else 0
+        gamma = g[0] if cfg.K == 0 else graph_final
+        graph_scores, fg_cache = scalar_head_forward(params, "fg", gamma)
+    caches["fg_cache"] = fg_cache
+    scores = fq_scores + graph_scores
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        i = int(bad[0])
+        q = next(n for n, sl in enumerate(slices) if sl.start <= i < sl.stop)
+        raise DivergenceError(
+            f"non-finite score {scores[i]} for candidate {i - slices[q].start} "
+            f"of question {q} in the batch (kind={model.kind})"
+        )
+    return scores, aggregations, caches
 
 
 def batch_backward(model: Model, result: BatchResult) -> dict[str, np.ndarray]:
@@ -532,18 +546,69 @@ def batch_loss(model: Model, questions: list[PreparedQuestion]) -> float:
     return batch_forward(model, questions).loss
 
 
+EVAL_CHUNK = 64  # questions per evaluation batch
+
+
 def evaluate(model: Model, questions: list[PreparedQuestion]) -> float:
     """Accuracy in percent over prepared questions."""
-    if not questions:
+    return evaluate_conditions(model, {"questions": questions})["questions"]
+
+
+def evaluate_conditions(
+    model: Model, prepared: dict[str, list[PreparedQuestion]]
+) -> dict[str, float]:
+    """Accuracy in percent per condition, over aligned question lists.
+
+    Aligned lists have the same question count, candidate counts and token
+    ids.  Per chunk of EVAL_CHUNK questions the trunk runs once over the
+    first condition's candidates plus each other candidate whose graph
+    vectors differ from its first-condition counterpart by a byte; every
+    other candidate's trunk input is the same, and so are its states.
+    Each condition is then scored from its own rows.  The scores are
+    byte-identical to `batch_forward` on each condition's chunks.
+    """
+    base, first = next(iter(prepared.items()), (None, []))
+    if not first:
         raise ValueError("empty evaluation set")
-    correct = 0
-    for start in range(0, len(questions), 64):
-        chunk = questions[start : start + 64]
-        result = batch_forward(model, chunk)
-        correct += sum(
-            int(pred == q.answer_index) for pred, q in zip(result.predictions, chunk)
-        )
-    return 100.0 * correct / len(questions)
+    for name, questions in prepared.items():
+        if len(questions) != len(first) or any(
+            len(a.candidates) != len(b.candidates)
+            or any(not np.array_equal(x.ids, y.ids) for x, y in zip(a.candidates, b.candidates))
+            for a, b in zip(first, questions)
+        ):
+            raise ValueError(
+                f"condition {name!r} is not aligned with {base!r}: "
+                "question counts, candidate counts or token ids differ"
+            )
+    correct = dict.fromkeys(prepared, 0)
+    for start in range(0, len(first), EVAL_CHUNK):
+        runs = []
+        sources = []  # per condition, the first-condition rows it runs anew
+        parts = []  # their graph vectors
+        total = 0
+        for name, questions in prepared.items():
+            chunk = questions[start : start + EVAL_CHUNK]
+            flat, slices, ids_c, mask_c = _flatten(chunk)
+            g = _graph_vectors(model, flat)[0]
+            if not runs:
+                ids, mask, g_first = ids_c, mask_c, g
+                changed = np.ones(len(flat), dtype=bool)
+            else:
+                changed = (g.view(np.uint8) != g_first.view(np.uint8)).any(axis=(0, 2))
+            rows = np.arange(len(flat))  # each candidate's trunk row
+            rows[changed] = total + np.arange(changed.sum())
+            total += changed.sum()
+            sources.append(np.flatnonzero(changed))
+            parts.append(g[:, changed])
+            runs.append((name, chunk, flat, slices, g, rows))
+        source = np.concatenate(sources)
+        states, _ = _run_trunk(model, ids[source], mask[source], np.concatenate(parts, axis=1))
+        for name, chunk, flat, slices, g, rows in runs:
+            scores = _score(model, flat, slices, g, states[rows, 1, :], states[rows, 0, :])[0]
+            correct[name] += sum(
+                int(np.argmax(scores[sl]) == q.answer_index) for q, sl in zip(chunk, slices)
+            )
+    return {name: 100.0 * correct[name] / len(first) for name in prepared}
 
 
 # --- training -------------------------------------------------------------------

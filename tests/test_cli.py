@@ -269,6 +269,30 @@ def test_bad_sweep_flags_are_usage_errors(capsys, flag, value):
 
 
 @pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--axis", "max_nodes", "--values", "0", "--train-count", "8"],
+         ["--values", "max_nodes=0"]),
+        (["--axis", "K", "--values", "3", "--train-count", "8"], ["--values", "K=3"]),
+        (["--axis", "K", "--values", "1", "--train-count", "40"],
+         ["--train-count", "dataset.jsonl"]),
+    ],
+)
+def test_sweep_values_the_config_or_data_reject_are_usage_errors(
+    workspace, capsys, flags, named
+):
+    from factpool import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", *data_args(workspace), "--config", str(workspace / "run.cfg"),
+                  *flags, "--test-count", "2", "--out", str(workspace / "bad_sweep")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(text in err for text in named), err
+    assert not (workspace / "bad_sweep").exists()
+
+
+@pytest.mark.parametrize(
     "command, flag, value",
     [
         ("retrieve", "--skip", "-1"),

@@ -5,6 +5,7 @@ import pytest
 
 from factpool.config import Config
 from factpool.experiment import (
+    DatasetTooSmallError,
     ExperimentConfig,
     count_aggregations,
     delta_acc,
@@ -124,6 +125,18 @@ def test_sweep_singleton_matches_run_experiment(micro_assets):
 def test_sweep_rejects_bad_axis(micro_assets):
     with pytest.raises(ValueError, match="axis"):
         sweep(micro_ecfg(micro_assets), "width", [1])
+
+
+def test_sweep_builds_every_cell_before_reading_data(micro_assets):
+    ecfg = replace(micro_ecfg(micro_assets), dataset_path="missing.jsonl", kg_path="missing.tsv")
+    with pytest.raises(ValueError, match="max_nodes=0: max_nodes must be positive"):
+        sweep(ecfg, "max_nodes", [8, 0])
+
+
+def test_too_small_dataset_is_a_typed_error_naming_the_path(micro_assets):
+    ecfg = replace(micro_ecfg(micro_assets), train_count=15, test_count=2)
+    with pytest.raises(DatasetTooSmallError, match=r"dataset.jsonl has 16 records, need 15\+2"):
+        load_assets(ecfg)
 
 
 # --- explain ----------------------------------------------------------------------

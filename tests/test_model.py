@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conftest import kg_from_facts
 from oracles import prepare_question_oracle, softmax_oracle
 
+from factpool import model as model_mod
 from factpool.config import Config
 from factpool.harness_data import tiny_benchmark
 from factpool.kg import VIRTUAL_NODE_ID, id_to_surface, link_entities
@@ -24,7 +26,9 @@ from factpool.model import (
     build_encoder,
     candidate_log_probabilities,
     create_model,
+    EVAL_CHUNK,
     evaluate,
+    evaluate_conditions,
     loss_and_grads,
     prepare_conditions,
     prepare_dataset,
@@ -386,6 +390,132 @@ def test_evaluate_peak_memory_below_half_of_caching_forward():
     assert eval_peak < cached_peak / 2, (eval_peak, cached_peak)
 
 
+def test_evaluate_peak_memory_grows_slowly_with_the_chunk():
+    # Without the backward cache the trunk runs in blocks of TRUNK_BLOCK (32)
+    # sequences, so its activations do not grow with the batch; what grows
+    # is the final states [B, T, d], the stacked edge rows and the graph
+    # vectors.  8 questions (32 sequences, one block) peak at ~5.1 MB, 64
+    # questions (256 sequences) at ~11.3 MB: a factor of 3 leaves room for
+    # those and fails a whole-chunk forward, which peaks ~11.6x higher.
+    cfg = small_cfg(L=4, d=64, heads=4, K=2, fusion_mode="early_late", max_tokens=40,
+                    max_nodes=32)
+    bench = generate_synthetic(
+        SyntheticSpec(entities=1000, relations=3, questions=64, candidates=4,
+                      distractor_rate=0.5, kg_fraction=0.7, seed=0)
+    )
+    kg = kg_from_facts(bench.facts)
+    model = create_model(cfg, "pooled", relation_table(kg))
+    prepared = prepare_dataset(model, kg, bench.templates, build_encoder(model), bench.records)
+    assert len(prepared) == EVAL_CHUNK
+
+    def peak(questions) -> int:
+        tracemalloc.start()
+        try:
+            evaluate(model, questions)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, full = peak(prepared[:8]), peak(prepared)
+    assert full < 3 * small, (full, small)
+
+
+# --- evaluation of both conditions -------------------------------------------------------
+
+
+EVAL_SETUPS = {
+    "pooled-K0": ("pooled", dict(fusion_mode="early", K=0)),
+    "pooled-K2": ("pooled", dict(L=3, fusion_mode="early_late", K=2)),
+    "gnn": ("gnn", {}),
+    "lm": ("lm", {}),
+}
+
+
+@pytest.fixture(scope="module")
+def eval_benchmark():
+    # 70 questions: two chunks, and the first holds 210 sequences (7 blocks).
+    return tiny_benchmark(seed=2, questions=70)
+
+
+def prepare_both(setup, eval_benchmark):
+    kind, overrides = EVAL_SETUPS[setup]
+    kg, templates, records = eval_benchmark
+    model = create_model(small_cfg(**overrides), kind, relation_table(kg))
+    return model, prepare_conditions(model, kg, templates, build_encoder(model), records)
+
+
+@pytest.mark.parametrize("setup", sorted(EVAL_SETUPS))
+def test_evaluate_conditions_byte_equal_to_batch_forward_per_condition(
+    monkeypatch, eval_benchmark, setup
+):
+    model, prepared = prepare_both(setup, eval_benchmark)
+    scored = []
+    real_score = model_mod._score
+
+    def recording_score(*args):
+        out = real_score(*args)
+        scored.append(out[0])
+        return out
+
+    monkeypatch.setattr(model_mod, "_score", recording_score)
+    accs = evaluate_conditions(model, prepared)
+    monkeypatch.undo()
+    assert list(accs) == list(CONDITIONS)
+    want_scores = {c: [] for c in CONDITIONS}
+    for c, questions in prepared.items():
+        correct = 0
+        for start in range(0, len(questions), EVAL_CHUNK):
+            chunk = questions[start : start + EVAL_CHUNK]
+            result = batch_forward(model, chunk)
+            want_scores[c].append(result.scores)
+            correct += sum(p == q.answer_index for p, q in zip(result.predictions, chunk))
+        assert accs[c] == 100.0 * correct / len(questions)
+        assert accs[c] == evaluate(model, questions)
+    got_scores = {c: scored[i :: len(CONDITIONS)] for i, c in enumerate(CONDITIONS)}
+    for c in CONDITIONS:
+        assert len(got_scores[c]) == len(want_scores[c]) == 2
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got_scores[c], want_scores[c]))
+
+
+@pytest.mark.parametrize("setup", sorted(EVAL_SETUPS))
+def test_evaluate_conditions_runs_each_distinct_trunk_row_once(
+    monkeypatch, eval_benchmark, setup
+):
+    model, prepared = prepare_both(setup, eval_benchmark)
+    pairs = [
+        (c_with, c_without)
+        for q_with, q_without in zip(*prepared.values())
+        for c_with, c_without in zip(q_with.candidates, q_without.candidates)
+    ]
+    changed = sum(c_without is not c_with for c_with, c_without in pairs)
+    assert 0 < changed < len(pairs)
+    rows = []
+    real_forward = model_mod.trunk_forward
+
+    def counting_forward(params, L, heads, ids, *rest):
+        rows.append(len(ids))
+        return real_forward(params, L, heads, ids, *rest)
+
+    monkeypatch.setattr(model_mod, "trunk_forward", counting_forward)
+    evaluate_conditions(model, prepared)
+    # gnn and lm graph vectors are zero, so no row changes with the condition.
+    want = len(pairs) + (changed if model.kind == "pooled" else 0)
+    assert len(rows) == 2 and sum(rows) == want
+
+
+def test_evaluate_conditions_rejects_misaligned_conditions():
+    model, kg, templates, encoder, records, _ = make_setup(questions=4)
+    both = prepare_conditions(model, kg, templates, encoder, records[:4])
+    with_q, without_q = both[WITH_ANSWERS], both[WITHOUT_ANSWERS]
+    fewer_candidates = [replace(q, candidates=q.candidates[:-1]) for q in without_q]
+    swapped = [replace(q, candidates=q.candidates[::-1]) for q in without_q]
+    for bad in (without_q[:3], fewer_candidates, swapped):
+        with pytest.raises(ValueError, match="not aligned"):
+            evaluate_conditions(model, {WITH_ANSWERS: with_q, WITHOUT_ANSWERS: bad})
+    with pytest.raises(ValueError, match="empty evaluation set"):
+        evaluate_conditions(model, {WITH_ANSWERS: [], WITHOUT_ANSWERS: []})
+
+
 # --- preparation -------------------------------------------------------------------
 
 
@@ -490,6 +620,25 @@ def test_prepare_conditions_equals_one_condition_at_a_time():
         for q_both, q_alone in zip(both[condition], alone):
             for c_both, c_alone in zip(q_both.candidates, q_alone.candidates):
                 assert_same_candidate(c_both, c_alone)
+
+
+def test_without_answers_candidate_that_loses_no_edge_is_the_intact_one():
+    model, kg, templates, encoder, records, _ = make_setup(kind="gnn", questions=6)
+    both = prepare_conditions(model, kg, templates, encoder, records[:6])
+    kept = lost = 0
+    for record, q_with, q_without in zip(records, *both.values()):
+        oracle = prepare_question_oracle(model, kg, templates, encoder, record, WITHOUT_ANSWERS)
+        for c_with, c_without, c_oracle in zip(
+            q_with.candidates, q_without.candidates, oracle.candidates
+        ):
+            assert_same_candidate(c_without, c_oracle)
+            if len(c_without.facts) == len(c_with.facts):
+                assert c_without is c_with
+                kept += 1
+            else:
+                assert c_without is not c_with
+                lost += 1
+    assert kept and lost
 
 
 def test_prepare_rejects_unknown_condition():
