@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Subcommands: generate, retrieve, encode, train, eval, perturb, sweep,
+Subcommands: generate, retrieve, encode, train, eval, perturb, run, sweep,
 explain, gradcheck, count-aggs.  `--config`, `--seed`, and `--out` are
-common flags; `--seed` overrides the config file's seed.
+common flags; `--seed` overrides the config file's seed.  `run` trains and
+scores each model kind over seeds with and without answer edges (the
+robustness study); `sweep` does so for one kind along K or max_nodes.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from factpool.encoders import encode_subgraphs, read_embedding_cache, write_embe
 from factpool.experiment import (
     DatasetTooSmallError,
     ExperimentConfig,
+    compare_kinds,
     count_aggregations,
     delta_acc,
     explain,
@@ -29,6 +32,7 @@ from factpool.experiment import (
 from factpool.kg import Subgraph, load_kg
 from factpool.model import (
     CONDITIONS,
+    MODEL_KINDS,
     WITH_ANSWERS,
     apply_condition,
     build_encoder,
@@ -58,7 +62,10 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_cfg(args) -> Config:
-    cfg = load_config(args.config) if args.config else Config()
+    try:
+        cfg = load_config(args.config) if args.config else Config()
+    except ValueError as err:
+        raise UsageError(f"--config {args.config}: {err}") from None
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
@@ -180,8 +187,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _experiment_config(args, cfg: Config) -> ExperimentConfig:
-    seeds = tuple(args.seeds) if args.seeds else (cfg.seed,)
+def _experiment_config(args) -> ExperimentConfig:
+    cfg = _load_cfg(args)
     return ExperimentConfig(
         config=cfg,
         kg_path=args.kg,
@@ -189,27 +196,34 @@ def _experiment_config(args, cfg: Config) -> ExperimentConfig:
         templates_path=args.templates,
         train_count=args.train_count,
         test_count=args.test_count,
-        model_kind=args.model,
-        condition=args.condition,
-        seeds=seeds,
+        seeds=tuple(args.seeds) if args.seeds else (cfg.seed,),
         out_dir=args.out,
     )
 
 
+def _experiment_assets(ecfg: ExperimentConfig):
+    try:
+        return load_assets(ecfg)
+    except DatasetTooSmallError as err:
+        raise UsageError(
+            f"--train-count {ecfg.train_count} --test-count {ecfg.test_count}: {err}"
+        ) from None
+
+
+def cmd_run(args) -> int:
+    ecfg = _experiment_config(args)
+    _, text = compare_kinds(ecfg, args.kinds, _experiment_assets(ecfg))
+    print(text, end="")
+    return 0
+
+
 def cmd_sweep(args) -> int:
-    cfg = _load_cfg(args)
-    ecfg = _experiment_config(args, cfg)
+    ecfg = replace(_experiment_config(args), model_kind=args.model, condition=args.condition)
     try:
         sweep_cells(ecfg, args.axis, args.values)
     except ValueError as err:
         raise UsageError(f"--axis {args.axis} --values: {err}") from None
-    try:
-        assets = load_assets(ecfg)
-    except DatasetTooSmallError as err:
-        raise UsageError(
-            f"--train-count {args.train_count} --test-count {args.test_count}: {err}"
-        ) from None
-    _, text = sweep(ecfg, args.axis, args.values, assets)
+    _, text = sweep(ecfg, args.axis, args.values, _experiment_assets(ecfg))
     print(text, end="")
     return 0
 
@@ -288,6 +302,20 @@ def _ints_at_least(low: int):
     return lambda text: [_int_at_least(low)(v) for v in text.split(",")]
 
 
+def _model_kinds(text: str) -> list[str]:
+    """argparse type: a comma-separated list of distinct model kinds."""
+    kinds = text.split(",")
+    if not set(kinds) <= set(MODEL_KINDS) or len(set(kinds)) < len(kinds):
+        raise argparse.ArgumentTypeError(f"want distinct kinds of {MODEL_KINDS}: {text!r}")
+    return kinds
+
+
+def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--train-count", dest="train_count", type=_positive_int, required=True)
+    parser.add_argument("--test-count", dest="test_count", type=_positive_int, required=True)
+    parser.add_argument("--seeds", type=_ints_at_least(0), default=None, help="comma-separated")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="factpool", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -321,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model")
     _common_flags(p)
     _add_data_flags(p)
-    p.add_argument("--model", choices=("pooled", "gnn", "lm"), default="pooled")
+    p.add_argument("--model", choices=MODEL_KINDS, default="pooled")
     p.add_argument("--condition", choices=CONDITIONS, default=WITH_ANSWERS)
     _add_slice_flags(p)
     p.add_argument("--cache", type=str, default=None, help="embedding cache file")
@@ -335,16 +363,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", type=str, default=None)
     p.set_defaults(func=cmd_eval)
 
+    p = sub.add_parser("run", help="each model kind with and without answer edges")
+    _common_flags(p)
+    _add_data_flags(p)
+    p.add_argument(
+        "--kinds", type=_model_kinds, default=MODEL_KINDS, help="comma-separated; default all"
+    )
+    _add_experiment_flags(p)
+    p.set_defaults(func=cmd_run)
+
     p = sub.add_parser("sweep", help="grid over K or max_nodes")
     _common_flags(p)
     _add_data_flags(p)
     p.add_argument("--axis", choices=("K", "max_nodes"), required=True)
     p.add_argument("--values", type=_ints_at_least(0), default=None, help="comma-separated")
-    p.add_argument("--model", choices=("pooled", "gnn", "lm"), default="pooled")
+    p.add_argument("--model", choices=MODEL_KINDS, default="pooled")
     p.add_argument("--condition", choices=CONDITIONS, default=WITH_ANSWERS)
-    p.add_argument("--train-count", dest="train_count", type=_positive_int, required=True)
-    p.add_argument("--test-count", dest="test_count", type=_positive_int, required=True)
-    p.add_argument("--seeds", type=_ints_at_least(0), default=None, help="comma-separated")
+    _add_experiment_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("explain", help="top scored facts per fusion layer")
@@ -360,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     _common_flags(p)
-    p.add_argument("--model", choices=("pooled", "gnn", "lm"), default="pooled")
+    p.add_argument("--model", choices=MODEL_KINDS, default="pooled")
     p.add_argument("--max-per-param", dest="max_per_param", type=_positive_int, default=None)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -29,6 +30,7 @@ FILE_KEYS = (
 
 _INT_KEYS = {"L", "d", "heads", "K", "max_tokens", "max_nodes", "epochs", "batch_size", "seed"}
 _FLOAT_KEYS = {"lr_lm", "lr_graph"}
+_KIND = {int: "an integer", float: "a number"}
 
 
 @dataclass
@@ -76,6 +78,10 @@ class Config:
         for name in ("L", "d", "heads", "max_tokens", "max_nodes", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        for name in ("lr_lm", "lr_graph"):  # zero freezes that group's parameters
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
     @property
     def dtype(self):
@@ -101,12 +107,15 @@ def parse_config_text(text: str) -> Config:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in FILE_KEYS:
             raise ValueError(f"unknown config key {key!r} (line {lineno})")
-        if key in _INT_KEYS:
-            values[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(value)
-        else:
-            values[key] = value
+        if key in values:
+            raise ValueError(f"config line {lineno} repeats key {key!r}")
+        parse = int if key in _INT_KEYS else float if key in _FLOAT_KEYS else str
+        try:
+            values[key] = parse(value)
+        except ValueError:
+            raise ValueError(
+                f"config line {lineno}: {key}={value!r} is not {_KIND[parse]}"
+            ) from None
     return Config(**values)
 
 

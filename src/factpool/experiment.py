@@ -22,6 +22,7 @@ from factpool.data import QuestionRecord, load_dataset
 from factpool.kg import KnowledgeGraph, Subgraph, load_kg
 from factpool.model import (
     CONDITIONS,
+    MODEL_KINDS,
     WITH_ANSWERS,
     WITHOUT_ANSWERS,
     Model,
@@ -237,6 +238,28 @@ def sweep(ecfg: ExperimentConfig, axis: str, values=None, assets: ExperimentAsse
         out.mkdir(parents=True, exist_ok=True)
         atomic_write_text(out / f"sweep_{axis}.txt", text)
     return rows, text
+
+
+def compare_kinds(
+    ecfg: ExperimentConfig, kinds=MODEL_KINDS, assets: ExperimentAssets | None = None
+):
+    """One run per model kind on shared data and seeds: the robustness study.
+
+    Returns ({kind: metrics}, summary table); the table is also written to
+    `summary.tsv` when ecfg.out_dir is set.
+    """
+    assets = assets or load_assets(ecfg)
+    results = {kind: run_experiment(replace(ecfg, model_kind=kind), assets) for kind in kinds}
+    table = ["kind\tacc_with_mean\tacc_without_mean\tdelta_acc"]
+    for kind, metrics in results.items():
+        table.append(
+            f"{kind}\t{metrics.acc_with_mean:.2f}"
+            f"\t{metrics.acc_without_mean:.2f}\t{metrics.delta_acc}"
+        )
+    text = "\n".join(table) + "\n"
+    if ecfg.out_dir is not None:
+        atomic_write_text(Path(ecfg.out_dir) / "summary.tsv", text)
+    return results, text
 
 
 # --- pipeline hashing ---------------------------------------------------------

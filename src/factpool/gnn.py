@@ -103,8 +103,13 @@ def gnn_forward_arrays(
     cfg: GNNConfig,
     arrays: SubgraphArrays,
     node_init: np.ndarray,
+    backward_cache: bool = False,
 ):
-    """Vectorized forward.  Returns (final states [N, d], cache, update count)."""
+    """Vectorized forward.  Returns (final states [N, d], cache, update count).
+
+    backward_cache: keep each layer's activations for `gnn_backward_arrays`;
+    without it the cache is None.
+    """
     n, d = node_init.shape
     h = node_init
     counts = np.zeros(n)
@@ -123,10 +128,12 @@ def gnn_forward_arrays(
             agg = agg / safe_counts
         pre_u = agg @ params["gnn.upd.w"]
         upd, pre_u_t = gelu_cached(pre_u)
-        h_next = upd + h
-        layer_caches.append((h, m_in, pre_m, pre_m_t, agg, pre_u, pre_u_t))
-        h = h_next
-    cache = (arrays, layer_caches, safe_counts)
+        if backward_cache:
+            layer_caches.append((h, m_in, pre_m, pre_m_t, agg, pre_u, pre_u_t))
+        else:  # free the [M, .] message arrays before the next layer allocates its own
+            del m_in, pre_m, pre_m_t, msg
+        h = upd + h
+    cache = (arrays, layer_caches, safe_counts) if backward_cache else None
     return h, cache, n * cfg.layers
 
 

@@ -373,7 +373,7 @@ def batch_forward(
     states, trunk_cache = _run_trunk(model, ids, mask, g, backward_cache)
     q_final = states[:, 1, :]
     scores, aggregations, head_caches = _score(
-        model, flat, slices, g, q_final, states[:, 0, :]
+        model, flat, slices, g, q_final, states[:, 0, :], backward_cache
     )
     loss = 0.0
     d_scores = np.zeros(len(flat))
@@ -440,7 +440,9 @@ def _run_trunk(model: Model, ids, mask, g: np.ndarray, backward_cache: bool = Fa
     )
 
 
-def _score(model: Model, flat, slices, g: np.ndarray, q_final, graph_final):
+def _score(
+    model: Model, flat, slices, g: np.ndarray, q_final, graph_final, backward_cache: bool = False
+):
     """Scoring stage: (candidate scores, aggregation count, head caches).
 
     DivergenceError names the first candidate with a non-finite score.
@@ -454,7 +456,7 @@ def _score(model: Model, flat, slices, g: np.ndarray, q_final, graph_final):
         node_init = np.concatenate([cand.node_init for cand in flat])
         node_init[virtual] = q_final
         final, gnn_cache, aggregations = gnn_forward_arrays(
-            params, model.gnn_config(), arrays, node_init
+            params, model.gnn_config(), arrays, node_init, backward_cache
         )
         graph_scores, fg_cache = scalar_head_forward(params, "gnn.score", final[virtual])
         caches.update(gnn_cache=gnn_cache, gnn_virtual=virtual)
@@ -710,7 +712,7 @@ def load_model(path: str) -> Model:
                 f"{path}: tensor {name!r} has shape {have.get(name, 'none')}, "
                 f"a {kind} model needs {need.get(name, 'none')}"
             )
-    model.params = params
+    model.params = {name: t.astype(cfg.dtype, copy=False) for name, t in params.items()}
     return model
 
 

@@ -8,19 +8,20 @@ minutes.
 
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import gnn_oracle, message_oracle, pool_oracle
 
-from factpool.config import Config
+from factpool.config import Config, load_config
 from factpool.experiment import (
     ExperimentConfig,
+    compare_kinds,
     count_aggregations,
     delta_acc,
     explain,
-    load_assets,
     pipeline_hashes,
     run_experiment,
 )
@@ -51,6 +52,8 @@ from factpool.pooling import init_pooling_head, pool_forward
 from factpool.synthetic import SyntheticSpec, write_synthetic
 
 from conftest import kg_from_facts
+
+ACCEPTANCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "acceptance.cfg"
 
 
 def report(num, name, detail=""):
@@ -160,12 +163,8 @@ def robustness_results(tmp_path_factory):
         distractor_rate=0.6, kg_fraction=0.6, seed=0,
     )
     paths = write_synthetic(spec, out)
-    cfg = Config(
-        L=4, d=64, heads=4, K=2, fusion_mode="early_late", max_tokens=40,
-        max_nodes=32, epochs=6, batch_size=16, seed=0,
-    )
     ecfg = ExperimentConfig(
-        config=cfg,
+        config=load_config(ACCEPTANCE_CONFIG),
         kg_path=str(paths["kg"]),
         dataset_path=str(paths["dataset"]),
         templates_path=str(paths["templates"]),
@@ -173,11 +172,7 @@ def robustness_results(tmp_path_factory):
         test_count=200,
         seeds=(0, 1, 2),
     )
-    assets = load_assets(ecfg)
-    results = {}
-    for kind in ("pooled", "gnn", "lm"):
-        results[kind] = run_experiment(replace(ecfg, model_kind=kind), assets)
-    return results
+    return compare_kinds(ecfg)[0]
 
 
 def test_criterion_05_robustness_trend(robustness_results):
@@ -216,7 +211,9 @@ def test_criterion_06_oracle_equivalence():
             {f"r{i}": i for i in range(3)},
         )
         h = rng.standard_normal((2, d))
-        _, (_, layer_caches, _), _ = gnn_forward_arrays(params, GNNConfig(layers=1), single, h)
+        _, (_, layer_caches, _), _ = gnn_forward_arrays(
+            params, GNNConfig(layers=1), single, h, backward_cache=True
+        )
         got = layer_caches[0][4][1]
         want = message_oracle(
             h[0], params["gnn.rel_emb"][r], params["gnn.msg.w"], params["gnn.msg.b"]

@@ -114,6 +114,21 @@ def test_model_checkpoint_restores_everything(tmp_path):
         assert restored.params[name].tobytes() == model.params[name].tobytes()
 
 
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_load_model_returns_tensors_in_the_config_dtype(tmp_path, precision):
+    # The container stores float64; a load casts back to the model's precision.
+    cfg = Config(L=2, d=16, heads=2, vocab_size=64, max_tokens=16, max_nodes=8,
+                 precision=precision)
+    model = create_model(cfg, "gnn", ["r0", "r1"])
+    path = tmp_path / "model.ckpt"
+    save_model(model, str(path))
+    restored = load_model(str(path))
+    assert restored.cfg.precision == precision
+    for name, tensor in model.params.items():
+        assert restored.params[name].dtype == cfg.dtype, name
+        assert restored.params[name].tobytes() == tensor.tobytes(), name
+
+
 def test_two_training_runs_byte_identical_checkpoints(tmp_path):
     blobs = []
     for run in range(2):

@@ -233,6 +233,35 @@ def test_sweep_cli(workspace):
     assert (out / "sweep_K.txt").exists()
 
 
+def test_run_cli(workspace):
+    from factpool.config import load_config
+    from factpool.experiment import ExperimentConfig, run_experiment
+
+    out = workspace / "run"
+    stdout = run_cli("run", *data_args(workspace), "--config", str(workspace / "run.cfg"),
+                     "--kinds", "pooled,gnn", "--seeds", "0", "--train-count", "8",
+                     "--test-count", "4", "--out", str(out))
+    summary = (out / "summary.tsv").read_text()
+    assert stdout == summary
+    lines = summary.splitlines()
+    assert lines[0] == "kind\tacc_with_mean\tacc_without_mean\tdelta_acc"
+    assert [line.split("\t")[0] for line in lines[1:]] == ["pooled", "gnn"]
+    assert not (out / "metrics_lm.txt").exists()
+    data = workspace / "data"
+    for kind in ("pooled", "gnn"):
+        metrics = run_experiment(ExperimentConfig(
+            config=load_config(workspace / "run.cfg"),
+            kg_path=str(data / "kg.tsv"),
+            dataset_path=str(data / "dataset.jsonl"),
+            templates_path=str(data / "templates.tsv"),
+            train_count=8,
+            test_count=4,
+            model_kind=kind,
+            seeds=(0,),
+        ))
+        assert (out / f"metrics_{kind}.txt").read_text() == metrics.render()
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_gradcheck_max_per_param_must_be_positive(capsys, value):
     from factpool import cli
@@ -243,26 +272,39 @@ def test_gradcheck_max_per_param_must_be_positive(capsys, value):
     assert "--max-per-param" in capsys.readouterr().err
 
 
+BAD_EXPERIMENT_FLAGS = [
+    ("sweep", "--train-count", "-38"),
+    ("sweep", "--train-count", "0"),
+    ("sweep", "--test-count", "-1"),
+    ("sweep", "--values", "x"),
+    ("sweep", "--values", "0,-1"),
+    ("sweep", "--values", "1,,2"),
+    ("sweep", "--seeds", "x"),
+    ("sweep", "--seeds", "-1"),
+    ("sweep", "--seeds", ""),
+    ("run", "--kinds", "pooled,foo"),
+    ("run", "--kinds", "pooled,pooled"),
+    ("run", "--kinds", ""),
+    ("run", "--seeds", "-1"),
+    ("run", "--train-count", "0"),
+    ("run", "--test-count", "x"),
+]
+
+
+# Sweep's case ids carry no command name; other commands' ids start with theirs.
 @pytest.mark.parametrize(
-    "flag, value",
-    [
-        ("--train-count", "-38"),
-        ("--train-count", "0"),
-        ("--test-count", "-1"),
-        ("--values", "x"),
-        ("--values", "0,-1"),
-        ("--values", "1,,2"),
-        ("--seeds", "x"),
-        ("--seeds", "-1"),
-        ("--seeds", ""),
-    ],
+    "command, flag, value",
+    BAD_EXPERIMENT_FLAGS,
+    ids=[f"{flag}-{value}" if command == "sweep" else f"{command}-{flag}-{value}"
+         for command, flag, value in BAD_EXPERIMENT_FLAGS],
 )
-def test_bad_sweep_flags_are_usage_errors(capsys, flag, value):
+def test_bad_sweep_flags_are_usage_errors(capsys, command, flag, value):
     from factpool import cli
 
     flags = {"--train-count": "8", "--test-count": "4", flag: value}
+    extra = ["--axis", "K"] if command == "sweep" else []
     with pytest.raises(SystemExit) as exc:
-        cli.main(["sweep", "--kg", "kg.tsv", "--dataset", "d.jsonl", "--axis", "K",
+        cli.main([command, "--kg", "kg.tsv", "--dataset", "d.jsonl", *extra,
                   *(f"{name}={text}" for name, text in flags.items())])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
@@ -271,11 +313,12 @@ def test_bad_sweep_flags_are_usage_errors(capsys, flag, value):
 @pytest.mark.parametrize(
     "flags, named",
     [
-        (["--axis", "max_nodes", "--values", "0", "--train-count", "8"],
+        (["sweep", "--axis", "max_nodes", "--values", "0", "--train-count", "8"],
          ["--values", "max_nodes=0"]),
-        (["--axis", "K", "--values", "3", "--train-count", "8"], ["--values", "K=3"]),
-        (["--axis", "K", "--values", "1", "--train-count", "40"],
+        (["sweep", "--axis", "K", "--values", "3", "--train-count", "8"], ["--values", "K=3"]),
+        (["sweep", "--axis", "K", "--values", "1", "--train-count", "40"],
          ["--train-count", "dataset.jsonl"]),
+        (["run", "--kinds", "lm", "--train-count", "40"], ["--train-count", "dataset.jsonl"]),
     ],
 )
 def test_sweep_values_the_config_or_data_reject_are_usage_errors(
@@ -284,8 +327,8 @@ def test_sweep_values_the_config_or_data_reject_are_usage_errors(
     from factpool import cli
 
     with pytest.raises(SystemExit) as exc:
-        cli.main(["sweep", *data_args(workspace), "--config", str(workspace / "run.cfg"),
-                  *flags, "--test-count", "2", "--out", str(workspace / "bad_sweep")])
+        cli.main([*flags, *data_args(workspace), "--config", str(workspace / "run.cfg"),
+                  "--test-count", "2", "--out", str(workspace / "bad_sweep")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert all(text in err for text in named), err
@@ -314,6 +357,18 @@ def test_bad_slice_flags_are_usage_errors(capsys, command, flag, value):
         cli.main([command, "--kg", "kg.tsv", "--dataset", "d.jsonl", *extra, f"{flag}={value}"])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+def test_config_file_the_parser_rejects_is_usage_error(tmp_path, capsys):
+    from factpool import cli
+
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("L=2\nL=4\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--kg", "kg.tsv", "--dataset", "d.jsonl", "--config", str(cfg),
+                  "--train-count", "8", "--test-count", "4"])
+    assert exc.value.code == 2
+    assert f"--config {cfg}: config line 2 repeats key 'L'" in capsys.readouterr().err
 
 
 def test_explain_question_index_out_of_range_is_usage_error(workspace, capsys):

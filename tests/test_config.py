@@ -1,0 +1,58 @@
+from pathlib import Path
+
+import pytest
+
+from factpool.config import Config, config_text, load_config, parse_config_text
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+
+
+def test_checked_in_configs_exist():
+    assert {path.name for path in CONFIGS} >= {"acceptance.cfg", "fusion_sweep.cfg"}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[path.name for path in CONFIGS])
+def test_checked_in_config_is_its_own_rendering(path):
+    # A mistyped key or value fails here, not at the end of an experiment.
+    assert config_text(load_config(path)) == path.read_text(encoding="utf-8")
+
+
+def test_config_text_round_trips():
+    cfg = Config(L=6, K=3, fusion_mode="early_late", lr_lm=1.5e-4, seed=7)
+    assert parse_config_text(config_text(cfg)) == cfg
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("lr_lm", -0.001), ("lr_graph", float("nan")), ("lr_lm", float("inf")),
+     ("lr_graph", float("-inf"))],
+)
+def test_learning_rates_must_be_finite_and_non_negative(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
+        Config(**{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
+        parse_config_text(f"{field}={value}\n")
+
+
+def test_zero_learning_rate_is_accepted():
+    # A zero rate freezes its parameter group.
+    assert parse_config_text("lr_lm=0\nlr_graph=0.0\n").lr_lm == 0.0
+
+
+def test_repeated_key_is_rejected_naming_the_line():
+    with pytest.raises(ValueError, match="config line 3 repeats key 'L'"):
+        parse_config_text("L=2\nd=16\nL=4\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("L=4.5\n", "config line 1: L='4.5' is not an integer"),
+        ("d=64\nseed=x\n", "config line 2: seed='x' is not an integer"),
+        ("lr_graph=fast\n", "config line 1: lr_graph='fast' is not a number"),
+    ],
+)
+def test_unparsable_value_names_line_and_key(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_config_text(text)
+    assert str(exc.value) == message

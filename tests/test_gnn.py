@@ -64,7 +64,7 @@ def gnn_question(gnn_layers=2):
 def single_edge_messages(params, init):
     """Messages aggregated at each node of the one-fact graph a -r-> b."""
     arrays = subgraph_arrays(Subgraph(nodes={"a", "b"}, edges={Fact("a", "r", "b")}), {"r": 1})
-    _, cache, _ = gnn_forward_arrays(params, GNNConfig(layers=1), arrays, init)
+    _, cache, _ = gnn_forward_arrays(params, GNNConfig(layers=1), arrays, init, True)
     _, layer_caches, _ = cache
     return layer_caches[0][4]  # sum aggregate: one message per node here
 
@@ -287,7 +287,7 @@ def test_gnn_backward_vs_finite_differences():
         final, _, _ = gnn_forward_arrays(params, gcfg, arrays, init)
         return float(np.sum(final * probe))
 
-    _, cache, _ = gnn_forward_arrays(params, gcfg, arrays, init)
+    _, cache, _ = gnn_forward_arrays(params, gcfg, arrays, init, backward_cache=True)
     grads, d_init = gnn_backward_arrays(params, gcfg, cache, probe)
     for name in ("gnn.rel_emb", "gnn.msg.w", "gnn.msg.b", "gnn.upd.w"):
         numeric = fd_gradient(loss, params[name])
@@ -295,6 +295,36 @@ def test_gnn_backward_vs_finite_differences():
         assert np.max(np.abs(grads[name] - numeric) / denom) < 1e-4, name
     numeric = fd_gradient(loss, init)
     assert np.max(np.abs(d_init - numeric) / np.maximum(np.abs(numeric), 1e-4)) < 1e-4
+
+
+def test_forward_without_backward_cache_is_bit_identical_and_keeps_none(monkeypatch):
+    _, _, sub = make_sub([("a", "r", "b"), ("b", "s", "c"), ("c", "r", "a")], {"a", "c"})
+    arrays = subgraph_arrays(sub, rel_index(sub))
+    params = init_gnn_params(6, len(rel_index(sub)), np.random.default_rng(21))
+    init = np.random.default_rng(22).standard_normal((len(arrays.node_ids), 6))
+    for agg in ("sum", "mean"):
+        gcfg = GNNConfig(layers=2, aggregation=agg)
+        kept, cache, count = gnn_forward_arrays(params, gcfg, arrays, init, backward_cache=True)
+        bare, no_cache, bare_count = gnn_forward_arrays(params, gcfg, arrays, init)
+        assert bare.tobytes() == kept.tobytes() and bare_count == count
+        assert len(cache[1]) == 2 and no_cache is None
+    # Only a training forward keeps layer caches; evaluation scores the same bytes.
+    model, _, prepared = gnn_question()
+    caches = []
+    real = model_mod.gnn_forward_arrays
+
+    def spying(*args):
+        out = real(*args)
+        caches.append(out[1])
+        return out
+
+    monkeypatch.setattr(model_mod, "gnn_forward_arrays", spying)
+    trained = batch_forward(model, [prepared], backward_cache=True)
+    scored = batch_forward(model, [prepared])
+    model_mod.evaluate(model, [prepared])
+    assert caches[0] is not None and caches[1:] == [None, None]
+    assert scored.scores.tobytes() == trained.scores.tobytes()
+    assert "gnn_cache" not in scored._caches
 
 
 def test_forward_arrays_cover_every_node():

@@ -8,12 +8,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize(
-    "script",
-    ["alignment_ab", "fusion_sweep", "robustness_experiment", "subgraph_size_sweep"],
-)
+@pytest.mark.parametrize("script", ["alignment_ab"])
 def test_script_imports_and_parses_help(script):
-    # The scripts import package internals; --help catches API drift cheaply.
+    # The script imports package internals; --help catches API drift cheaply.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / f"{script}.py"), "--help"],
