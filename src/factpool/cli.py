@@ -175,7 +175,8 @@ def cmd_eval(args) -> int:
     templates = load_templates(args.templates)
     records = _dataset_slice(args, load_dataset(args.dataset))
     encoder = build_encoder(model, cache_path=args.cache)
-    prepared = prepare_conditions(model, kg, templates, encoder, records)
+    grounding = ground_records(kg, records, model.cfg.max_nodes)
+    prepared = prepare_conditions(model, templates, encoder, records, grounding)
     accs = evaluate_conditions(model, prepared)
     lines = [f"acc_{condition}={accs[condition]:.10g}" for condition in CONDITIONS]
     lines.append(f"delta_acc={delta_acc(accs['with_answers'], accs['without_answers']):.10g}")

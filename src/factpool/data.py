@@ -1,14 +1,16 @@
 """Question records: one JSON object per line.
 
-Fields: context (str), question (str), candidates (list[str]),
-answer_index (int), plus optional pre-linked entity lists
+Fields: question (str), candidates (list of non-empty str), answer_index
+(int, not bool), plus optional context (str), pre-linked entity lists
 `question_entities` (list[str]) and `answer_entities` (list[list[str]],
-one list per candidate).
+one list per candidate), and meta (object).  `load_dataset` checks each
+field's JSON type.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,11 +52,53 @@ class QuestionRecord:
         return json.dumps(payload, sort_keys=True)
 
 
-def record_from_dict(obj: dict) -> QuestionRecord:
+class DatasetFormatError(ValueError):
+    """A dataset line that is not a question record; names path, line and field."""
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# field -> (required, JSON type check, what the check wants)
+_FIELDS = {
+    "question": (True, lambda v: isinstance(v, str), "a string"),
+    "candidates": (
+        True,
+        lambda v: _is_str_list(v) and all(map(str.strip, v)),
+        "a list of non-empty strings",
+    ),
+    "answer_index": (True, _is_int, "an integer"),
+    "context": (False, lambda v: isinstance(v, str), "a string"),
+    "question_entities": (False, _is_str_list, "a list of strings"),
+    "answer_entities": (
+        False,
+        lambda v: isinstance(v, list) and all(map(_is_str_list, v)),
+        "a list of string lists",
+    ),
+    "meta": (False, lambda v: isinstance(v, dict), "an object"),
+}
+
+
+def record_from_dict(obj) -> QuestionRecord:
+    """A record from one parsed JSON line; ValueError names the first field
+    that is missing or of the wrong JSON type."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a record must be a JSON object, not {type(obj).__name__}")
+    for name, (required, valid, wanted) in _FIELDS.items():
+        if name not in obj:
+            if required:
+                raise ValueError(f"missing field {name!r}")
+        elif not valid(obj[name]):
+            raise ValueError(f"field {name!r} must be {wanted}: {reprlib.repr(obj[name])}")
     return QuestionRecord(
         question=obj["question"],
-        candidates=list(obj["candidates"]),
-        answer_index=int(obj["answer_index"]),
+        candidates=obj["candidates"],
+        answer_index=obj["answer_index"],
         context=obj.get("context", ""),
         question_entities=obj.get("question_entities"),
         answer_entities=obj.get("answer_entities"),
@@ -63,6 +107,8 @@ def record_from_dict(obj: dict) -> QuestionRecord:
 
 
 def load_dataset(path: str | Path) -> list[QuestionRecord]:
+    """One record per non-blank line; DatasetFormatError names the path,
+    the line and the field of the first bad record."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -70,8 +116,8 @@ def load_dataset(path: str | Path) -> list[QuestionRecord]:
                 continue
             try:
                 records.append(record_from_dict(json.loads(line)))
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}: bad record on line {lineno}: {exc}") from exc
+            except ValueError as exc:
+                raise DatasetFormatError(f"{path}: bad record on line {lineno}: {exc}") from exc
     return records
 
 

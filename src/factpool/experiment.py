@@ -5,9 +5,12 @@ then evaluates the held-out questions twice: once on intact subgraphs
 (`with_answers`) and once after removing every edge incident to candidate
 answer entities (`without_answers`).  The headline number is the relative
 accuracy degradation between the two evaluations, reported in percent at
-one decimal with ties rounded away from zero.  Pipeline stages are hashed
-so runs under different conditions can be shown to differ only at the
-perturbation step.
+one decimal with ties rounded away from zero.
+
+A run grounds its training and test sets once (linking and retrieval do not
+depend on the seed) and prepares every seed from those groundings.  Its
+pipeline hashes digest the training grounding it trained on, so runs under
+different conditions can be shown to differ only at the perturbation step.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from factpool.model import (
     MODEL_KINDS,
     WITH_ANSWERS,
     WITHOUT_ANSWERS,
+    Grounding,
     Model,
     apply_condition,
     batch_forward,
@@ -125,8 +129,6 @@ class ExperimentConfig:
     model_kind: str = "pooled"
     condition: str = WITH_ANSWERS  # training condition
     seeds: tuple[int, ...] = (0, 1, 2)
-    k_values: tuple[int, ...] = (0, 2, 5)
-    max_nodes_values: tuple[int, ...] = (16, 32, 64)
     out_dir: str | None = None
 
 
@@ -158,23 +160,36 @@ def load_assets(ecfg: ExperimentConfig) -> ExperimentAssets:
 
 
 def run_experiment(ecfg: ExperimentConfig, assets: ExperimentAssets | None = None) -> Metrics:
-    """Train per seed under ecfg.condition; evaluate under both conditions."""
+    """Train per seed under ecfg.condition; evaluate under both conditions.
+
+    The training and test sets are grounded once, before the seed loop.
+    """
     if ecfg.condition not in CONDITIONS:
         raise ValueError(f"condition must be one of {CONDITIONS}")
     assets = assets or load_assets(ecfg)
+    max_nodes = ecfg.config.max_nodes
+    train_grounding = ground_records(assets.kg, assets.train_records, max_nodes)
+    test_grounding = ground_records(assets.kg, assets.test_records, max_nodes)
     per_seed: list[SeedResult] = []
     for seed in ecfg.seeds:
         cfg = replace(ecfg.config, seed=seed)
         model = create_model(cfg, ecfg.model_kind, relation_table(assets.kg))
         encoder = build_encoder(model)
-        train_q = prepare_dataset(
-            model, assets.kg, assets.templates, encoder, assets.train_records, ecfg.condition
-        )
+        train_q = prepare_conditions(
+            model,
+            assets.templates,
+            encoder,
+            assets.train_records,
+            train_grounding,
+            (ecfg.condition,),
+        )[ecfg.condition]
         ckpt_dir = None
         if ecfg.out_dir is not None:
             ckpt_dir = str(Path(ecfg.out_dir) / f"{ecfg.model_kind}_seed{seed}")
         losses = train_model(model, train_q, out_dir=ckpt_dir)
-        test = prepare_conditions(model, assets.kg, assets.templates, encoder, assets.test_records)
+        test = prepare_conditions(
+            model, assets.templates, encoder, assets.test_records, test_grounding
+        )
         accs = evaluate_conditions(model, test)
         per_seed.append(
             SeedResult(
@@ -187,7 +202,7 @@ def run_experiment(ecfg: ExperimentConfig, assets: ExperimentAssets | None = Non
         )
     metrics = _aggregate(ecfg.model_kind, ecfg.condition, per_seed)
     metrics.pipeline_hashes = pipeline_hashes(
-        assets.kg, assets.train_records, ecfg.config, ecfg.condition
+        assets.kg, assets.train_records, ecfg.config, ecfg.condition, train_grounding
     )
     if ecfg.out_dir is not None:
         out = Path(ecfg.out_dir)
@@ -196,15 +211,18 @@ def run_experiment(ecfg: ExperimentConfig, assets: ExperimentAssets | None = Non
     return metrics
 
 
+SWEEP_VALUES = {"K": (0, 2, 5), "max_nodes": (16, 32, 64)}  # default values per axis
+
+
 def sweep_cells(ecfg: ExperimentConfig, axis: str, values=None) -> list[tuple]:
     """(value, experiment config) per value along `axis` ('K' or 'max_nodes').
 
     ValueError names the first value the config rejects.
     """
-    if axis not in ("K", "max_nodes"):
+    if axis not in SWEEP_VALUES:
         raise ValueError("axis must be 'K' or 'max_nodes'")
     if values is None:
-        values = ecfg.k_values if axis == "K" else ecfg.max_nodes_values
+        values = SWEEP_VALUES[axis]
     if not values:
         raise ValueError("sweep needs at least one value")
     cells = []
@@ -270,15 +288,22 @@ def pipeline_hashes(
     records: list[QuestionRecord],
     cfg: Config,
     condition: str,
+    grounding: Grounding | None = None,
 ) -> dict[str, str]:
     """Stage digests: everything before the perturbation step is
-    condition-independent; the perturbation stage reflects the condition."""
+    condition-independent; the perturbation stage reflects the condition.
+
+    `grounding` is `ground_records(kg, records, cfg.max_nodes)`; a run passes
+    the one it trained on, and it is computed when omitted.
+    """
+    if grounding is None:
+        grounding = ground_records(kg, records, cfg.max_nodes)
     kg_digest = sha256_hex("\n".join(sorted(f.key() for f in kg.facts)))
     dataset_digest = sha256_hex("\n".join(r.to_json() for r in records))
     linking = []
     retrieval = []
     perturbation = []
-    for statements in ground_records(kg, records, cfg.max_nodes):
+    for statements in grounding:
         for stmt, intact in statements:
             linked = {"q": sorted(stmt.question_entities), "a": sorted(stmt.answer_entities)}
             linking.append(canonical_json(linked))

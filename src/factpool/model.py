@@ -22,7 +22,6 @@ differences by `gradient_check`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -177,12 +176,20 @@ class PreparedQuestion:
     answer_index: int
 
 
+Grounding = list[list[tuple[GroundedStatement, Subgraph]]]
+
+
 def ground_records(
     kg: KnowledgeGraph, records: list[QuestionRecord], max_nodes: int
-) -> Iterator[list[tuple[GroundedStatement, Subgraph]]]:
+) -> Grounding:
     """Per record: each candidate's linked statement and its intact subgraph
     with the virtual question node.  Pre-linked entity sets in a record take
-    precedence over text linking."""
+    precedence over text linking.
+
+    A grounding depends on the KG, the records and `max_nodes` only, so one
+    grounding serves every model, seed and condition prepared from it.
+    """
+    grounding = []
     for record in records:
         answers = record.answer_entities or [None] * len(record.candidates)
         statements = []
@@ -192,7 +199,8 @@ def ground_records(
             )
             sub = add_virtual_question_node(retrieve_subgraph(kg, stmt, max_nodes), stmt)
             statements.append((stmt, sub))
-        yield statements
+        grounding.append(statements)
+    return grounding
 
 
 def apply_condition(sub: Subgraph, stmt: GroundedStatement, condition: str) -> Subgraph:
@@ -222,29 +230,31 @@ def prepare_dataset(
     records: list[QuestionRecord],
     condition: str = WITH_ANSWERS,
 ) -> list[PreparedQuestion]:
-    return prepare_conditions(model, kg, templates, encoder, records, (condition,))[condition]
+    grounding = ground_records(kg, records, model.cfg.max_nodes)
+    prepared = prepare_conditions(model, templates, encoder, records, grounding, (condition,))
+    return prepared[condition]
 
 
 def prepare_conditions(
     model: Model,
-    kg: KnowledgeGraph,
     templates: TemplateTable,
     encoder,
     records: list[QuestionRecord],
+    grounding: Grounding,
     conditions: tuple[str, ...] = CONDITIONS,
 ) -> dict[str, list[PreparedQuestion]]:
-    """`records` prepared under each of `conditions` from one grounding.
+    """`records` prepared under each of `conditions` from their grounding,
+    `ground_records(kg, records, model.cfg.max_nodes)`.
 
-    Every statement is retrieved once and every distinct fact verbalized
-    once.  All edge vectors come from one `encode_subgraphs` call and, for
-    gnn, all entity surfaces from one `encode_texts` call.
+    Every distinct fact is verbalized once.  All edge vectors come from one
+    `encode_subgraphs` call and, for gnn, all entity surfaces from one
+    `encode_texts` call.
     """
     if model.kind == "gnn" and not hasattr(encoder, "encode_texts"):
         raise ValueError(
             "gnn models need a text-capable encoder for entity node states; "
             "the external-file encoder only serves cached facts"
         )
-    grounding = list(ground_records(kg, records, model.cfg.max_nodes))
     subgraphs = [sub for statements in grounding for _, sub in statements]
     vectors: dict[str, np.ndarray] = {}
     texts = encode_subgraphs(subgraphs, templates, encoder, vectors)
@@ -256,7 +266,7 @@ def prepare_conditions(
     encoding = DatasetEncoding(texts, vectors, nodes, model.relation_index)
     questions = [
         prepare_question(model, record, statements, encoding, conditions)
-        for record, statements in zip(records, grounding)
+        for record, statements in zip(records, grounding, strict=True)
     ]
     return {condition: [q[condition] for q in questions] for condition in conditions}
 

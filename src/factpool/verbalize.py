@@ -32,17 +32,6 @@ class TemplateTable:
         for relation, template in self.templates.items():
             _validate_template(relation, template)
 
-    def add(self, relation: str, template: str) -> None:
-        _validate_template(relation, template)
-        self.templates[relation] = template
-
-    def covers(self, relations: set[str]) -> bool:
-        missing = {r for r in relations if r not in self.templates and r not in _VIRTUAL_TEMPLATES}
-        return not missing
-
-    def __contains__(self, relation: str) -> bool:
-        return relation in self.templates or relation in _VIRTUAL_TEMPLATES
-
 
 def _validate_template(relation: str, template: str) -> None:
     for placeholder in ("{h}", "{t}"):
@@ -54,8 +43,12 @@ def _validate_template(relation: str, template: str) -> None:
 
 
 def load_templates(path: str) -> TemplateTable:
-    """Load a TSV of `relation\\ttemplate` lines ('#' comments allowed)."""
-    table = TemplateTable()
+    """Load a TSV of `relation\\ttemplate` lines ('#' comments allowed).
+
+    TemplateError names the path and line of a malformed line, a bad
+    template or a relation given twice.
+    """
+    templates: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -64,8 +57,15 @@ def load_templates(path: str) -> TemplateTable:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise TemplateError(f"{path}: malformed line {lineno}: {line!r}")
-            table.add(parts[0].strip(), parts[1])
-    return table
+            relation, template = parts[0].strip(), parts[1]
+            if relation in templates:
+                raise TemplateError(f"{path}: line {lineno}: relation {relation!r} given twice")
+            try:
+                _validate_template(relation, template)
+            except TemplateError as err:
+                raise TemplateError(f"{path}: line {lineno}: {err}") from None
+            templates[relation] = template
+    return TemplateTable(templates)
 
 
 def save_templates(table: TemplateTable, path: str) -> None:

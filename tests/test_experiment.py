@@ -112,6 +112,15 @@ def test_condition_isolation_hashes(micro_assets):
     assert with_h["perturbation"] == with_h["retrieval"]  # no-op condition
 
 
+@pytest.mark.parametrize("condition", [WITH_ANSWERS, WITHOUT_ANSWERS])
+def test_run_hashes_equal_standalone_hashes(micro_assets, condition):
+    ecfg = micro_ecfg(micro_assets, condition=condition, config=micro_config(epochs=1))
+    assets = load_assets(ecfg)
+    metrics = run_experiment(ecfg, assets)
+    standalone = pipeline_hashes(assets.kg, assets.train_records, ecfg.config, condition)
+    assert metrics.pipeline_hashes == standalone
+
+
 def test_sweep_singleton_matches_run_experiment(micro_assets):
     ecfg = micro_ecfg(micro_assets)
     rows, text = sweep(ecfg, "max_nodes", [8])
@@ -221,27 +230,18 @@ def test_gnn_aggregation_count_is_nodes_times_layers(nodes, layers):
 # --- one grounding per statement --------------------------------------------------
 
 
-def count_preparation_retrievals(monkeypatch):
-    """Calls of retrieve_subgraph made outside pipeline_hashes."""
-    from factpool import experiment, model as model_mod
+def count_retrievals(monkeypatch):
+    """Calls of retrieve_subgraph, pipeline_hashes included."""
+    from factpool import model as model_mod
 
-    calls, hashing = [], []
-    real_retrieve, real_hashes = model_mod.retrieve_subgraph, experiment.pipeline_hashes
+    calls = []
+    real_retrieve = model_mod.retrieve_subgraph
 
     def retrieve(*args, **kwargs):
-        if not hashing:
-            calls.append(args[1])
+        calls.append(args[1])
         return real_retrieve(*args, **kwargs)
 
-    def hashes(*args, **kwargs):
-        hashing.append(True)
-        try:
-            return real_hashes(*args, **kwargs)
-        finally:
-            hashing.pop()
-
     monkeypatch.setattr(model_mod, "retrieve_subgraph", retrieve)
-    monkeypatch.setattr(experiment, "pipeline_hashes", hashes)
     return calls
 
 
@@ -249,10 +249,11 @@ def statement_count(records):
     return sum(len(r.candidates) for r in records)
 
 
-def test_run_experiment_retrieves_each_statement_once(micro_assets, monkeypatch):
-    ecfg = micro_ecfg(micro_assets)
+@pytest.mark.parametrize("seeds", [(0,), (0, 1)], ids=["one-seed", "two-seeds"])
+def test_run_experiment_retrieves_each_statement_once(micro_assets, monkeypatch, seeds):
+    ecfg = micro_ecfg(micro_assets, seeds=seeds)
     assets = load_assets(ecfg)
-    calls = count_preparation_retrievals(monkeypatch)
+    calls = count_retrievals(monkeypatch)
     run_experiment(ecfg, assets)
     assert len(calls) == statement_count(assets.train_records) + statement_count(
         assets.test_records

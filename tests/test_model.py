@@ -29,6 +29,7 @@ from factpool.model import (
     EVAL_CHUNK,
     evaluate,
     evaluate_conditions,
+    ground_records,
     loss_and_grads,
     prepare_conditions,
     prepare_dataset,
@@ -441,7 +442,8 @@ def prepare_both(setup, eval_benchmark):
     kind, overrides = EVAL_SETUPS[setup]
     kg, templates, records = eval_benchmark
     model = create_model(small_cfg(**overrides), kind, relation_table(kg))
-    return model, prepare_conditions(model, kg, templates, build_encoder(model), records)
+    grounding = ground_records(kg, records, model.cfg.max_nodes)
+    return model, prepare_conditions(model, templates, build_encoder(model), records, grounding)
 
 
 @pytest.mark.parametrize("setup", sorted(EVAL_SETUPS))
@@ -505,7 +507,8 @@ def test_evaluate_conditions_runs_each_distinct_trunk_row_once(
 
 def test_evaluate_conditions_rejects_misaligned_conditions():
     model, kg, templates, encoder, records, _ = make_setup(questions=4)
-    both = prepare_conditions(model, kg, templates, encoder, records[:4])
+    grounding = ground_records(kg, records[:4], model.cfg.max_nodes)
+    both = prepare_conditions(model, templates, encoder, records[:4], grounding)
     with_q, without_q = both[WITH_ANSWERS], both[WITHOUT_ANSWERS]
     fewer_candidates = [replace(q, candidates=q.candidates[:-1]) for q in without_q]
     swapped = [replace(q, candidates=q.candidates[::-1]) for q in without_q]
@@ -613,7 +616,8 @@ def test_prepare_names_the_fact_an_external_cache_lacks(tmp_path):
 
 def test_prepare_conditions_equals_one_condition_at_a_time():
     model, kg, templates, encoder, records, _ = make_setup(kind="gnn", questions=5)
-    both = prepare_conditions(model, kg, templates, encoder, records[:5])
+    grounding = ground_records(kg, records[:5], model.cfg.max_nodes)
+    both = prepare_conditions(model, templates, encoder, records[:5], grounding)
     assert list(both) == list(CONDITIONS)
     for condition in CONDITIONS:
         alone = prepare_dataset(model, kg, templates, encoder, records[:5], condition)
@@ -624,7 +628,8 @@ def test_prepare_conditions_equals_one_condition_at_a_time():
 
 def test_without_answers_candidate_that_loses_no_edge_is_the_intact_one():
     model, kg, templates, encoder, records, _ = make_setup(kind="gnn", questions=6)
-    both = prepare_conditions(model, kg, templates, encoder, records[:6])
+    grounding = ground_records(kg, records[:6], model.cfg.max_nodes)
+    both = prepare_conditions(model, templates, encoder, records[:6], grounding)
     kept = lost = 0
     for record, q_with, q_without in zip(records, *both.values()):
         oracle = prepare_question_oracle(model, kg, templates, encoder, record, WITHOUT_ANSWERS)

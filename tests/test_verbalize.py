@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from factpool.kg import Fact
@@ -44,7 +46,15 @@ def test_template_file_round_trip(tmp_path):
     assert loaded.templates == table.templates
 
 
-def test_template_covers():
-    table = TemplateTable({"causes": "{h} causes {t}"})
-    assert table.covers({"causes", "entity", "a_entity"})
-    assert not table.covers({"causes", "unknown"})
+def test_load_templates_rejects_a_repeated_relation(tmp_path):
+    path = tmp_path / "templates.tsv"
+    path.write_text("causes\t{h} causes {t}\nnear\t{h} is near {t}\ncauses\t{t} after {h}\n")
+    with pytest.raises(TemplateError, match=re.escape(f"{path}: line 3: relation 'causes'")):
+        load_templates(str(path))
+
+
+def test_load_templates_bad_template_names_path_and_line(tmp_path):
+    path = tmp_path / "templates.tsv"
+    path.write_text("# relation\ttemplate\ncauses\t{h} causes {t}\nnear\t{h} is near\n")
+    with pytest.raises(TemplateError, match=re.escape(f"{path}: line 3: ") + ".*'near'"):
+        load_templates(str(path))
