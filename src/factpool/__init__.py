@@ -19,7 +19,7 @@ from factpool.kg import (
     remove_answer_edges,
     retrieve_subgraph,
 )
-from factpool.verbalize import TemplateTable, VerbalizedFact, verbalize
+from factpool.verbalize import TemplateTable, verbalize
 
 __all__ = [
     "Config",
@@ -28,7 +28,6 @@ __all__ = [
     "KnowledgeGraph",
     "Subgraph",
     "TemplateTable",
-    "VerbalizedFact",
     "add_virtual_question_node",
     "link_entities",
     "load_kg",

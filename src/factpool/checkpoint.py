@@ -98,6 +98,8 @@ def _read_container(path: str | Path, magic: bytes, kind: str):
         # would cost more than the rest of a small tensor's read.
         size = math.prod(shape)
         tensor = np.frombuffer(data, _F8, size, take(8 * size))
+        if not np.isfinite(tensor).all():
+            raise CheckpointError(f"{path}: {kind} tensor {name!r} holds a non-finite value")
         tensors[name] = tensor.reshape(shape).copy()
     if offset != len(data):
         raise CheckpointError(f"{path}: trailing bytes after tensor block")

@@ -15,8 +15,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from factpool.checkpoint import CheckpointError
 from factpool.config import Config, load_config
-from factpool.data import load_dataset
+from factpool.data import DatasetFormatError, load_dataset
 from factpool.encoders import encode_subgraphs, read_embedding_cache, write_embedding_cache
 from factpool.experiment import (
     DatasetTooSmallError,
@@ -29,7 +30,7 @@ from factpool.experiment import (
     sweep,
     sweep_cells,
 )
-from factpool.kg import Subgraph, load_kg
+from factpool.kg import KGFormatError, Subgraph, load_kg
 from factpool.model import (
     CONDITIONS,
     MODEL_KINDS,
@@ -48,7 +49,7 @@ from factpool.model import (
 )
 from factpool.synthetic import SyntheticSpec, write_synthetic
 from factpool.util import atomic_write_text
-from factpool.verbalize import load_templates
+from factpool.verbalize import TemplateError, load_templates
 
 
 class UsageError(ValueError):
@@ -415,6 +416,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))
+    except (KGFormatError, DatasetFormatError, TemplateError, CheckpointError) as exc:
+        # A bad input file: its typed error names the file; status 1, not a traceback.
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

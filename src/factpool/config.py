@@ -28,8 +28,6 @@ FILE_KEYS = (
     "seed",
 )
 
-_INT_KEYS = {"L", "d", "heads", "K", "max_tokens", "max_nodes", "epochs", "batch_size", "seed"}
-_FLOAT_KEYS = {"lr_lm", "lr_graph"}
 _KIND = {int: "an integer", float: "a number"}
 
 
@@ -96,6 +94,10 @@ class Config:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+# The type each config-file value parses to: that of its field's default.
+_PARSE = {f.name: type(f.default) for f in fields(Config)}
+
+
 def parse_config_text(text: str) -> Config:
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -109,7 +111,7 @@ def parse_config_text(text: str) -> Config:
             raise ValueError(f"unknown config key {key!r} (line {lineno})")
         if key in values:
             raise ValueError(f"config line {lineno} repeats key {key!r}")
-        parse = int if key in _INT_KEYS else float if key in _FLOAT_KEYS else str
+        parse = _PARSE[key]
         try:
             values[key] = parse(value)
         except ValueError:

@@ -184,7 +184,7 @@ def encode_subgraphs(
             if key not in cache and key not in missing:
                 missing[key] = fact
     facts = list(missing.values())
-    texts = [verbalize(fact, templates).text for fact in facts]
+    texts = [verbalize(fact, templates) for fact in facts]
     cache.update(zip(missing, encoder.encode_fact_texts(facts, texts)))
     return dict(zip(missing, texts))
 

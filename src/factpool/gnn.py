@@ -33,17 +33,15 @@ class GNNConfig:
     aggregation: str = "sum"  # sum | mean
 
 
-def init_gnn_params(
-    d: int, num_relations: int, rng: np.random.Generator, dtype=np.float64
-) -> dict[str, np.ndarray]:
+def init_gnn_params(d: int, num_relations: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     bound = 1.0 / np.sqrt(2 * d)
     params = {
-        "gnn.rel_emb": (0.1 * rng.standard_normal((num_relations, d))).astype(dtype),
-        "gnn.msg.w": rng.uniform(-bound, bound, size=(2 * d, d)).astype(dtype),
-        "gnn.msg.b": np.zeros(d, dtype=dtype),
-        "gnn.upd.w": rng.uniform(-bound, bound, size=(d, d)).astype(dtype),
+        "gnn.rel_emb": 0.1 * rng.standard_normal((num_relations, d)),
+        "gnn.msg.w": rng.uniform(-bound, bound, size=(2 * d, d)),
+        "gnn.msg.b": np.zeros(d),
+        "gnn.upd.w": rng.uniform(-bound, bound, size=(d, d)),
     }
-    params.update(init_scalar_head("gnn.score", d, rng, dtype))
+    params.update(init_scalar_head("gnn.score", d, rng))
     return params
 
 

@@ -24,13 +24,7 @@ def tiny_benchmark(seed: int = 0, questions: int = 4, candidates: int = 3):
     # The pool above is roomy for small sets; larger ones take the minimum.
     spec.entities = max(spec.entities, spec.entities_needed())
     bench = generate_synthetic(spec)
-    facts = set(bench.facts)
-    kg = KnowledgeGraph(
-        entities={f.head for f in facts} | {f.tail for f in facts},
-        relations={f.relation for f in facts},
-        facts=facts,
-    )
-    return kg, bench.templates, bench.records
+    return KnowledgeGraph(set(bench.facts)), bench.templates, bench.records
 
 
 def tiny_gradcheck_setup(cfg: Config, kind: str, questions: int = 2):

@@ -55,14 +55,17 @@ class Fact(NamedTuple):
 
 @dataclass
 class KnowledgeGraph:
-    entities: set[str]
-    relations: set[str]
+    """A graph is its facts; entities, relations and adjacency derive from them."""
+
     facts: set[Fact]
-    adjacency: dict[str, tuple[Fact, ...]] = field(default_factory=dict)
+    entities: set[str] = field(init=False)
+    relations: set[str] = field(init=False)
+    adjacency: dict[str, tuple[Fact, ...]] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.adjacency:
-            self.adjacency = _build_adjacency(self.facts)
+        self.entities = {f.head for f in self.facts} | {f.tail for f in self.facts}
+        self.relations = {f.relation for f in self.facts}
+        self.adjacency = _build_adjacency(self.facts)
         # Built eagerly: the graph is immutable after construction and may be
         # read from concurrent retrievals.  Entities are visited in sorted
         # order, so every bucket is built sorted.
@@ -134,11 +137,7 @@ def load_kg(path: str) -> KnowledgeGraph:
             facts.add(Fact(head, relation, tail))
     if not facts:
         raise KGFormatError(f"{path}: empty KG")
-    return KnowledgeGraph(
-        entities={f.head for f in facts} | {f.tail for f in facts},
-        relations={f.relation for f in facts},
-        facts=facts,
-    )
+    return KnowledgeGraph(facts)
 
 
 @dataclass

@@ -107,16 +107,15 @@ def create_model(cfg: Config, kind: str, relations: list[str]) -> Model:
     if kind not in MODEL_KINDS:
         raise ValueError(f"model kind must be one of {MODEL_KINDS}")
     rng = np.random.default_rng(derive_seed(cfg.seed, "init", kind))
-    dtype = cfg.dtype
-    params = init_trunk_params(cfg.L, cfg.d, cfg.vocab_size, cfg.max_tokens, rng, dtype)
-    params.update(init_scalar_head("fq", cfg.d, rng, dtype))
+    params = init_trunk_params(cfg.L, cfg.d, cfg.vocab_size, cfg.max_tokens, rng)
+    params.update(init_scalar_head("fq", cfg.d, rng))
     if kind in ("pooled", "lm"):
-        params.update(init_scalar_head("fg", cfg.d, rng, dtype))
+        params.update(init_scalar_head("fg", cfg.d, rng))
     if kind == "pooled":
         for k in range(cfg.num_pooling_heads()):
-            params.update(init_pooling_head(f"pool{k}", cfg.d, rng, dtype))
+            params.update(init_pooling_head(f"pool{k}", cfg.d, rng))
     if kind == "gnn":
-        params.update(init_gnn_params(cfg.d, len(relations), rng, dtype))
+        params.update(init_gnn_params(cfg.d, len(relations), rng))
     if cfg.encoder_kind == "shared-toy-encoder":
         # Pre-fine-tuning snapshot of the embedder and trunk; never trained.
         trunk_names = [n for n in params if n.startswith(("tok_emb", "pos_emb", "layer"))]
@@ -125,7 +124,8 @@ def create_model(cfg: Config, kind: str, relations: list[str]) -> Model:
     return Model(
         cfg=cfg,
         kind=kind,
-        params=params,
+        # Drawn in float64 and cast once, so every precision draws the same values.
+        params={name: t.astype(cfg.dtype, copy=False) for name, t in params.items()},
         relations=list(relations),
         tokenizer=Tokenizer(cfg.vocab_size),
     )
@@ -496,34 +496,26 @@ def batch_backward(model: Model, result: BatchResult) -> dict[str, np.ndarray]:
             "batch_forward ran without a backward cache; call it with backward_cache=True"
         )
     d_scores = caches["d_scores"]
-    grads: dict[str, np.ndarray] = {}
-
-    def accumulate(new: dict[str, np.ndarray]) -> None:
-        for name, grad in new.items():
-            if name in grads:
-                grads[name] += grad
-            else:
-                grads[name] = grad
-
-    fq_grads, d_q_final = scalar_head_backward(params, "fq", caches["fq_cache"], d_scores)
-    accumulate(fq_grads)
+    # Each module's parameter names (fq.*, fg.* or gnn.*, the trunk's, pool{k}.*)
+    # are disjoint from every other's, so no gradient is ever summed here.
+    grads, d_q_final = scalar_head_backward(params, "fq", caches["fq_cache"], d_scores)
     d_states = np.zeros_like(caches["graph_states_final"])
     d_g0_direct = None
     if model.kind == "gnn":
         head_grads, d_gamma = scalar_head_backward(
             params, "gnn.score", caches["fg_cache"], d_scores
         )
-        accumulate(head_grads)
+        grads.update(head_grads)
         gnn_cache, virtual = caches["gnn_cache"], caches["gnn_virtual"]
         arrays, _, _ = gnn_cache
         d_final = np.zeros((len(arrays.node_ids), cfg.d))
         d_final[virtual] = d_gamma
         gnn_grads, d_init = gnn_backward_arrays(params, model.gnn_config(), gnn_cache, d_final)
-        accumulate(gnn_grads)
+        grads.update(gnn_grads)
         d_q_final += d_init[virtual]
     else:
         head_grads, d_gamma = scalar_head_backward(params, "fg", caches["fg_cache"], d_scores)
-        accumulate(head_grads)
+        grads.update(head_grads)
         if cfg.K == 0:
             d_g0_direct = d_gamma
         else:
@@ -532,7 +524,7 @@ def batch_backward(model: Model, result: BatchResult) -> dict[str, np.ndarray]:
     trunk_grads, d_graph_init, d_injections = trunk_backward(
         params, cfg.L, caches["trunk_cache"], d_states
     )
-    accumulate(trunk_grads)
+    grads.update(trunk_grads)
     if model.kind == "pooled":
         d_g = np.zeros((cfg.num_pooling_heads(), len(d_scores), cfg.d))
         d_g[0] = d_graph_init
@@ -544,7 +536,7 @@ def batch_backward(model: Model, result: BatchResult) -> dict[str, np.ndarray]:
                 d_g[k] = d_injections[layer]
         for k, cache in enumerate(caches["pool_caches"]):
             head_grads, _d_edges = pool_backward_arrays(params, cache, d_g[k], f"pool{k}")
-            accumulate(head_grads)
+            grads.update(head_grads)
     return grads
 
 
@@ -644,7 +636,9 @@ def train_model(
     if any(len(q.candidates) < 2 for q in train_questions):
         raise ValueError("training questions need at least two candidates")
     epochs = cfg.epochs if epochs is None else epochs
-    optimizer = RAdam(model.params, cfg.lr_lm, cfg.lr_graph)
+    # The frozen encoder snapshot never gets a gradient, so it gets no optimizer state.
+    trained = {n: p for n, p in model.params.items() if not n.startswith(_FROZEN_PREFIX)}
+    optimizer = RAdam(trained, cfg.lr_lm, cfg.lr_graph)
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle", model.kind))
     losses: list[float] = []
     step = 0

@@ -22,20 +22,18 @@ import numpy as np
 from factpool.numerics import gelu_cached, gelu_grad_cached
 
 
-def init_pooling_head(
-    prefix: str, d: int, rng: np.random.Generator, dtype=np.float64
-) -> dict[str, np.ndarray]:
+def init_pooling_head(prefix: str, d: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """The `{prefix}.*` parameters: a near-identity value projection and a
     small uniform key net, which keep an untrained head close to unweighted
     mean pooling."""
     bound = 1.0 / np.sqrt(d)
     return {
-        f"{prefix}.w_value": (np.eye(d) + 0.01 * rng.standard_normal((d, d))).astype(dtype),
-        f"{prefix}.b_value": np.zeros(d, dtype=dtype),
-        f"{prefix}.w_key1": rng.uniform(-bound, bound, size=(d, d)).astype(dtype),
-        f"{prefix}.b_key1": np.zeros(d, dtype=dtype),
-        f"{prefix}.w_key2": rng.uniform(-bound, bound, size=d).astype(dtype),
-        f"{prefix}.b_key2": np.zeros(1, dtype=dtype),
+        f"{prefix}.w_value": np.eye(d) + 0.01 * rng.standard_normal((d, d)),
+        f"{prefix}.b_value": np.zeros(d),
+        f"{prefix}.w_key1": rng.uniform(-bound, bound, size=(d, d)),
+        f"{prefix}.b_key1": np.zeros(d),
+        f"{prefix}.w_key2": rng.uniform(-bound, bound, size=d),
+        f"{prefix}.b_key2": np.zeros(1),
     }
 
 

@@ -43,26 +43,25 @@ def init_trunk_params(
     vocab_size: int,
     max_tokens: int,
     rng: np.random.Generator,
-    dtype=np.float64,
 ) -> dict[str, np.ndarray]:
     params: dict[str, np.ndarray] = {
-        "tok_emb": (0.02 * rng.standard_normal((vocab_size, d))).astype(dtype),
-        "pos_emb": (0.02 * rng.standard_normal((max_tokens, d))).astype(dtype),
+        "tok_emb": 0.02 * rng.standard_normal((vocab_size, d)),
+        "pos_emb": 0.02 * rng.standard_normal((max_tokens, d)),
     }
     for i in range(1, L + 1):
         p = f"layer{i}"
         for name in ("wq", "wk", "wv", "wo"):
-            params[f"{p}.attn.{name}"] = (0.02 * rng.standard_normal((d, d))).astype(dtype)
+            params[f"{p}.attn.{name}"] = 0.02 * rng.standard_normal((d, d))
         for name in ("bq", "bk", "bv", "bo"):
-            params[f"{p}.attn.{name}"] = np.zeros(d, dtype=dtype)
-        params[f"{p}.ln1.gain"] = np.ones(d, dtype=dtype)
-        params[f"{p}.ln1.bias"] = np.zeros(d, dtype=dtype)
-        params[f"{p}.ffn.w1"] = (0.02 * rng.standard_normal((d, 4 * d))).astype(dtype)
-        params[f"{p}.ffn.b1"] = np.zeros(4 * d, dtype=dtype)
-        params[f"{p}.ffn.w2"] = (0.02 * rng.standard_normal((4 * d, d))).astype(dtype)
-        params[f"{p}.ffn.b2"] = np.zeros(d, dtype=dtype)
-        params[f"{p}.ln2.gain"] = np.ones(d, dtype=dtype)
-        params[f"{p}.ln2.bias"] = np.zeros(d, dtype=dtype)
+            params[f"{p}.attn.{name}"] = np.zeros(d)
+        params[f"{p}.ln1.gain"] = np.ones(d)
+        params[f"{p}.ln1.bias"] = np.zeros(d)
+        params[f"{p}.ffn.w1"] = 0.02 * rng.standard_normal((d, 4 * d))
+        params[f"{p}.ffn.b1"] = np.zeros(4 * d)
+        params[f"{p}.ffn.w2"] = 0.02 * rng.standard_normal((4 * d, d))
+        params[f"{p}.ffn.b2"] = np.zeros(d)
+        params[f"{p}.ln2.gain"] = np.ones(d)
+        params[f"{p}.ln2.bias"] = np.zeros(d)
     return params
 
 
@@ -245,13 +244,13 @@ def trunk_backward(params: dict[str, np.ndarray], L: int, cache, d_states: np.nd
 # --- scalar MLP heads (d -> d -> 1), used for candidate scoring -------------
 
 
-def init_scalar_head(prefix: str, d: int, rng: np.random.Generator, dtype=np.float64):
+def init_scalar_head(prefix: str, d: int, rng: np.random.Generator):
     bound = 1.0 / np.sqrt(d)
     return {
-        f"{prefix}.w1": rng.uniform(-bound, bound, size=(d, d)).astype(dtype),
-        f"{prefix}.b1": np.zeros(d, dtype=dtype),
-        f"{prefix}.w2": rng.uniform(-bound, bound, size=d).astype(dtype),
-        f"{prefix}.b2": np.zeros(1, dtype=dtype),
+        f"{prefix}.w1": rng.uniform(-bound, bound, size=(d, d)),
+        f"{prefix}.b1": np.zeros(d),
+        f"{prefix}.w2": rng.uniform(-bound, bound, size=d),
+        f"{prefix}.b2": np.zeros(1),
     }
 
 

@@ -74,22 +74,13 @@ def save_templates(table: TemplateTable, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class VerbalizedFact:
-    fact: Fact
-    text: str
-
-
-def verbalize(fact: Fact, templates: TemplateTable) -> VerbalizedFact:
+def verbalize(fact: Fact, templates: TemplateTable) -> str:
     """Render a fact as text, substituting entity surface forms."""
     if fact.relation in _VIRTUAL_TEMPLATES:
-        template = _VIRTUAL_TEMPLATES[fact.relation]
-        text = template.replace("{t}", id_to_surface(fact.tail))
-        return VerbalizedFact(fact=fact, text=text)
+        return _VIRTUAL_TEMPLATES[fact.relation].replace("{t}", id_to_surface(fact.tail))
     template = templates.templates.get(fact.relation)
     if template is None:
         raise TemplateError(f"no template for relation {fact.relation!r}")
-    text = template.replace("{h}", id_to_surface(fact.head)).replace(
+    return template.replace("{h}", id_to_surface(fact.head)).replace(
         "{t}", id_to_surface(fact.tail)
     )
-    return VerbalizedFact(fact=fact, text=text)

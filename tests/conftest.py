@@ -21,12 +21,7 @@ def toy_kg_file(tmp_path):
 
 
 def kg_from_facts(facts) -> KnowledgeGraph:
-    facts = {f if isinstance(f, Fact) else Fact(*f) for f in facts}
-    return KnowledgeGraph(
-        entities={f.head for f in facts} | {f.tail for f in facts},
-        relations={f.relation for f in facts},
-        facts=facts,
-    )
+    return KnowledgeGraph({f if isinstance(f, Fact) else Fact(*f) for f in facts})
 
 
 @pytest.fixture

@@ -357,7 +357,7 @@ def prepare_question_oracle(model, kg, templates, encoder, record, condition):
         if condition == WITHOUT_ANSWERS:
             sub = remove_answer_edges(sub, stmt)
         facts = sub.sorted_edges()
-        texts = [verbalize(f, templates).text for f in facts]
+        texts = [verbalize(f, templates) for f in facts]
         if facts:
             matrix = np.stack([encoder.encode_fact_text(f, t) for f, t in zip(facts, texts)])
         else:

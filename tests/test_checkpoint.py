@@ -187,6 +187,18 @@ def test_load_model_checks_header_against_tensors(tmp_path, edit, message):
         load_model(str(path))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_load_model_rejects_a_non_finite_tensor(tmp_path, value):
+    cfg = Config(L=2, d=16, heads=2, vocab_size=64, max_tokens=16, max_nodes=8)
+    model = create_model(cfg, "pooled", ["r0", "r1"])
+    model.params["fq.b2"][0] = value
+    path = tmp_path / "model.ckpt"
+    save_model(model, str(path))
+    expected = f"{path}: checkpoint tensor 'fq.b2' holds a non-finite value"
+    with pytest.raises(CheckpointError, match=re.escape(expected)):
+        load_model(str(path))
+
+
 def test_each_reader_rejects_the_other_kind(tmp_path):
     ckpt = _saved_model(tmp_path)
     cache = tmp_path / "embeddings.bin"

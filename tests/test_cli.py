@@ -1,5 +1,4 @@
 import json
-import re
 import struct
 import subprocess
 import sys
@@ -137,7 +136,7 @@ def test_encode_toy_encoder_cache_matches_fresh_encoder(workspace):
     assert entries and dim == fresh.dim
     for key, vec in entries.items():
         fact = Fact(*key.split("\t"))
-        expected = fresh.encode_fact_text(fact, verbalize(fact, templates).text)
+        expected = fresh.encode_fact_text(fact, verbalize(fact, templates))
         assert vec.tobytes() == expected.tobytes(), key
 
 
@@ -152,9 +151,9 @@ def _fpemc001_bytes(key: str, vec) -> bytes:
 
 
 @pytest.mark.parametrize("kind", ["checkpoint", "FPEMC001"])
-def test_train_rejects_wrong_cache_file_naming_it(workspace, kind):
+def test_train_rejects_wrong_cache_file_naming_it(workspace, capsys, kind):
     from factpool import cli
-    from factpool.checkpoint import CheckpointError, save_checkpoint
+    from factpool.checkpoint import save_checkpoint
 
     cfg_path = workspace / "external.cfg"
     cfg_path.write_text(
@@ -167,10 +166,60 @@ def test_train_rejects_wrong_cache_file_naming_it(workspace, kind):
         expected = f"{path}: not an embedding cache file"
     else:
         path.write_bytes(_fpemc001_bytes("a\tr\tb", np.ones(16)))
-        expected = f"{path}: retired FPEMC001 embedding cache; rerun `factpool encode`"
-    with pytest.raises(CheckpointError, match=re.escape(expected)):
-        cli.main(["train", *data_args(workspace), "--config", str(cfg_path), "--count", "2",
-                  "--cache", str(path), "--out", str(workspace / f"train_{kind}")])
+        expected = (
+            f"{path}: retired FPEMC001 embedding cache; rerun `factpool encode` to rebuild it"
+        )
+    status = cli.main(["train", *data_args(workspace), "--config", str(cfg_path), "--count", "2",
+                       "--cache", str(path), "--out", str(workspace / f"train_{kind}")])
+    assert status == 1
+    assert capsys.readouterr().err == f"factpool: error: {expected}\n"
+
+
+def _bad_input(workspace, name: str):
+    """(command args, expected message) for a command given one bad input file."""
+    path = workspace / f"bad_{name}"
+    d = workspace / "data"
+    if name == "checkpoint":
+        path.write_bytes(b"not a checkpoint")
+        return (["eval", *data_args(workspace), "--checkpoint", str(path)],
+                f"{path}: not a checkpoint file")
+    files = {"kg": d / "kg.tsv", "dataset": d / "dataset.jsonl", "templates": d / "templates.tsv"}
+    if name == "kg":
+        path.write_text("winter\tcauses\n", encoding="utf-8")
+        expected = f"{path}: malformed line 1: 'winter\\tcauses'"
+    elif name == "dataset":
+        record = json.loads(files["dataset"].read_text(encoding="utf-8").splitlines()[0])
+        record["answer_index"] = 1.7
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        expected = f"{path}: bad record on line 1: field 'answer_index' must be an integer: 1.7"
+    else:
+        path.write_text("causes {h} {t}\n", encoding="utf-8")
+        expected = f"{path}: malformed line 1: 'causes {{h}} {{t}}'"
+    files[name] = path
+    args = ["--kg", str(files["kg"]), "--dataset", str(files["dataset"]),
+            "--templates", str(files["templates"])]
+    return ["encode", *args, "--count", "2"], expected
+
+
+@pytest.mark.parametrize("name", ["kg", "dataset", "templates", "checkpoint"])
+def test_bad_input_file_is_a_one_line_error(workspace, capsys, name):
+    from factpool import cli
+
+    args, expected = _bad_input(workspace, name)
+    assert cli.main([*args, "--out", str(workspace / f"out_bad_{name}")]) == 1
+    assert capsys.readouterr().err == f"factpool: error: {expected}\n"
+
+
+def test_bad_input_file_prints_no_traceback(workspace):
+    args, expected = _bad_input(workspace, "kg")
+    proc = subprocess.run(
+        [sys.executable, "-m", "factpool", *args, "--out", str(workspace / "out_bad_kg")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"factpool: error: {expected}\n"
 
 
 def test_train_eval_explain_roundtrip(workspace):

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from factpool.config import Config, config_text, load_config, parse_config_text
+from factpool.config import FILE_KEYS, Config, config_text, load_config, parse_config_text
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
@@ -20,6 +20,12 @@ def test_checked_in_config_is_its_own_rendering(path):
 def test_config_text_round_trips():
     cfg = Config(L=6, K=3, fusion_mode="early_late", lr_lm=1.5e-4, seed=7)
     assert parse_config_text(config_text(cfg)) == cfg
+
+
+@pytest.mark.parametrize("key", FILE_KEYS)
+def test_each_file_key_parses_to_the_type_of_its_default(key):
+    default = getattr(Config(), key)
+    assert type(getattr(parse_config_text(f"{key}={default}\n"), key)) is type(default)
 
 
 @pytest.mark.parametrize(

@@ -193,9 +193,9 @@ def test_encode_subgraph_canonical_order():
     # canonical edge order, in one call.
     texts = encode_subgraphs([sub, sub], TEMPLATES, enc, cache)
     facts = sorted(sub.edges)
-    assert enc.calls == [[verbalize(f, TEMPLATES).text for f in facts]]
+    assert enc.calls == [[verbalize(f, TEMPLATES) for f in facts]]
     assert list(cache) == [f.key() for f in facts]
-    assert texts == {f.key(): verbalize(f, TEMPLATES).text for f in facts}
+    assert texts == {f.key(): verbalize(f, TEMPLATES) for f in facts}
 
 
 def test_encode_subgraph_empty():
@@ -223,7 +223,7 @@ def test_cache_round_trip_exact(tmp_path):
 def test_encode_subgraph_with_cache_matches_direct(tmp_path):
     sub = small_subgraph()
     enc = HashBagEncoder(dim=8, seed=1)
-    direct = {f.key(): enc.encode_fact_text(f, verbalize(f, TEMPLATES).text) for f in sub.edges}
+    direct = {f.key(): enc.encode_fact_text(f, verbalize(f, TEMPLATES)) for f in sub.edges}
     cache: dict = {}
     encode_subgraphs([sub], TEMPLATES, HashBagEncoder(dim=8, seed=1), cache)
     assert set(cache) == set(direct)
@@ -321,6 +321,15 @@ def test_read_cache_entry_width_must_match_header(tmp_path):
     entries = {"a\tr\tb": np.ones(4), "c\tr\td": np.ones(3)}
     path.write_bytes(_container_bytes(_CACHE_MAGIC, {"dim": 4}, entries))
     expected = re.escape(f"{path}: entry 'c\\tr\\td' has shape (3,), header width is 4")
+    with pytest.raises(CheckpointError, match=expected):
+        read_embedding_cache(str(path))
+
+
+def test_read_cache_rejects_a_non_finite_entry(tmp_path):
+    path = tmp_path / "cache.bin"
+    entries = {"a\tr\tb": np.ones(2), "c\tr\td": np.array([np.nan, 1.0])}
+    write_embedding_cache(str(path), entries, 2)
+    expected = re.escape(f"{path}: embedding cache tensor 'c\\tr\\td' holds a non-finite value")
     with pytest.raises(CheckpointError, match=expected):
         read_embedding_cache(str(path))
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import kg_from_facts
 from oracles import induced_edges_oracle, load_kg_oracle, two_hop_nodes_oracle
 
+from factpool.harness_data import tiny_benchmark
 from factpool.kg import (
     Fact,
     GroundedStatement,
@@ -32,6 +33,18 @@ def make_stmt(question_entities, answer_entities, text="q"):
 
 
 # --- loading -----------------------------------------------------------------
+
+
+def test_graph_built_in_memory_equals_the_loaded_one(tmp_path):
+    built, _, _ = tiny_benchmark(seed=2, questions=6)
+    path = tmp_path / "kg.tsv"
+    path.write_text("".join(f"{f.key()}\n" for f in sorted(built.facts)), encoding="utf-8")
+    loaded = load_kg(str(path))
+    assert loaded.facts == built.facts
+    assert loaded.entities == built.entities
+    assert loaded.relations == built.relations
+    assert loaded.adjacency == built.adjacency
+    assert loaded.first_token_index() == built.first_token_index()
 
 
 def test_load_kg_counts(toy_kg):

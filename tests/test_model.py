@@ -11,7 +11,7 @@ from conftest import kg_from_facts
 from oracles import prepare_question_oracle, softmax_oracle
 
 from factpool import model as model_mod
-from factpool.config import Config
+from factpool.config import ENCODER_KINDS, Config
 from factpool.harness_data import tiny_benchmark
 from factpool.kg import VIRTUAL_NODE_ID, id_to_surface, link_entities
 from factpool.model import (
@@ -57,6 +57,19 @@ def make_setup(kind="pooled", cfg=None, questions=4):
     encoder = build_encoder(model)
     prepared = prepare_dataset(model, kg, templates, encoder, records[:questions])
     return model, kg, templates, encoder, records, prepared
+
+
+@pytest.mark.parametrize("encoder_kind", ENCODER_KINDS)
+@pytest.mark.parametrize("kind", ["pooled", "gnn", "lm"])
+def test_f32_model_is_the_f64_model_cast(kind, encoder_kind):
+    cfg = small_cfg(K=1, fusion_mode="early_late", encoder_kind=encoder_kind)
+    f64 = create_model(cfg, kind, ["r0", "r1"]).params
+    f32 = create_model(replace(cfg, precision="f32"), kind, ["r0", "r1"]).params
+    assert list(f32) == list(f64)
+    for name, tensor in f64.items():
+        assert tensor.dtype == np.float64, name
+        assert f32[name].dtype == np.float32, name
+        assert f32[name].tobytes() == tensor.astype(np.float32).tobytes(), name
 
 
 # --- probabilities -------------------------------------------------------------
@@ -266,13 +279,15 @@ def test_external_cache_width_must_match_model(tmp_path):
 
 
 def test_non_finite_embedding_fails_evaluation(tmp_path):
+    # A cache file holding one is rejected on read (test_encoders); an encoder
+    # that hands the model one in memory fails at scoring.
     model, kg, templates, encoder, records, prepared = make_setup()
-    path = tmp_path / "nan.bin"
+    path = tmp_path / "cache.bin"
     entries = fact_entries(prepared, 16)
-    entries[min(entries)] = np.full(16, np.nan)
     write_embedding_cache(str(path), entries, 16)
     external = create_model(small_cfg(encoder_kind="external-file"), "pooled", model.relations)
     cached = build_encoder(external, cache_path=str(path))
+    cached.entries[min(entries)] = np.full(16, np.nan)
     questions = prepare_dataset(external, kg, templates, cached, records[:4])
     with pytest.raises(DivergenceError, match=r"non-finite score .*\(kind=pooled\)"):
         evaluate(external, questions)
@@ -297,6 +312,25 @@ def test_matched_uniform_targets_give_zero_gradient():
     _, grads, _ = loss_and_grads(model, prepared)
     for name, grad in grads.items():
         assert np.max(np.abs(grad)) < 1e-12, name
+
+
+def test_optimizer_keeps_no_state_for_the_frozen_snapshot(monkeypatch):
+    model, kg, templates, encoder, records, prepared = make_setup(
+        cfg=small_cfg(encoder_kind="shared-toy-encoder", epochs=1)
+    )
+    optimizers = []
+
+    class Recording(model_mod.RAdam):
+        def __init__(self, params, *args):
+            super().__init__(params, *args)
+            optimizers.append(self)
+
+    monkeypatch.setattr(model_mod, "RAdam", Recording)
+    train_model(model, prepared, epochs=1)
+    (optimizer,) = optimizers
+    trained = {name for name in model.params if not name.startswith("frozen.")}
+    assert len(trained) < len(model.params)
+    assert set(optimizer.m) == set(optimizer.v) == set(optimizer.lr) == trained
 
 
 def test_frozen_snapshot_gets_no_gradient_and_never_moves():

@@ -14,16 +14,16 @@ from factpool.verbalize import (
 
 def test_verbalize_substitutes_surfaces():
     table = TemplateTable({"causes": "{h} causes {t}"})
-    vf = verbalize(Fact("winter", "causes", "bird_migration"), table)
-    assert vf.text == "winter causes bird migration"
+    assert verbalize(Fact("winter", "causes", "bird_migration"), table) == (
+        "winter causes bird migration"
+    )
 
 
 def test_verbalize_virtual_relations():
     table = TemplateTable()
-    assert verbalize(Fact("question", "entity", "bird"), table).text == "question mentions bird"
-    assert (
-        verbalize(Fact("question", "a_entity", "children"), table).text
-        == "question asks about children"
+    assert verbalize(Fact("question", "entity", "bird"), table) == "question mentions bird"
+    assert verbalize(Fact("question", "a_entity", "children"), table) == (
+        "question asks about children"
     )
 
 
