@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: generate, retrieve, encode, train, eval, perturb, run, sweep,
-explain, gradcheck, count-aggs.  `--config`, `--seed`, and `--out` are
-common flags; `--seed` overrides the config file's seed.  `run` trains and
-scores each model kind over seeds with and without answer edges (the
-robustness study); `sweep` does so for one kind along K or max_nodes.
+explain, gradcheck, count-aggs.  Each command takes exactly the flags it
+reads (`COMMANDS`); every flag is declared once (`FLAGS`).  `--seed`
+overrides the config file's seed.  `run` trains and scores each model kind
+over seeds with and without answer edges (the robustness study); `sweep`
+does so for one kind along K or max_nodes.
 """
 
 from __future__ import annotations
@@ -56,36 +57,23 @@ class UsageError(ValueError):
     """A flag value that only the loaded data can reject; exits 2 like argparse."""
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=str, default=None, help="key=value config file")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--out", type=str, default="out", help="output directory")
-
-
-def _load_cfg(args) -> Config:
+def _load_cfg(path: str | None, seed: int | None = None) -> Config:
     try:
-        cfg = load_config(args.config) if args.config else Config()
+        cfg = load_config(path) if path else Config()
     except ValueError as err:
-        raise UsageError(f"--config {args.config}: {err}") from None
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        raise UsageError(f"--config {path}: {err}") from None
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
     return cfg
 
 
-def _add_data_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kg", type=str, required=True)
-    parser.add_argument("--dataset", type=str, required=True)
-    parser.add_argument("--templates", type=str, default=None)
-
-
 def _dataset_slice(args, records):
-    skip = getattr(args, "skip", 0) or 0
-    count = getattr(args, "count", None)
-    return records[skip:] if count is None else records[skip : skip + count]
+    end = None if args.count is None else args.skip + args.count
+    return records[args.skip : end]
 
 
 def _write_subgraphs(args, condition: str) -> Path:
-    cfg = _load_cfg(args)
+    cfg = _load_cfg(args.config)
     kg = load_kg(args.kg)
     records = _dataset_slice(args, load_dataset(args.dataset))
     lines = []
@@ -95,10 +83,8 @@ def _write_subgraphs(args, condition: str) -> Path:
             payload["question_index"] = q_index
             payload["candidate_index"] = c_index
             lines.append(json.dumps(payload, sort_keys=True))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     name = "subgraphs.jsonl" if condition == WITH_ANSWERS else "subgraphs_perturbed.jsonl"
-    path = out / name
+    path = Path(args.out) / name
     atomic_write_text(path, "\n".join(lines) + "\n")
     return path
 
@@ -132,7 +118,7 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = _load_cfg(args.config, args.seed)
     kg = load_kg(args.kg)
     templates = load_templates(args.templates)
     records = _dataset_slice(args, load_dataset(args.dataset))
@@ -159,11 +145,10 @@ def cmd_train(args) -> int:
     kg = load_kg(args.kg)
     templates = load_templates(args.templates)
     records = _dataset_slice(args, load_dataset(args.dataset))
-    model = create_model(_load_cfg(args), args.model, relation_table(kg))
+    model = create_model(_load_cfg(args.config, args.seed), args.model, relation_table(kg))
     encoder = build_encoder(model, cache_path=args.cache)
     prepared = prepare_dataset(model, kg, templates, encoder, records, args.condition)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     losses = train_model(model, prepared, out_dir=str(out), log=True)
     atomic_write_text(out / "loss_curve.txt", "\n".join(f"{x:.12g}" for x in losses) + "\n")
     print(f"final loss: {losses[-1]:.6f}; checkpoints in {out}")
@@ -182,15 +167,13 @@ def cmd_eval(args) -> int:
     lines = [f"acc_{condition}={accs[condition]:.10g}" for condition in CONDITIONS]
     lines.append(f"delta_acc={delta_acc(accs['with_answers'], accs['without_answers']):.10g}")
     text = "\n".join(lines) + "\n"
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "eval.txt", text)
+    atomic_write_text(Path(args.out) / "eval.txt", text)
     print(text, end="")
     return 0
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    cfg = _load_cfg(args)
+    cfg = _load_cfg(args.config, args.seed)
     return ExperimentConfig(
         config=cfg,
         kg_path=args.kg,
@@ -241,18 +224,16 @@ def cmd_explain(args) -> int:
             f"{args.dataset} has {len(records)} questions"
         )
     record = records[args.question_index]
-    encoder = build_encoder(model, cache_path=getattr(args, "cache", None))
+    encoder = build_encoder(model, cache_path=args.cache)
     report = explain(model, kg, templates, encoder, record, top_n=args.top_n)
     text = report.render()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "explain.txt", text)
+    atomic_write_text(Path(args.out) / "explain.txt", text)
     print(text, end="")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = _load_cfg(args.config, args.seed)
     from factpool.harness_data import tiny_gradcheck_setup
 
     model, prepared = tiny_gradcheck_setup(cfg, args.model)
@@ -263,7 +244,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_count_aggs(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = _load_cfg(args.config)
     for n in sorted(set(args.nodes)):
         sub = Subgraph(nodes={f"n{i}" for i in range(n)}, edges=set())
         pooled = count_aggregations("pooled", sub, cfg)
@@ -290,15 +271,6 @@ def _int_at_least(low: int):
     return parse
 
 
-_non_negative_int = _int_at_least(0)
-_positive_int = _int_at_least(1)
-
-
-def _add_slice_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--skip", type=_non_negative_int, default=0)
-    parser.add_argument("--count", type=_positive_int, default=None)
-
-
 def _ints_at_least(low: int):
     """argparse type: a comma-separated list of integers >= low."""
     return lambda text: [_int_at_least(low)(v) for v in text.split(",")]
@@ -312,100 +284,98 @@ def _model_kinds(text: str) -> list[str]:
     return kinds
 
 
-def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--train-count", dest="train_count", type=_positive_int, required=True)
-    parser.add_argument("--test-count", dest="test_count", type=_positive_int, required=True)
-    parser.add_argument("--seeds", type=_ints_at_least(0), default=None, help="comma-separated")
+# Every flag, once: name -> add_argument keywords.
+FLAGS = {
+    "--config": dict(default=None, help="key=value config file"),
+    "--seed": dict(type=int, default=None, help="override the config seed"),
+    "--out": dict(default="out", help="output directory"),
+    "--entities": dict(type=int, default=6000),
+    "--relations": dict(type=int, default=4),
+    "--questions": dict(type=int, default=700),
+    "--candidates": dict(type=int, default=4),
+    "--distractor-rate": dict(type=float, default=0.5),
+    "--kg-fraction": dict(type=float, default=0.6),
+    "--kg": dict(required=True),
+    "--dataset": dict(required=True),
+    "--templates": dict(required=True),
+    "--skip": dict(type=_int_at_least(0), default=0),
+    "--count": dict(type=_int_at_least(1), default=None),
+    "--model": dict(choices=MODEL_KINDS, default="pooled"),
+    "--condition": dict(choices=CONDITIONS, default=WITH_ANSWERS),
+    "--cache": dict(default=None, help="embedding cache file"),
+    "--checkpoint": dict(required=True),
+    "--question-index": dict(type=_int_at_least(0), default=0),
+    "--top-n": dict(type=_int_at_least(1), default=3),
+    "--train-count": dict(type=_int_at_least(1), required=True),
+    "--test-count": dict(type=_int_at_least(1), required=True),
+    "--seeds": dict(type=_ints_at_least(0), default=None, help="comma-separated"),
+    "--kinds": dict(type=_model_kinds, default=MODEL_KINDS, help="comma-separated; default all"),
+    "--axis": dict(choices=("K", "max_nodes"), required=True),
+    "--values": dict(type=_ints_at_least(0), default=None, help="comma-separated"),
+    "--max-per-param": dict(type=_int_at_least(1), default=None),
+    "--nodes": dict(type=_ints_at_least(1), default="4,16,32", help="comma-separated"),
+}
+
+_SUBGRAPH_FLAGS = ("--config", "--out", "--kg", "--dataset", "--skip", "--count")
+_ENCODE_FLAGS = (
+    "--config", "--seed", "--out", "--kg", "--dataset", "--templates", "--skip", "--count",
+)
+_EXPERIMENT_FLAGS = (
+    "--config", "--seed", "--out", "--kg", "--dataset", "--templates",
+    "--train-count", "--test-count", "--seeds",
+)
+
+# Each command: (handler, help, exactly the flags the handler reads).
+COMMANDS = {
+    "generate": (
+        cmd_generate,
+        "write a synthetic KG + dataset + templates",
+        ("--seed", "--out", "--entities", "--relations", "--questions", "--candidates",
+         "--distractor-rate", "--kg-fraction"),
+    ),
+    "retrieve": (cmd_retrieve, "write retrieved per-candidate subgraphs", _SUBGRAPH_FLAGS),
+    "perturb": (cmd_perturb, "write subgraphs with answer edges removed", _SUBGRAPH_FLAGS),
+    "encode": (cmd_encode, "populate an edge-embedding cache file", _ENCODE_FLAGS),
+    "train": (cmd_train, "train a model", (*_ENCODE_FLAGS, "--model", "--condition", "--cache")),
+    "eval": (
+        cmd_eval,
+        "evaluate a checkpoint under both conditions",
+        ("--out", "--kg", "--dataset", "--templates", "--skip", "--count", "--checkpoint",
+         "--cache"),
+    ),
+    "run": (
+        cmd_run,
+        "each model kind with and without answer edges",
+        (*_EXPERIMENT_FLAGS, "--kinds"),
+    ),
+    "sweep": (
+        cmd_sweep,
+        "grid over K or max_nodes",
+        (*_EXPERIMENT_FLAGS, "--axis", "--values", "--model", "--condition"),
+    ),
+    "explain": (
+        cmd_explain,
+        "top scored facts per fusion layer",
+        ("--out", "--kg", "--dataset", "--templates", "--checkpoint", "--question-index",
+         "--top-n", "--cache"),
+    ),
+    "gradcheck": (
+        cmd_gradcheck,
+        "finite-difference gradient verification",
+        ("--config", "--seed", "--model", "--max-per-param"),
+    ),
+    "count-aggs": (cmd_count_aggs, "aggregation counts per statement", ("--config", "--nodes")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="factpool", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="write a synthetic KG + dataset + templates")
-    _common_flags(p)
-    p.add_argument("--entities", type=int, default=6000)
-    p.add_argument("--relations", type=int, default=4)
-    p.add_argument("--questions", type=int, default=700)
-    p.add_argument("--candidates", type=int, default=4)
-    p.add_argument("--distractor-rate", dest="distractor_rate", type=float, default=0.5)
-    p.add_argument("--kg-fraction", dest="kg_fraction", type=float, default=0.6)
-    p.set_defaults(func=cmd_generate)
-
-    for name, func, help_text in (
-        ("retrieve", cmd_retrieve, "write retrieved per-candidate subgraphs"),
-        ("perturb", cmd_perturb, "write subgraphs with answer edges removed"),
-    ):
+    for name, (func, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _common_flags(p)
-        _add_data_flags(p)
-        _add_slice_flags(p)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
         p.set_defaults(func=func)
-
-    p = sub.add_parser("encode", help="populate an edge-embedding cache file")
-    _common_flags(p)
-    _add_data_flags(p)
-    _add_slice_flags(p)
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("train", help="train a model")
-    _common_flags(p)
-    _add_data_flags(p)
-    p.add_argument("--model", choices=MODEL_KINDS, default="pooled")
-    p.add_argument("--condition", choices=CONDITIONS, default=WITH_ANSWERS)
-    _add_slice_flags(p)
-    p.add_argument("--cache", type=str, default=None, help="embedding cache file")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint under both conditions")
-    _common_flags(p)
-    _add_data_flags(p)
-    p.add_argument("--checkpoint", type=str, required=True)
-    _add_slice_flags(p)
-    p.add_argument("--cache", type=str, default=None)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("run", help="each model kind with and without answer edges")
-    _common_flags(p)
-    _add_data_flags(p)
-    p.add_argument(
-        "--kinds", type=_model_kinds, default=MODEL_KINDS, help="comma-separated; default all"
-    )
-    _add_experiment_flags(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("sweep", help="grid over K or max_nodes")
-    _common_flags(p)
-    _add_data_flags(p)
-    p.add_argument("--axis", choices=("K", "max_nodes"), required=True)
-    p.add_argument("--values", type=_ints_at_least(0), default=None, help="comma-separated")
-    p.add_argument("--model", choices=MODEL_KINDS, default="pooled")
-    p.add_argument("--condition", choices=CONDITIONS, default=WITH_ANSWERS)
-    _add_experiment_flags(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("explain", help="top scored facts per fusion layer")
-    _common_flags(p)
-    _add_data_flags(p)
-    p.add_argument("--checkpoint", type=str, required=True)
-    p.add_argument(
-        "--question-index", dest="question_index", type=_non_negative_int, default=0
-    )
-    p.add_argument("--top-n", dest="top_n", type=_positive_int, default=3)
-    p.add_argument("--cache", type=str, default=None)
-    p.set_defaults(func=cmd_explain)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    _common_flags(p)
-    p.add_argument("--model", choices=MODEL_KINDS, default="pooled")
-    p.add_argument("--max-per-param", dest="max_per_param", type=_positive_int, default=None)
-    p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("count-aggs", help="aggregation counts per statement")
-    _common_flags(p)
-    p.add_argument("--nodes", type=_ints_at_least(1), default="4,16,32", help="comma-separated")
-    p.set_defaults(func=cmd_count_aggs)
-
     return parser
 
 
@@ -416,8 +386,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))
-    except (KGFormatError, DatasetFormatError, TemplateError, CheckpointError) as exc:
-        # A bad input file: its typed error names the file; status 1, not a traceback.
+    except (KGFormatError, DatasetFormatError, TemplateError, CheckpointError, OSError) as exc:
+        # A bad or missing input file: the error names the file; status 1, not a traceback.
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
 

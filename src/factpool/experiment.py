@@ -205,9 +205,7 @@ def run_experiment(ecfg: ExperimentConfig, assets: ExperimentAssets | None = Non
         assets.kg, assets.train_records, ecfg.config, ecfg.condition, train_grounding
     )
     if ecfg.out_dir is not None:
-        out = Path(ecfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(out / f"metrics_{ecfg.model_kind}.txt", metrics.render())
+        atomic_write_text(Path(ecfg.out_dir) / f"metrics_{ecfg.model_kind}.txt", metrics.render())
     return metrics
 
 
@@ -252,9 +250,7 @@ def sweep(ecfg: ExperimentConfig, axis: str, values=None, assets: ExperimentAsse
         )
     text = "\n".join(table) + "\n"
     if ecfg.out_dir is not None:
-        out = Path(ecfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(out / f"sweep_{axis}.txt", text)
+        atomic_write_text(Path(ecfg.out_dir) / f"sweep_{axis}.txt", text)
     return rows, text
 
 

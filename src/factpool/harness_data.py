@@ -30,12 +30,13 @@ def tiny_benchmark(seed: int = 0, questions: int = 4, candidates: int = 3):
 def tiny_gradcheck_setup(cfg: Config, kind: str, questions: int = 2):
     """Shrink the config to finite-difference scale and prepare a microbatch."""
     pooled = kind == "pooled"
+    L = min(cfg.L, 2)
     small = replace(
         cfg,
-        L=min(cfg.L, 2),
+        L=L,
         d=16,
         heads=2,
-        K=2 if pooled else 0,
+        K=min(2, L) if pooled else 0,
         fusion_mode="early_late" if pooled else "early",
         vocab_size=64,
         max_tokens=48,

@@ -76,7 +76,6 @@ class SyntheticBenchmark:
     records: list[QuestionRecord]
     facts: list[Fact]
     templates: TemplateTable
-    entities: list[str]
 
 
 def _name_pool(spec: SyntheticSpec, rng: np.random.Generator) -> list[str]:
@@ -161,12 +160,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticBenchmark:
                 meta={"kind": str(kind)},
             )
         )
-    return SyntheticBenchmark(
-        records=records,
-        facts=sorted(facts),
-        templates=templates,
-        entities=names[:cursor],
-    )
+    return SyntheticBenchmark(records=records, facts=sorted(facts), templates=templates)
 
 
 def write_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> dict[str, Path]:

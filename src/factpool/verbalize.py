@@ -24,9 +24,13 @@ class TemplateError(ValueError):
 
 @dataclass
 class TemplateTable:
-    """Relation id -> template string with one `{h}` and one `{t}` placeholder."""
+    """Relation id -> template string with one `{h}` and one `{t}` placeholder.
+
+    `path` is the file the table was loaded from, named in lookup errors.
+    """
 
     templates: dict[str, str] = field(default_factory=dict)
+    path: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         for relation, template in self.templates.items():
@@ -65,7 +69,7 @@ def load_templates(path: str) -> TemplateTable:
             except TemplateError as err:
                 raise TemplateError(f"{path}: line {lineno}: {err}") from None
             templates[relation] = template
-    return TemplateTable(templates)
+    return TemplateTable(templates, str(path))
 
 
 def save_templates(table: TemplateTable, path: str) -> None:
@@ -75,12 +79,19 @@ def save_templates(table: TemplateTable, path: str) -> None:
 
 
 def verbalize(fact: Fact, templates: TemplateTable) -> str:
-    """Render a fact as text, substituting entity surface forms."""
+    """Render a fact as text, substituting entity surface forms.
+
+    TemplateError names the templates file and the fact when no template
+    covers the fact's relation.
+    """
     if fact.relation in _VIRTUAL_TEMPLATES:
         return _VIRTUAL_TEMPLATES[fact.relation].replace("{t}", id_to_surface(fact.tail))
     template = templates.templates.get(fact.relation)
     if template is None:
-        raise TemplateError(f"no template for relation {fact.relation!r}")
+        where = f"{templates.path}: " if templates.path else ""
+        raise TemplateError(
+            f"{where}no template for relation {fact.relation!r} (fact {fact.key()!r})"
+        )
     return template.replace("{h}", id_to_surface(fact.head)).replace(
         "{t}", id_to_surface(fact.tail)
     )

@@ -1,7 +1,11 @@
+import argparse
 import json
+import re
+import shlex
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,13 +52,13 @@ def workspace(tmp_path_factory):
     return root
 
 
-def data_args(root):
+def graph_args(root):
     d = root / "data"
-    return [
-        "--kg", str(d / "kg.tsv"),
-        "--dataset", str(d / "dataset.jsonl"),
-        "--templates", str(d / "templates.tsv"),
-    ]
+    return ["--kg", str(d / "kg.tsv"), "--dataset", str(d / "dataset.jsonl")]
+
+
+def data_args(root):
+    return [*graph_args(root), "--templates", str(root / "data" / "templates.tsv")]
 
 
 def test_generate_outputs(workspace):
@@ -66,11 +70,11 @@ def test_generate_outputs(workspace):
 
 def test_retrieve_and_perturb(workspace):
     out = workspace / "sub"
-    run_cli("retrieve", *data_args(workspace), "--config", str(workspace / "run.cfg"),
+    run_cli("retrieve", *graph_args(workspace), "--config", str(workspace / "run.cfg"),
             "--count", "4", "--out", str(out))
     lines = (out / "subgraphs.jsonl").read_text().splitlines()
     assert lines and all("virtual_node" in json.loads(l) for l in lines)
-    run_cli("perturb", *data_args(workspace), "--config", str(workspace / "run.cfg"),
+    run_cli("perturb", *graph_args(workspace), "--config", str(workspace / "run.cfg"),
             "--count", "4", "--out", str(out))
     perturbed = (out / "subgraphs_perturbed.jsonl").read_text().splitlines()
     assert len(perturbed) == len(lines)
@@ -222,6 +226,36 @@ def test_bad_input_file_prints_no_traceback(workspace):
     assert proc.stderr == f"factpool: error: {expected}\n"
 
 
+def test_missing_input_file_is_one_error_line(tmp_path):
+    missing = tmp_path / "nope.tsv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "factpool", "retrieve", "--kg", str(missing),
+         "--dataset", str(tmp_path / "d.jsonl"), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"factpool: error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_relation_without_template_names_templates_file_and_fact(workspace, capsys):
+    from factpool import cli
+    from factpool.synthetic import LINK_RELATION
+
+    path = workspace / "one_relation.tsv"
+    path.write_text(f"{LINK_RELATION}\t{{h}} connects with {{t}}\n", encoding="utf-8")
+    status = cli.main(["encode", *graph_args(workspace), "--templates", str(path),
+                       "--count", "2", "--out", str(workspace / "enc_one_relation")])
+    assert status == 1
+    err = capsys.readouterr().err
+    pattern = (
+        f"factpool: error: {re.escape(str(path))}: no template for relation "
+        r"'(sits_near_\d+)' \(fact '\w+\\t\1\\t\w+'\)\n"
+    )
+    assert re.fullmatch(pattern, err), err
+
+
 def test_train_eval_explain_roundtrip(workspace):
     out = workspace / "train"
     run_cli("train", *data_args(workspace), "--config", str(workspace / "run.cfg"),
@@ -269,6 +303,13 @@ def test_count_aggs_bad_nodes_is_usage_error(capsys, nodes):
 def test_gradcheck_cli(workspace):
     stdout = run_cli("gradcheck", "--config", str(workspace / "run.cfg"),
                      "--model", "pooled", "--max-per-param", "6")
+    assert "max_relative_error" in stdout
+
+
+def test_gradcheck_cli_on_a_one_layer_config(tmp_path):
+    cfg = tmp_path / "one_layer.cfg"
+    cfg.write_text(CONFIG_TEXT.replace("L=2", "L=1"), encoding="utf-8")
+    stdout = run_cli("gradcheck", "--config", str(cfg), "--max-per-param", "3")
     assert "max_relative_error" in stdout
 
 
@@ -414,8 +455,8 @@ def test_config_file_the_parser_rejects_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "twice.cfg"
     cfg.write_text("L=2\nL=4\n", encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
-        cli.main(["run", "--kg", "kg.tsv", "--dataset", "d.jsonl", "--config", str(cfg),
-                  "--train-count", "8", "--test-count", "4"])
+        cli.main(["run", "--kg", "kg.tsv", "--dataset", "d.jsonl", "--templates", "t.tsv",
+                  "--config", str(cfg), "--train-count", "8", "--test-count", "4"])
     assert exc.value.code == 2
     assert f"--config {cfg}: config line 2 repeats key 'L'" in capsys.readouterr().err
 
@@ -472,3 +513,125 @@ def test_eval_retrieves_each_statement_once(workspace, monkeypatch):
                      "--out", str(workspace / "eval_once")]) == 0
     records = load_dataset(workspace / "data" / "dataset.jsonl")[4:9]
     assert len(calls) == sum(len(r.candidates) for r in records)
+
+
+# Each command and exactly the flags it reads.
+COMMAND_FLAGS = {
+    "generate": {"--seed", "--out", "--entities", "--relations", "--questions", "--candidates",
+                 "--distractor-rate", "--kg-fraction"},
+    "retrieve": {"--config", "--out", "--kg", "--dataset", "--skip", "--count"},
+    "perturb": {"--config", "--out", "--kg", "--dataset", "--skip", "--count"},
+    "encode": {"--config", "--seed", "--out", "--kg", "--dataset", "--templates", "--skip",
+               "--count"},
+    "train": {"--config", "--seed", "--out", "--kg", "--dataset", "--templates", "--skip",
+              "--count", "--model", "--condition", "--cache"},
+    "eval": {"--out", "--kg", "--dataset", "--templates", "--skip", "--count", "--checkpoint",
+             "--cache"},
+    "explain": {"--out", "--kg", "--dataset", "--templates", "--checkpoint", "--question-index",
+                "--top-n", "--cache"},
+    "run": {"--config", "--seed", "--out", "--kg", "--dataset", "--templates", "--train-count",
+            "--test-count", "--seeds", "--kinds"},
+    "sweep": {"--config", "--seed", "--out", "--kg", "--dataset", "--templates", "--train-count",
+              "--test-count", "--seeds", "--axis", "--values", "--model", "--condition"},
+    "gradcheck": {"--config", "--seed", "--model", "--max-per-param"},
+    "count-aggs": {"--config", "--nodes"},
+}
+
+# The fewest arguments each command parses with.
+REQUIRED_ARGS = {
+    "generate": [],
+    "retrieve": ["--kg", "kg.tsv", "--dataset", "d.jsonl"],
+    "perturb": ["--kg", "kg.tsv", "--dataset", "d.jsonl"],
+    "encode": ["--kg", "kg.tsv", "--dataset", "d.jsonl", "--templates", "t.tsv"],
+    "train": ["--kg", "kg.tsv", "--dataset", "d.jsonl", "--templates", "t.tsv"],
+    "eval": ["--kg", "kg.tsv", "--dataset", "d.jsonl", "--templates", "t.tsv",
+             "--checkpoint", "m.ckpt"],
+    "explain": ["--kg", "kg.tsv", "--dataset", "d.jsonl", "--templates", "t.tsv",
+                "--checkpoint", "m.ckpt"],
+    "run": ["--kg", "kg.tsv", "--dataset", "d.jsonl", "--templates", "t.tsv",
+            "--train-count", "8", "--test-count", "4"],
+    "sweep": ["--kg", "kg.tsv", "--dataset", "d.jsonl", "--templates", "t.tsv",
+              "--train-count", "8", "--test-count", "4", "--axis", "K"],
+    "gradcheck": [],
+    "count-aggs": [],
+}
+
+
+def test_each_command_takes_exactly_the_flags_it_reads():
+    from factpool import cli
+
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert flags == COMMAND_FLAGS
+    for name, argv in REQUIRED_ARGS.items():
+        assert parser.parse_args([name, *argv]).func is cli.COMMANDS[name][0]
+
+
+REMOVED_FLAGS = [
+    ("generate", "--config"),
+    ("retrieve", "--seed"),
+    ("retrieve", "--templates"),
+    ("perturb", "--seed"),
+    ("perturb", "--templates"),
+    ("eval", "--config"),
+    ("eval", "--seed"),
+    ("explain", "--config"),
+    ("explain", "--seed"),
+    ("gradcheck", "--out"),
+    ("count-aggs", "--seed"),
+    ("count-aggs", "--out"),
+]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+def test_flag_the_command_does_not_read_is_rejected(capsys, command, flag):
+    from factpool import cli
+
+    value = {"--seed": "7", "--config": "run.cfg", "--templates": "t.tsv", "--out": "o"}[flag]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *REQUIRED_ARGS[command], flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["encode", "train", "eval", "explain", "run", "sweep"])
+def test_templates_is_required_where_facts_are_verbalized(capsys, command):
+    from factpool import cli
+
+    argv = REQUIRED_ARGS[command]
+    at = argv.index("--templates")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *argv[:at], *argv[at + 2:]])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --templates" in capsys.readouterr().err
+
+
+def _readme_commands() -> list[list[str]]:
+    """argv of each `factpool` line in the README's CLI and Experiments code blocks."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for section in re.split(r"^## ", readme, flags=re.M):
+        if section.split("\n", 1)[0].strip() not in ("CLI", "Experiments"):
+            continue
+        for block in re.findall(r"```bash\n(.*?)```", section, flags=re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                if line.startswith("factpool "):
+                    commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    from factpool import cli
+
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(cli.COMMANDS)
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: factpool {shlex.join(argv)}")
