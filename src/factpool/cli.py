@@ -57,9 +57,16 @@ class UsageError(ValueError):
     """A flag value that only the loaded data can reject; exits 2 like argparse."""
 
 
-def _load_cfg(path: str | None, seed: int | None = None) -> Config:
+def _load_cfg(path: str | None, seed: int | None = None, kinds=(), cache=None) -> Config:
+    """The --config file's Config.  A command that encodes facts for models of
+    `kinds` also rejects, before it reads any data, an external-file config it
+    cannot run: one without `cache` (--cache) or one for a gnn model."""
     try:
         cfg = load_config(path) if path else Config()
+        if kinds and cfg.encoder_kind == "external-file" and cache is None:
+            raise ValueError("encoder_kind=external-file needs --cache, which only train takes")
+        if cfg.encoder_kind == "external-file" and "gnn" in kinds:
+            raise ValueError("encoder_kind=external-file cannot encode a gnn model's entity states")
     except ValueError as err:
         raise UsageError(f"--config {path}: {err}") from None
     if seed is not None:
@@ -118,7 +125,7 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    cfg = _load_cfg(args.config, args.seed)
+    cfg = _load_cfg(args.config, args.seed, ("pooled",))
     kg = load_kg(args.kg)
     templates = load_templates(args.templates)
     records = _dataset_slice(args, load_dataset(args.dataset))
@@ -142,10 +149,11 @@ def cmd_encode(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = _load_cfg(args.config, args.seed, (args.model,), args.cache)
     kg = load_kg(args.kg)
     templates = load_templates(args.templates)
     records = _dataset_slice(args, load_dataset(args.dataset))
-    model = create_model(_load_cfg(args.config, args.seed), args.model, relation_table(kg))
+    model = create_model(cfg, args.model, relation_table(kg))
     encoder = build_encoder(model, cache_path=args.cache)
     prepared = prepare_dataset(model, kg, templates, encoder, records, args.condition)
     out = Path(args.out)
@@ -172,8 +180,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    cfg = _load_cfg(args.config, args.seed)
+def _experiment_config(args, kinds) -> ExperimentConfig:
+    cfg = _load_cfg(args.config, args.seed, kinds)
     return ExperimentConfig(
         config=cfg,
         kg_path=args.kg,
@@ -196,14 +204,15 @@ def _experiment_assets(ecfg: ExperimentConfig):
 
 
 def cmd_run(args) -> int:
-    ecfg = _experiment_config(args)
+    ecfg = _experiment_config(args, args.kinds)
     _, text = compare_kinds(ecfg, args.kinds, _experiment_assets(ecfg))
     print(text, end="")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    ecfg = replace(_experiment_config(args), model_kind=args.model, condition=args.condition)
+    ecfg = _experiment_config(args, (args.model,))
+    ecfg = replace(ecfg, model_kind=args.model, condition=args.condition)
     try:
         sweep_cells(ecfg, args.axis, args.values)
     except ValueError as err:
@@ -233,7 +242,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = _load_cfg(args.config, args.seed)
+    cfg = _load_cfg(args.config, args.seed, (args.model,))
     from factpool.harness_data import tiny_gradcheck_setup
 
     model, prepared = tiny_gradcheck_setup(cfg, args.model)

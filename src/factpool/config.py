@@ -50,7 +50,6 @@ class Config:
     # Not part of the key=value file schema; carried in checkpoints.
     vocab_size: int = 2048
     gnn_layers: int = 2
-    gnn_aggregation: str = "sum"
     precision: str = "f64"
 
     def __post_init__(self) -> None:
@@ -69,8 +68,8 @@ class Config:
             raise ValueError(f"token_pooling must be one of {TOKEN_POOLINGS}")
         if self.encoder_kind not in ENCODER_KINDS:
             raise ValueError(f"encoder_kind must be one of {ENCODER_KINDS}")
-        if self.gnn_aggregation not in ("sum", "mean"):
-            raise ValueError("gnn_aggregation must be 'sum' or 'mean'")
+        if self.token_pooling == "cls" and self.encoder_kind == "hash-bag":
+            raise ValueError("token_pooling=cls needs a cls token; encoder_kind=hash-bag has none")
         if self.precision not in ("f64", "f32"):
             raise ValueError("precision must be 'f64' or 'f32'")
         for name in ("L", "d", "heads", "max_tokens", "max_nodes", "epochs", "batch_size"):

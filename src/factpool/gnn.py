@@ -3,7 +3,7 @@
 Facts are treated as undirected: each edge contributes one message per
 direction, built from the source node's state concatenated with a learned
 relation embedding.  A node update adds a GELU feed-forward transform of the
-aggregated messages onto the previous state; the transform is bias-free and
+summed messages onto the previous state; the transform is bias-free and
 reads only the aggregate, so an empty neighborhood contributes exactly zero
 and isolated nodes keep their state bit-for-bit.  The virtual question node
 is initialized from the language model's question representation; its final
@@ -30,7 +30,6 @@ from factpool.transformer import init_scalar_head
 @dataclass
 class GNNConfig:
     layers: int = 2
-    aggregation: str = "sum"  # sum | mean
 
 
 def init_gnn_params(d: int, num_relations: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -110,9 +109,6 @@ def gnn_forward_arrays(
     """
     n, d = node_init.shape
     h = node_init
-    counts = np.zeros(n)
-    np.add.at(counts, arrays.dst, 1.0)
-    safe_counts = np.maximum(counts, 1.0)[:, None]
     layer_caches = []
     for _ in range(cfg.layers):
         m_in = np.concatenate(
@@ -122,8 +118,6 @@ def gnn_forward_arrays(
         msg, pre_m_t = gelu_cached(pre_m)
         agg = np.zeros((n, d))
         np.add.at(agg, arrays.dst, msg)
-        if cfg.aggregation == "mean":
-            agg = agg / safe_counts
         pre_u = agg @ params["gnn.upd.w"]
         upd, pre_u_t = gelu_cached(pre_u)
         if backward_cache:
@@ -131,7 +125,7 @@ def gnn_forward_arrays(
         else:  # free the [M, .] message arrays before the next layer allocates its own
             del m_in, pre_m, pre_m_t, msg
         h = upd + h
-    cache = (arrays, layer_caches, safe_counts) if backward_cache else None
+    cache = (arrays, layer_caches) if backward_cache else None
     return h, cache, n * cfg.layers
 
 
@@ -139,7 +133,7 @@ def gnn_backward_arrays(
     params: dict[str, np.ndarray], cfg: GNNConfig, cache, d_final: np.ndarray
 ):
     """Returns (grads dict, d_node_init [N, d])."""
-    arrays, layer_caches, safe_counts = cache
+    arrays, layer_caches = cache
     d = d_final.shape[1]
     grads = {
         "gnn.rel_emb": np.zeros_like(params["gnn.rel_emb"]),
@@ -153,10 +147,7 @@ def gnn_backward_arrays(
         d_pre_u = dh * gelu_grad_cached(pre_u, pre_u_t)
         grads["gnn.upd.w"] += agg.T @ d_pre_u
         dh_prev = dh.copy()
-        d_agg = d_pre_u @ params["gnn.upd.w"].T
-        if cfg.aggregation == "mean":
-            d_agg = d_agg / safe_counts
-        d_msg = d_agg[arrays.dst]
+        d_msg = (d_pre_u @ params["gnn.upd.w"].T)[arrays.dst]
         d_pre_m = d_msg * gelu_grad_cached(pre_m, pre_m_t)
         grads["gnn.msg.w"] += m_in.T @ d_pre_m
         grads["gnn.msg.b"] += d_pre_m.sum(axis=0)

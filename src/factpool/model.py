@@ -95,7 +95,7 @@ class Model:
         }
 
     def gnn_config(self) -> GNNConfig:
-        return GNNConfig(layers=self.cfg.gnn_layers, aggregation=self.cfg.gnn_aggregation)
+        return GNNConfig(layers=self.cfg.gnn_layers)
 
 
 def relation_table(kg: KnowledgeGraph) -> list[str]:
@@ -507,7 +507,7 @@ def batch_backward(model: Model, result: BatchResult) -> dict[str, np.ndarray]:
         )
         grads.update(head_grads)
         gnn_cache, virtual = caches["gnn_cache"], caches["gnn_virtual"]
-        arrays, _, _ = gnn_cache
+        arrays, _ = gnn_cache
         d_final = np.zeros((len(arrays.node_ids), cfg.d))
         d_final[virtual] = d_gamma
         gnn_grads, d_init = gnn_backward_arrays(params, model.gnn_config(), gnn_cache, d_final)

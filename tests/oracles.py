@@ -70,13 +70,10 @@ def message_oracle(h_src, rel_emb, w, b) -> np.ndarray:
     return out
 
 
-def gnn_oracle(params, layers, aggregation, node_init, edges) -> np.ndarray:
+def gnn_oracle(params, layers, node_init, edges) -> np.ndarray:
     """Loop message passing: edges is a list of (src_idx, dst_idx, rel_idx)."""
     n, d = node_init.shape
     h = np.array(node_init, dtype=float)
-    counts = [0] * n
-    for _, dst, _ in edges:
-        counts[dst] += 1
     for _ in range(layers):
         agg = np.zeros((n, d))
         for src, dst, rel in edges:
@@ -87,8 +84,6 @@ def gnn_oracle(params, layers, aggregation, node_init, edges) -> np.ndarray:
         h_next = np.zeros_like(h)
         for v in range(n):
             a = agg[v]
-            if aggregation == "mean" and counts[v] > 0:
-                a = a / counts[v]
             update = np.zeros(d)
             for j in range(d):
                 acc = 0.0

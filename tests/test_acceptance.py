@@ -211,7 +211,7 @@ def test_criterion_06_oracle_equivalence():
             {f"r{i}": i for i in range(3)},
         )
         h = rng.standard_normal((2, d))
-        _, (_, layer_caches, _), _ = gnn_forward_arrays(
+        _, (_, layer_caches), _ = gnn_forward_arrays(
             params, GNNConfig(layers=1), single, h, backward_cache=True
         )
         got = layer_caches[0][4][1]
@@ -235,13 +235,10 @@ def test_criterion_06_oracle_equivalence():
         relation_index = {f"r{i}": i for i in range(3)}
         arrays = subgraph_arrays(sub, relation_index)
         init = rng.standard_normal((n_nodes, d))
-        agg = "sum" if case % 2 == 0 else "mean"
         layers = 1 + case % 2
-        final, _, _ = gnn_forward_arrays(
-            params, GNNConfig(layers=layers, aggregation=agg), arrays, init
-        )
+        final, _, _ = gnn_forward_arrays(params, GNNConfig(layers=layers), arrays, init)
         edges = list(zip(arrays.src, arrays.dst, arrays.rel))
-        want = gnn_oracle(params, layers, agg, init, edges)
+        want = gnn_oracle(params, layers, init, edges)
         assert np.max(np.abs(final - want)) < 1e-12
     report(6, "naive-oracle equivalence", f"200 cases in {time.time()-start:.1f}s")
 

@@ -163,6 +163,9 @@ def _saved_model(tmp_path):
          "checkpoint config fields differ from Config: ['seed']"),
         (lambda h: h["config"].update(heads=3),
          "invalid checkpoint config (width d=16 must be divisible by heads=3)"),
+        (lambda h: h["config"].update(token_pooling="cls"),
+         "invalid checkpoint config (token_pooling=cls needs a cls token; "
+         "encoder_kind=hash-bag has none)"),
         (lambda h: h["meta"].pop("kind"),
          "model kind None is not one of ('pooled', 'gnn', 'lm')"),
         (lambda h: h["meta"].update(kind="foo"),
@@ -175,8 +178,8 @@ def _saved_model(tmp_path):
         (lambda h: h["config"].update(vocab_size=32),
          "tensor 'tok_emb' has shape (64, 16), a pooled model needs (32, 16)"),
     ],
-    ids=["unknown-key", "missing-key", "invalid-config", "no-kind", "unknown-kind",
-         "no-relations", "fewer-layers", "more-layers", "tensor-shape"],
+    ids=["unknown-key", "missing-key", "invalid-config", "cls-hash-bag", "no-kind",
+         "unknown-kind", "no-relations", "fewer-layers", "more-layers", "tensor-shape"],
 )
 def test_load_model_checks_header_against_tensors(tmp_path, edit, message):
     path = _saved_model(tmp_path)

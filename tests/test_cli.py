@@ -300,9 +300,10 @@ def test_count_aggs_bad_nodes_is_usage_error(capsys, nodes):
     assert "--nodes" in capsys.readouterr().err
 
 
-def test_gradcheck_cli(workspace):
+@pytest.mark.parametrize("kind", ["pooled", "gnn", "lm"])
+def test_gradcheck_cli(workspace, kind):
     stdout = run_cli("gradcheck", "--config", str(workspace / "run.cfg"),
-                     "--model", "pooled", "--max-per-param", "6")
+                     "--model", kind, "--max-per-param", "6")
     assert "max_relative_error" in stdout
 
 
@@ -461,6 +462,60 @@ def test_config_file_the_parser_rejects_is_usage_error(tmp_path, capsys):
     assert f"--config {cfg}: config line 2 repeats key 'L'" in capsys.readouterr().err
 
 
+def _runnable(command, encoder, pooling, model, cache) -> bool:
+    """Whether `command` can run a config, by the rules the CLI checks first."""
+    if pooling == "cls" and encoder == "hash-bag":
+        return False  # the hash-bag encoder has no cls token
+    if encoder != "external-file" or command in ("retrieve", "perturb", "count-aggs"):
+        return True  # these three encode nothing
+    return cache and model != "gnn"  # gnn node states need a text encoder
+
+
+def _config_cases():
+    from factpool.config import ENCODER_KINDS, TOKEN_POOLINGS
+    from factpool.model import MODEL_KINDS
+
+    for command in ("retrieve", "perturb", "encode", "train", "run", "sweep", "gradcheck",
+                    "count-aggs"):
+        for encoder in ENCODER_KINDS:
+            for pooling in TOKEN_POOLINGS:
+                for model in MODEL_KINDS if command == "train" else (None,):
+                    for cache in (False, True) if command == "train" else (False,):
+                        case = [command, encoder, pooling, model, cache]
+                        ids = [command, encoder, pooling, model, "cache" if cache else None]
+                        yield pytest.param(*case, id="-".join(i for i in ids if i))
+
+
+@pytest.mark.parametrize("command, encoder, pooling, model, cache", _config_cases())
+def test_config_no_command_can_run_is_rejected_before_any_input(
+    tmp_path, capsys, command, encoder, pooling, model, cache
+):
+    from factpool import cli
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        CONFIG_TEXT.replace("encoder_kind=hash-bag", f"encoder_kind={encoder}")
+        .replace("token_pooling=mean", f"token_pooling={pooling}"),
+        encoding="utf-8",
+    )
+    missing = {"kg.tsv", "d.jsonl", "t.tsv"}
+    argv = [command, "--config", str(cfg)]
+    argv += [str(tmp_path / a) if a in missing else a for a in REQUIRED_ARGS[command]]
+    argv += {"sweep": ["--values", "0"], "gradcheck": ["--max-per-param", "2"]}.get(command, [])
+    argv += ["--model", model] if model else []
+    argv += ["--cache", str(tmp_path / "embeddings.bin")] if cache else []
+    if not _runnable(command, encoder, pooling, model, cache):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"factpool: error: --config {cfg}: " in capsys.readouterr().err
+    elif command in ("gradcheck", "count-aggs"):
+        assert cli.main(argv) == 0
+    else:
+        assert cli.main(argv) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+
+
 def test_explain_question_index_out_of_range_is_usage_error(workspace, capsys):
     from factpool import cli
 
@@ -610,9 +665,12 @@ def test_templates_is_required_where_facts_are_verbalized(capsys, command):
     assert "the following arguments are required: --templates" in capsys.readouterr().err
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def _readme_commands() -> list[list[str]]:
     """argv of each `factpool` line in the README's CLI and Experiments code blocks."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     commands = []
     for section in re.split(r"^## ", readme, flags=re.M):
         if section.split("\n", 1)[0].strip() not in ("CLI", "Experiments"):
@@ -624,9 +682,22 @@ def _readme_commands() -> list[list[str]]:
     return commands
 
 
+def _readme_scripts() -> list[str]:
+    """The path of each `python3 <path>` line in any of the README's code blocks."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return [
+        shlex.split(line)[1]
+        for block in re.findall(r"```bash\n(.*?)```", readme, flags=re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("python3 ")
+    ]
+
+
 def test_readme_commands_parse():
     from factpool import cli
 
+    scripts = _readme_scripts()
+    assert scripts and [path for path in scripts if not (ROOT / path).is_file()] == []
     commands = _readme_commands()
     assert {argv[0] for argv in commands} == set(cli.COMMANDS)
     parser = cli.build_parser()

@@ -40,6 +40,15 @@ def test_learning_rates_must_be_finite_and_non_negative(field, value):
         parse_config_text(f"{field}={value}\n")
 
 
+def test_cls_pooling_needs_an_encoder_with_a_cls_token():
+    message = "token_pooling=cls needs a cls token; encoder_kind=hash-bag has none"
+    with pytest.raises(ValueError, match=message):
+        Config(token_pooling="cls")
+    with pytest.raises(ValueError, match=message):
+        parse_config_text("token_pooling=cls\nencoder_kind=hash-bag\n")
+    assert Config(token_pooling="cls", encoder_kind="shared-toy-encoder").token_pooling == "cls"
+
+
 def test_zero_learning_rate_is_accepted():
     # A zero rate freezes its parameter group.
     assert parse_config_text("lr_lm=0\nlr_graph=0.0\n").lr_lm == 0.0

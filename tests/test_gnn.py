@@ -6,6 +6,7 @@ from oracles import fd_gradient, gnn_oracle, message_oracle
 from factpool.config import Config
 from factpool.gnn import (
     GNNConfig,
+    SubgraphArrays,
     gnn_backward_arrays,
     gnn_forward_arrays,
     init_gnn_params,
@@ -65,14 +66,14 @@ def single_edge_messages(params, init):
     """Messages aggregated at each node of the one-fact graph a -r-> b."""
     arrays = subgraph_arrays(Subgraph(nodes={"a", "b"}, edges={Fact("a", "r", "b")}), {"r": 1})
     _, cache, _ = gnn_forward_arrays(params, GNNConfig(layers=1), arrays, init, True)
-    _, layer_caches, _ = cache
+    _, layer_caches = cache
     return layer_caches[0][4]  # sum aggregate: one message per node here
 
 
 def test_init_nodes_virtual_and_entities():
     model, encoder, prepared = gnn_question()
     result = batch_forward(model, [prepared], backward_cache=True)
-    _, layer_caches, _ = result._caches["gnn_cache"]
+    _, layer_caches = result._caches["gnn_cache"]
     layer0 = layer_caches[0][0]  # the union graph's initial node states
     offset = 0
     for i, cand in enumerate(prepared.candidates):
@@ -122,14 +123,13 @@ def test_union_matches_oracle_per_part():
     params = init_gnn_params(d, len(index), np.random.default_rng(15))
     rng = np.random.default_rng(16)
     inits = [rng.standard_normal((n, d)) for n in sizes]
-    for agg in ("sum", "mean"):
-        final, _, count = gnn_forward_arrays(
-            params, GNNConfig(layers=2, aggregation=agg), union, np.concatenate(inits)
-        )
-        assert count == 2 * sum(sizes)
-        for part, init, rows in zip(parts, inits, np.split(final, np.cumsum(sizes[:-1]))):
-            edges = list(zip(part.src, part.dst, part.rel))
-            assert np.max(np.abs(rows - gnn_oracle(params, 2, agg, init, edges))) < 1e-12
+    final, _, count = gnn_forward_arrays(
+        params, GNNConfig(layers=2), union, np.concatenate(inits)
+    )
+    assert count == 2 * sum(sizes)
+    for part, init, rows in zip(parts, inits, np.split(final, np.cumsum(sizes[:-1]))):
+        edges = list(zip(part.src, part.dst, part.rel))
+        assert np.max(np.abs(rows - gnn_oracle(params, 2, init, edges))) < 1e-12
 
 
 def test_message_matches_oracle_and_is_pure():
@@ -173,7 +173,7 @@ def test_two_node_single_layer_matches_hand_computation():
     init = np.random.default_rng(4).standard_normal((len(arrays.node_ids), d))
     final, _, _ = gnn_forward_arrays(params, GNNConfig(layers=1), arrays, init)
     edges = [(arrays.src[i], arrays.dst[i], arrays.rel[i]) for i in range(len(arrays.src))]
-    expected = gnn_oracle(params, 1, "sum", init, edges)
+    expected = gnn_oracle(params, 1, init, edges)
     assert np.allclose(final, expected, atol=1e-12)
 
 
@@ -217,22 +217,17 @@ def test_permutation_invariance_of_message_order():
     d = 8
     params = init_gnn_params(d, len(rel_index(sub)), np.random.default_rng(7))
     init = np.random.default_rng(8).standard_normal((len(arrays.node_ids), d))
-    for agg in ("sum", "mean"):
-        base, _, _ = gnn_forward_arrays(params, GNNConfig(layers=2, aggregation=agg), arrays, init)
-        perm = np.random.default_rng(9).permutation(len(arrays.src))
-        from factpool.gnn import SubgraphArrays
-
-        shuffled = SubgraphArrays(
-            node_ids=arrays.node_ids,
-            src=arrays.src[perm],
-            dst=arrays.dst[perm],
-            rel=arrays.rel[perm],
-            virtual_index=arrays.virtual_index,
-        )
-        permuted, _, _ = gnn_forward_arrays(
-            params, GNNConfig(layers=2, aggregation=agg), shuffled, init
-        )
-        assert np.allclose(base, permuted, atol=1e-12)
+    base, _, _ = gnn_forward_arrays(params, GNNConfig(layers=2), arrays, init)
+    perm = np.random.default_rng(9).permutation(len(arrays.src))
+    shuffled = SubgraphArrays(
+        node_ids=arrays.node_ids,
+        src=arrays.src[perm],
+        dst=arrays.dst[perm],
+        rel=arrays.rel[perm],
+        virtual_index=arrays.virtual_index,
+    )
+    permuted, _, _ = gnn_forward_arrays(params, GNNConfig(layers=2), shuffled, init)
+    assert np.allclose(base, permuted, atol=1e-12)
 
 
 def test_locality_remote_edge_is_bit_irrelevant():
@@ -281,7 +276,7 @@ def test_gnn_backward_vs_finite_differences():
     rng = np.random.default_rng(14)
     init = rng.standard_normal((len(arrays.node_ids), d))
     probe = rng.standard_normal((len(arrays.node_ids), d))
-    gcfg = GNNConfig(layers=2, aggregation="mean")
+    gcfg = GNNConfig(layers=2)
 
     def loss():
         final, _, _ = gnn_forward_arrays(params, gcfg, arrays, init)
@@ -302,12 +297,11 @@ def test_forward_without_backward_cache_is_bit_identical_and_keeps_none(monkeypa
     arrays = subgraph_arrays(sub, rel_index(sub))
     params = init_gnn_params(6, len(rel_index(sub)), np.random.default_rng(21))
     init = np.random.default_rng(22).standard_normal((len(arrays.node_ids), 6))
-    for agg in ("sum", "mean"):
-        gcfg = GNNConfig(layers=2, aggregation=agg)
-        kept, cache, count = gnn_forward_arrays(params, gcfg, arrays, init, backward_cache=True)
-        bare, no_cache, bare_count = gnn_forward_arrays(params, gcfg, arrays, init)
-        assert bare.tobytes() == kept.tobytes() and bare_count == count
-        assert len(cache[1]) == 2 and no_cache is None
+    gcfg = GNNConfig(layers=2)
+    kept, cache, count = gnn_forward_arrays(params, gcfg, arrays, init, backward_cache=True)
+    bare, no_cache, bare_count = gnn_forward_arrays(params, gcfg, arrays, init)
+    assert bare.tobytes() == kept.tobytes() and bare_count == count
+    assert len(cache[1]) == 2 and no_cache is None
     # Only a training forward keeps layer caches; evaluation scores the same bytes.
     model, _, prepared = gnn_question()
     caches = []
