@@ -19,7 +19,12 @@ from pathlib import Path
 from factpool.checkpoint import CheckpointError
 from factpool.config import Config, load_config
 from factpool.data import DatasetFormatError, load_dataset
-from factpool.encoders import encode_subgraphs, read_embedding_cache, write_embedding_cache
+from factpool.encoders import (
+    FileBackedEncoder,
+    encode_subgraphs,
+    read_embedding_cache,
+    write_embedding_cache,
+)
 from factpool.experiment import (
     DatasetTooSmallError,
     ExperimentConfig,
@@ -72,6 +77,22 @@ def _load_cfg(path: str | None, seed: int | None = None, kinds=(), cache=None) -
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     return cfg
+
+
+def _cache_encoder(cfg: Config, cache: str | None) -> FileBackedEncoder | None:
+    """The --cache encoder of an external-file model, read and checked against
+    its width before any other input; None for the other encoder kinds, which
+    `build_encoder` makes from the model."""
+    if cfg.encoder_kind != "external-file":
+        return None
+    if cache is None:
+        raise UsageError("--cache is required: the model's encoder_kind is external-file")
+    encoder = FileBackedEncoder(cache)
+    if encoder.dim != cfg.d:
+        raise UsageError(
+            f"--cache {cache}: embedding cache width {encoder.dim} != model width d={cfg.d}"
+        )
+    return encoder
 
 
 def _dataset_slice(args, records):
@@ -150,11 +171,12 @@ def cmd_encode(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args.config, args.seed, (args.model,), args.cache)
+    cached = _cache_encoder(cfg, args.cache)
     kg = load_kg(args.kg)
     templates = load_templates(args.templates)
     records = _dataset_slice(args, load_dataset(args.dataset))
     model = create_model(cfg, args.model, relation_table(kg))
-    encoder = build_encoder(model, cache_path=args.cache)
+    encoder = cached or build_encoder(model)
     prepared = prepare_dataset(model, kg, templates, encoder, records, args.condition)
     out = Path(args.out)
     losses = train_model(model, prepared, out_dir=str(out), log=True)
@@ -165,10 +187,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model(args.checkpoint)
+    encoder = _cache_encoder(model.cfg, args.cache) or build_encoder(model)
     kg = load_kg(args.kg)
     templates = load_templates(args.templates)
     records = _dataset_slice(args, load_dataset(args.dataset))
-    encoder = build_encoder(model, cache_path=args.cache)
     grounding = ground_records(kg, records, model.cfg.max_nodes)
     prepared = prepare_conditions(model, templates, encoder, records, grounding)
     accs = evaluate_conditions(model, prepared)
@@ -224,6 +246,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_explain(args) -> int:
     model = load_model(args.checkpoint)
+    encoder = _cache_encoder(model.cfg, args.cache) or build_encoder(model)
     kg = load_kg(args.kg)
     templates = load_templates(args.templates)
     records = load_dataset(args.dataset)
@@ -233,7 +256,6 @@ def cmd_explain(args) -> int:
             f"{args.dataset} has {len(records)} questions"
         )
     record = records[args.question_index]
-    encoder = build_encoder(model, cache_path=args.cache)
     report = explain(model, kg, templates, encoder, record, top_n=args.top_n)
     text = report.render()
     atomic_write_text(Path(args.out) / "explain.txt", text)

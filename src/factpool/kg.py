@@ -120,15 +120,22 @@ def load_kg(path: str) -> KnowledgeGraph:
     """
     ids = _SurfaceIds()
     facts: set[Fact] = set()
+    # One read, split on "\n" after the universal-newline translation that
+    # line iteration also does (str.splitlines would break at \v, \f and more).
+    # Only the loop holds the line list, so it is freed before the graph is built.
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
+        for lineno, line in enumerate(fh.read().split("\n"), start=1):
+            stripped = line.lstrip()
+            if not stripped or stripped[0] == "#":
                 continue
             parts = line.split("\t")
-            if len(parts) != 3 or not all(map(str.strip, parts)):
+            if len(parts) == 3:
+                head, relation, tail = ids[parts[0]], ids[parts[1]], ids[parts[2]]
+            else:
+                head = relation = tail = ""
+            # Malformed: not three fields, or a whitespace-only one (its id is empty).
+            if not (head and relation and tail):
                 raise KGFormatError(f"{path}: malformed line {lineno}: {line!r}")
-            head, relation, tail = ids[parts[0]], ids[parts[1]], ids[parts[2]]
             if head == VIRTUAL_NODE_ID or tail == VIRTUAL_NODE_ID:
                 raise KGFormatError(
                     f"{path}: line {lineno}: entity id '{VIRTUAL_NODE_ID}' is reserved "

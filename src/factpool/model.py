@@ -102,25 +102,23 @@ def relation_table(kg: KnowledgeGraph) -> list[str]:
     return sorted(kg.relations | {VIRTUAL_QUESTION_RELATION, VIRTUAL_ANSWER_RELATION})
 
 
+class _NoDraws:
+    """Stands in for the generator where only parameter names and shapes are
+    wanted: each draw returns zeros of the requested size."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+
 def create_model(cfg: Config, kind: str, relations: list[str]) -> Model:
     """Seeded parameter construction; the draw order is fixed per kind."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"model kind must be one of {MODEL_KINDS}")
     rng = np.random.default_rng(derive_seed(cfg.seed, "init", kind))
-    params = init_trunk_params(cfg.L, cfg.d, cfg.vocab_size, cfg.max_tokens, rng)
-    params.update(init_scalar_head("fq", cfg.d, rng))
-    if kind in ("pooled", "lm"):
-        params.update(init_scalar_head("fg", cfg.d, rng))
-    if kind == "pooled":
-        for k in range(cfg.num_pooling_heads()):
-            params.update(init_pooling_head(f"pool{k}", cfg.d, rng))
-    if kind == "gnn":
-        params.update(init_gnn_params(cfg.d, len(relations), rng))
-    if cfg.encoder_kind == "shared-toy-encoder":
-        # Pre-fine-tuning snapshot of the embedder and trunk; never trained.
-        trunk_names = [n for n in params if n.startswith(("tok_emb", "pos_emb", "layer"))]
-        for name in trunk_names:
-            params[_FROZEN_PREFIX + name] = params[name].copy()
+    params = _init_params(cfg, kind, len(relations), rng)
     return Model(
         cfg=cfg,
         kind=kind,
@@ -129,6 +127,25 @@ def create_model(cfg: Config, kind: str, relations: list[str]) -> Model:
         relations=list(relations),
         tokenizer=Tokenizer(cfg.vocab_size),
     )
+
+
+def _init_params(cfg: Config, kind: str, num_relations: int, rng) -> dict[str, np.ndarray]:
+    """Every float64 parameter of a `kind` model, drawn from `rng` in a fixed order."""
+    params = init_trunk_params(cfg.L, cfg.d, cfg.vocab_size, cfg.max_tokens, rng)
+    params.update(init_scalar_head("fq", cfg.d, rng))
+    if kind in ("pooled", "lm"):
+        params.update(init_scalar_head("fg", cfg.d, rng))
+    if kind == "pooled":
+        for k in range(cfg.num_pooling_heads()):
+            params.update(init_pooling_head(f"pool{k}", cfg.d, rng))
+    if kind == "gnn":
+        params.update(init_gnn_params(cfg.d, num_relations, rng))
+    if cfg.encoder_kind == "shared-toy-encoder":
+        # Pre-fine-tuning snapshot of the embedder and trunk; never trained.
+        trunk_names = [n for n in params if n.startswith(("tok_emb", "pos_emb", "layer"))]
+        for name in trunk_names:
+            params[_FROZEN_PREFIX + name] = params[name].copy()
+    return params
 
 
 def build_encoder(model: Model, cache_path: str | None = None):
@@ -690,7 +707,8 @@ def save_model(model: Model, path: str, step: int = 0) -> None:
 
 def load_model(path: str) -> Model:
     """The model a checkpoint holds.  CheckpointError names the path and the
-    first way its header or tensors differ from what `create_model` builds."""
+    first way its header or tensors differ from what `create_model` builds
+    (its names and shapes, learnt without drawing any parameter)."""
     params, header = load_checkpoint(path)
     config, meta = header.get("config"), header.get("meta")
     if not isinstance(config, dict) or not isinstance(meta, dict):
@@ -707,17 +725,24 @@ def load_model(path: str) -> Model:
         raise CheckpointError(f"{path}: model kind {kind!r} is not one of {MODEL_KINDS}")
     if not isinstance(relations, list) or not all(isinstance(r, str) for r in relations):
         raise CheckpointError(f"{path}: checkpoint meta needs a relation list")
-    model = create_model(cfg, kind, relations)
     have = {name: tensor.shape for name, tensor in params.items()}
-    need = {name: tensor.shape for name, tensor in model.params.items()}
+    need = {
+        name: tensor.shape
+        for name, tensor in _init_params(cfg, kind, len(relations), _NoDraws()).items()
+    }
     for name in sorted(have.keys() | need.keys()):
         if have.get(name) != need.get(name):
             raise CheckpointError(
                 f"{path}: tensor {name!r} has shape {have.get(name, 'none')}, "
                 f"a {kind} model needs {need.get(name, 'none')}"
             )
-    model.params = {name: t.astype(cfg.dtype, copy=False) for name, t in params.items()}
-    return model
+    return Model(
+        cfg=cfg,
+        kind=kind,
+        params={name: t.astype(cfg.dtype, copy=False) for name, t in params.items()},
+        relations=list(relations),
+        tokenizer=Tokenizer(cfg.vocab_size),
+    )
 
 
 # --- gradient checking ------------------------------------------------------------

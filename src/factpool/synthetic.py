@@ -79,11 +79,14 @@ class SyntheticBenchmark:
 
 
 def _name_pool(spec: SyntheticSpec, rng: np.random.Generator) -> list[str]:
-    names = []
-    for i in range(spec.entities):
-        stem = "".join(rng.choice(_SYLLABLES) for _ in range(2))
-        names.append(f"{stem}{i}")
-    return names
+    # One scalar draw per syllable.  The files depend on the call sequence,
+    # not only on the values: `integers(size=...)` would draw the same values
+    # but leave a different state, changing every file after the name pool.
+    n = len(_SYLLABLES)
+    return [
+        f"{_SYLLABLES[int(rng.integers(n))]}{_SYLLABLES[int(rng.integers(n))]}{i}"
+        for i in range(spec.entities)
+    ]
 
 
 def generate_synthetic(spec: SyntheticSpec) -> SyntheticBenchmark:

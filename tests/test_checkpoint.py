@@ -190,6 +190,26 @@ def test_load_model_checks_header_against_tensors(tmp_path, edit, message):
         load_model(str(path))
 
 
+@pytest.mark.parametrize("encoder_kind", ["hash-bag", "shared-toy-encoder"])
+@pytest.mark.parametrize("kind", ["pooled", "gnn", "lm"])
+def test_load_model_draws_no_parameter(tmp_path, monkeypatch, kind, encoder_kind):
+    cfg = Config(L=2, d=16, heads=2, K=1, fusion_mode="early_late", vocab_size=64,
+                 max_tokens=16, max_nodes=8, encoder_kind=encoder_kind)
+    model = create_model(cfg, kind, ["r0", "r1", "r2"])
+    path = tmp_path / "model.ckpt"
+    save_model(model, str(path))
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_model made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    loaded = load_model(str(path))
+    assert (loaded.cfg, loaded.kind, loaded.relations) == (cfg, kind, ["r0", "r1", "r2"])
+    assert loaded.params.keys() == model.params.keys()
+    for name, tensor in model.params.items():
+        assert loaded.params[name].tobytes() == tensor.tobytes(), name
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_load_model_rejects_a_non_finite_tensor(tmp_path, value):
     cfg = Config(L=2, d=16, heads=2, vocab_size=64, max_tokens=16, max_nodes=8)

@@ -239,6 +239,64 @@ def test_missing_input_file_is_one_error_line(tmp_path):
     assert proc.stderr == f"factpool: error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
+def _external_file_model(tmp_path):
+    """(config path, checkpoint path) of an untrained external-file model, d=16."""
+    from factpool.config import load_config
+    from factpool.model import create_model, save_model
+
+    cfg_path = tmp_path / "external.cfg"
+    cfg_path.write_text(
+        CONFIG_TEXT.replace("encoder_kind=hash-bag", "encoder_kind=external-file"),
+        encoding="utf-8",
+    )
+    ckpt = tmp_path / "external.ckpt"
+    save_model(create_model(load_config(str(cfg_path)), "pooled", ["r0"]), str(ckpt))
+    return cfg_path, ckpt
+
+
+def _usage_error_before_any_input(tmp_path, argv, expected):
+    """Run `argv` with --kg, --dataset and --templates naming missing files:
+    it must exit 2 with one error line, before reading any of them."""
+    missing = [str(tmp_path / name) for name in ("kg.tsv", "d.jsonl", "t.tsv")]
+    missing = ["--kg", missing[0], "--dataset", missing[1], "--templates", missing[2]]
+    proc = subprocess.run(
+        [sys.executable, "-m", "factpool", *argv, *missing, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error" in line]
+    assert errors == [f"factpool: error: {expected}"]
+    assert proc.stderr.endswith(f"factpool: error: {expected}\n")
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "explain"])
+def test_cache_of_another_width_is_a_usage_error(tmp_path, command):
+    from factpool.encoders import write_embedding_cache
+
+    cfg_path, ckpt = _external_file_model(tmp_path)
+    cache = tmp_path / "w32.bin"
+    write_embedding_cache(str(cache), {"a\tr\tb": np.ones(32)}, 32)
+    source = ["--config", str(cfg_path)] if command == "train" else ["--checkpoint", str(ckpt)]
+    _usage_error_before_any_input(
+        tmp_path,
+        [command, *source, "--cache", str(cache)],
+        f"--cache {cache}: embedding cache width 32 != model width d=16",
+    )
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_external_file_checkpoint_without_cache_is_a_usage_error(tmp_path, command):
+    _, ckpt = _external_file_model(tmp_path)
+    _usage_error_before_any_input(
+        tmp_path,
+        [command, "--checkpoint", str(ckpt)],
+        "--cache is required: the model's encoder_kind is external-file",
+    )
+
+
 def test_relation_without_template_names_templates_file_and_fact(workspace, capsys):
     from factpool import cli
     from factpool.synthetic import LINK_RELATION

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import kg_from_facts
 from oracles import induced_edges_oracle, load_kg_oracle, two_hop_nodes_oracle
 
+from factpool import cli
+from factpool.data import save_dataset
 from factpool.harness_data import tiny_benchmark
 from factpool.kg import (
     Fact,
@@ -45,6 +47,50 @@ def test_graph_built_in_memory_equals_the_loaded_one(tmp_path):
     assert loaded.relations == built.relations
     assert loaded.adjacency == built.adjacency
     assert loaded.first_token_index() == built.first_token_index()
+
+
+@pytest.fixture(scope="module")
+def kg_layout_case(tmp_path_factory):
+    """The tiny benchmark's KG lines, dataset and `retrieve` output from the
+    KG written sorted, one fact per line."""
+    kg, _, records = tiny_benchmark(seed=1, questions=8)
+    root = tmp_path_factory.mktemp("kg_layout")
+    save_dataset(records, root / "dataset.jsonl")
+    lines = [f.key() for f in sorted(kg.facts)]
+    (root / "kg.tsv").write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    reference = _retrieve_output(root, root / "kg.tsv")
+    return root, lines, load_kg(str(root / "kg.tsv")), reference
+
+
+def _retrieve_output(root, kg_path) -> bytes:
+    out = root / "retrieved"
+    assert cli.main(["retrieve", "--kg", str(kg_path), "--dataset",
+                     str(root / "dataset.jsonl"), "--out", str(out)]) == 0
+    return (out / "subgraphs.jsonl").read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kg_file_layout_does_not_reach_the_graph_or_retrieval(kg_layout_case, data):
+    # Line order, repeated facts, blank and comment lines and \r\n endings
+    # leave the loaded graph, its adjacency tuple order and `retrieve` unchanged.
+    root, lines, expected, reference = kg_layout_case
+    extra = data.draw(st.lists(
+        st.one_of(st.sampled_from(lines), st.sampled_from(["", "   ", "# note", "  #\tx"])),
+        max_size=10,
+    ))
+    shuffled = data.draw(st.permutations(lines + extra))
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(shuffled) + data.draw(st.sampled_from(["", newline]))
+    path = root / "kg_layout.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    kg = load_kg(str(path))
+    assert kg.facts == expected.facts
+    assert kg.entities == expected.entities
+    assert kg.relations == expected.relations
+    assert kg.adjacency == expected.adjacency
+    assert kg.first_token_index() == expected.first_token_index()
+    assert _retrieve_output(root, path) == reference
 
 
 def test_load_kg_counts(toy_kg):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from oracles import bfs_distances
@@ -24,6 +26,42 @@ def test_same_seed_identical_files(tmp_path):
     write_synthetic(small_spec(), b)
     for name in ("kg.tsv", "templates.tsv", "dataset.jsonl"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+ACCEPTANCE_SPEC = SyntheticSpec(
+    entities=7000, relations=6, questions=700, distractor_rate=0.6, kg_fraction=0.6, seed=0
+)
+
+
+@pytest.mark.parametrize(
+    "spec, digests",
+    [
+        pytest.param(
+            ACCEPTANCE_SPEC,
+            {
+                "kg.tsv": "756ace52ff16f3795c146f72be5ff00c3bd004f92d4f123f9f97dc11d9bdc6a5",
+                "templates.tsv": "58cfe26df761429409ed8fcd355da829e588cd836877fa61a51e7daffb11011c",
+                "dataset.jsonl": "174da7ab522e16592cb3da04e5d3de3bd0ca4dd4bf0464d1033c31543361f10d",
+            },
+            id="acceptance",
+        ),
+        pytest.param(
+            small_spec(),
+            {
+                "kg.tsv": "ef03cda60347fd0a7213b6857abe61034a7d13df599fa466b93f7e6f99b79006",
+                "templates.tsv": "c5414c1facaf2960f7a030f671093b83fe6aa3bdc91fee9e727ba90116382750",
+                "dataset.jsonl": "b26ff9398ec606f8408b132eb856a1f05341f7e4bf111d55de63fd0808bb037f",
+            },
+            id="small",
+        ),
+    ],
+)
+def test_generated_bytes_are_pinned(tmp_path, spec, digests):
+    # The files are a function of the RNG call sequence: a change to how any
+    # draw is made (not only what it draws) shifts every file after it.
+    write_synthetic(spec, tmp_path)
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_zero_distractors_exact_fact_count():
