@@ -82,8 +82,10 @@ def _load_cfg(path: str | None, seed: int | None = None, kinds=(), cache=None) -
 def _cache_encoder(cfg: Config, cache: str | None) -> FileBackedEncoder | None:
     """The --cache encoder of an external-file model, read and checked against
     its width before any other input; None for the other encoder kinds, which
-    `build_encoder` makes from the model."""
+    `build_encoder` makes from the model and which take no --cache."""
     if cfg.encoder_kind != "external-file":
+        if cache is not None:
+            raise UsageError(f"--cache {cache}: encoder_kind={cfg.encoder_kind} reads no cache")
         return None
     if cache is None:
         raise UsageError("--cache is required: the model's encoder_kind is external-file")
@@ -97,6 +99,9 @@ def _cache_encoder(cfg: Config, cache: str | None) -> FileBackedEncoder | None:
 
 def _dataset_slice(args, records):
     end = None if args.count is None else args.skip + args.count
+    if args.skip >= len(records):
+        flags = f"--skip {args.skip}" + ("" if args.count is None else f" --count {args.count}")
+        raise UsageError(f"{flags} selects no record: {args.dataset} has {len(records)}")
     return records[args.skip : end]
 
 

@@ -6,13 +6,13 @@ Three encoder families share one interface:
     a fact embedding is the mean of its token vectors.  Needs no trained
     model, so retrieval and pooling tests can run standalone.
   * shared-toy-encoder: runs a frozen snapshot of the QA model's own token
-    embedder and transformer trunk over the fact text, so edge embeddings
-    live in the same space the QA model starts from.
+    embedder and transformer trunk, as initialized, over the fact text, so
+    edge embeddings live in the same space the QA model starts from.
   * external-file: reads embeddings from a cache file and never computes.
 
 Token pooling is `mean` (average over text-token states) or `cls` (state of
 the prepended classification token).  The hash-bag encoder has no cls token
-and rejects cls pooling.
+and always means; `Config.validate` rejects cls pooling with it.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ class UncachedFactError(KeyError):
 class HashBagEncoder:
     """Mean of fixed seeded unit vectors, one per token."""
 
-    def __init__(self, dim: int, seed: int = 0, token_pooling: str = "mean"):
-        if token_pooling != "mean":
-            raise ValueError("hash-bag encoder has no cls token; use mean pooling")
+    def __init__(self, dim: int, seed: int = 0):
         self.dim = dim
         self.seed = seed
         self._token_vectors: dict[str, np.ndarray] = {}
@@ -93,7 +91,7 @@ class ToyTrunkEncoder:
         token_pooling: str = "mean",
         max_tokens: int = 64,
     ):
-        self.snapshot = {name: arr.copy() for name, arr in snapshot.items()}
+        self.snapshot = snapshot
         self.L = L
         self.heads = heads
         self.tokenizer = tokenizer

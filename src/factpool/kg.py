@@ -66,9 +66,9 @@ class KnowledgeGraph:
         self.entities = {f.head for f in self.facts} | {f.tail for f in self.facts}
         self.relations = {f.relation for f in self.facts}
         self.adjacency = _build_adjacency(self.facts)
-        # Built eagerly: the graph is immutable after construction and may be
-        # read from concurrent retrievals.  Entities are visited in sorted
-        # order, so every bucket is built sorted.
+        # Built with the other derived fields, not on first use: every graph
+        # is linked against, so laziness would save nothing.  Entities are
+        # visited in sorted order, so every bucket is built sorted.
         index: dict[str, list[str]] = {}
         for entity in sorted(self.entities):
             # The first surface token; '_' is not a token character.

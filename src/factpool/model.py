@@ -72,8 +72,6 @@ WITH_ANSWERS = "with_answers"
 WITHOUT_ANSWERS = "without_answers"
 CONDITIONS = (WITH_ANSWERS, WITHOUT_ANSWERS)
 
-_FROZEN_PREFIX = "frozen."
-
 
 @dataclass
 class Model:
@@ -86,13 +84,6 @@ class Model:
     @property
     def relation_index(self) -> dict[str, int]:
         return {rel: i for i, rel in enumerate(self.relations)}
-
-    def frozen_snapshot(self) -> dict[str, np.ndarray]:
-        return {
-            name[len(_FROZEN_PREFIX) :]: arr
-            for name, arr in self.params.items()
-            if name.startswith(_FROZEN_PREFIX)
-        }
 
     def gnn_config(self) -> GNNConfig:
         return GNNConfig(layers=self.cfg.gnn_layers)
@@ -117,16 +108,24 @@ def create_model(cfg: Config, kind: str, relations: list[str]) -> Model:
     """Seeded parameter construction; the draw order is fixed per kind."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"model kind must be one of {MODEL_KINDS}")
-    rng = np.random.default_rng(derive_seed(cfg.seed, "init", kind))
-    params = _init_params(cfg, kind, len(relations), rng)
+    params = _init_params(cfg, kind, len(relations), _init_rng(cfg, kind))
     return Model(
         cfg=cfg,
         kind=kind,
-        # Drawn in float64 and cast once, so every precision draws the same values.
-        params={name: t.astype(cfg.dtype, copy=False) for name, t in params.items()},
+        params=_cast(cfg, params),
         relations=list(relations),
         tokenizer=Tokenizer(cfg.vocab_size),
     )
+
+
+def _init_rng(cfg: Config, kind: str) -> np.random.Generator:
+    """The generator a `kind` model's initial parameters are drawn from."""
+    return np.random.default_rng(derive_seed(cfg.seed, "init", kind))
+
+
+def _cast(cfg: Config, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    # Drawn in float64 and cast once, so every precision draws the same values.
+    return {name: t.astype(cfg.dtype, copy=False) for name, t in params.items()}
 
 
 def _init_params(cfg: Config, kind: str, num_relations: int, rng) -> dict[str, np.ndarray]:
@@ -140,21 +139,19 @@ def _init_params(cfg: Config, kind: str, num_relations: int, rng) -> dict[str, n
             params.update(init_pooling_head(f"pool{k}", cfg.d, rng))
     if kind == "gnn":
         params.update(init_gnn_params(cfg.d, num_relations, rng))
-    if cfg.encoder_kind == "shared-toy-encoder":
-        # Pre-fine-tuning snapshot of the embedder and trunk; never trained.
-        trunk_names = [n for n in params if n.startswith(("tok_emb", "pos_emb", "layer"))]
-        for name in trunk_names:
-            params[_FROZEN_PREFIX + name] = params[name].copy()
     return params
 
 
 def build_encoder(model: Model, cache_path: str | None = None):
     cfg = model.cfg
     if cfg.encoder_kind == "hash-bag":
-        return HashBagEncoder(cfg.d, derive_seed(cfg.seed, "encoder"), cfg.token_pooling)
+        return HashBagEncoder(cfg.d, derive_seed(cfg.seed, "encoder"))
     if cfg.encoder_kind == "shared-toy-encoder":
+        # Re-draws the embedder and trunk as `create_model` first drew them: a
+        # pre-fine-tuning snapshot that training never moves.
+        rng = _init_rng(cfg, model.kind)
         return ToyTrunkEncoder(
-            model.frozen_snapshot(),
+            _cast(cfg, init_trunk_params(cfg.L, cfg.d, cfg.vocab_size, cfg.max_tokens, rng)),
             cfg.L,
             cfg.heads,
             model.tokenizer,
@@ -653,9 +650,7 @@ def train_model(
     if any(len(q.candidates) < 2 for q in train_questions):
         raise ValueError("training questions need at least two candidates")
     epochs = cfg.epochs if epochs is None else epochs
-    # The frozen encoder snapshot never gets a gradient, so it gets no optimizer state.
-    trained = {n: p for n, p in model.params.items() if not n.startswith(_FROZEN_PREFIX)}
-    optimizer = RAdam(trained, cfg.lr_lm, cfg.lr_graph)
+    optimizer = RAdam(model.params, cfg.lr_lm, cfg.lr_graph)
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle", model.kind))
     losses: list[float] = []
     step = 0
@@ -739,7 +734,7 @@ def load_model(path: str) -> Model:
     return Model(
         cfg=cfg,
         kind=kind,
-        params={name: t.astype(cfg.dtype, copy=False) for name, t in params.items()},
+        params=_cast(cfg, params),
         relations=list(relations),
         tokenizer=Tokenizer(cfg.vocab_size),
     )
@@ -781,8 +776,6 @@ def gradient_check(
     group_errors: dict[str, float] = {}
     checked = 0
     for name in sorted(model.params):
-        if name.startswith(_FROZEN_PREFIX):
-            continue
         param = model.params[name]
         grad = grads.get(name)
         if grad is None:

@@ -153,38 +153,48 @@ def _saved_model(tmp_path):
     return path
 
 
-# Each header edit and the message naming its first mismatch.
+def _frozen_snapshot_layout(header, params):
+    """The retired shared-toy layout: a `frozen.` copy of every trunk tensor."""
+    header["config"].update(encoder_kind="shared-toy-encoder")
+    trunk = [name for name in params if name.startswith(("tok_emb", "pos_emb", "layer"))]
+    params.update({"frozen." + name: params[name].copy() for name in trunk})
+
+
+# Each edit of the header and tensors, and the message naming its first mismatch.
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda h: h["config"].update(extra=1),
+        (lambda h, p: h["config"].update(extra=1),
          "checkpoint config fields differ from Config: ['extra']"),
-        (lambda h: h["config"].pop("seed"),
+        (lambda h, p: h["config"].pop("seed"),
          "checkpoint config fields differ from Config: ['seed']"),
-        (lambda h: h["config"].update(heads=3),
+        (lambda h, p: h["config"].update(heads=3),
          "invalid checkpoint config (width d=16 must be divisible by heads=3)"),
-        (lambda h: h["config"].update(token_pooling="cls"),
+        (lambda h, p: h["config"].update(token_pooling="cls"),
          "invalid checkpoint config (token_pooling=cls needs a cls token; "
          "encoder_kind=hash-bag has none)"),
-        (lambda h: h["meta"].pop("kind"),
+        (lambda h, p: h["meta"].pop("kind"),
          "model kind None is not one of ('pooled', 'gnn', 'lm')"),
-        (lambda h: h["meta"].update(kind="foo"),
+        (lambda h, p: h["meta"].update(kind="foo"),
          "model kind 'foo' is not one of ('pooled', 'gnn', 'lm')"),
-        (lambda h: h["meta"].pop("relations"), "checkpoint meta needs a relation list"),
-        (lambda h: h["config"].update(L=1),
+        (lambda h, p: h["meta"].pop("relations"), "checkpoint meta needs a relation list"),
+        (lambda h, p: h["config"].update(L=1),
          "tensor 'layer2.attn.bk' has shape (16,), a pooled model needs none"),
-        (lambda h: h["config"].update(L=3),
+        (lambda h, p: h["config"].update(L=3),
          "tensor 'layer3.attn.bk' has shape none, a pooled model needs (16,)"),
-        (lambda h: h["config"].update(vocab_size=32),
+        (lambda h, p: h["config"].update(vocab_size=32),
          "tensor 'tok_emb' has shape (64, 16), a pooled model needs (32, 16)"),
+        (_frozen_snapshot_layout,
+         "tensor 'frozen.layer1.attn.bk' has shape (16,), a pooled model needs none"),
     ],
     ids=["unknown-key", "missing-key", "invalid-config", "cls-hash-bag", "no-kind",
-         "unknown-kind", "no-relations", "fewer-layers", "more-layers", "tensor-shape"],
+         "unknown-kind", "no-relations", "fewer-layers", "more-layers", "tensor-shape",
+         "frozen-snapshot"],
 )
 def test_load_model_checks_header_against_tensors(tmp_path, edit, message):
     path = _saved_model(tmp_path)
     params, header = load_checkpoint(path)
-    edit(header)
+    edit(header, params)
     save_checkpoint(path, params, header["config"], header["seed"], header["step"], header["meta"])
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
         load_model(str(path))

@@ -239,17 +239,17 @@ def test_missing_input_file_is_one_error_line(tmp_path):
     assert proc.stderr == f"factpool: error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
-def _external_file_model(tmp_path):
-    """(config path, checkpoint path) of an untrained external-file model, d=16."""
+def _untrained_model(tmp_path, encoder_kind="external-file"):
+    """(config path, checkpoint path) of an untrained `encoder_kind` model, d=16."""
     from factpool.config import load_config
     from factpool.model import create_model, save_model
 
-    cfg_path = tmp_path / "external.cfg"
+    cfg_path = tmp_path / f"{encoder_kind}.cfg"
     cfg_path.write_text(
-        CONFIG_TEXT.replace("encoder_kind=hash-bag", "encoder_kind=external-file"),
+        CONFIG_TEXT.replace("encoder_kind=hash-bag", f"encoder_kind={encoder_kind}"),
         encoding="utf-8",
     )
-    ckpt = tmp_path / "external.ckpt"
+    ckpt = tmp_path / f"{encoder_kind}.ckpt"
     save_model(create_model(load_config(str(cfg_path)), "pooled", ["r0"]), str(ckpt))
     return cfg_path, ckpt
 
@@ -276,7 +276,7 @@ def _usage_error_before_any_input(tmp_path, argv, expected):
 def test_cache_of_another_width_is_a_usage_error(tmp_path, command):
     from factpool.encoders import write_embedding_cache
 
-    cfg_path, ckpt = _external_file_model(tmp_path)
+    cfg_path, ckpt = _untrained_model(tmp_path)
     cache = tmp_path / "w32.bin"
     write_embedding_cache(str(cache), {"a\tr\tb": np.ones(32)}, 32)
     source = ["--config", str(cfg_path)] if command == "train" else ["--checkpoint", str(ckpt)]
@@ -289,12 +289,41 @@ def test_cache_of_another_width_is_a_usage_error(tmp_path, command):
 
 @pytest.mark.parametrize("command", ["eval", "explain"])
 def test_external_file_checkpoint_without_cache_is_a_usage_error(tmp_path, command):
-    _, ckpt = _external_file_model(tmp_path)
+    _, ckpt = _untrained_model(tmp_path)
     _usage_error_before_any_input(
         tmp_path,
         [command, "--checkpoint", str(ckpt)],
         "--cache is required: the model's encoder_kind is external-file",
     )
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "explain"])
+def test_cache_the_encoder_does_not_read_is_a_usage_error(tmp_path, command):
+    cfg_path, ckpt = _untrained_model(tmp_path, "hash-bag")
+    cache = tmp_path / "nonexistent.bin"
+    source = ["--config", str(cfg_path)] if command == "train" else ["--checkpoint", str(ckpt)]
+    _usage_error_before_any_input(
+        tmp_path,
+        [command, *source, "--cache", str(cache)],
+        f"--cache {cache}: encoder_kind=hash-bag reads no cache",
+    )
+
+
+@pytest.mark.parametrize("command", ["retrieve", "perturb", "encode", "train", "eval"])
+def test_empty_dataset_slice_is_a_usage_error(workspace, tmp_path, capsys, command):
+    from factpool import cli
+
+    cfg_path, ckpt = _untrained_model(tmp_path, "hash-bag")
+    source = ["--checkpoint", str(ckpt)] if command == "eval" else ["--config", str(cfg_path)]
+    inputs = graph_args(workspace) if command in ("retrieve", "perturb") else data_args(workspace)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *inputs, *source, "--skip", "14", "--count", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    dataset = workspace / "data" / "dataset.jsonl"
+    expected = f"factpool: error: --skip 14 --count 2 selects no record: {dataset} has 14\n"
+    assert capsys.readouterr().err.endswith(expected)
+    assert not out.exists()
 
 
 def test_relation_without_template_names_templates_file_and_fact(workspace, capsys):
@@ -567,6 +596,12 @@ def test_config_no_command_can_run_is_rejected_before_any_input(
             cli.main(argv)
         assert exc.value.code == 2
         assert f"factpool: error: --config {cfg}: " in capsys.readouterr().err
+    elif cache and encoder != "external-file":
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2  # a cache the config's encoder never reads
+        cache_path = tmp_path / "embeddings.bin"
+        assert f"factpool: error: --cache {cache_path}: " in capsys.readouterr().err
     elif command in ("gradcheck", "count-aggs"):
         assert cli.main(argv) == 0
     else:

@@ -6,7 +6,6 @@ import pytest
 from conftest import kg_from_facts
 
 from factpool.checkpoint import CheckpointError, _container_bytes
-from factpool.config import Config
 from factpool.encoders import (
     _CACHE_MAGIC,
     ENCODE_BATCH,
@@ -19,7 +18,6 @@ from factpool.encoders import (
     write_embedding_cache,
 )
 from factpool.kg import Fact, add_virtual_question_node, retrieve_subgraph
-from factpool.model import build_encoder, create_model
 from factpool.tokenizer import CLS_ID, Tokenizer
 from factpool.transformer import init_trunk_params, trunk_forward
 from factpool.verbalize import TemplateTable, verbalize
@@ -63,11 +61,6 @@ def test_hash_bag_deterministic_across_instances():
     a = HashBagEncoder(dim=8, seed=3).encode_text("bird migration")
     b = HashBagEncoder(dim=8, seed=3).encode_text("bird migration")
     assert np.array_equal(a, b)
-
-
-def test_hash_bag_rejects_cls_pooling():
-    with pytest.raises(ValueError, match="cls"):
-        HashBagEncoder(dim=8, seed=0, token_pooling="cls")
 
 
 def test_mean_pooling_of_constant_sequence_is_the_constant():
@@ -157,17 +150,6 @@ def test_encode_texts_memoizes_and_rejects_empty_text():
     assert enc.encode_texts([]) == []
     with pytest.raises(ValueError, match="empty text"):
         enc.encode_texts(["bird", "!!"])
-
-
-def test_shared_toy_encoder_matches_model_snapshot():
-    cfg = Config(L=2, d=16, heads=2, vocab_size=128, max_tokens=32,
-                 encoder_kind="shared-toy-encoder", seed=9)
-    model = create_model(cfg, "pooled", ["r", "entity", "a_entity"])
-    encoder = build_encoder(model)
-    assert encoder.dim == cfg.d
-    for name, arr in encoder.snapshot.items():
-        assert np.array_equal(arr, model.params["frozen." + name])
-        assert np.array_equal(arr, model.params[name])  # snapshot taken at init
 
 
 # --- subgraph encoding and the cache ----------------------------------------------

@@ -11,6 +11,7 @@ from conftest import kg_from_facts
 from oracles import prepare_question_oracle, softmax_oracle
 
 from factpool import model as model_mod
+from factpool.checkpoint import load_checkpoint
 from factpool.config import ENCODER_KINDS, Config
 from factpool.harness_data import tiny_benchmark
 from factpool.kg import VIRTUAL_NODE_ID, id_to_surface, link_entities
@@ -30,6 +31,7 @@ from factpool.model import (
     evaluate,
     evaluate_conditions,
     ground_records,
+    load_model,
     loss_and_grads,
     prepare_conditions,
     prepare_dataset,
@@ -39,6 +41,7 @@ from factpool.model import (
 from factpool.data import QuestionRecord
 from factpool.encoders import UncachedFactError, write_embedding_cache
 from factpool.synthetic import SyntheticSpec, generate_synthetic
+from factpool.verbalize import verbalize
 
 
 def small_cfg(**overrides):
@@ -314,7 +317,7 @@ def test_matched_uniform_targets_give_zero_gradient():
         assert np.max(np.abs(grad)) < 1e-12, name
 
 
-def test_optimizer_keeps_no_state_for_the_frozen_snapshot(monkeypatch):
+def test_optimizer_holds_state_for_every_parameter(monkeypatch):
     model, kg, templates, encoder, records, prepared = make_setup(
         cfg=small_cfg(encoder_kind="shared-toy-encoder", epochs=1)
     )
@@ -328,28 +331,28 @@ def test_optimizer_keeps_no_state_for_the_frozen_snapshot(monkeypatch):
     monkeypatch.setattr(model_mod, "RAdam", Recording)
     train_model(model, prepared, epochs=1)
     (optimizer,) = optimizers
-    trained = {name for name in model.params if not name.startswith("frozen.")}
-    assert len(trained) < len(model.params)
-    assert set(optimizer.m) == set(optimizer.v) == set(optimizer.lr) == trained
+    assert set(optimizer.m) == set(optimizer.v) == set(optimizer.lr) == set(model.params)
 
 
-def test_frozen_snapshot_gets_no_gradient_and_never_moves():
+@pytest.mark.parametrize("kind", ["pooled", "gnn", "lm"])
+def test_shared_toy_encoder_is_the_initial_trunk_after_training_and_reload(tmp_path, kind):
     cfg = small_cfg(encoder_kind="shared-toy-encoder", epochs=1)
-    model, kg, templates, encoder, records, prepared = make_setup(cfg=cfg)
-    frozen_before = {
-        k: v.copy() for k, v in model.params.items() if k.startswith("frozen.")
-    }
-    assert frozen_before
-    _, grads, _ = loss_and_grads(model, prepared)
-    assert not any(name.startswith("frozen.") for name in grads)
-    train_model(model, prepared, epochs=1)
-    for name, arr in frozen_before.items():
-        assert np.array_equal(model.params[name], arr)
-    # finite sensitivity check on one frozen element: loss is flat
-    base = batch_loss(model, prepared)
-    name = next(iter(frozen_before))
-    model.params[name].reshape(-1)[0] += 1e-3
-    assert batch_loss(model, prepared) == base
+    model, kg, templates, encoder, records, prepared = make_setup(kind, cfg=cfg)
+    for name, arr in encoder.snapshot.items():  # the model's trunk as drawn, not shared
+        assert arr.tobytes() == model.params[name].tobytes() and arr is not model.params[name]
+    facts = sorted(kg.facts)
+    texts = [verbalize(fact, templates) for fact in facts]
+    before = [vec.tobytes() for vec in encoder.encode_fact_texts(facts, texts)]
+    train_model(model, prepared, out_dir=str(tmp_path))
+    reloaded = load_model(str(tmp_path / "final.ckpt"))
+    after = build_encoder(reloaded).encode_fact_texts(facts, texts)
+    assert [vec.tobytes() for vec in after] == before
+    # The trunk trained away from its initial draw; the checkpoint holds no
+    # copy of that draw, only the tensors of a hash-bag model of this kind.
+    hash_bag = create_model(replace(cfg, encoder_kind="hash-bag"), kind, model.relations)
+    assert not np.array_equal(reloaded.params["layer1.ffn.w1"], hash_bag.params["layer1.ffn.w1"])
+    tensors, _ = load_checkpoint(str(tmp_path / "final.ckpt"))
+    assert sorted(tensors) == sorted(hash_bag.params)
 
 
 # --- grounding sensitivity -------------------------------------------------------------
