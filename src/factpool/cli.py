@@ -62,6 +62,9 @@ class UsageError(ValueError):
     """A flag value that only the loaded data can reject; exits 2 like argparse."""
 
 
+_GNN_NEEDS_TEXT = "encoder_kind=external-file cannot encode a gnn model's entity states"
+
+
 def _load_cfg(path: str | None, seed: int | None = None, kinds=(), cache=None) -> Config:
     """The --config file's Config.  A command that encodes facts for models of
     `kinds` also rejects, before it reads any data, an external-file config it
@@ -71,7 +74,7 @@ def _load_cfg(path: str | None, seed: int | None = None, kinds=(), cache=None) -
         if kinds and cfg.encoder_kind == "external-file" and cache is None:
             raise ValueError("encoder_kind=external-file needs --cache, which only train takes")
         if cfg.encoder_kind == "external-file" and "gnn" in kinds:
-            raise ValueError("encoder_kind=external-file cannot encode a gnn model's entity states")
+            raise ValueError(_GNN_NEEDS_TEXT)
     except ValueError as err:
         raise UsageError(f"--config {path}: {err}") from None
     if seed is not None:
@@ -95,6 +98,18 @@ def _cache_encoder(cfg: Config, cache: str | None) -> FileBackedEncoder | None:
             f"--cache {cache}: embedding cache width {encoder.dim} != model width d={cfg.d}"
         )
     return encoder
+
+
+def _checkpoint_model(args, pooled_only: bool = False):
+    """The --checkpoint model and its encoder.  A model the command cannot run
+    and a --cache it does not fit are usage errors before any other input."""
+    path = args.checkpoint
+    model = load_model(path)
+    if pooled_only and model.kind != "pooled":
+        raise UsageError(f"--checkpoint {path}: explain needs a pooled model, not {model.kind}")
+    if model.kind == "gnn" and model.cfg.encoder_kind == "external-file":
+        raise UsageError(f"--checkpoint {path}: {_GNN_NEEDS_TEXT}")
+    return model, _cache_encoder(model.cfg, args.cache) or build_encoder(model)
 
 
 def _dataset_slice(args, records):
@@ -191,8 +206,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_model(args.checkpoint)
-    encoder = _cache_encoder(model.cfg, args.cache) or build_encoder(model)
+    model, encoder = _checkpoint_model(args)
     kg = load_kg(args.kg)
     templates = load_templates(args.templates)
     records = _dataset_slice(args, load_dataset(args.dataset))
@@ -250,8 +264,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    model = load_model(args.checkpoint)
-    encoder = _cache_encoder(model.cfg, args.cache) or build_encoder(model)
+    model, encoder = _checkpoint_model(args, pooled_only=True)
     kg = load_kg(args.kg)
     templates = load_templates(args.templates)
     records = load_dataset(args.dataset)

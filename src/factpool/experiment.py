@@ -30,8 +30,8 @@ from factpool.model import (
     WITHOUT_ANSWERS,
     Grounding,
     Model,
+    _graph_vectors,
     apply_condition,
-    batch_forward,
     build_encoder,
     create_model,
     evaluate_conditions,
@@ -358,17 +358,17 @@ def explain(
     record: QuestionRecord,
     top_n: int = 3,
 ) -> ExplainReport:
-    """Top-N facts per fusion layer by attention weight, from a real forward."""
+    """Top-N facts per fusion layer by weight, from `batch_forward`'s pooling stage."""
     if model.kind != "pooled":
         raise ValueError("explain requires a pooled model")
     [prepared] = prepare_dataset(model, kg, templates, encoder, [record])
-    result = batch_forward(model, [prepared])
+    _, pool_weights, _ = _graph_vectors(model, prepared.candidates)
     out = []
     for idx, cand in enumerate(prepared.candidates):
         per_layer = []
         sums = []
         for k in range(model.cfg.num_pooling_heads()):
-            weights = result.pool_weights[idx][k]
+            weights = pool_weights[idx][k]
             order = np.argsort(-weights, kind="stable")[: min(top_n, len(weights))]
             per_layer.append(
                 [

@@ -241,7 +241,7 @@ def trunk_backward(params: dict[str, np.ndarray], L: int, cache, d_states: np.nd
     return grads, d_graph_init, d_injections
 
 
-# --- scalar MLP heads (d -> d -> 1), used for candidate scoring -------------
+# --- scalar MLP heads (d -> d -> 1): candidate scores, pooling edge scores ---
 
 
 def init_scalar_head(prefix: str, d: int, rng: np.random.Generator):

@@ -24,21 +24,21 @@ def softmax_oracle(logits) -> list[float]:
 def pool_oracle(params, matrix, prefix) -> np.ndarray:
     """Loop re-implementation of attention pooling of one candidate's edge
     rows with the head whose parameters are `{prefix}.*`."""
-    w_key1, b_key1 = params[f"{prefix}.w_key1"], params[f"{prefix}.b_key1"]
-    w_key2, b_key2 = params[f"{prefix}.w_key2"], params[f"{prefix}.b_key2"]
+    key_w1, key_b1 = params[f"{prefix}.key.w1"], params[f"{prefix}.key.b1"]
+    key_w2, key_b2 = params[f"{prefix}.key.w2"], params[f"{prefix}.key.b2"]
     w_value, b_value = params[f"{prefix}.w_value"], params[f"{prefix}.b_value"]
     n, d = matrix.shape
     logits = []
     for i in range(n):
         hidden = []
-        for j in range(w_key1.shape[1]):
-            acc = b_key1[j]
+        for j in range(key_w1.shape[1]):
+            acc = key_b1[j]
             for t in range(d):
-                acc += matrix[i, t] * w_key1[t, j]
+                acc += matrix[i, t] * key_w1[t, j]
             hidden.append(gelu_scalar(acc))
-        z = b_key2[0]
+        z = key_b2[0]
         for j, hj in enumerate(hidden):
-            z += hj * w_key2[j]
+            z += hj * key_w2[j]
         logits.append(z)
     weights = softmax_oracle(logits)
     out = np.zeros(d)

@@ -160,6 +160,13 @@ def _frozen_snapshot_layout(header, params):
     params.update({"frozen." + name: params[name].copy() for name in trunk})
 
 
+def _key_net_layout(header, params):
+    """The retired pooling layout: each head's key net as `pool{k}.{w,b}_key{1,2}`."""
+    for name in [name for name in params if ".key." in name]:
+        head, _, tensor = name.split(".")
+        params[f"{head}.{tensor[0]}_key{tensor[1]}"] = params.pop(name)
+
+
 # Each edit of the header and tensors, and the message naming its first mismatch.
 @pytest.mark.parametrize(
     "edit, message",
@@ -186,10 +193,11 @@ def _frozen_snapshot_layout(header, params):
          "tensor 'tok_emb' has shape (64, 16), a pooled model needs (32, 16)"),
         (_frozen_snapshot_layout,
          "tensor 'frozen.layer1.attn.bk' has shape (16,), a pooled model needs none"),
+        (_key_net_layout, "tensor 'pool0.b_key1' has shape (16,), a pooled model needs none"),
     ],
     ids=["unknown-key", "missing-key", "invalid-config", "cls-hash-bag", "no-kind",
          "unknown-kind", "no-relations", "fewer-layers", "more-layers", "tensor-shape",
-         "frozen-snapshot"],
+         "frozen-snapshot", "key-net-layout"],
 )
 def test_load_model_checks_header_against_tensors(tmp_path, edit, message):
     path = _saved_model(tmp_path)

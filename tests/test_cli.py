@@ -239,8 +239,9 @@ def test_missing_input_file_is_one_error_line(tmp_path):
     assert proc.stderr == f"factpool: error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
-def _untrained_model(tmp_path, encoder_kind="external-file"):
-    """(config path, checkpoint path) of an untrained `encoder_kind` model, d=16."""
+def _untrained_model(tmp_path, encoder_kind="external-file", kind="pooled"):
+    """(config path, checkpoint path) of an untrained `kind` model with an
+    `encoder_kind` encoder, d=16."""
     from factpool.config import load_config
     from factpool.model import create_model, save_model
 
@@ -249,8 +250,8 @@ def _untrained_model(tmp_path, encoder_kind="external-file"):
         CONFIG_TEXT.replace("encoder_kind=hash-bag", f"encoder_kind={encoder_kind}"),
         encoding="utf-8",
     )
-    ckpt = tmp_path / f"{encoder_kind}.ckpt"
-    save_model(create_model(load_config(str(cfg_path)), "pooled", ["r0"]), str(ckpt))
+    ckpt = tmp_path / f"{kind}-{encoder_kind}.ckpt"
+    save_model(create_model(load_config(str(cfg_path)), kind, ["r0"]), str(ckpt))
     return cfg_path, ckpt
 
 
@@ -294,6 +295,30 @@ def test_external_file_checkpoint_without_cache_is_a_usage_error(tmp_path, comma
         tmp_path,
         [command, "--checkpoint", str(ckpt)],
         "--cache is required: the model's encoder_kind is external-file",
+    )
+
+
+@pytest.mark.parametrize("kind", ["gnn", "lm"])
+def test_explain_of_a_model_without_pooling_is_a_usage_error(tmp_path, kind):
+    _, ckpt = _untrained_model(tmp_path, "hash-bag", kind)
+    _usage_error_before_any_input(
+        tmp_path,
+        ["explain", "--checkpoint", str(ckpt)],
+        f"--checkpoint {ckpt}: explain needs a pooled model, not {kind}",
+    )
+
+
+def test_eval_of_an_external_file_gnn_checkpoint_is_a_usage_error(tmp_path):
+    from factpool.encoders import write_embedding_cache
+
+    _, ckpt = _untrained_model(tmp_path, kind="gnn")
+    cache = tmp_path / "w16.bin"
+    write_embedding_cache(str(cache), {"a\tr\tb": np.ones(16)}, 16)
+    _usage_error_before_any_input(
+        tmp_path,
+        ["eval", "--checkpoint", str(ckpt), "--cache", str(cache)],
+        f"--checkpoint {ckpt}: encoder_kind=external-file cannot encode a gnn model's "
+        "entity states",
     )
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import tracemalloc
@@ -6,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import kg_from_facts
 from oracles import prepare_question_oracle, softmax_oracle
@@ -554,6 +556,58 @@ def test_evaluate_conditions_rejects_misaligned_conditions():
             evaluate_conditions(model, {WITH_ANSWERS: with_q, WITHOUT_ANSWERS: bad})
     with pytest.raises(ValueError, match="empty evaluation set"):
         evaluate_conditions(model, {WITH_ANSWERS: [], WITHOUT_ANSWERS: []})
+
+
+# --- candidate order ---------------------------------------------------------------
+
+
+@functools.cache
+def trained_setup(kind):
+    """A `kind` model trained two epochs on 8 tiny questions, its assets, and
+    the records, every other one with pre-linked answer entities."""
+    cfg = small_cfg(K=1, fusion_mode="early_late")
+    kg, templates, records = tiny_benchmark(seed=1, questions=8)
+    for i, statements in enumerate(ground_records(kg, records, cfg.max_nodes)):
+        if i % 2:
+            linked = [sorted(stmt.answer_entities) for stmt, _ in statements]
+            records[i] = replace(records[i], answer_entities=linked)
+    model = create_model(cfg, kind, relation_table(kg))
+    encoder = build_encoder(model)
+    train_model(model, prepare_dataset(model, kg, templates, encoder, records))
+    return model, kg, templates, encoder, records
+
+
+def reordered(record, order):
+    """`record` with old candidate order[j] at position j."""
+    answers = record.answer_entities
+    return replace(
+        record,
+        candidates=[record.candidates[i] for i in order],
+        answer_index=order.index(record.answer_index),
+        answer_entities=None if answers is None else [answers[i] for i in order],
+    )
+
+
+@pytest.mark.parametrize("kind", ["pooled", "gnn", "lm"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_candidate_order_only_permutes_the_scores(kind, data):
+    model, kg, templates, encoder, records = trained_setup(kind)
+    orders = [data.draw(st.permutations(range(len(r.candidates)))) for r in records]
+    moved = [reordered(r, order) for r, order in zip(records, orders)]
+    prepared = [
+        prepare_conditions(
+            model, templates, encoder, recs, ground_records(kg, recs, model.cfg.max_nodes)
+        )
+        for recs in (records, moved)
+    ]
+    assert evaluate_conditions(model, prepared[1]) == evaluate_conditions(model, prepared[0])
+    for condition in CONDITIONS:
+        base, perm = (batch_forward(model, p[condition]) for p in prepared)
+        for order, sl, sl_perm in zip(orders, base.slices, perm.slices):
+            assert perm.scores[sl_perm].tobytes() == base.scores[sl][order].tobytes()
+        # The same terms, summed in another order.
+        assert abs(perm.loss - base.loss) <= 1e-12
 
 
 # --- preparation -------------------------------------------------------------------

@@ -50,8 +50,8 @@ def pooled_model(K=0):
 def zero_key_head(d):
     """Logits are exactly the output bias: designed-near-uniform weights."""
     head = make_head(d)
-    for name in ("w_key1", "b_key1", "w_key2", "b_key2"):
-        head[f"{HEAD}.{name}"][:] = 0.0
+    for name in ("w1", "b1", "w2", "b2"):
+        head[f"{HEAD}.key.{name}"][:] = 0.0
     return head
 
 
@@ -140,7 +140,7 @@ def test_pool_multi_reductions():
     n = matrix.shape[0]
     result = batch_forward(model, [prepared], backward_cache=True)
     for k in range(3):
-        _, _, _, _, weights, values, _, _, _ = result._caches["pool_caches"][k]
+        _, _, weights, values, _, _, _ = result._caches["pool_caches"][k]
         assert np.array_equal(result.pool_weights[0][k], weights[:n])
         expected = pool_oracle(model.params, matrix, f"pool{k}")
         assert np.allclose(weights[:n] @ values[:n], expected, atol=1e-12)
@@ -333,7 +333,7 @@ def test_logit_shift_via_output_bias_close():
     matrix = np.random.default_rng(2).standard_normal((5, d))
     head = make_head(d, seed=4)
     _, base, _ = pool_one(head, matrix)
-    head[f"{HEAD}.b_key2"][0] += 3.75
+    head[f"{HEAD}.key.b2"][0] += 3.75
     _, shifted, _ = pool_one(head, matrix)
     assert np.allclose(base, shifted, atol=1e-12)
 
