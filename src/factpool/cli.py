@@ -127,7 +127,7 @@ def _write_subgraphs(args, condition: str) -> Path:
     lines = []
     for q_index, statements in enumerate(ground_records(kg, records, cfg.max_nodes)):
         for c_index, (stmt, sub) in enumerate(statements):
-            payload = json.loads(apply_condition(sub, stmt, condition).canonical())
+            payload = apply_condition(sub, stmt, condition).payload()
             payload["question_index"] = q_index
             payload["candidate_index"] = c_index
             lines.append(json.dumps(payload, sort_keys=True))

@@ -24,7 +24,7 @@ def tiny_benchmark(seed: int = 0, questions: int = 4, candidates: int = 3):
     # The pool above is roomy for small sets; larger ones take the minimum.
     spec.entities = max(spec.entities, spec.entities_needed())
     bench = generate_synthetic(spec)
-    return KnowledgeGraph(set(bench.facts)), bench.templates, bench.records
+    return KnowledgeGraph(bench.facts), bench.templates, bench.records
 
 
 def tiny_gradcheck_setup(cfg: Config, kind: str, questions: int = 2):

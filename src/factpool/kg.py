@@ -11,7 +11,9 @@ question node tied to the linked entities.
 
 from __future__ import annotations
 
+import gc
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -55,7 +57,11 @@ class Fact(NamedTuple):
 
 @dataclass
 class KnowledgeGraph:
-    """A graph is its facts; entities, relations and adjacency derive from them."""
+    """A graph is its facts; entities, relations and adjacency derive from them.
+
+    `facts` may be given as any iterable of facts; repeats collapse and it is
+    kept as a set.  Every derived field is the same for any order given.
+    """
 
     facts: set[Fact]
     entities: set[str] = field(init=False)
@@ -63,9 +69,21 @@ class KnowledgeGraph:
     adjacency: dict[str, tuple[Fact, ...]] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.entities = {f.head for f in self.facts} | {f.tail for f in self.facts}
-        self.relations = {f.relation for f in self.facts}
-        self.adjacency = _build_adjacency(self.facts)
+        # Sorted in the order given, not in a set's hash order: timsort is
+        # linear on sorted input, and `load_kg` passes a file's facts in file
+        # order, which is sorted for a generated KG.
+        ordered = sorted(dict.fromkeys(self.facts))
+        self.facts = set(ordered)
+        incidence: dict[str, list[Fact]] = defaultdict(list)
+        for fact in ordered:
+            head, _, tail = fact
+            incidence[head].append(fact)
+            if tail != head:
+                incidence[tail].append(fact)
+        self.adjacency = {entity: tuple(facts) for entity, facts in incidence.items()}
+        # Heads and tails are exactly the adjacency's keys.
+        self.entities = set(self.adjacency)
+        self.relations = {fact.relation for fact in ordered}
         # Built with the other derived fields, not on first use: every graph
         # is linked against, so laziness would save nothing.  Entities are
         # visited in sorted order, so every bucket is built sorted.
@@ -94,15 +112,6 @@ class KnowledgeGraph:
         return self._first_token_index
 
 
-def _build_adjacency(facts: set[Fact]) -> dict[str, tuple[Fact, ...]]:
-    index: dict[str, list[Fact]] = {}
-    for fact in sorted(facts):
-        index.setdefault(fact.head, []).append(fact)
-        if fact.tail != fact.head:
-            index.setdefault(fact.tail, []).append(fact)
-    return {entity: tuple(incident) for entity, incident in index.items()}
-
-
 class _SurfaceIds(dict):
     """surface_to_id, memoized per distinct field text."""
 
@@ -117,9 +126,26 @@ def load_kg(path: str) -> KnowledgeGraph:
     Lines starting with '#' and blank lines are ignored.  Fields are
     normalized through surface_to_id, duplicates collapse to one fact.  The
     entity id of the virtual question node is reserved and rejected.
+
+    The cyclic garbage collector is paused while the file is read and the
+    graph built.  A graph holds no reference cycle, so a collection then could
+    free nothing, yet the tens of thousands of objects made would start about
+    a hundred, some of them scanning every live object.  The collector's
+    prior state is restored on return or error.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return KnowledgeGraph(_read_facts(path))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_facts(path: str) -> dict[Fact, None]:
+    """The file's facts in file order, repeats collapsed (a dict as an ordered set)."""
     ids = _SurfaceIds()
-    facts: set[Fact] = set()
+    facts: dict[Fact, None] = {}
     # One read, split on "\n" after the universal-newline translation that
     # line iteration also does (str.splitlines would break at \v, \f and more).
     # Only the loop holds the line list, so it is freed before the graph is built.
@@ -141,10 +167,10 @@ def load_kg(path: str) -> KnowledgeGraph:
                     f"{path}: line {lineno}: entity id '{VIRTUAL_NODE_ID}' is reserved "
                     f"for the virtual question node: {line!r}"
                 )
-            facts.add(Fact(head, relation, tail))
+            facts[Fact(head, relation, tail)] = None
     if not facts:
         raise KGFormatError(f"{path}: empty KG")
-    return KnowledgeGraph(facts)
+    return facts
 
 
 @dataclass
@@ -242,12 +268,12 @@ class Subgraph:
     def sorted_edges(self) -> list[Fact]:
         return sorted(self.edges)
 
-    def canonical(self) -> str:
-        """Canonical JSON; each edge ends with "virtual" or "kg" by its head.
+    def payload(self) -> dict:
+        """The JSON-ready form; each edge ends with "virtual" or "kg" by its head.
 
         `load_kg` rejects the virtual node id, so a KG fact never has it.
         """
-        payload = {
+        return {
             "nodes": sorted(self.nodes),
             "virtual_node": self.virtual_node,
             "edges": [
@@ -255,7 +281,10 @@ class Subgraph:
                 for e in sorted(self.edges)
             ],
         }
-        return canonical_json(payload)
+
+    def canonical(self) -> str:
+        """Canonical JSON of `payload()`."""
+        return canonical_json(self.payload())
 
 
 def _relevance_score(entity: str, statement_tokens: set[str]) -> int:

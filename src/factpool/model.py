@@ -48,6 +48,7 @@ from factpool.kg import (
     add_virtual_question_node,
     ground_statement,
     id_to_surface,
+    link_entities,
     remove_answer_edges,
     retrieve_subgraph,
 )
@@ -205,11 +206,15 @@ def ground_records(
     """
     grounding = []
     for record in records:
+        # The question text is the same for every candidate: link it once.
+        question_entities = record.question_entities
+        if question_entities is None:
+            question_entities = link_entities(f"{record.context} {record.question}", kg)
         answers = record.answer_entities or [None] * len(record.candidates)
         statements = []
         for text, linked in zip(record.candidates, answers):
             stmt = ground_statement(
-                kg, record.context, record.question, text, record.question_entities, linked
+                kg, record.context, record.question, text, question_entities, linked
             )
             sub = add_virtual_question_node(retrieve_subgraph(kg, stmt, max_nodes), stmt)
             statements.append((stmt, sub))

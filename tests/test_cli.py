@@ -465,6 +465,35 @@ def test_run_cli(workspace):
         assert (out / f"metrics_{kind}.txt").read_text() == metrics.render()
 
 
+def test_kg_line_order_does_not_reach_a_run(workspace, tmp_path):
+    # A 1-epoch run of every kind on the generated (sorted) kg.tsv and on its
+    # lines shuffled writes the same metrics, summary and final checkpoints.
+    from factpool import cli
+
+    data = workspace / "data"
+    cfg = tmp_path / "one_epoch.cfg"
+    cfg.write_text(CONFIG_TEXT.replace("epochs=2", "epochs=1"), encoding="utf-8")
+    lines = (data / "kg.tsv").read_text(encoding="utf-8").splitlines()
+    np.random.default_rng(0).shuffle(lines)
+    shuffled = tmp_path / "kg.tsv"
+    shuffled.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert lines != sorted(lines)
+    written = []
+    for name, kg_path in (("sorted", data / "kg.tsv"), ("shuffled", shuffled)):
+        out = tmp_path / name
+        assert cli.main([
+            "run", "--kg", str(kg_path), "--dataset", str(data / "dataset.jsonl"),
+            "--templates", str(data / "templates.tsv"), "--config", str(cfg),
+            "--seeds", "0", "--train-count", "8", "--test-count", "4", "--out", str(out),
+        ]) == 0
+        names = ["summary.tsv"] + [
+            name for kind in ("pooled", "gnn", "lm")
+            for name in (f"metrics_{kind}.txt", f"{kind}_seed0/final.ckpt")
+        ]
+        written.append({name: (out / name).read_bytes() for name in names})
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_gradcheck_max_per_param_must_be_positive(capsys, value):
     from factpool import cli

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from factpool.kg import (
     Fact,
     GroundedStatement,
     KGFormatError,
+    KnowledgeGraph,
     add_virtual_question_node,
     ground_statement,
     id_to_surface,
@@ -22,6 +24,7 @@ from factpool.kg import (
     retrieve_subgraph,
     surface_to_id,
 )
+from factpool.synthetic import SyntheticSpec, write_synthetic
 
 
 def make_stmt(question_entities, answer_entities, text="q"):
@@ -91,6 +94,78 @@ def test_kg_file_layout_does_not_reach_the_graph_or_retrieval(kg_layout_case, da
     assert kg.adjacency == expected.adjacency
     assert kg.first_token_index() == expected.first_token_index()
     assert _retrieve_output(root, path) == reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["bird", "birds", "e1", "winter_storm", "!!", "s"]),
+            st.sampled_from(["r1", "r2"]),
+            st.sampled_from(["bird", "e2", "2x", "winter"]),
+        ).map(lambda t: Fact(*t)),
+        min_size=1,
+        max_size=25,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_graph_is_the_same_for_any_fact_order(facts, rng):
+    # Sorted, reversed and shuffled orders, repeats included, build one graph.
+    shuffled = list(facts)
+    rng.shuffle(shuffled)
+    orders = [sorted(facts), sorted(facts, reverse=True), shuffled, facts + facts[:3]]
+    graphs = [KnowledgeGraph(order) for order in orders]
+    for kg in graphs:
+        assert type(kg.facts) is set and kg.facts == set(facts)
+        assert kg.entities == graphs[0].entities
+        assert kg.relations == graphs[0].relations
+        assert kg.adjacency == graphs[0].adjacency
+        assert kg.first_token_index() == graphs[0].first_token_index()
+    assert graphs[0].entities == {f.head for f in facts} | {f.tail for f in facts}
+    assert graphs[0].relations == {f.relation for f in facts}
+    for entity, incident in graphs[0].adjacency.items():
+        assert list(incident) == sorted(f for f in set(facts) if entity in (f.head, f.tail))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_kg_restores_the_collector_state(tmp_path, enabled):
+    good = tmp_path / "good.tsv"
+    good.write_text("a\tr\tb\n", encoding="utf-8")
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("a\tr\tb\nbroken line\n", encoding="utf-8")
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        load_kg(str(good))
+        assert gc.isenabled() is enabled
+        with pytest.raises(KGFormatError):
+            load_kg(str(bad))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_load_kg_starts_no_collection(tmp_path):
+    # A graph holds no reference cycle, so loading one pauses the collector:
+    # without the pause this ~18k-fact load starts about a hundred collections.
+    paths = write_synthetic(SyntheticSpec(
+        entities=20000, relations=6, questions=2000, candidates=4,
+        distractor_rate=0.6, kg_fraction=0.6, seed=1,
+    ), tmp_path)
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(record)
+    try:
+        kg = load_kg(str(paths["kg"]))
+    finally:
+        gc.callbacks.remove(record)
+    assert len(kg.facts) > 17000
+    assert started == []
 
 
 def test_load_kg_counts(toy_kg):
