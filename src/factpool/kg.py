@@ -85,10 +85,10 @@ class KnowledgeGraph:
         self.entities = set(self.adjacency)
         self.relations = {fact.relation for fact in ordered}
         # Built with the other derived fields, not on first use: every graph
-        # is linked against, so laziness would save nothing.  Entities are
-        # visited in sorted order, so every bucket is built sorted.
+        # is linked against, so laziness would save nothing.  Each bucket is
+        # sorted on its own, which costs less than sorting every entity.
         index: dict[str, list[str]] = {}
-        for entity in sorted(self.entities):
+        for entity in self.adjacency:
             # The first surface token; '_' is not a token character.
             match = _TOKEN_RE.search(entity.lower())
             if match is None:
@@ -98,7 +98,7 @@ class KnowledgeGraph:
             folded = _strip_plural(first)
             if folded != first:
                 index.setdefault(folded, []).append(entity)
-        self._first_token_index = {key: tuple(vals) for key, vals in index.items()}
+        self._first_token_index = {key: tuple(sorted(vals)) for key, vals in index.items()}
 
     def neighbors(self, entity: str) -> set[str]:
         out = set()

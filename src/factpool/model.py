@@ -180,7 +180,6 @@ class PreparedCandidate:
     facts: list[Fact]  # canonical edge order, aligned with edge_matrix rows
     fact_texts: list[str]
     edge_matrix: np.ndarray  # [E, d]; E may be 0
-    subgraph: Subgraph
     gnn: SubgraphArrays | None = None
     node_init: np.ndarray | None = None  # [N, d]; virtual row is a placeholder
 
@@ -318,7 +317,6 @@ def prepare_question(
             edge_matrix=(
                 np.stack([encoding.vectors[key] for key in keys]) if keys else np.zeros((0, cfg.d))
             ),
-            subgraph=sub,
         )
         if model.kind == "gnn":
             intact.gnn = subgraph_arrays(sub, encoding.relation_index)
@@ -333,7 +331,6 @@ def prepare_question(
                     facts=[facts[i] for i in rows],
                     fact_texts=[intact.fact_texts[i] for i in rows],
                     edge_matrix=intact.edge_matrix[rows],
-                    subgraph=kept,
                     gnn=subgraph_arrays(kept, encoding.relation_index) if intact.gnn else None,
                 )
             question.candidates.append(cand)
@@ -550,9 +547,7 @@ def batch_backward(model: Model, result: BatchResult) -> dict[str, np.ndarray]:
         if d_g0_direct is not None:
             d_g[0] += d_g0_direct
         for k in range(1, len(d_g)):
-            layer = _injection_layer(cfg.L, k)
-            if layer in d_injections:
-                d_g[k] = d_injections[layer]
+            d_g[k] = d_injections[_injection_layer(cfg.L, k)]
         for k, cache in enumerate(caches["pool_caches"]):
             head_grads, _d_edges = pool_backward_arrays(params, cache, d_g[k], f"pool{k}")
             grads.update(head_grads)
@@ -570,6 +565,11 @@ def batch_loss(model: Model, questions: list[PreparedQuestion]) -> float:
 
 
 EVAL_CHUNK = 64  # questions per evaluation batch
+# Sequences per trunk forward in evaluation.  A block of 32 at T=40, d=64
+# keeps each FFN activation near 2.6 MB (f64); whole evaluation batches of
+# 256 sequences ran the element-wise passes ~3x slower per element and set
+# the process's peak memory.
+TRUNK_BLOCK = 32
 
 
 def evaluate(model: Model, questions: list[PreparedQuestion]) -> float:
@@ -583,10 +583,11 @@ def evaluate_conditions(
     """Accuracy in percent per condition, over aligned question lists.
 
     Aligned lists have the same question count, candidate counts and token
-    ids.  Per chunk of EVAL_CHUNK questions the trunk runs once over the
-    first condition's candidates plus each other candidate whose graph
-    vectors differ from its first-condition counterpart by a byte; every
-    other candidate's trunk input is the same, and so are its states.
+    ids.  Per chunk of EVAL_CHUNK questions the trunk runs over the first
+    condition's candidates plus each other candidate whose graph vectors
+    differ from its first-condition counterpart by a byte; every other
+    candidate's trunk input is the same, and so are its states.  These rows
+    run in blocks of at most TRUNK_BLOCK, each padded to the chunk's T.
     Each condition is then scored from its own rows.  The scores are
     byte-identical to `batch_forward` on each condition's chunks.
     """
@@ -625,7 +626,13 @@ def evaluate_conditions(
             parts.append(g[:, changed])
             runs.append((name, chunk, flat, slices, g, rows))
         source = np.concatenate(sources)
-        states, _ = _run_trunk(model, ids[source], mask[source], np.concatenate(parts, axis=1))
+        g_rows = np.concatenate(parts, axis=1)
+        for b in range(0, len(source), TRUNK_BLOCK):
+            block = source[b : b + TRUNK_BLOCK]
+            out, _ = _run_trunk(model, ids[block], mask[block], g_rows[:, b : b + TRUNK_BLOCK])
+            if b == 0:  # scoring reads the graph and question positions only
+                states = np.empty((len(source), 2, out.shape[2]), out.dtype)
+            states[b : b + TRUNK_BLOCK] = out[:, :2]
         for name, chunk, flat, slices, g, rows in runs:
             scores = _score(model, flat, slices, g, states[rows, 1, :], states[rows, 0, :])[0]
             correct[name] += sum(

@@ -30,11 +30,6 @@ from factpool.numerics import (
 )
 
 _MASK_VALUE = -1e30
-# Sequences per block of a forward without the backward cache.  A block of
-# 32 at T=40, d=64 keeps each FFN activation near 2.6 MB (f64); whole
-# evaluation batches of 256 sequences ran the element-wise passes ~3x
-# slower per element and set the process's peak memory.
-TRUNK_BLOCK = 32
 
 
 def init_trunk_params(
@@ -123,38 +118,12 @@ def trunk_forward(
     state immediately before that layer (index 0 targets the input state).
     backward_cache: keep every layer's activations for `trunk_backward`.
     Without it a layer's activations are freed when the next layer starts,
-    the cache holds only the inputs and the per-layer graph-token states
-    (cache[6]), and the sequences run in blocks of at most TRUNK_BLOCK, each
-    padded to the batch's T; every op is row-wise, so the states are the
-    ones a single block gives.
+    and the cache holds only the inputs and the per-layer graph-token states
+    (cache[6]).  Every op is row-wise, so a row's states do not depend on
+    the other rows of the batch.
     Returns (states [B, T, d], cache).
     """
     injections = injections or {}
-    if backward_cache or len(ids) <= TRUNK_BLOCK:
-        states, layer_caches, graph_states = _trunk_block(
-            params, L, heads, ids, real_mask, graph_init, injections, backward_cache
-        )
-    else:
-        layer_caches = None
-        for start in range(0, len(ids), TRUNK_BLOCK):
-            rows = slice(start, start + TRUNK_BLOCK)
-            block = {layer: vec[rows] for layer, vec in injections.items()}
-            block_states, _, block_graph = _trunk_block(
-                params, L, heads, ids[rows], real_mask[rows], graph_init[rows], block, False
-            )
-            if start == 0:  # the outputs take the blocks' dtypes
-                states = np.empty((len(ids),) + block_states.shape[1:], block_states.dtype)
-                graph_states = [np.empty((len(ids),) + g.shape[1:], g.dtype) for g in block_graph]
-            states[rows] = block_states
-            for out, part in zip(graph_states, block_graph):
-                out[rows] = part
-            del block_states, block_graph  # freed before the next block runs
-    cache = (ids, real_mask, graph_init, injections, layer_caches, heads, graph_states)
-    return states, cache
-
-
-def _trunk_block(params, L, heads, ids, real_mask, graph_init, injections, backward_cache):
-    """`trunk_forward` over one block: (states, layer caches or None, graph states)."""
     t = ids.shape[1]
     x = params["tok_emb"][ids] + params["pos_emb"][:t]
     x[:, 0, :] = graph_init + params["pos_emb"][0]
@@ -169,7 +138,8 @@ def _trunk_block(params, L, heads, ids, real_mask, graph_init, injections, backw
             x[:, 0, :] += injections[i]
         x = _layer_forward(params, f"layer{i}", x, heads, key_bias, layer_caches)
         graph_states.append(x[:, 0, :].copy())
-    return x, layer_caches, graph_states
+    cache = (ids, real_mask, graph_init, injections, layer_caches, heads, graph_states)
+    return x, cache
 
 
 def trunk_backward(params: dict[str, np.ndarray], L: int, cache, d_states: np.ndarray):

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written with explicit loops and scalar math,
 not by calling the package kernels, so agreement is meaningful.  The
-exception is `prepare_question_oracle`: it reuses the package's retrieval,
-verbalizer and encoders one statement and one fact at a time, so agreement
-checks the dataset-level batching and the derived `without_answers` subgraphs.
+exceptions are `subgraphs_oracle` and `prepare_question_oracle`: they reuse
+the package's retrieval, verbalizer and encoders one statement and one fact
+at a time, so agreement checks the dataset-level batching and the derived
+`without_answers` subgraphs.
 """
 
 from __future__ import annotations
@@ -317,24 +318,18 @@ def barycentric_membership(points: list[np.ndarray], target: np.ndarray, tol=1e-
     return all(lam >= -tol for lam in lambdas)
 
 
-def prepare_question_oracle(model, kg, templates, encoder, record, condition):
-    """Per-question preparation: one retrieval per statement and condition,
-    one encoder call per fact and per GNN entity node."""
-    from factpool.gnn import subgraph_arrays
+def subgraphs_oracle(kg, record, max_nodes, condition):
+    """Per candidate of `record`: (statement, subgraph under `condition`), from
+    one retrieval per statement and condition."""
     from factpool.kg import (
-        VIRTUAL_NODE_ID,
         add_virtual_question_node,
         ground_statement,
-        id_to_surface,
         remove_answer_edges,
         retrieve_subgraph,
     )
-    from factpool.model import WITHOUT_ANSWERS, PreparedCandidate, PreparedQuestion
-    from factpool.tokenizer import tokenize_statement
-    from factpool.verbalize import verbalize
+    from factpool.model import WITHOUT_ANSWERS
 
-    cfg = model.cfg
-    candidates = []
+    statements = []
     for c_index, cand_text in enumerate(record.candidates):
         stmt = ground_statement(
             kg,
@@ -348,9 +343,25 @@ def prepare_question_oracle(model, kg, templates, encoder, record, condition):
                 set(record.answer_entities[c_index]) if record.answer_entities is not None else None
             ),
         )
-        sub = add_virtual_question_node(retrieve_subgraph(kg, stmt, cfg.max_nodes), stmt)
+        sub = add_virtual_question_node(retrieve_subgraph(kg, stmt, max_nodes), stmt)
         if condition == WITHOUT_ANSWERS:
             sub = remove_answer_edges(sub, stmt)
+        statements.append((stmt, sub))
+    return statements
+
+
+def prepare_question_oracle(model, kg, templates, encoder, record, condition):
+    """Per-question preparation from `subgraphs_oracle`: one encoder call per
+    fact and per GNN entity node."""
+    from factpool.gnn import subgraph_arrays
+    from factpool.kg import VIRTUAL_NODE_ID, id_to_surface
+    from factpool.model import PreparedCandidate, PreparedQuestion
+    from factpool.tokenizer import tokenize_statement
+    from factpool.verbalize import verbalize
+
+    cfg = model.cfg
+    candidates = []
+    for stmt, sub in subgraphs_oracle(kg, record, cfg.max_nodes, condition):
         facts = sub.sorted_edges()
         texts = [verbalize(f, templates) for f in facts]
         if facts:
@@ -363,9 +374,7 @@ def prepare_question_oracle(model, kg, templates, encoder, record, condition):
             ),
             dtype=np.int64,
         )
-        cand = PreparedCandidate(
-            ids=ids, facts=facts, fact_texts=texts, edge_matrix=matrix, subgraph=sub
-        )
+        cand = PreparedCandidate(ids=ids, facts=facts, fact_texts=texts, edge_matrix=matrix)
         if model.kind == "gnn":
             cand.gnn = subgraph_arrays(sub, model.relation_index)
             init = np.zeros((len(cand.gnn.node_ids), cfg.d))

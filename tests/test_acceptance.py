@@ -42,6 +42,7 @@ from factpool.model import (
     build_encoder,
     create_model,
     gradient_check,
+    ground_records,
     load_model,
     prepare_dataset,
     relation_table,
@@ -271,9 +272,9 @@ def test_criterion_07_aggregation_count_grid():
         model = create_model(cfg, kind, relation_table(kg))
         prepared = prepare_dataset(model, kg, templates, build_encoder(model), records)
         expected = sum(
-            count_aggregations(kind, cand.subgraph, cfg)
-            for q in prepared
-            for cand in q.candidates
+            count_aggregations(kind, sub, cfg)
+            for statements in ground_records(kg, records, cfg.max_nodes)
+            for _, sub in statements
         )
         assert batch_forward(model, prepared).aggregations == expected
     report(7, "aggregation counts", f"grid exact in {time.time()-start:.1f}s")

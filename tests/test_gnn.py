@@ -29,6 +29,7 @@ from factpool.model import (
     batch_forward,
     build_encoder,
     create_model,
+    ground_records,
     prepare_dataset,
     relation_table,
 )
@@ -52,14 +53,16 @@ def rel_index(sub):
 
 
 def gnn_question(gnn_layers=2):
-    """A tiny gnn model, its encoder and one prepared graph-determined question."""
+    """A tiny gnn model, its encoder, one prepared graph-determined question and
+    its grounding (per candidate: statement and intact subgraph)."""
     cfg = Config(L=2, d=8, heads=2, vocab_size=64, max_tokens=48, max_nodes=8,
                  gnn_layers=gnn_layers, seed=0)
     kg, templates, records = tiny_benchmark(seed=1, questions=4)
     model = create_model(cfg, "gnn", relation_table(kg))
     encoder = build_encoder(model)
     record = next(r for r in records if r.meta.get("kind") == "kg")
-    return model, encoder, prepare_dataset(model, kg, templates, encoder, [record])[0]
+    prepared = prepare_dataset(model, kg, templates, encoder, [record])[0]
+    return model, encoder, prepared, ground_records(kg, [record], cfg.max_nodes)[0]
 
 
 def single_edge_messages(params, init):
@@ -71,13 +74,13 @@ def single_edge_messages(params, init):
 
 
 def test_init_nodes_virtual_and_entities():
-    model, encoder, prepared = gnn_question()
+    model, encoder, prepared, statements = gnn_question()
     result = batch_forward(model, [prepared], backward_cache=True)
     _, layer_caches = result._caches["gnn_cache"]
     layer0 = layer_caches[0][0]  # the union graph's initial node states
     offset = 0
-    for i, cand in enumerate(prepared.candidates):
-        assert cand.gnn.node_ids == sorted(cand.subgraph.nodes)
+    for i, (cand, (_, sub)) in enumerate(zip(prepared.candidates, statements, strict=True)):
+        assert cand.gnn.node_ids == sorted(sub.nodes)
         assert len(cand.gnn.node_ids) > 1
         for row, node in enumerate(cand.gnn.node_ids, start=offset):
             if node == VIRTUAL_NODE_ID:
@@ -90,7 +93,7 @@ def test_init_nodes_virtual_and_entities():
 
 
 def test_batch_forward_message_passes_once(monkeypatch):
-    model, _, prepared = gnn_question()
+    model, _, prepared, _ = gnn_question()
     calls = []
     real = model_mod.gnn_forward_arrays
 
@@ -303,7 +306,7 @@ def test_forward_without_backward_cache_is_bit_identical_and_keeps_none(monkeypa
     assert bare.tobytes() == kept.tobytes() and bare_count == count
     assert len(cache[1]) == 2 and no_cache is None
     # Only a training forward keeps layer caches; evaluation scores the same bytes.
-    model, _, prepared = gnn_question()
+    model, _, prepared, _ = gnn_question()
     caches = []
     real = model_mod.gnn_forward_arrays
 
@@ -334,7 +337,7 @@ def test_forward_arrays_cover_every_node():
 
 def test_gnn_score_reads_question_state():
     # zero-layer propagation: the score depends on the question vector only
-    model, _, prepared = gnn_question(gnn_layers=0)
+    model, _, prepared, _ = gnn_question(gnn_layers=0)
     scores = batch_forward(model, [prepared]).scores
     rng = np.random.default_rng(4)
     for cand in prepared.candidates:

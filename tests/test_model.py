@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import kg_from_facts
-from oracles import prepare_question_oracle, softmax_oracle
+from oracles import prepare_question_oracle, softmax_oracle, subgraphs_oracle
 
 from factpool import model as model_mod
 from factpool.checkpoint import load_checkpoint
@@ -22,7 +22,9 @@ from factpool.model import (
     WITH_ANSWERS,
     WITHOUT_ANSWERS,
     DivergenceError,
+    TRUNK_BLOCK,
     NoBackwardCacheError,
+    apply_condition,
     batch_backward,
     batch_forward,
     batch_loss,
@@ -431,12 +433,12 @@ def test_evaluate_peak_memory_below_half_of_caching_forward():
 
 
 def test_evaluate_peak_memory_grows_slowly_with_the_chunk():
-    # Without the backward cache the trunk runs in blocks of TRUNK_BLOCK (32)
-    # sequences, so its activations do not grow with the batch; what grows
-    # is the final states [B, T, d], the stacked edge rows and the graph
-    # vectors.  8 questions (32 sequences, one block) peak at ~5.1 MB, 64
-    # questions (256 sequences) at ~11.3 MB: a factor of 3 leaves room for
-    # those and fails a whole-chunk forward, which peaks ~11.6x higher.
+    # Evaluation runs the trunk in blocks of TRUNK_BLOCK (32) sequences, so
+    # its activations do not grow with the batch; what grows is the scored
+    # states [B, 2, d], the stacked edge rows and the graph vectors.  8
+    # questions (32 sequences, one block) peak at ~5.1 MB, 64 questions (256
+    # sequences) at ~9.6 MB: a factor of 3 leaves room for those and fails a
+    # whole-chunk forward, which peaks ~11.4x higher.
     cfg = small_cfg(L=4, d=64, heads=4, K=2, fusion_mode="early_late", max_tokens=40,
                     max_nodes=32)
     bench = generate_synthetic(
@@ -519,6 +521,20 @@ def test_evaluate_conditions_byte_equal_to_batch_forward_per_condition(
 
 
 @pytest.mark.parametrize("setup", sorted(EVAL_SETUPS))
+def test_scores_alone_and_in_the_chunk_agree_within_1e_12(eval_benchmark, setup):
+    # In a batch a question's sequences are padded to the batch's longest,
+    # which changes the order of the attention sums, so the scores agree to
+    # ~1e-16, not byte for byte.
+    model, prepared = prepare_both(setup, eval_benchmark)
+    for questions in prepared.values():
+        chunk = questions[:EVAL_CHUNK]
+        together = batch_forward(model, chunk)
+        for q, sl in zip(chunk, together.slices, strict=True):
+            alone = batch_forward(model, [q]).scores
+            assert np.max(np.abs(alone - together.scores[sl])) <= 1e-12
+
+
+@pytest.mark.parametrize("setup", sorted(EVAL_SETUPS))
 def test_evaluate_conditions_runs_each_distinct_trunk_row_once(
     monkeypatch, eval_benchmark, setup
 ):
@@ -541,7 +557,7 @@ def test_evaluate_conditions_runs_each_distinct_trunk_row_once(
     evaluate_conditions(model, prepared)
     # gnn and lm graph vectors are zero, so no row changes with the condition.
     want = len(pairs) + (changed if model.kind == "pooled" else 0)
-    assert len(rows) == 2 and sum(rows) == want
+    assert max(rows) == TRUNK_BLOCK and sum(rows) == want
 
 
 def test_evaluate_conditions_rejects_misaligned_conditions():
@@ -618,12 +634,15 @@ def assert_same_array(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def assert_same_candidate(got, want):
+def assert_same_candidate(got, want, got_sub=None, want_sub=None):
+    """`got_sub`, `want_sub`: the subgraphs the candidates were prepared from,
+    compared when given (a prepared candidate does not keep its subgraph)."""
     assert_same_array(got.ids, want.ids)
     assert got.facts == want.facts
     assert got.fact_texts == want.fact_texts
     assert_same_array(got.edge_matrix, want.edge_matrix)
-    assert got.subgraph.canonical() == want.subgraph.canonical()
+    if want_sub is not None:
+        assert got_sub.canonical() == want_sub.canonical()
     if want.gnn is None:
         assert got.gnn is None and got.node_init is None
         return
@@ -683,10 +702,14 @@ def test_prepare_dataset_matches_per_question_oracle(tmp_path, kind, setup, cond
     ]
     assert [q.answer_index for q in got] == [q.answer_index for q in want]
     assert [len(q.candidates) for q in got] == [len(q.candidates) for q in want]
+    grounding = ground_records(kg, records, cfg.max_nodes)
     edges = []
-    for q_got, q_want in zip(got, want):
-        for c_got, c_want in zip(q_got.candidates, q_want.candidates):
-            assert_same_candidate(c_got, c_want)
+    for q_got, q_want, statements, record in zip(got, want, grounding, records):
+        oracle = subgraphs_oracle(kg, record, cfg.max_nodes, condition)
+        for c_got, c_want, (stmt, sub), (_, want_sub) in zip(
+            q_got.candidates, q_want.candidates, statements, oracle, strict=True
+        ):
+            assert_same_candidate(c_got, c_want, apply_condition(sub, stmt, condition), want_sub)
             edges.append(len(c_want.facts))
     assert 0 in edges and max(edges) > 0
 
@@ -722,12 +745,15 @@ def test_without_answers_candidate_that_loses_no_edge_is_the_intact_one():
     grounding = ground_records(kg, records[:6], model.cfg.max_nodes)
     both = prepare_conditions(model, templates, encoder, records[:6], grounding)
     kept = lost = 0
-    for record, q_with, q_without in zip(records, *both.values()):
+    for record, statements, q_with, q_without in zip(records, grounding, *both.values()):
         oracle = prepare_question_oracle(model, kg, templates, encoder, record, WITHOUT_ANSWERS)
-        for c_with, c_without, c_oracle in zip(
-            q_with.candidates, q_without.candidates, oracle.candidates
+        oracle_subs = subgraphs_oracle(kg, record, model.cfg.max_nodes, WITHOUT_ANSWERS)
+        for c_with, c_without, c_oracle, (stmt, sub), (_, want_sub) in zip(
+            q_with.candidates, q_without.candidates, oracle.candidates, statements, oracle_subs,
+            strict=True,
         ):
-            assert_same_candidate(c_without, c_oracle)
+            got_sub = apply_condition(sub, stmt, WITHOUT_ANSWERS)
+            assert_same_candidate(c_without, c_oracle, got_sub, want_sub)
             if len(c_without.facts) == len(c_with.facts):
                 assert c_without is c_with
                 kept += 1

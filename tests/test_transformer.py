@@ -3,9 +3,8 @@ import pytest
 
 from oracles import fd_gradient, trunk_oracle
 
-from factpool import transformer
+from factpool.model import TRUNK_BLOCK
 from factpool.transformer import (
-    TRUNK_BLOCK,
     NoBackwardCacheError,
     init_scalar_head,
     init_trunk_params,
@@ -88,32 +87,26 @@ def test_cache_free_forward_byte_equal_to_caching_forward():
 
 
 @pytest.mark.parametrize("b", [1, 31, 32, 33, 70])
-def test_blocked_forward_byte_equal_to_caching_forward(monkeypatch, b):
-    # Padded (lengths 2..9 of T=9) and injected at 0, 2 and 3.
+def test_forward_equals_forwards_over_its_blocks(b):
+    # Padded (lengths 2..9 of T=9) and injected at 0, 2 and 3.  Evaluation
+    # runs the trunk in blocks of TRUNK_BLOCK rows and a batch in one call;
+    # each row's states, and its graph-token states, are the same bytes.
     params, _, _, rng = make_setup(L=4, d=16, heads=4, T=9, vocab=64, seed=b)
     ids = rng.integers(4, 64, size=(b, 9))
     mask = np.arange(9) < rng.integers(2, 10, size=(b, 1))
     ids[~mask] = 3
     graph_init = rng.standard_normal((b, 16))
     injections = {layer: rng.standard_normal((b, 16)) for layer in (0, 2, 3)}
-    blocks = []
-    real_block = transformer._trunk_block
-
-    def counting_block(params, L, heads, ids, *rest):
-        blocks.append(ids.shape)
-        return real_block(params, L, heads, ids, *rest)
-
-    monkeypatch.setattr(transformer, "_trunk_block", counting_block)
     states, cache = trunk_forward(params, 4, 4, ids, mask, graph_init, injections)
-    assert blocks == [(min(TRUNK_BLOCK, b - s), 9) for s in range(0, b, TRUNK_BLOCK)]
-    cached_states, full_cache = trunk_forward(
-        params, 4, 4, ids, mask, graph_init, injections, backward_cache=True
-    )
-    assert blocks[-1] == (b, 9)  # with the cache the batch is one block
-    assert states.tobytes() == cached_states.tobytes()
-    assert len(cache[6]) == len(full_cache[6]) == 5
-    assert all(a.tobytes() == w.tobytes() for a, w in zip(cache[6], full_cache[6]))
-    assert cache[4] is None
+    assert len(cache[6]) == 5 and cache[4] is None
+    for start in range(0, b, TRUNK_BLOCK):
+        rows = slice(start, start + TRUNK_BLOCK)
+        block = {layer: vec[rows] for layer, vec in injections.items()}
+        block_states, block_cache = trunk_forward(
+            params, 4, 4, ids[rows], mask[rows], graph_init[rows], block
+        )
+        assert states[rows].tobytes() == block_states.tobytes()
+        assert all(a[rows].tobytes() == w.tobytes() for a, w in zip(cache[6], block_cache[6]))
 
 
 def test_backward_without_cache_is_typed_error():
