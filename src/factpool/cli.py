@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from factpool.checkpoint import CheckpointError
@@ -36,7 +36,7 @@ from factpool.experiment import (
     sweep,
     sweep_cells,
 )
-from factpool.kg import KGFormatError, Subgraph, load_kg
+from factpool.kg import KGFormatError, load_kg
 from factpool.model import (
     CONDITIONS,
     MODEL_KINDS,
@@ -138,15 +138,13 @@ def _write_subgraphs(args, condition: str) -> Path:
 
 
 def cmd_generate(args) -> int:
-    spec = SyntheticSpec(
-        entities=args.entities,
-        relations=args.relations,
-        questions=args.questions,
-        candidates=args.candidates,
-        distractor_rate=args.distractor_rate,
-        kg_fraction=args.kg_fraction,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    values = {f.name: getattr(args, f.name) for f in fields(SyntheticSpec) if f.name != "seed"}
+    try:
+        spec = SyntheticSpec(**values, seed=args.seed if args.seed is not None else 0)
+        spec.check_feasible()
+    except ValueError as err:
+        flags = " ".join(f"--{name.replace('_', '-')} {value}" for name, value in values.items())
+        raise UsageError(f"{flags}: {err}") from None
     paths = write_synthetic(spec, args.out)
     for name, path in paths.items():
         print(f"{name}: {path}")
@@ -295,9 +293,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_count_aggs(args) -> int:
     cfg = _load_cfg(args.config)
     for n in sorted(set(args.nodes)):
-        sub = Subgraph(nodes={f"n{i}" for i in range(n)}, edges=set())
-        pooled = count_aggregations("pooled", sub, cfg)
-        gnn = count_aggregations("gnn", sub, cfg)
+        pooled = count_aggregations("pooled", n, cfg)
+        gnn = count_aggregations("gnn", n, cfg)
         print(
             f"|V_q|={n}: pooled K={cfg.K} -> {pooled} aggregations; "
             f"gnn L_g={cfg.gnn_layers} -> {gnn} node updates"

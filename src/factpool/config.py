@@ -89,9 +89,6 @@ class Config:
     def num_pooling_heads(self) -> int:
         return self.K + 1
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 # The type each config-file value parses to: that of its field's default.
 _PARSE = {f.name: type(f.default) for f in fields(Config)}

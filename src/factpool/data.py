@@ -53,7 +53,8 @@ class QuestionRecord:
 
 
 class DatasetFormatError(ValueError):
-    """A dataset line that is not a question record; names path, line and field."""
+    """A dataset line that is not a question record, naming path, line and
+    field; or a question the tokenizer cannot fit, naming the question."""
 
 
 def _is_str_list(value) -> bool:

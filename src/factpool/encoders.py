@@ -36,10 +36,6 @@ from factpool.verbalize import TemplateTable, verbalize
 ENCODE_BATCH = 8
 
 
-class UncachedFactError(KeyError):
-    pass
-
-
 class HashBagEncoder:
     """Mean of fixed seeded unit vectors, one per token."""
 
@@ -148,9 +144,11 @@ class ToyTrunkEncoder:
 
 
 class FileBackedEncoder:
-    """Serves embeddings from a cache file; unknown facts are an error."""
+    """Serves embeddings from a cache file; a fact the file lacks raises
+    CheckpointError naming the file and the fact."""
 
     def __init__(self, path: str):
+        self.path = path
         self.entries, self.dim = read_embedding_cache(path)
 
     def encode_fact_text(self, fact: Fact, text: str) -> np.ndarray:
@@ -160,7 +158,9 @@ class FileBackedEncoder:
         try:
             return [self.entries[fact.key()] for fact in facts]
         except KeyError as exc:
-            raise UncachedFactError(f"uncached fact: {exc.args[0]!r}") from None
+            raise CheckpointError(
+                f"{self.path}: embedding cache has no entry for fact {exc.args[0]!r}"
+            ) from None
 
 
 def encode_subgraphs(

@@ -22,7 +22,7 @@ import numpy as np
 
 from factpool.config import Config
 from factpool.data import QuestionRecord, load_dataset
-from factpool.kg import KnowledgeGraph, Subgraph, load_kg
+from factpool.kg import KnowledgeGraph, load_kg
 from factpool.model import (
     CONDITIONS,
     MODEL_KINDS,
@@ -57,21 +57,45 @@ class SeedResult:
     seed: int
     acc_with: float
     acc_without: float
-    delta: float
     final_loss: float
+
+    @property
+    def delta(self) -> float:
+        return delta_acc(self.acc_with, self.acc_without)
+
+
+def _seed_mean(name: str) -> property:
+    return property(lambda self: float(np.mean([getattr(r, name) for r in self.per_seed])))
+
+
+def _seed_spread(name: str) -> property:
+    """Max absolute deviation of the per-seed values from their mean."""
+
+    def spread(self) -> float:
+        values = [getattr(r, name) for r in self.per_seed]
+        mean = float(np.mean(values))
+        return float(max(abs(v - mean) for v in values))
+
+    return property(spread)
 
 
 @dataclass
 class Metrics:
+    """A run's per-seed results; every summary derives from them."""
+
     model_kind: str
     condition: str
     per_seed: list[SeedResult]
-    acc_with_mean: float
-    acc_without_mean: float
-    acc_with_spread: float  # max absolute deviation from the mean
-    acc_without_spread: float
-    delta_acc: float  # computed on seed-mean accuracies
     pipeline_hashes: dict[str, str] = field(default_factory=dict)
+    acc_with_mean = _seed_mean("acc_with")
+    acc_without_mean = _seed_mean("acc_without")
+    acc_with_spread = _seed_spread("acc_with")
+    acc_without_spread = _seed_spread("acc_without")
+
+    @property
+    def delta_acc(self) -> float:
+        """Computed on seed-mean accuracies."""
+        return delta_acc(self.acc_with_mean, self.acc_without_mean)
 
     def render(self) -> str:
         lines = [
@@ -99,23 +123,6 @@ class Metrics:
 
 def _fmt(value: float) -> str:
     return f"{value:.10g}"
-
-
-def _aggregate(model_kind: str, condition: str, per_seed: list[SeedResult]) -> Metrics:
-    acc_with = [r.acc_with for r in per_seed]
-    acc_without = [r.acc_without for r in per_seed]
-    mean_with = float(np.mean(acc_with))
-    mean_without = float(np.mean(acc_without))
-    return Metrics(
-        model_kind=model_kind,
-        condition=condition,
-        per_seed=per_seed,
-        acc_with_mean=mean_with,
-        acc_without_mean=mean_without,
-        acc_with_spread=float(max(abs(a - mean_with) for a in acc_with)),
-        acc_without_spread=float(max(abs(a - mean_without) for a in acc_without)),
-        delta_acc=delta_acc(mean_with, mean_without),
-    )
 
 
 @dataclass
@@ -196,13 +203,16 @@ def run_experiment(ecfg: ExperimentConfig, assets: ExperimentAssets | None = Non
                 seed=seed,
                 acc_with=accs[WITH_ANSWERS],
                 acc_without=accs[WITHOUT_ANSWERS],
-                delta=delta_acc(accs[WITH_ANSWERS], accs[WITHOUT_ANSWERS]),
                 final_loss=losses[-1],
             )
         )
-    metrics = _aggregate(ecfg.model_kind, ecfg.condition, per_seed)
-    metrics.pipeline_hashes = pipeline_hashes(
-        assets.kg, assets.train_records, ecfg.config, ecfg.condition, train_grounding
+    metrics = Metrics(
+        ecfg.model_kind,
+        ecfg.condition,
+        per_seed,
+        pipeline_hashes(
+            assets.kg, assets.train_records, ecfg.config, ecfg.condition, train_grounding
+        ),
     )
     if ecfg.out_dir is not None:
         atomic_write_text(Path(ecfg.out_dir) / f"metrics_{ecfg.model_kind}.txt", metrics.render())
@@ -395,8 +405,9 @@ def explain(
 # --- complexity instrumentation --------------------------------------------------
 
 
-def count_aggregations(model_kind: str, sub: Subgraph, cfg: Config) -> int:
-    """Aggregation events `batch_forward` runs for one statement's subgraph.
+def count_aggregations(model_kind: str, nodes: int, cfg: Config) -> int:
+    """Aggregation events `batch_forward` runs for one statement's subgraph
+    of `nodes` nodes.
 
     Pooled: one attention pooling per head, empty edge sets included.  GNN:
     one update per node and layer.
@@ -404,5 +415,5 @@ def count_aggregations(model_kind: str, sub: Subgraph, cfg: Config) -> int:
     if model_kind == "pooled":
         return cfg.num_pooling_heads()
     if model_kind == "gnn":
-        return len(sub.nodes) * cfg.gnn_layers
+        return nodes * cfg.gnn_layers
     raise ValueError("model_kind must be 'pooled' or 'gnn'")

@@ -67,6 +67,8 @@ class KnowledgeGraph:
     entities: set[str] = field(init=False)
     relations: set[str] = field(init=False)
     adjacency: dict[str, tuple[Fact, ...]] = field(init=False)
+    # Entities grouped by (plural-folded) first surface token, for linking.
+    first_token_index: dict[str, tuple[str, ...]] = field(init=False)
 
     def __post_init__(self) -> None:
         # Sorted in the order given, not in a set's hash order: timsort is
@@ -98,7 +100,7 @@ class KnowledgeGraph:
             folded = _strip_plural(first)
             if folded != first:
                 index.setdefault(folded, []).append(entity)
-        self._first_token_index = {key: tuple(sorted(vals)) for key, vals in index.items()}
+        self.first_token_index = {key: tuple(sorted(vals)) for key, vals in index.items()}
 
     def neighbors(self, entity: str) -> set[str]:
         out = set()
@@ -106,10 +108,6 @@ class KnowledgeGraph:
             out.add(fact.tail if fact.head == entity else fact.head)
         out.discard(entity)
         return out
-
-    def first_token_index(self) -> dict[str, tuple[str, ...]]:
-        """Entities grouped by (plural-folded) first surface token, for linking."""
-        return self._first_token_index
 
 
 class _SurfaceIds(dict):
@@ -240,7 +238,7 @@ def link_entities(statement_text: str, kg: KnowledgeGraph) -> set[str]:
     tokens = text_tokens(statement_text)
     if not tokens:
         return set()
-    index = kg.first_token_index()
+    index = kg.first_token_index
     linked: set[str] = set()
     for start, tok in enumerate(tokens):
         candidates = set(index.get(tok, ()))

@@ -21,7 +21,7 @@ differences by `gradient_check`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -81,13 +81,6 @@ class Model:
     params: dict[str, np.ndarray]
     relations: list[str]  # relation table order shared by GNN and metadata
     tokenizer: Tokenizer
-
-    @property
-    def relation_index(self) -> dict[str, int]:
-        return {rel: i for i, rel in enumerate(self.relations)}
-
-    def gnn_config(self) -> GNNConfig:
-        return GNNConfig(layers=self.cfg.gnn_layers)
 
 
 def relation_table(kg: KnowledgeGraph) -> list[str]:
@@ -281,7 +274,8 @@ def prepare_conditions(
         entities = sorted({node for sub in subgraphs for node in sub.nodes} - {VIRTUAL_NODE_ID})
         surfaces = [id_to_surface(entity) for entity in entities]
         nodes.update(zip(entities, encoder.encode_texts(surfaces)))
-    encoding = DatasetEncoding(texts, vectors, nodes, model.relation_index)
+    relation_index = {rel: i for i, rel in enumerate(model.relations)}
+    encoding = DatasetEncoding(texts, vectors, nodes, relation_index)
     questions = [
         prepare_question(model, record, statements, encoding, conditions)
         for record, statements in zip(records, grounding, strict=True)
@@ -391,15 +385,15 @@ def batch_forward(
 
     backward_cache: keep what `batch_backward` reads (the trunk's per-layer
     activations, the pooling, GNN and head caches and the score gradient).
-    Without it the result carries only the trunk's inputs and per-layer
-    graph-token states, its final states and the question states.
+    Without it the result carries only the trunk's token ids, injections and
+    per-layer graph-token states, and its final states, whose position 1
+    holds each question state.
     """
     flat, slices, ids, mask = _flatten(questions)
     g, pool_weights, pool_caches = _graph_vectors(model, flat, backward_cache)
     states, trunk_cache = _run_trunk(model, ids, mask, g, backward_cache)
-    q_final = states[:, 1, :]
     scores, aggregations, head_caches = _score(
-        model, flat, slices, g, q_final, states[:, 0, :], backward_cache
+        model, flat, slices, g, states[:, 1, :], states[:, 0, :], backward_cache
     )
     loss = 0.0
     d_scores = np.zeros(len(flat))
@@ -417,7 +411,7 @@ def batch_forward(
             d = probs.copy()
             d[q.answer_index] -= 1.0
             d_scores[sl] = d / nq
-    caches = {"trunk_cache": trunk_cache, "q_final": q_final, "graph_states_final": states}
+    caches = {"trunk_cache": trunk_cache, "graph_states_final": states}
     if backward_cache:
         caches.update(head_caches, pool_caches=pool_caches, d_scores=d_scores)
     return BatchResult(
@@ -482,7 +476,7 @@ def _score(
         node_init = np.concatenate([cand.node_init for cand in flat])
         node_init[virtual] = q_final
         final, gnn_cache, aggregations = gnn_forward_arrays(
-            params, model.gnn_config(), arrays, node_init, backward_cache
+            params, GNNConfig(cfg.gnn_layers), arrays, node_init, backward_cache
         )
         graph_scores, fg_cache = scalar_head_forward(params, "gnn.score", final[virtual])
         caches.update(gnn_cache=gnn_cache, gnn_virtual=virtual)
@@ -526,7 +520,9 @@ def batch_backward(model: Model, result: BatchResult) -> dict[str, np.ndarray]:
         arrays, _ = gnn_cache
         d_final = np.zeros((len(arrays.node_ids), cfg.d))
         d_final[virtual] = d_gamma
-        gnn_grads, d_init = gnn_backward_arrays(params, model.gnn_config(), gnn_cache, d_final)
+        gnn_grads, d_init = gnn_backward_arrays(
+            params, GNNConfig(cfg.gnn_layers), gnn_cache, d_final
+        )
         grads.update(gnn_grads)
         d_q_final += d_init[virtual]
     else:
@@ -558,10 +554,6 @@ def loss_and_grads(model: Model, questions: list[PreparedQuestion]):
     result = batch_forward(model, questions, backward_cache=True)
     grads = batch_backward(model, result)
     return result.loss, grads, result
-
-
-def batch_loss(model: Model, questions: list[PreparedQuestion]) -> float:
-    return batch_forward(model, questions).loss
 
 
 EVAL_CHUNK = 64  # questions per evaluation batch
@@ -705,7 +697,7 @@ def save_model(model: Model, path: str, step: int = 0) -> None:
     save_checkpoint(
         path,
         model.params,
-        config=model.cfg.to_dict(),
+        config=asdict(model.cfg),
         seed=model.cfg.seed,
         step=step,
         meta={"kind": model.kind, "relations": model.relations},
@@ -758,17 +750,16 @@ def load_model(path: str) -> Model:
 @dataclass
 class GradCheckReport:
     group_errors: dict[str, float]
-    max_error: float
     checked: int
+
+    @property
+    def max_error(self) -> float:
+        return max(self.group_errors.values(), default=0.0)
 
     def lines(self) -> list[str]:
         out = [f"{group}: {err:.3e}" for group, err in sorted(self.group_errors.items())]
         out.append(f"max_relative_error: {self.max_error:.3e} over {self.checked} parameters")
         return out
-
-
-def _group_of(name: str) -> str:
-    return name.split(".", 1)[0]
 
 
 def gradient_check(
@@ -802,19 +793,15 @@ def gradient_check(
         for idx in indices:
             original = flat[idx]
             flat[idx] = original + step
-            up = batch_loss(model, questions)
+            up = batch_forward(model, questions).loss
             flat[idx] = original - step
-            down = batch_loss(model, questions)
+            down = batch_forward(model, questions).loss
             flat[idx] = original
             numeric = (up - down) / (2.0 * step)
             analytic = grad_flat[idx]
             denom = max(abs(analytic), abs(numeric), 1e-4)
             err = abs(analytic - numeric) / denom
-            group = _group_of(name)
+            group = name.split(".", 1)[0]
             group_errors[group] = max(group_errors.get(group, 0.0), err)
             checked += 1
-    return GradCheckReport(
-        group_errors=group_errors,
-        max_error=max(group_errors.values()) if group_errors else 0.0,
-        checked=checked,
-    )
+    return GradCheckReport(group_errors=group_errors, checked=checked)

@@ -70,6 +70,15 @@ class SyntheticSpec:
         n_kg = int(round(self.kg_fraction * self.questions))
         return self.questions * (2 + self.candidates) + n_kg * self.candidates + 4
 
+    def check_feasible(self) -> None:
+        """ValueError unless `entities` is at least `entities_needed()`."""
+        needed = self.entities_needed()
+        if self.entities < needed:
+            raise ValueError(
+                f"infeasible spec: {self.questions} questions need {needed} entities, "
+                f"only {self.entities} available"
+            )
+
 
 @dataclass
 class SyntheticBenchmark:
@@ -92,13 +101,8 @@ def _name_pool(spec: SyntheticSpec, rng: np.random.Generator) -> list[str]:
 def generate_synthetic(spec: SyntheticSpec) -> SyntheticBenchmark:
     rng = np.random.default_rng(spec.seed)
     n_kg = int(round(spec.kg_fraction * spec.questions))
-    needed = spec.entities_needed()
-    if spec.entities < needed:
-        raise ValueError(
-            f"infeasible spec: {spec.questions} questions need {needed} entities, "
-            f"only {spec.entities} available"
-        )
-    noise_pool_size = spec.entities - needed + 4
+    spec.check_feasible()
+    noise_pool_size = spec.entities - spec.entities_needed() + 4
     names = _name_pool(spec, rng)
     cursor = 0
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from factpool.data import DatasetFormatError
 from factpool.kg import text_tokens
 from factpool.util import stable_hash64
 
@@ -43,20 +44,22 @@ def tokenize_statement(
 ) -> list[int]:
     """Build `[GRAPH][CLS] context [SEP] question [SEP] candidate` ids.
 
-    The question is never truncated (an error is raised if it cannot fit on
-    its own); overflow is absorbed by dropping context tokens first, oldest
-    first, then trimming the candidate from its end.
+    The question is never truncated: DatasetFormatError names a question
+    with no token or one that cannot fit on its own.  Overflow is absorbed
+    by dropping context tokens first, oldest first, then trimming the
+    candidate from its end.
     """
     if not text_tokens(question):
-        raise ValueError("question must be non-empty")
+        raise DatasetFormatError(f"question {question!r} has no token; it must be non-empty")
     q_ids = tokenizer.encode_text(question)
     c_ids = tokenizer.encode_text(context)
     a_ids = tokenizer.encode_text(candidate)
     # [GRAPH][CLS] .. [SEP] question [SEP] is the incompressible skeleton.
     skeleton = 4 + len(q_ids)
     if skeleton > max_tokens:
-        raise ValueError(
-            f"question alone needs {skeleton} tokens, exceeding max_tokens={max_tokens}"
+        raise DatasetFormatError(
+            f"question {question!r} alone needs {skeleton} tokens, "
+            f"exceeding max_tokens={max_tokens}"
         )
     budget = max_tokens - skeleton
     if len(c_ids) + len(a_ids) > budget:

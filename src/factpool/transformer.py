@@ -118,9 +118,9 @@ def trunk_forward(
     state immediately before that layer (index 0 targets the input state).
     backward_cache: keep every layer's activations for `trunk_backward`.
     Without it a layer's activations are freed when the next layer starts,
-    and the cache holds only the inputs and the per-layer graph-token states
-    (cache[6]).  Every op is row-wise, so a row's states do not depend on
-    the other rows of the batch.
+    and the cache holds only the token ids, the injections and the per-layer
+    graph-token states (cache[4]).  Every op is row-wise, so a row's states
+    do not depend on the other rows of the batch.
     Returns (states [B, T, d], cache).
     """
     injections = injections or {}
@@ -138,7 +138,7 @@ def trunk_forward(
             x[:, 0, :] += injections[i]
         x = _layer_forward(params, f"layer{i}", x, heads, key_bias, layer_caches)
         graph_states.append(x[:, 0, :].copy())
-    cache = (ids, real_mask, graph_init, injections, layer_caches, heads, graph_states)
+    cache = (ids, injections, layer_caches, heads, graph_states)
     return x, cache
 
 
@@ -148,7 +148,7 @@ def trunk_backward(params: dict[str, np.ndarray], L: int, cache, d_states: np.nd
     Returns (grads dict matching param names, d_graph_init [B, d],
     d_injections {layer: [B, d]}).
     """
-    ids, real_mask, _graph_init, injections, layer_caches, heads, _graph_states = cache
+    ids, injections, layer_caches, heads, _graph_states = cache
     if layer_caches is None:
         raise NoBackwardCacheError(
             "trunk_forward ran without a backward cache; call it with backward_cache=True"

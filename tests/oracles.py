@@ -376,7 +376,7 @@ def prepare_question_oracle(model, kg, templates, encoder, record, condition):
         )
         cand = PreparedCandidate(ids=ids, facts=facts, fact_texts=texts, edge_matrix=matrix)
         if model.kind == "gnn":
-            cand.gnn = subgraph_arrays(sub, model.relation_index)
+            cand.gnn = subgraph_arrays(sub, {rel: i for i, rel in enumerate(model.relations)})
             init = np.zeros((len(cand.gnn.node_ids), cfg.d))
             for i, node in enumerate(cand.gnn.node_ids):
                 if node != VIRTUAL_NODE_ID:

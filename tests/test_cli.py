@@ -179,6 +179,101 @@ def test_train_rejects_wrong_cache_file_naming_it(workspace, capsys, kind):
     assert capsys.readouterr().err == f"factpool: error: {expected}\n"
 
 
+def test_train_with_a_cache_that_lacks_a_fact_names_cache_and_fact(workspace, capsys):
+    from factpool import cli
+
+    common = [*data_args(workspace), "--config", str(workspace / "run.cfg")]
+    enc = workspace / "enc_partial"
+    assert cli.main(["encode", *common, "--count", "3", "--out", str(enc)]) == 0
+    cfg_path = workspace / "external_partial.cfg"
+    cfg_path.write_text(
+        CONFIG_TEXT.replace("encoder_kind=hash-bag", "encoder_kind=external-file"),
+        encoding="utf-8",
+    )
+    cache = enc / "embeddings.bin"
+    status = cli.main(["train", *data_args(workspace), "--config", str(cfg_path), "--count", "8",
+                       "--cache", str(cache), "--out", str(workspace / "train_partial")])
+    assert status == 1
+    err = capsys.readouterr().err
+    pattern = (
+        f"factpool: error: {re.escape(str(cache))}: embedding cache has no entry for fact "
+        r"'\w+\\t\w+\\t\w+'\n"
+    )
+    assert re.fullmatch(pattern, err), err
+
+
+GENERATE_DEFAULTS = {
+    "--entities": "6000", "--relations": "4", "--questions": "700", "--candidates": "4",
+    "--distractor-rate": "0.5", "--kg-fraction": "0.6",
+}
+
+
+@pytest.mark.parametrize(
+    "flag, value, shown, message",
+    [
+        ("--entities", "10", "10",
+         "infeasible spec: 700 questions need 5884 entities, only 10 available"),
+        ("--relations", "1", "1", "need at least the link relation and one noise relation"),
+        ("--kg-fraction", "2", "2.0", "kg_fraction must be in [0, 1]"),
+        ("--candidates", "0", "0", "spec counts must be positive"),
+    ],
+    ids=["entities", "relations", "kg-fraction", "candidates"],
+)
+def test_generate_spec_the_generator_rejects_is_a_usage_error(
+    tmp_path, flag, value, shown, message
+):
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "factpool", "generate", flag, value, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    flags = " ".join(f"{name} {v}" for name, v in {**GENERATE_DEFAULTS, flag: shown}.items())
+    errors = [line for line in proc.stderr.splitlines() if "error" in line]
+    assert errors == [f"factpool: error: {flags}: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "question, max_tokens, expected",
+    [
+        ("?!", 48, "question '?!' has no token; it must be non-empty"),
+        (
+            "which one of these six words",
+            6,
+            "question 'which one of these six words' alone needs 10 tokens, "
+            "exceeding max_tokens=6",
+        ),
+    ],
+    ids=["no-token", "too-long"],
+)
+def test_train_question_the_tokenizer_cannot_fit_is_one_error_line(
+    workspace, tmp_path, question, max_tokens, expected
+):
+    dataset = tmp_path / "dataset.jsonl"
+    record = json.loads((workspace / "data" / "dataset.jsonl").read_text().splitlines()[0])
+    record["question"] = question
+    dataset.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        CONFIG_TEXT.replace("max_tokens=48", f"max_tokens={max_tokens}"), encoding="utf-8"
+    )
+    data = workspace / "data"
+    proc = subprocess.run(
+        [sys.executable, "-m", "factpool", "train", "--kg", str(data / "kg.tsv"),
+         "--dataset", str(dataset), "--templates", str(data / "templates.tsv"),
+         "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"factpool: error: {expected}\n"
+
+
 def _bad_input(workspace, name: str):
     """(command args, expected message) for a command given one bad input file."""
     path = workspace / f"bad_{name}"

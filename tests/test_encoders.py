@@ -12,7 +12,6 @@ from factpool.encoders import (
     FileBackedEncoder,
     HashBagEncoder,
     ToyTrunkEncoder,
-    UncachedFactError,
     encode_subgraphs,
     read_embedding_cache,
     write_embedding_cache,
@@ -321,5 +320,6 @@ def test_file_backed_encoder_uncached_fact(tmp_path):
     write_embedding_cache(str(path), {"a\tr\tb": np.zeros(4)}, 4)
     enc = FileBackedEncoder(str(path))
     assert np.array_equal(enc.encode_fact_text(Fact("a", "r", "b"), ""), np.zeros(4))
-    with pytest.raises(UncachedFactError, match="uncached fact"):
+    expected = re.escape(f"{path}: embedding cache has no entry for fact 'x\\tr\\ty'")
+    with pytest.raises(CheckpointError, match=expected):
         enc.encode_fact_text(Fact("x", "r", "y"), "")

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from factpool.config import Config
 from factpool.experiment import (
@@ -15,13 +16,15 @@ from factpool.experiment import (
     run_experiment,
     sweep,
 )
-from factpool.kg import Fact, Subgraph
+from factpool.harness_data import tiny_benchmark
+from factpool.kg import Fact, KnowledgeGraph, text_tokens
 from factpool.model import (
     WITH_ANSWERS,
     WITHOUT_ANSWERS,
     batch_forward,
     build_encoder,
     create_model,
+    ground_records,
     relation_table,
     train_model,
     prepare_dataset,
@@ -208,23 +211,17 @@ def test_explain_requires_pooled(micro_assets):
 # --- aggregation counts -------------------------------------------------------------
 
 
-def path_subgraph(n):
-    entities = [f"n{i}" for i in range(n)]
-    edges = {Fact(entities[i], "r", entities[i + 1]) for i in range(n - 1)}
-    return Subgraph(nodes=set(entities), edges=edges)
-
-
 @pytest.mark.parametrize("k", [0, 2, 5])
 def test_pooled_aggregation_count_is_k_plus_one(k):
     cfg = Config(L=6, d=16, heads=2, K=k,
                  fusion_mode="early" if k == 0 else "early_late", vocab_size=64)
-    assert count_aggregations("pooled", path_subgraph(6), cfg) == k + 1
+    assert count_aggregations("pooled", 6, cfg) == k + 1
 
 
 @pytest.mark.parametrize("nodes,layers", [(4, 1), (10, 2), (16, 2)])
 def test_gnn_aggregation_count_is_nodes_times_layers(nodes, layers):
     cfg = Config(L=2, d=16, heads=2, gnn_layers=layers, vocab_size=64)
-    assert count_aggregations("gnn", path_subgraph(nodes), cfg) == nodes * layers
+    assert count_aggregations("gnn", nodes, cfg) == nodes * layers
 
 
 # --- one grounding per statement --------------------------------------------------
@@ -258,3 +255,48 @@ def test_run_experiment_retrieves_each_statement_once(micro_assets, monkeypatch,
     assert len(calls) == statement_count(assets.train_records) + statement_count(
         assets.test_records
     )
+
+
+# --- invariance to a fresh KG component --------------------------------------------
+
+
+FRESH_ENTITIES = [f"qqz{a}{b}" for a in "hjkwxyz" for b in "hjkwxyz"][:40]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 4),
+    extra=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), min_size=38, max_size=38),
+    relations=st.lists(st.integers(0, 99), min_size=78, max_size=78),
+)
+def test_a_fresh_kg_component_changes_only_the_kg_digest(seed, extra, relations):
+    # Up to 78 facts over existing relations join 40 fresh entities, whose
+    # surfaces share no token with any statement: a ring through all of them
+    # plus 38 more.  No statement links them, so grounding sees the same graph.
+    kg, _, records = tiny_benchmark(seed=seed, questions=8)
+    table = sorted(kg.relations)
+    pairs = [(i, i + 1) for i in range(39)] + [(39, 0)] + extra
+    component = {
+        Fact(FRESH_ENTITIES[h], table[r % len(table)], FRESH_ENTITIES[t])
+        for (h, t), r in zip(pairs, relations)
+    }
+    grown = KnowledgeGraph(kg.facts | component)
+    assert grown.relations == kg.relations and len(grown.entities) == len(kg.entities) + 40
+    statement_tokens = {
+        tok
+        for r in records
+        for text in (r.context, r.question, *r.candidates)
+        for tok in text_tokens(text)
+    }
+    assert not statement_tokens & set(FRESH_ENTITIES)
+    cfg = Config(max_nodes=8)
+    before = ground_records(kg, records, cfg.max_nodes)
+    after = ground_records(grown, records, cfg.max_nodes)
+    for statements, grown_statements in zip(before, after, strict=True):
+        for (stmt, sub), (grown_stmt, grown_sub) in zip(statements, grown_statements, strict=True):
+            assert grown_stmt == stmt
+            assert grown_sub.canonical() == sub.canonical()
+    for condition in (WITH_ANSWERS, WITHOUT_ANSWERS):
+        hashes = pipeline_hashes(kg, records, cfg, condition, before)
+        grown_hashes = pipeline_hashes(grown, records, cfg, condition, after)
+        assert sorted(k for k in hashes if hashes[k] != grown_hashes[k]) == ["kg"]

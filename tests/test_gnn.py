@@ -85,7 +85,7 @@ def test_init_nodes_virtual_and_entities():
         for row, node in enumerate(cand.gnn.node_ids, start=offset):
             if node == VIRTUAL_NODE_ID:
                 assert result._caches["gnn_virtual"][i] == row
-                assert np.array_equal(layer0[row], result._caches["q_final"][i])
+                assert np.array_equal(layer0[row], result._caches["graph_states_final"][i, 1])
             else:
                 assert np.array_equal(layer0[row], encoder.encode_text(id_to_surface(node)))
         offset += len(cand.gnn.node_ids)
@@ -349,5 +349,5 @@ def test_gnn_score_reads_question_state():
         if name.startswith("gnn.score"):
             model.params[name][:] = 0.0
     result = batch_forward(model, [prepared])
-    fq, _ = scalar_head_forward(model.params, "fq", result._caches["q_final"])
+    fq, _ = scalar_head_forward(model.params, "fq", result._caches["graph_states_final"][:, 1])
     assert np.array_equal(result.scores, fq)

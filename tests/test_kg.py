@@ -49,7 +49,7 @@ def test_graph_built_in_memory_equals_the_loaded_one(tmp_path):
     assert loaded.entities == built.entities
     assert loaded.relations == built.relations
     assert loaded.adjacency == built.adjacency
-    assert loaded.first_token_index() == built.first_token_index()
+    assert loaded.first_token_index == built.first_token_index
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +92,7 @@ def test_kg_file_layout_does_not_reach_the_graph_or_retrieval(kg_layout_case, da
     assert kg.entities == expected.entities
     assert kg.relations == expected.relations
     assert kg.adjacency == expected.adjacency
-    assert kg.first_token_index() == expected.first_token_index()
+    assert kg.first_token_index == expected.first_token_index
     assert _retrieve_output(root, path) == reference
 
 
@@ -120,7 +120,7 @@ def test_graph_is_the_same_for_any_fact_order(facts, rng):
         assert kg.entities == graphs[0].entities
         assert kg.relations == graphs[0].relations
         assert kg.adjacency == graphs[0].adjacency
-        assert kg.first_token_index() == graphs[0].first_token_index()
+        assert kg.first_token_index == graphs[0].first_token_index
     assert graphs[0].entities == {f.head for f in facts} | {f.tail for f in facts}
     assert graphs[0].relations == {f.relation for f in facts}
     for entity, incident in graphs[0].adjacency.items():
@@ -254,7 +254,7 @@ def test_load_kg_matches_line_parser_oracle(tmp_path_factory, text):
     assert all(type(f) is Fact for f in kg.facts)
     assert {_fields(f) for f in kg.facts} == facts
     assert {e: tuple(map(_fields, inc)) for e, inc in kg.adjacency.items()} == adjacency
-    assert kg.first_token_index() == first_token_index
+    assert kg.first_token_index == first_token_index
 
 
 @settings(max_examples=100, deadline=None)

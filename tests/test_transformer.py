@@ -44,7 +44,7 @@ def test_trunk_with_injections_matches_oracle():
     )
     assert np.max(np.abs(states[0] - oracle)) < 1e-10
     # graph-token state after layer L-1 against the same oracle path
-    graph_states = cache[6]
+    graph_states = cache[4]
     oracle_after_l_minus_1 = trunk_oracle(
         params, 3, 4, ids[0], graph_init[0], {k: v[0] for k, v in injections.items()}
     )[0]
@@ -81,9 +81,9 @@ def test_cache_free_forward_byte_equal_to_caching_forward():
         params, 4, 4, ids, mask, graph_init, injections, backward_cache=True
     )
     assert states.tobytes() == cached_states.tobytes()
-    assert len(cache[6]) == len(full_cache[6]) == 5
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(cache[6], full_cache[6]))
-    assert cache[4] is None and len(full_cache[4]) == 4
+    assert len(cache[4]) == len(full_cache[4]) == 5
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(cache[4], full_cache[4]))
+    assert cache[2] is None and len(full_cache[2]) == 4
 
 
 @pytest.mark.parametrize("b", [1, 31, 32, 33, 70])
@@ -98,7 +98,7 @@ def test_forward_equals_forwards_over_its_blocks(b):
     graph_init = rng.standard_normal((b, 16))
     injections = {layer: rng.standard_normal((b, 16)) for layer in (0, 2, 3)}
     states, cache = trunk_forward(params, 4, 4, ids, mask, graph_init, injections)
-    assert len(cache[6]) == 5 and cache[4] is None
+    assert len(cache[4]) == 5 and cache[2] is None
     for start in range(0, b, TRUNK_BLOCK):
         rows = slice(start, start + TRUNK_BLOCK)
         block = {layer: vec[rows] for layer, vec in injections.items()}
@@ -106,7 +106,7 @@ def test_forward_equals_forwards_over_its_blocks(b):
             params, 4, 4, ids[rows], mask[rows], graph_init[rows], block
         )
         assert states[rows].tobytes() == block_states.tobytes()
-        assert all(a[rows].tobytes() == w.tobytes() for a, w in zip(cache[6], block_cache[6]))
+        assert all(a[rows].tobytes() == w.tobytes() for a, w in zip(cache[4], block_cache[4]))
 
 
 def test_backward_without_cache_is_typed_error():
