@@ -18,7 +18,7 @@ from pathlib import Path
 
 from factpool.checkpoint import CheckpointError
 from factpool.config import Config, load_config
-from factpool.data import DatasetFormatError, load_dataset
+from factpool.data import DatasetFormatError, load_dataset, require_training_candidates
 from factpool.encoders import (
     FileBackedEncoder,
     encode_subgraphs,
@@ -62,36 +62,37 @@ class UsageError(ValueError):
     """A flag value that only the loaded data can reject; exits 2 like argparse."""
 
 
-_GNN_NEEDS_TEXT = "encoder_kind=external-file cannot encode a gnn model's entity states"
-
-
-def _load_cfg(path: str | None, seed: int | None = None, kinds=(), cache=None) -> Config:
-    """The --config file's Config.  A command that encodes facts for models of
-    `kinds` also rejects, before it reads any data, an external-file config it
-    cannot run: one without `cache` (--cache) or one for a gnn model."""
+def _load_cfg(path: str | None, seed: int | None = None) -> Config:
+    """The --config file's Config, with `seed` (--seed) in place of its seed."""
     try:
         cfg = load_config(path) if path else Config()
-        if kinds and cfg.encoder_kind == "external-file" and cache is None:
-            raise ValueError("encoder_kind=external-file needs --cache, which only train takes")
-        if cfg.encoder_kind == "external-file" and "gnn" in kinds:
-            raise ValueError(_GNN_NEEDS_TEXT)
     except ValueError as err:
         raise UsageError(f"--config {path}: {err}") from None
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    return cfg
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
-def _cache_encoder(cfg: Config, cache: str | None) -> FileBackedEncoder | None:
-    """The --cache encoder of an external-file model, read and checked against
-    its width before any other input; None for the other encoder kinds, which
-    `build_encoder` makes from the model and which take no --cache."""
+def _file_encoder(
+    flag: str, path: str | None, cfg: Config, kinds, cache: str | None = None
+) -> FileBackedEncoder | None:
+    """The --cache encoder of an external-file config; None for the other
+    encoder kinds, whose encoder `build_encoder` makes from the model.
+
+    `cfg` is read from `path` given by `flag` (--config or --checkpoint).  A
+    command that encodes facts for models of `kinds` calls this before it
+    reads any other input, so an encoder it cannot run is a usage error first.
+    """
     if cfg.encoder_kind != "external-file":
         if cache is not None:
             raise UsageError(f"--cache {cache}: encoder_kind={cfg.encoder_kind} reads no cache")
         return None
+    if "gnn" in kinds:
+        raise UsageError(
+            f"{flag} {path}: encoder_kind=external-file cannot encode a gnn model's entity states"
+        )
     if cache is None:
-        raise UsageError("--cache is required: the model's encoder_kind is external-file")
+        # Of the commands that take --config, only train takes --cache.
+        which = ", which only train takes" if flag == "--config" else ""
+        raise UsageError(f"{flag} {path}: encoder_kind=external-file needs --cache{which}")
     encoder = FileBackedEncoder(cache)
     if encoder.dim != cfg.d:
         raise UsageError(
@@ -101,15 +102,13 @@ def _cache_encoder(cfg: Config, cache: str | None) -> FileBackedEncoder | None:
 
 
 def _checkpoint_model(args, pooled_only: bool = False):
-    """The --checkpoint model and its encoder.  A model the command cannot run
-    and a --cache it does not fit are usage errors before any other input."""
+    """The --checkpoint model and its encoder, checked before any other input."""
     path = args.checkpoint
     model = load_model(path)
     if pooled_only and model.kind != "pooled":
         raise UsageError(f"--checkpoint {path}: explain needs a pooled model, not {model.kind}")
-    if model.kind == "gnn" and model.cfg.encoder_kind == "external-file":
-        raise UsageError(f"--checkpoint {path}: {_GNN_NEEDS_TEXT}")
-    return model, _cache_encoder(model.cfg, args.cache) or build_encoder(model)
+    encoder = _file_encoder("--checkpoint", path, model.cfg, (model.kind,), args.cache)
+    return model, encoder or build_encoder(model)
 
 
 def _dataset_slice(args, records):
@@ -164,7 +163,8 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    cfg = _load_cfg(args.config, args.seed, ("pooled",))
+    cfg = _load_cfg(args.config, args.seed)
+    _file_encoder("--config", args.config, cfg, ("pooled",))
     kg = load_kg(args.kg)
     templates = load_templates(args.templates)
     records = _dataset_slice(args, load_dataset(args.dataset))
@@ -188,11 +188,12 @@ def cmd_encode(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_cfg(args.config, args.seed, (args.model,), args.cache)
-    cached = _cache_encoder(cfg, args.cache)
+    cfg = _load_cfg(args.config, args.seed)
+    cached = _file_encoder("--config", args.config, cfg, (args.model,), args.cache)
     kg = load_kg(args.kg)
     templates = load_templates(args.templates)
     records = _dataset_slice(args, load_dataset(args.dataset))
+    require_training_candidates(records, args.dataset)
     model = create_model(cfg, args.model, relation_table(kg))
     encoder = cached or build_encoder(model)
     prepared = prepare_dataset(model, kg, templates, encoder, records, args.condition)
@@ -220,7 +221,8 @@ def cmd_eval(args) -> int:
 
 
 def _experiment_config(args, kinds) -> ExperimentConfig:
-    cfg = _load_cfg(args.config, args.seed, kinds)
+    cfg = _load_cfg(args.config, args.seed)
+    _file_encoder("--config", args.config, cfg, kinds)
     return ExperimentConfig(
         config=cfg,
         kg_path=args.kg,
@@ -280,7 +282,8 @@ def cmd_explain(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = _load_cfg(args.config, args.seed, (args.model,))
+    cfg = _load_cfg(args.config, args.seed)
+    _file_encoder("--config", args.config, cfg, (args.model,))
     from factpool.harness_data import tiny_gradcheck_setup
 
     model, prepared = tiny_gradcheck_setup(cfg, args.model)
@@ -333,7 +336,7 @@ def _model_kinds(text: str) -> list[str]:
 # Every flag, once: name -> add_argument keywords.
 FLAGS = {
     "--config": dict(default=None, help="key=value config file"),
-    "--seed": dict(type=int, default=None, help="override the config seed"),
+    "--seed": dict(type=_int_at_least(0), default=None, help="override the config seed"),
     "--out": dict(default="out", help="output directory"),
     "--entities": dict(type=int, default=6000),
     "--relations": dict(type=int, default=4),
@@ -371,65 +374,57 @@ _EXPERIMENT_FLAGS = (
     "--train-count", "--test-count", "--seeds",
 )
 
-# Each command: (handler, help, exactly the flags the handler reads).
+# Each command: (help, exactly the flags its handler `cmd_<name>` reads).
 COMMANDS = {
     "generate": (
-        cmd_generate,
         "write a synthetic KG + dataset + templates",
         ("--seed", "--out", "--entities", "--relations", "--questions", "--candidates",
          "--distractor-rate", "--kg-fraction"),
     ),
-    "retrieve": (cmd_retrieve, "write retrieved per-candidate subgraphs", _SUBGRAPH_FLAGS),
-    "perturb": (cmd_perturb, "write subgraphs with answer edges removed", _SUBGRAPH_FLAGS),
-    "encode": (cmd_encode, "populate an edge-embedding cache file", _ENCODE_FLAGS),
-    "train": (cmd_train, "train a model", (*_ENCODE_FLAGS, "--model", "--condition", "--cache")),
+    "retrieve": ("write retrieved per-candidate subgraphs", _SUBGRAPH_FLAGS),
+    "perturb": ("write subgraphs with answer edges removed", _SUBGRAPH_FLAGS),
+    "encode": ("populate an edge-embedding cache file", _ENCODE_FLAGS),
+    "train": ("train a model", (*_ENCODE_FLAGS, "--model", "--condition", "--cache")),
     "eval": (
-        cmd_eval,
         "evaluate a checkpoint under both conditions",
         ("--out", "--kg", "--dataset", "--templates", "--skip", "--count", "--checkpoint",
          "--cache"),
     ),
-    "run": (
-        cmd_run,
-        "each model kind with and without answer edges",
-        (*_EXPERIMENT_FLAGS, "--kinds"),
-    ),
+    "run": ("each model kind with and without answer edges", (*_EXPERIMENT_FLAGS, "--kinds")),
     "sweep": (
-        cmd_sweep,
         "grid over K or max_nodes",
         (*_EXPERIMENT_FLAGS, "--axis", "--values", "--model", "--condition"),
     ),
     "explain": (
-        cmd_explain,
         "top scored facts per fusion layer",
         ("--out", "--kg", "--dataset", "--templates", "--checkpoint", "--question-index",
          "--top-n", "--cache"),
     ),
     "gradcheck": (
-        cmd_gradcheck,
         "finite-difference gradient verification",
         ("--config", "--seed", "--model", "--max-per-param"),
     ),
-    "count-aggs": (cmd_count_aggs, "aggregation counts per statement", ("--config", "--nodes")),
+    "count-aggs": ("aggregation counts per statement", ("--config", "--nodes")),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="factpool", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, flags) in COMMANDS.items():
+    for name, (help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
             p.add_argument(flag, **FLAGS[flag])
-        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Looked up per call, so a rebound `cmd_<name>` (a tracer's, a test's) is the one run.
+    handler = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        return args.func(args)
+        return handler(args)
     except UsageError as exc:
         parser.error(str(exc))
     except (KGFormatError, DatasetFormatError, TemplateError, CheckpointError, OSError) as exc:

@@ -10,24 +10,6 @@ FUSION_MODES = ("early", "early_late")
 TOKEN_POOLINGS = ("cls", "mean")
 ENCODER_KINDS = ("hash-bag", "shared-toy-encoder", "external-file")
 
-# Keys of the on-disk config format, in file order.
-FILE_KEYS = (
-    "L",
-    "d",
-    "heads",
-    "K",
-    "fusion_mode",
-    "max_tokens",
-    "max_nodes",
-    "token_pooling",
-    "encoder_kind",
-    "lr_lm",
-    "lr_graph",
-    "epochs",
-    "batch_size",
-    "seed",
-)
-
 _KIND = {int: "an integer", float: "a number"}
 
 
@@ -47,7 +29,7 @@ class Config:
     epochs: int = 20
     batch_size: int = 16
     seed: int = 0
-    # Not part of the key=value file schema; carried in checkpoints.
+    # CHECKPOINT_ONLY: carried in checkpoints, not in the key=value file.
     vocab_size: int = 2048
     gnn_layers: int = 2
     precision: str = "f64"
@@ -56,6 +38,9 @@ class Config:
         self.validate()
 
     def validate(self) -> None:
+        for name in ("L", "d", "heads", "max_tokens", "max_nodes", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.d % self.heads != 0:
             raise ValueError(f"width d={self.d} must be divisible by heads={self.heads}")
         if not 0 <= self.K <= self.L:
@@ -72,9 +57,8 @@ class Config:
             raise ValueError("token_pooling=cls needs a cls token; encoder_kind=hash-bag has none")
         if self.precision not in ("f64", "f32"):
             raise ValueError("precision must be 'f64' or 'f32'")
-        for name in ("L", "d", "heads", "max_tokens", "max_nodes", "epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name in ("lr_lm", "lr_graph"):  # zero freezes that group's parameters
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -89,6 +73,10 @@ class Config:
     def num_pooling_heads(self) -> int:
         return self.K + 1
 
+
+CHECKPOINT_ONLY = ("vocab_size", "gnn_layers", "precision")
+# Keys of the on-disk config format, in file order: every other field.
+FILE_KEYS = tuple(f.name for f in fields(Config) if f.name not in CHECKPOINT_ONLY)
 
 # The type each config-file value parses to: that of its field's default.
 _PARSE = {f.name: type(f.default) for f in fields(Config)}

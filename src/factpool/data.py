@@ -122,6 +122,17 @@ def load_dataset(path: str | Path) -> list[QuestionRecord]:
     return records
 
 
+def require_training_candidates(records: list[QuestionRecord], path: str | Path) -> None:
+    """DatasetFormatError naming `path` and the first record with one
+    candidate: a softmax over a single score leaves nothing to train."""
+    for record in records:
+        if len(record.candidates) < 2:
+            raise DatasetFormatError(
+                f"{path}: question {record.question!r} has one candidate; "
+                "training needs at least two"
+            )
+
+
 def save_dataset(records: list[QuestionRecord], path: str | Path) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:

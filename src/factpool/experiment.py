@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from factpool.config import Config
-from factpool.data import QuestionRecord, load_dataset
+from factpool.data import QuestionRecord, load_dataset, require_training_candidates
 from factpool.kg import KnowledgeGraph, load_kg
 from factpool.model import (
     CONDITIONS,
@@ -158,6 +158,7 @@ def load_assets(ecfg: ExperimentConfig) -> ExperimentAssets:
             f"{ecfg.dataset_path} has {len(records)} records, need "
             f"{ecfg.train_count}+{ecfg.test_count}"
         )
+    require_training_candidates(records[: ecfg.train_count], ecfg.dataset_path)
     return ExperimentAssets(
         kg=load_kg(ecfg.kg_path),
         templates=load_templates(ecfg.templates_path),

@@ -80,7 +80,6 @@ class Model:
     kind: str
     params: dict[str, np.ndarray]
     relations: list[str]  # relation table order shared by GNN and metadata
-    tokenizer: Tokenizer
 
 
 def relation_table(kg: KnowledgeGraph) -> list[str]:
@@ -103,13 +102,7 @@ def create_model(cfg: Config, kind: str, relations: list[str]) -> Model:
     if kind not in MODEL_KINDS:
         raise ValueError(f"model kind must be one of {MODEL_KINDS}")
     params = _init_params(cfg, kind, len(relations), _init_rng(cfg, kind))
-    return Model(
-        cfg=cfg,
-        kind=kind,
-        params=_cast(cfg, params),
-        relations=list(relations),
-        tokenizer=Tokenizer(cfg.vocab_size),
-    )
+    return Model(cfg=cfg, kind=kind, params=_cast(cfg, params), relations=list(relations))
 
 
 def _init_rng(cfg: Config, kind: str) -> np.random.Generator:
@@ -148,7 +141,7 @@ def build_encoder(model: Model, cache_path: str | None = None):
             _cast(cfg, init_trunk_params(cfg.L, cfg.d, cfg.vocab_size, cfg.max_tokens, rng)),
             cfg.L,
             cfg.heads,
-            model.tokenizer,
+            Tokenizer(cfg.vocab_size),
             cfg.token_pooling,
             max_tokens=cfg.max_tokens,
         )
@@ -259,7 +252,8 @@ def prepare_conditions(
 
     Every distinct fact is verbalized once.  All edge vectors come from one
     `encode_subgraphs` call and, for gnn, all entity surfaces from one
-    `encode_texts` call.
+    `encode_texts` call.  Only a pooled model reads facts: gnn and lm
+    candidates hold none.
     """
     if model.kind == "gnn" and not hasattr(encoder, "encode_texts"):
         raise ValueError(
@@ -268,7 +262,9 @@ def prepare_conditions(
         )
     subgraphs = [sub for statements in grounding for _, sub in statements]
     vectors: dict[str, np.ndarray] = {}
-    texts = encode_subgraphs(subgraphs, templates, encoder, vectors)
+    texts: dict[str, str] = {}
+    if model.kind == "pooled":
+        texts = encode_subgraphs(subgraphs, templates, encoder, vectors)
     nodes = {VIRTUAL_NODE_ID: np.zeros(model.cfg.d)}  # a placeholder for the question state
     if model.kind == "gnn":
         entities = sorted({node for sub in subgraphs for node in sub.nodes} - {VIRTUAL_NODE_ID})
@@ -297,12 +293,13 @@ def prepare_question(
     candidate that loses no edge is the intact candidate itself.
     """
     cfg = model.cfg
+    tokenizer = Tokenizer(cfg.vocab_size)
     prepared = {c: PreparedQuestion([], record.answer_index) for c in conditions}
     for stmt, sub in statements:
-        facts = sub.sorted_edges()
+        facts = sub.sorted_edges() if model.kind == "pooled" else []
         keys = [fact.key() for fact in facts]
         ids = tokenize_statement(
-            stmt.context, stmt.question, stmt.candidate, model.tokenizer, cfg.max_tokens
+            stmt.context, stmt.question, stmt.candidate, tokenizer, cfg.max_tokens
         )
         intact = PreparedCandidate(
             ids=np.asarray(ids, dtype=np.int64),
@@ -735,13 +732,7 @@ def load_model(path: str) -> Model:
                 f"{path}: tensor {name!r} has shape {have.get(name, 'none')}, "
                 f"a {kind} model needs {need.get(name, 'none')}"
             )
-    return Model(
-        cfg=cfg,
-        kind=kind,
-        params=_cast(cfg, params),
-        relations=list(relations),
-        tokenizer=Tokenizer(cfg.vocab_size),
-    )
+    return Model(cfg=cfg, kind=kind, params=_cast(cfg, params), relations=list(relations))
 
 
 # --- gradient checking ------------------------------------------------------------

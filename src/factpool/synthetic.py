@@ -62,6 +62,8 @@ class SyntheticSpec:
             raise ValueError("kg_fraction must be in [0, 1]")
         if not 0.0 <= self.distractor_rate <= 1.0:
             raise ValueError("distractor_rate must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def entities_needed(self) -> int:
         """The fewest `entities` `generate_synthetic` accepts: qe1, qe2 and the

@@ -302,6 +302,63 @@ def load_kg_oracle(path: str):
     )
 
 
+# The key=value config file, stated apart from `factpool.config`: each of
+# its 14 keys in file order, with its value type and its default.
+CONFIG_FILE_KEYS = {
+    "L": (int, 4),
+    "d": (int, 64),
+    "heads": (int, 4),
+    "K": (int, 0),
+    "fusion_mode": (str, "early"),
+    "max_tokens": (int, 100),
+    "max_nodes": (int, 32),
+    "token_pooling": (str, "mean"),
+    "encoder_kind": (str, "hash-bag"),
+    "lr_lm": (float, 3e-4),
+    "lr_graph": (float, 1e-3),
+    "epochs": (int, 20),
+    "batch_size": (int, 16),
+    "seed": (int, 0),
+}
+
+
+def parse_config_oracle(text: str):
+    """Every file key's value (the file's, else its default), or None when
+    `parse_config_text` must reject the text: a non-blank line (after its
+    `#` comment) without `=`, an unknown or repeated key, a value of the
+    wrong type, or values no model can run with."""
+    values = {}
+    for raw in text.splitlines():
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            return None
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in CONFIG_FILE_KEYS or key in values:
+            return None
+        kind = CONFIG_FILE_KEYS[key][0]
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            return None
+    c = {key: values.get(key, default) for key, (_, default) in CONFIG_FILE_KEYS.items()}
+    sizes = ("L", "d", "heads", "max_tokens", "max_nodes", "epochs", "batch_size")
+    runnable = (
+        all(c[name] >= 1 for name in sizes)
+        and c["seed"] >= 0
+        and c["d"] % c["heads"] == 0
+        and 0 <= c["K"] <= c["L"]
+        and c["fusion_mode"] in ("early", "early_late")
+        and not (c["fusion_mode"] == "early" and c["K"] != 0)
+        and c["token_pooling"] in ("cls", "mean")
+        and c["encoder_kind"] in ("hash-bag", "shared-toy-encoder", "external-file")
+        and not (c["token_pooling"] == "cls" and c["encoder_kind"] == "hash-bag")
+        and all(math.isfinite(c[name]) and c[name] >= 0 for name in ("lr_lm", "lr_graph"))
+    )
+    return c if runnable else None
+
+
 def barycentric_membership(points: list[np.ndarray], target: np.ndarray, tol=1e-9) -> bool:
     """Is target a convex combination of <= 3 points (exhaustive solve)?"""
     pts = np.stack(points)
@@ -352,25 +409,27 @@ def subgraphs_oracle(kg, record, max_nodes, condition):
 
 def prepare_question_oracle(model, kg, templates, encoder, record, condition):
     """Per-question preparation from `subgraphs_oracle`: one encoder call per
-    fact and per GNN entity node."""
+    fact of a pooled model (gnn and lm candidates hold no facts) and per GNN
+    entity node."""
     from factpool.gnn import subgraph_arrays
     from factpool.kg import VIRTUAL_NODE_ID, id_to_surface
     from factpool.model import PreparedCandidate, PreparedQuestion
-    from factpool.tokenizer import tokenize_statement
+    from factpool.tokenizer import Tokenizer, tokenize_statement
     from factpool.verbalize import verbalize
 
     cfg = model.cfg
     candidates = []
     for stmt, sub in subgraphs_oracle(kg, record, cfg.max_nodes, condition):
-        facts = sub.sorted_edges()
+        facts = sub.sorted_edges() if model.kind == "pooled" else []
         texts = [verbalize(f, templates) for f in facts]
         if facts:
             matrix = np.stack([encoder.encode_fact_text(f, t) for f, t in zip(facts, texts)])
         else:
             matrix = np.zeros((0, cfg.d))
+        tokenizer = Tokenizer(cfg.vocab_size)
         ids = np.asarray(
             tokenize_statement(
-                stmt.context, stmt.question, stmt.candidate, model.tokenizer, cfg.max_tokens
+                stmt.context, stmt.question, stmt.candidate, tokenizer, cfg.max_tokens
             ),
             dtype=np.int64,
         )

@@ -274,6 +274,66 @@ def test_train_question_the_tokenizer_cannot_fit_is_one_error_line(
     assert proc.stderr == f"factpool: error: {expected}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["generate", "--seed", "-1", "--entities", "7000", "--questions", "10"],
+         "factpool generate: error: argument --seed: must be at least 0: '-1'"),
+        (["gradcheck", "--seed", "-1"],
+         "factpool gradcheck: error: argument --seed: must be at least 0: '-1'"),
+        (["gradcheck", "--config", "{cfg}"],
+         "factpool: error: --config {cfg}: seed must be non-negative, got -3"),
+    ],
+    ids=["generate", "gradcheck", "gradcheck-config"],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, argv, expected):
+    cfg = tmp_path / "negative.cfg"
+    cfg.write_text(CONFIG_TEXT.replace("seed=0", "seed=-3"), encoding="utf-8")
+    argv = [arg.format(cfg=cfg) for arg in argv]
+    out = tmp_path / "out"
+    if argv[0] == "generate":
+        argv += ["--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "factpool", *argv], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if "error" in line] == [
+        expected.format(cfg=cfg)
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "run"])
+def test_one_candidate_training_question_is_one_error_line(workspace, tmp_path, command):
+    lines = (workspace / "data" / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    keep = record["answer_index"]
+    record["candidates"] = record["candidates"][keep : keep + 1]
+    record["answer_index"] = 0
+    if "answer_entities" in record:
+        record["answer_entities"] = record["answer_entities"][keep : keep + 1]
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n", encoding="utf-8")
+    data = workspace / "data"
+    out = tmp_path / "out"
+    counts = ["--train-count", "8", "--test-count", "4"] if command == "run" else []
+    proc = subprocess.run(
+        [sys.executable, "-m", "factpool", command, "--kg", str(data / "kg.tsv"),
+         "--dataset", str(dataset), "--templates", str(data / "templates.tsv"),
+         "--config", str(workspace / "run.cfg"), *counts, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"factpool: error: {dataset}: question {record['question']!r} has one candidate; "
+        "training needs at least two\n"
+    )
+    assert not out.exists()
+
+
 def _bad_input(workspace, name: str):
     """(command args, expected message) for a command given one bad input file."""
     path = workspace / f"bad_{name}"
@@ -389,7 +449,7 @@ def test_external_file_checkpoint_without_cache_is_a_usage_error(tmp_path, comma
     _usage_error_before_any_input(
         tmp_path,
         [command, "--checkpoint", str(ckpt)],
-        "--cache is required: the model's encoder_kind is external-file",
+        f"--checkpoint {ckpt}: encoder_kind=external-file needs --cache",
     )
 
 
@@ -865,7 +925,18 @@ def test_each_command_takes_exactly_the_flags_it_reads():
     }
     assert flags == COMMAND_FLAGS
     for name, argv in REQUIRED_ARGS.items():
-        assert parser.parse_args([name, *argv]).func is cli.COMMANDS[name][0]
+        assert parser.parse_args([name, *argv]).command == name
+        assert callable(getattr(cli, f"cmd_{name.replace('-', '_')}"))
+
+
+def test_main_runs_the_handler_bound_when_it_is_called(monkeypatch):
+    # A tracer wraps a handler by rebinding the module attribute.
+    from factpool import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_count_aggs", lambda args: seen.append(args.nodes) or 7)
+    assert cli.main(["count-aggs", "--nodes", "4"]) == 7
+    assert seen == [[4]]
 
 
 REMOVED_FLAGS = [

@@ -1,6 +1,9 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import CONFIG_FILE_KEYS, parse_config_oracle
 
 from factpool.config import FILE_KEYS, Config, config_text, load_config, parse_config_text
 
@@ -49,6 +52,13 @@ def test_cls_pooling_needs_an_encoder_with_a_cls_token():
     assert Config(token_pooling="cls", encoder_kind="shared-toy-encoder").token_pooling == "cls"
 
 
+def test_negative_seed_is_rejected():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        Config(seed=-1)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+        parse_config_text("seed=-3\n")
+
+
 def test_zero_learning_rate_is_accepted():
     # A zero rate freezes its parameter group.
     assert parse_config_text("lr_lm=0\nlr_graph=0.0\n").lr_lm == 0.0
@@ -71,3 +81,68 @@ def test_unparsable_value_names_line_and_key(text, message):
     with pytest.raises(ValueError) as exc:
         parse_config_text(text)
     assert str(exc.value) == message
+
+
+# Per key, values a runnable config may hold; other keys are unknown to the file.
+GOOD_VALUES = {
+    "L": ["1", "2", "4"],
+    "d": ["16", "64"],
+    "heads": ["1", "2", "4"],
+    "K": ["0", "1", "2"],
+    "fusion_mode": ["early", "early_late"],
+    "max_tokens": ["8", "100"],
+    "max_nodes": ["1", "32"],
+    "token_pooling": ["mean", "cls"],
+    "encoder_kind": ["hash-bag", "shared-toy-encoder", "external-file"],
+    "lr_lm": ["0", "3e-4", "0.5"],
+    "lr_graph": ["0.0", "1e-3"],
+    "epochs": ["1", "20"],
+    "batch_size": ["1", "16"],
+    "seed": ["0", "7"],
+    # Config fields that only checkpoints carry, and a name of no field.
+    "vocab_size": ["64"],
+    "gnn_layers": ["2"],
+    "precision": ["f32", "f64"],
+    "width": ["16"],
+}
+# Wrong types, out-of-range numbers and `=` inside a value, for any key.
+BAD_VALUES = ["-1", "0", "3", "x", "2.5", "nan", "inf", "", "early=late", "4=4"]
+
+
+@st.composite
+def config_lines(draw):
+    form = draw(st.sampled_from(["setting"] * 6 + ["blank", "comment", "no-equals"]))
+    if form == "blank":
+        return draw(st.sampled_from(["", "   "]))
+    if form == "comment":
+        return draw(st.sampled_from(["# a note", "  # L=4", "#"]))
+    if form == "no-equals":
+        return draw(st.sampled_from(["L", "early", "seed 4"]))
+    key = draw(st.sampled_from(sorted(GOOD_VALUES) + list(CONFIG_FILE_KEYS) * 2))
+    value = draw(st.sampled_from(GOOD_VALUES[key] * 6 + BAD_VALUES))
+    space = draw(st.sampled_from(["", " "]))
+    comment = draw(st.sampled_from(["", "", " # why", "#seed=1"]))
+    return f"{key}{space}={space}{value}{comment}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(config_lines(), max_size=6), st.sampled_from(["\n", "\r\n"]))
+def test_parse_config_text_matches_the_reference(lines, newline):
+    text = newline.join(lines) + newline
+    expected = parse_config_oracle(text)
+    try:
+        cfg = parse_config_text(text)
+    except ValueError:
+        assert expected is None, text
+        return
+    assert expected is not None, text
+    parsed = {key: getattr(cfg, key) for key in CONFIG_FILE_KEYS}
+    assert {k: (type(v), v) for k, v in parsed.items()} == {
+        k: (type(v), v) for k, v in expected.items()
+    }
+    assert cfg == Config(**expected)
+
+
+def test_sizes_are_checked_before_width_divides_into_heads():
+    with pytest.raises(ValueError, match="heads must be positive"):
+        parse_config_text("heads=0\n")

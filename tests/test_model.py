@@ -44,6 +44,7 @@ from factpool.model import (
 from factpool.data import QuestionRecord
 from factpool.encoders import write_embedding_cache
 from factpool.synthetic import SyntheticSpec, generate_synthetic
+from factpool.tokenizer import Tokenizer
 from factpool.verbalize import verbalize
 
 
@@ -723,7 +724,7 @@ def test_prepare_dataset_matches_per_question_oracle(tmp_path, kind, setup, cond
             q_got.candidates, q_want.candidates, statements, oracle, strict=True
         ):
             assert_same_candidate(c_got, c_want, apply_condition(sub, stmt, condition), want_sub)
-            edges.append(len(c_want.facts))
+            edges.append(len(want_sub.edges))
     assert 0 in edges and max(edges) > 0
 
 
@@ -767,7 +768,7 @@ def test_without_answers_candidate_that_loses_no_edge_is_the_intact_one():
         ):
             got_sub = apply_condition(sub, stmt, WITHOUT_ANSWERS)
             assert_same_candidate(c_without, c_oracle, got_sub, want_sub)
-            if len(c_without.facts) == len(c_with.facts):
+            if len(got_sub.edges) == len(sub.edges):
                 assert c_without is c_with
                 kept += 1
             else:
@@ -803,7 +804,8 @@ def test_toy_encoder_runs_one_forward_per_batch_group(monkeypatch, kind):
     def groups(texts):
         # Distinct texts per sequence length ([CLS] + text tokens, capped).
         lengths = Counter(
-            min(len(model.tokenizer.encode_text(t)) + 1, cfg.max_tokens) for t in set(texts)
+            min(len(Tokenizer(cfg.vocab_size).encode_text(t)) + 1, cfg.max_tokens)
+            for t in set(texts)
         )
         return sum(-(-n // encoders.ENCODE_BATCH) for n in lengths.values())
 

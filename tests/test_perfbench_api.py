@@ -130,7 +130,5 @@ def test_traced_workload_paths_record_every_layer_they_reach(tmp_path):
     values, missing = layers.layer_metrics(recorder.spans, missing_targets)
     assert not missing
     assert {m.name for m in layers.LAYER_METRICS} == set(values)
-    # `cli.main` calls the handlers `cli.COMMANDS` holds, which the tracer's
-    # rebinding of module attributes does not reach.
-    reached = {b.name for b in layers.BOUNDARIES if not b.name.startswith("cli.")}
+    reached = {b.name for b in layers.BOUNDARIES}
     assert reached <= {span[spans.NAME] for span in recorder.spans}

@@ -105,6 +105,11 @@ def test_kg_questions_text_neutral():
             assert all(len(c.split()) == 1 for c in record.candidates)
 
 
+def test_negative_seed_is_rejected():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        SyntheticSpec(seed=-1)
+
+
 def test_infeasible_spec_errors():
     with pytest.raises(ValueError, match="infeasible"):
         generate_synthetic(small_spec(entities=30, questions=50))
