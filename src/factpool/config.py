@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from factpool.tokenizer import Tokenizer
+
 FUSION_MODES = ("early", "early_late")
 TOKEN_POOLINGS = ("cls", "mean")
 ENCODER_KINDS = ("hash-bag", "shared-toy-encoder", "external-file")
@@ -38,9 +40,12 @@ class Config:
         self.validate()
 
     def validate(self) -> None:
-        for name in ("L", "d", "heads", "max_tokens", "max_nodes", "epochs", "batch_size"):
+        for name in (
+            "L", "d", "heads", "max_tokens", "max_nodes", "epochs", "batch_size", "gnn_layers"
+        ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        Tokenizer(self.vocab_size)  # it owns the reserved-id bound
         if self.d % self.heads != 0:
             raise ValueError(f"width d={self.d} must be divisible by heads={self.heads}")
         if not 0 <= self.K <= self.L:

@@ -178,35 +178,9 @@ def run_experiment(ecfg: ExperimentConfig, assets: ExperimentAssets | None = Non
     max_nodes = ecfg.config.max_nodes
     train_grounding = ground_records(assets.kg, assets.train_records, max_nodes)
     test_grounding = ground_records(assets.kg, assets.test_records, max_nodes)
-    per_seed: list[SeedResult] = []
-    for seed in ecfg.seeds:
-        cfg = replace(ecfg.config, seed=seed)
-        model = create_model(cfg, ecfg.model_kind, relation_table(assets.kg))
-        encoder = build_encoder(model)
-        train_q = prepare_conditions(
-            model,
-            assets.templates,
-            encoder,
-            assets.train_records,
-            train_grounding,
-            (ecfg.condition,),
-        )[ecfg.condition]
-        ckpt_dir = None
-        if ecfg.out_dir is not None:
-            ckpt_dir = str(Path(ecfg.out_dir) / f"{ecfg.model_kind}_seed{seed}")
-        losses = train_model(model, train_q, out_dir=ckpt_dir)
-        test = prepare_conditions(
-            model, assets.templates, encoder, assets.test_records, test_grounding
-        )
-        accs = evaluate_conditions(model, test)
-        per_seed.append(
-            SeedResult(
-                seed=seed,
-                acc_with=accs[WITH_ANSWERS],
-                acc_without=accs[WITHOUT_ANSWERS],
-                final_loss=losses[-1],
-            )
-        )
+    per_seed = [
+        _run_seed(ecfg, assets, seed, train_grounding, test_grounding) for seed in ecfg.seeds
+    ]
     metrics = Metrics(
         ecfg.model_kind,
         ecfg.condition,
@@ -218,6 +192,45 @@ def run_experiment(ecfg: ExperimentConfig, assets: ExperimentAssets | None = Non
     if ecfg.out_dir is not None:
         atomic_write_text(Path(ecfg.out_dir) / f"metrics_{ecfg.model_kind}.txt", metrics.render())
     return metrics
+
+
+def _run_seed(
+    ecfg: ExperimentConfig,
+    assets: ExperimentAssets,
+    seed: int,
+    train_grounding: Grounding,
+    test_grounding: Grounding,
+) -> SeedResult:
+    """One seed's training and evaluation.  Its model, encoder and prepared
+    test set die on return, before the next seed prepares its own."""
+    cfg = replace(ecfg.config, seed=seed)
+    model = create_model(cfg, ecfg.model_kind, relation_table(assets.kg))
+    encoder = build_encoder(model)
+    ckpt_dir = None
+    if ecfg.out_dir is not None:
+        ckpt_dir = str(Path(ecfg.out_dir) / f"{ecfg.model_kind}_seed{seed}")
+    # The prepared training set is only train_model's argument, so it dies
+    # when training returns, before the test set is prepared.
+    losses = train_model(
+        model,
+        prepare_conditions(
+            model,
+            assets.templates,
+            encoder,
+            assets.train_records,
+            train_grounding,
+            (ecfg.condition,),
+        )[ecfg.condition],
+        out_dir=ckpt_dir,
+    )
+    test = prepare_conditions(model, assets.templates, encoder, assets.test_records, test_grounding)
+    accs = evaluate_conditions(model, test)
+    return SeedResult(
+        seed=seed,
+        acc_with=accs[WITH_ANSWERS],
+        acc_without=accs[WITHOUT_ANSWERS],
+        final_loss=losses[-1],
+    )
 
 
 SWEEP_VALUES = {"K": (0, 2, 5), "max_nodes": (16, 32, 64)}  # default values per axis

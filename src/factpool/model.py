@@ -548,9 +548,9 @@ def batch_backward(model: Model, result: BatchResult) -> dict[str, np.ndarray]:
 
 
 def loss_and_grads(model: Model, questions: list[PreparedQuestion]):
+    """(loss, gradients) of one batch.  The forward's activations die on return."""
     result = batch_forward(model, questions, backward_cache=True)
-    grads = batch_backward(model, result)
-    return result.loss, grads, result
+    return result.loss, batch_backward(model, result)
 
 
 EVAL_CHUNK = 64  # questions per evaluation batch
@@ -661,20 +661,7 @@ def train_model(
         batches = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_questions[i] for i in order[start : start + cfg.batch_size]]
-            loss, grads, _ = loss_and_grads(model, batch)
-            if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite loss {loss} at epoch {epoch} step {step} "
-                    f"(kind={model.kind}, lr_lm={cfg.lr_lm}, lr_graph={cfg.lr_graph})"
-                )
-            bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
-            if bad is not None:
-                raise DivergenceError(
-                    f"non-finite gradient of {bad} at epoch {epoch} step {step} "
-                    f"(kind={model.kind}, lr_lm={cfg.lr_lm}, lr_graph={cfg.lr_graph})"
-                )
-            optimizer.step(model.params, grads)
-            epoch_loss += loss
+            epoch_loss += _train_step(model, optimizer, batch, f"epoch {epoch} step {step}")
             batches += 1
             step += 1
         losses.append(epoch_loss / batches)
@@ -685,6 +672,27 @@ def train_model(
     if out_dir is not None:
         save_model(model, f"{out_dir}/final.ckpt", step=step)
     return losses
+
+
+def _train_step(
+    model: Model, optimizer: RAdam, batch: list[PreparedQuestion], where: str
+) -> float:
+    """One RAdam update on `batch`; returns its loss.  The step's gradients
+    die on return, before the next step's forward runs.
+
+    DivergenceError names a non-finite loss, else the first non-finite gradient.
+    """
+    loss, grads = loss_and_grads(model, batch)
+    bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
+    if not np.isfinite(loss) or bad is not None:
+        what = f"loss {loss}" if not np.isfinite(loss) else f"gradient of {bad}"
+        cfg = model.cfg
+        raise DivergenceError(
+            f"non-finite {what} at {where} "
+            f"(kind={model.kind}, lr_lm={cfg.lr_lm}, lr_graph={cfg.lr_graph})"
+        )
+    optimizer.step(model.params, grads)
+    return loss
 
 
 # --- persistence ----------------------------------------------------------------
@@ -765,8 +773,7 @@ def gradient_check(
     near-zero gradients does not dominate.  `max_per_param` caps how many
     (deterministically chosen) elements per tensor are probed.
     """
-    base_loss, grads, _ = loss_and_grads(model, questions)
-    del base_loss
+    grads = loss_and_grads(model, questions)[1]
     group_errors: dict[str, float] = {}
     checked = 0
     for name in sorted(model.params):

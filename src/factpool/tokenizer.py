@@ -26,7 +26,10 @@ class Tokenizer:
 
     def __post_init__(self) -> None:
         if self.vocab_size <= _NUM_RESERVED:
-            raise ValueError("vocab_size must exceed the reserved token count")
+            raise ValueError(
+                f"vocab_size must exceed the {_NUM_RESERVED} reserved token ids, "
+                f"got {self.vocab_size}"
+            )
 
     def token_id(self, token: str) -> int:
         return _NUM_RESERVED + stable_hash64(token) % (self.vocab_size - _NUM_RESERVED)

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import rewrite_checkpoint_config
 
 from factpool.checkpoint import (
     CheckpointError,
@@ -205,6 +206,28 @@ def test_load_model_checks_header_against_tensors(tmp_path, edit, message):
     edit(header, params)
     save_checkpoint(path, params, header["config"], header["seed"], header["step"], header["meta"])
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
+        load_model(str(path))
+
+
+# A gnn's parameter shapes do not depend on its round count, so only the
+# config check can reject these.
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"gnn_layers": 0}, "gnn_layers must be positive"),
+        ({"gnn_layers": -2}, "gnn_layers must be positive"),
+        ({"vocab_size": 4}, "vocab_size must exceed the 4 reserved token ids, got 4"),
+        ({"vocab_size": 2}, "vocab_size must exceed the 4 reserved token ids, got 2"),
+    ],
+    ids=["gnn-layers-0", "gnn-layers-negative", "vocab-reserved-only", "vocab-below-reserved"],
+)
+def test_load_model_rejects_a_config_no_model_can_run(tmp_path, values, message):
+    cfg = Config(L=2, d=16, heads=2, vocab_size=64, max_tokens=16, max_nodes=8)
+    path = tmp_path / "gnn.ckpt"
+    save_model(create_model(cfg, "gnn", ["r0", "r1"]), str(path))
+    rewrite_checkpoint_config(path, **values)
+    expected = f"{path}: invalid checkpoint config ({message})"
+    with pytest.raises(CheckpointError, match=re.escape(expected)):
         load_model(str(path))
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import rewrite_checkpoint_config
 
 CONFIG_TEXT = """\
 L=2
@@ -521,6 +522,37 @@ def test_relation_without_template_names_templates_file_and_fact(workspace, caps
         r"'(sits_near_\d+)' \(fact '\w+\\t\1\\t\w+'\)\n"
     )
     assert re.fullmatch(pattern, err), err
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"gnn_layers": 0}, "gnn_layers must be positive"),
+        ({"gnn_layers": -2}, "gnn_layers must be positive"),
+        ({"vocab_size": 4}, "vocab_size must exceed the 4 reserved token ids, got 4"),
+    ],
+    ids=["gnn-layers-0", "gnn-layers-negative", "vocab-reserved-only"],
+)
+def test_eval_of_a_checkpoint_with_an_invalid_config_is_one_error_line(
+    workspace, tmp_path, capsys, values, message
+):
+    from factpool import cli
+    from factpool.config import load_config
+    from factpool.kg import load_kg
+    from factpool.model import create_model, relation_table, save_model
+
+    ckpt = tmp_path / "gnn.ckpt"
+    model = create_model(
+        load_config(workspace / "run.cfg"), "gnn", relation_table(load_kg(graph_args(workspace)[1]))
+    )
+    save_model(model, str(ckpt))
+    rewrite_checkpoint_config(ckpt, **values)
+    argv = ["eval", *data_args(workspace), "--checkpoint", str(ckpt), "--skip", "10",
+            "--count", "4", "--out", str(tmp_path / "eval")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"factpool: error: {ckpt}: invalid checkpoint config ({message})\n"
+    )
 
 
 def test_train_eval_explain_roundtrip(workspace):

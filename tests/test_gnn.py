@@ -52,11 +52,11 @@ def rel_index(sub):
     return {r: i for i, r in enumerate(sorted({e.relation for e in sub.edges}))}
 
 
-def gnn_question(gnn_layers=2):
+def gnn_question():
     """A tiny gnn model, its encoder, one prepared graph-determined question and
     its grounding (per candidate: statement and intact subgraph)."""
     cfg = Config(L=2, d=8, heads=2, vocab_size=64, max_tokens=48, max_nodes=8,
-                 gnn_layers=gnn_layers, seed=0)
+                 gnn_layers=2, seed=0)
     kg, templates, records = tiny_benchmark(seed=1, questions=4)
     model = create_model(cfg, "gnn", relation_table(kg))
     encoder = build_encoder(model)
@@ -336,12 +336,13 @@ def test_forward_arrays_cover_every_node():
 
 
 def test_gnn_score_reads_question_state():
-    # zero-layer propagation: the score depends on the question vector only
-    model, _, prepared, _ = gnn_question(gnn_layers=0)
+    # the virtual node starts from the question state: its prepared row is a
+    # placeholder the forward never reads
+    model, _, prepared, _ = gnn_question()
     scores = batch_forward(model, [prepared]).scores
     rng = np.random.default_rng(4)
     for cand in prepared.candidates:
-        cand.node_init = rng.standard_normal(cand.node_init.shape)
+        cand.node_init[cand.gnn.virtual_index] = rng.standard_normal(cand.node_init.shape[1])
     result = batch_forward(model, [prepared])
     assert np.array_equal(result.scores, scores)
     # a zeroed head adds exactly nothing to the text score

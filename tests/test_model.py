@@ -203,7 +203,7 @@ def test_overfit_single_question_and_discriminate():
     prepared = prepare_dataset(model, kg, templates, encoder, [record])
     loss = None
     for step in range(200):
-        loss, grads, _ = loss_and_grads(model, prepared)
+        loss, grads = loss_and_grads(model, prepared)
         if loss < 1e-2:
             break
         from factpool.optim import RAdam
@@ -248,12 +248,12 @@ def test_non_finite_gradient_raises(monkeypatch):
     calls = []
 
     def nan_grad_on_second_step(model, questions):
-        loss, grads, result = real(model, questions)
+        loss, grads = real(model, questions)
         calls.append(loss)
         if len(calls) == 2:
             grads["fq.w2"] = grads["fq.w2"].copy()
             grads["fq.w2"].flat[3] = np.nan
-        return loss, grads, result
+        return loss, grads
 
     monkeypatch.setattr(model_mod, "loss_and_grads", nan_grad_on_second_step)
     before = {k: v.copy() for k, v in model.params.items()}
@@ -316,7 +316,7 @@ def test_matched_uniform_targets_give_zero_gradient():
     base = QuestionRecord(question="pick one now", candidates=["twin", "twin"], answer_index=0)
     other = QuestionRecord(question="pick one now", candidates=["twin", "twin"], answer_index=1)
     prepared = prepare_dataset(model, kg, templates, encoder, [base, other])
-    _, grads, _ = loss_and_grads(model, prepared)
+    _, grads = loss_and_grads(model, prepared)
     for name, grad in grads.items():
         assert np.max(np.abs(grad)) < 1e-12, name
 

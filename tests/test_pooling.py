@@ -250,7 +250,7 @@ def test_edgeless_batch_gets_no_pool_gradient():
     model, kg, templates, encoder, _ = pooled_model(K=1)
     record = QuestionRecord(question="zzq xqv", candidates=["vvx", "qqz"], answer_index=0)
     [prepared] = prepare_dataset(model, kg, templates, encoder, [record])
-    _, grads, _ = loss_and_grads(model, [prepared])
+    _, grads = loss_and_grads(model, [prepared])
     assert "fg.w1" in grads
     assert not [name for name in grads if name.startswith("pool")]
 
