@@ -661,7 +661,21 @@ def train_model(
         batches = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_questions[i] for i in order[start : start + cfg.batch_size]]
-            epoch_loss += _train_step(model, optimizer, batch, f"epoch {epoch} step {step}")
+            loss, grads = loss_and_grads(model, batch)
+            if not np.isfinite(loss):
+                raise DivergenceError(
+                    f"non-finite loss {loss} at epoch {epoch} step {step} "
+                    f"(kind={model.kind}, lr_lm={cfg.lr_lm}, lr_graph={cfg.lr_graph})"
+                )
+            bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
+            if bad is not None:
+                raise DivergenceError(
+                    f"non-finite gradient of {bad} at epoch {epoch} step {step} "
+                    f"(kind={model.kind}, lr_lm={cfg.lr_lm}, lr_graph={cfg.lr_graph})"
+                )
+            optimizer.step(model.params, grads)
+            del grads  # the step's gradients die before the next forward runs
+            epoch_loss += loss
             batches += 1
             step += 1
         losses.append(epoch_loss / batches)
@@ -672,27 +686,6 @@ def train_model(
     if out_dir is not None:
         save_model(model, f"{out_dir}/final.ckpt", step=step)
     return losses
-
-
-def _train_step(
-    model: Model, optimizer: RAdam, batch: list[PreparedQuestion], where: str
-) -> float:
-    """One RAdam update on `batch`; returns its loss.  The step's gradients
-    die on return, before the next step's forward runs.
-
-    DivergenceError names a non-finite loss, else the first non-finite gradient.
-    """
-    loss, grads = loss_and_grads(model, batch)
-    bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
-    if not np.isfinite(loss) or bad is not None:
-        what = f"loss {loss}" if not np.isfinite(loss) else f"gradient of {bad}"
-        cfg = model.cfg
-        raise DivergenceError(
-            f"non-finite {what} at {where} "
-            f"(kind={model.kind}, lr_lm={cfg.lr_lm}, lr_graph={cfg.lr_graph})"
-        )
-    optimizer.step(model.params, grads)
-    return loss
 
 
 # --- persistence ----------------------------------------------------------------

@@ -524,18 +524,10 @@ def test_relation_without_template_names_templates_file_and_fact(workspace, caps
     assert re.fullmatch(pattern, err), err
 
 
-@pytest.mark.parametrize(
-    "values, message",
-    [
-        ({"gnn_layers": 0}, "gnn_layers must be positive"),
-        ({"gnn_layers": -2}, "gnn_layers must be positive"),
-        ({"vocab_size": 4}, "vocab_size must exceed the 4 reserved token ids, got 4"),
-    ],
-    ids=["gnn-layers-0", "gnn-layers-negative", "vocab-reserved-only"],
-)
 def test_eval_of_a_checkpoint_with_an_invalid_config_is_one_error_line(
-    workspace, tmp_path, capsys, values, message
+    workspace, tmp_path, capsys
 ):
+    # each rejected field's message is checked in test_checkpoint.py
     from factpool import cli
     from factpool.config import load_config
     from factpool.kg import load_kg
@@ -546,12 +538,12 @@ def test_eval_of_a_checkpoint_with_an_invalid_config_is_one_error_line(
         load_config(workspace / "run.cfg"), "gnn", relation_table(load_kg(graph_args(workspace)[1]))
     )
     save_model(model, str(ckpt))
-    rewrite_checkpoint_config(ckpt, **values)
+    rewrite_checkpoint_config(ckpt, gnn_layers=0)
     argv = ["eval", *data_args(workspace), "--checkpoint", str(ckpt), "--skip", "10",
             "--count", "4", "--out", str(tmp_path / "eval")]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == (
-        f"factpool: error: {ckpt}: invalid checkpoint config ({message})\n"
+        f"factpool: error: {ckpt}: invalid checkpoint config (gnn_layers must be positive)\n"
     )
 
 

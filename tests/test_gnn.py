@@ -336,13 +336,14 @@ def test_forward_arrays_cover_every_node():
 
 
 def test_gnn_score_reads_question_state():
-    # the virtual node starts from the question state: its prepared row is a
-    # placeholder the forward never reads
+    # zero-round propagation: the score depends on the question vector only.
+    # Config rejects gnn_layers=0, so the round count is set after validation.
     model, _, prepared, _ = gnn_question()
+    model.cfg.gnn_layers = 0
     scores = batch_forward(model, [prepared]).scores
     rng = np.random.default_rng(4)
     for cand in prepared.candidates:
-        cand.node_init[cand.gnn.virtual_index] = rng.standard_normal(cand.node_init.shape[1])
+        cand.node_init = rng.standard_normal(cand.node_init.shape)
     result = batch_forward(model, [prepared])
     assert np.array_equal(result.scores, scores)
     # a zeroed head adds exactly nothing to the text score
