@@ -162,12 +162,28 @@ def build_encoder(model: Model, cache_path: str | None = None):
 
 @dataclass
 class PreparedCandidate:
+    """One statement's model input.  Its edge and node vectors are rows of
+    tables shared by every candidate of one prepared set, so a fact or an
+    entity is held once however many candidates and conditions read it."""
+
     ids: np.ndarray  # [T] token ids
-    facts: list[Fact]  # canonical edge order, aligned with edge_matrix rows
+    facts: list[Fact]  # canonical edge order, aligned with edge_rows
     fact_texts: list[str]
-    edge_matrix: np.ndarray  # [E, d]; E may be 0
+    edge_table: np.ndarray  # [F, d] the prepared set's edge vectors
+    edge_rows: np.ndarray  # [E] int64 edge_table rows; E may be 0
     gnn: SubgraphArrays | None = None
-    node_init: np.ndarray | None = None  # [N, d]; virtual row is a placeholder
+    node_table: np.ndarray | None = None  # [N_set, d] the prepared set's node states
+    node_rows: np.ndarray | None = None  # [N] int64 node_table rows, aligned with gnn.node_ids
+
+    @property
+    def edge_matrix(self) -> np.ndarray:
+        """[E, d] edge vectors, a new array."""
+        return self.edge_table[self.edge_rows]
+
+    @property
+    def node_init(self) -> np.ndarray | None:
+        """[N, d] initial node states, a new array; the virtual row is a placeholder."""
+        return None if self.node_rows is None else self.node_table[self.node_rows]
 
 
 @dataclass
@@ -218,11 +234,14 @@ def apply_condition(sub: Subgraph, stmt: GroundedStatement, condition: str) -> S
 
 @dataclass
 class DatasetEncoding:
-    """What a dataset's questions share: its encoded facts and entities."""
+    """What a dataset's questions share: one table of its encoded facts and,
+    for gnn, one of its node states, each with a row per distinct key."""
 
     texts: dict[str, str]  # fact key -> verbalized text
-    vectors: dict[str, np.ndarray]  # fact key -> edge vector
-    nodes: dict[str, np.ndarray]  # gnn: node id -> initial state
+    edge_table: np.ndarray  # [F, d]
+    edge_rows: dict[str, int]  # fact key -> edge_table row
+    node_table: np.ndarray | None  # gnn: [N_set, d]; row 0 is the virtual placeholder
+    node_rows: dict[str, int]  # gnn: node id -> node_table row
     relation_index: dict[str, int]
 
 
@@ -252,8 +271,10 @@ def prepare_conditions(
 
     Every distinct fact is verbalized once.  All edge vectors come from one
     `encode_subgraphs` call and, for gnn, all entity surfaces from one
-    `encode_texts` call.  Only a pooled model reads facts: gnn and lm
-    candidates hold none.
+    `encode_texts` call.  They are stacked into one edge table (rows in
+    first-seen fact order) and one node table (the virtual placeholder, then
+    the sorted entities) that every returned candidate indexes.  Only a
+    pooled model reads facts: gnn and lm candidates hold none.
     """
     if model.kind == "gnn" and not hasattr(encoder, "encode_texts"):
         raise ValueError(
@@ -265,13 +286,22 @@ def prepare_conditions(
     texts: dict[str, str] = {}
     if model.kind == "pooled":
         texts = encode_subgraphs(subgraphs, templates, encoder, vectors)
-    nodes = {VIRTUAL_NODE_ID: np.zeros(model.cfg.d)}  # a placeholder for the question state
+    edge_table = np.stack(list(vectors.values())) if vectors else np.zeros((0, model.cfg.d))
+    node_table, node_ids = None, []
     if model.kind == "gnn":
         entities = sorted({node for sub in subgraphs for node in sub.nodes} - {VIRTUAL_NODE_ID})
         surfaces = [id_to_surface(entity) for entity in entities]
-        nodes.update(zip(entities, encoder.encode_texts(surfaces)))
-    relation_index = {rel: i for i, rel in enumerate(model.relations)}
-    encoding = DatasetEncoding(texts, vectors, nodes, relation_index)
+        # Row 0 is a placeholder for the question state.
+        node_table = np.stack([np.zeros(model.cfg.d), *encoder.encode_texts(surfaces)])
+        node_ids = [VIRTUAL_NODE_ID, *entities]
+    encoding = DatasetEncoding(
+        texts=texts,
+        edge_table=edge_table,
+        edge_rows={key: i for i, key in enumerate(vectors)},
+        node_table=node_table,
+        node_rows={node: i for i, node in enumerate(node_ids)},
+        relation_index={rel: i for i, rel in enumerate(model.relations)},
+    )
     questions = [
         prepare_question(model, record, statements, encoding, conditions)
         for record, statements in zip(records, grounding, strict=True)
@@ -288,9 +318,10 @@ def prepare_question(
 ) -> dict[str, PreparedQuestion]:
     """One record under each condition, from its statements' intact subgraphs.
 
-    A without_answers candidate is the intact one minus the answer-incident
-    edges' rows; its nodes, and so its token ids and node states, stay.  A
-    candidate that loses no edge is the intact candidate itself.
+    A without_answers candidate indexes the intact one's edge rows minus
+    the answer-incident edges'; its nodes, and so its token ids and node
+    states, stay.  A candidate that loses no edge is the intact candidate
+    itself.
     """
     cfg = model.cfg
     tokenizer = Tokenizer(cfg.vocab_size)
@@ -305,13 +336,15 @@ def prepare_question(
             ids=np.asarray(ids, dtype=np.int64),
             facts=facts,
             fact_texts=[encoding.texts[key] for key in keys],
-            edge_matrix=(
-                np.stack([encoding.vectors[key] for key in keys]) if keys else np.zeros((0, cfg.d))
-            ),
+            edge_table=encoding.edge_table,
+            edge_rows=np.array([encoding.edge_rows[key] for key in keys], dtype=np.int64),
         )
         if model.kind == "gnn":
             intact.gnn = subgraph_arrays(sub, encoding.relation_index)
-            intact.node_init = np.stack([encoding.nodes[node] for node in intact.gnn.node_ids])
+            intact.node_table = encoding.node_table
+            intact.node_rows = np.array(
+                [encoding.node_rows[node] for node in intact.gnn.node_ids], dtype=np.int64
+            )
         for condition, question in prepared.items():
             kept = apply_condition(sub, stmt, condition)
             cand = intact
@@ -321,7 +354,7 @@ def prepare_question(
                     intact,
                     facts=[facts[i] for i in rows],
                     fact_texts=[intact.fact_texts[i] for i in rows],
-                    edge_matrix=intact.edge_matrix[rows],
+                    edge_rows=intact.edge_rows[rows],
                     gnn=subgraph_arrays(kept, encoding.relation_index) if intact.gnn else None,
                 )
             question.candidates.append(cand)
@@ -430,7 +463,7 @@ def _graph_vectors(model: Model, flat: list[PreparedCandidate], backward_cache: 
     bs = len(flat)
     if model.kind != "pooled":
         return np.zeros((1, bs, cfg.d)), [[] for _ in range(bs)], []
-    counts = [cand.edge_matrix.shape[0] for cand in flat]
+    counts = [len(cand.edge_rows) for cand in flat]
     bounds = np.cumsum(counts[:-1])
     edges = np.concatenate([cand.edge_matrix for cand in flat])
     heads = cfg.num_pooling_heads()

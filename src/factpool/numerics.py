@@ -36,9 +36,15 @@ def gelu_cached(x: np.ndarray):
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
+    return gelu_from_tanh(x, t), t
+
+
+def gelu_from_tanh(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """GELU's output from its input and tanh cache: the last steps of
+    `gelu_cached`, so an output recomputed from the cache is byte-identical."""
     y = np.add(t, 1.0)
     y *= np.multiply(x, 0.5)
-    return y, t
+    return y
 
 
 def gelu_grad_cached(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -71,9 +77,15 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     var = np.mean(y, axis=-1, keepdims=True)
     inv_sigma = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv_sigma
-    np.multiply(xhat, gain, out=y)
+    return layer_norm_affine(xhat, gain, bias, out=y), (xhat, inv_sigma)
+
+
+def layer_norm_affine(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray, out=None):
+    """gain * xhat + bias: the last steps of `layer_norm`, so an output
+    recomputed from its cache's `xhat` is byte-identical."""
+    y = np.multiply(xhat, gain, out=out)
     y += bias
-    return y, (xhat, inv_sigma)
+    return y
 
 
 def layer_norm_backward(d_y: np.ndarray, cache, gain: np.ndarray):

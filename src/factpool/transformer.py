@@ -22,8 +22,10 @@ import numpy as np
 
 from factpool.numerics import (
     gelu_cached,
+    gelu_from_tanh,
     gelu_grad_cached,
     layer_norm,
+    layer_norm_affine,
     layer_norm_backward,
     softmax_backward,
     softmax_stable,
@@ -77,6 +79,10 @@ class NoBackwardCacheError(RuntimeError):
 def _layer_forward(params, p: str, x: np.ndarray, heads: int, key_bias: np.ndarray, caches):
     """One post-norm layer; appends its backward cache to `caches` unless None.
 
+    The cache keeps the layer input, q, k, v, the attention weights, the
+    merged context, both LayerNorm caches, the FFN pre-activation and its
+    tanh.  It leaves out the LayerNorm-1 output and the GELU output, which
+    `trunk_backward` recomputes from the cache with the forward's own ops.
     A function of its own so that, without a cache, the layer's activations
     are freed on return rather than held until the next layer rebinds them.
     """
@@ -96,7 +102,7 @@ def _layer_forward(params, p: str, x: np.ndarray, heads: int, key_bias: np.ndarr
     r2 = x1 + ffn_out
     x_next, ln2_cache = layer_norm(r2, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
     if caches is not None:
-        caches.append((x, q, k, v, attn, ctx, ln1_cache, x1, pre, pre_t, hid, ln2_cache))
+        caches.append((x, q, k, v, attn, ctx, ln1_cache, pre, pre_t, ln2_cache))
     return x_next
 
 
@@ -116,7 +122,8 @@ def trunk_forward(
     graph_init: [B, d] initial graph-token content (position 0);
     injections: 1-based layer index -> [B, d] added to the graph token's
     state immediately before that layer (index 0 targets the input state).
-    backward_cache: keep every layer's activations for `trunk_backward`.
+    backward_cache: keep each layer's backward cache (`_layer_forward`) for
+    `trunk_backward`.
     Without it a layer's activations are freed when the next layer starts,
     and the cache holds only the token ids, the injections and the per-layer
     graph-token states (cache[4]).  Every op is row-wise, so a row's states
@@ -160,18 +167,22 @@ def trunk_backward(params: dict[str, np.ndarray], L: int, cache, d_states: np.nd
     dx = np.asarray(d_states)
     for i in range(L, 0, -1):
         p = f"layer{i}"
-        x_in, q, k, v, attn, ctx, ln1_cache, x1, pre, pre_t, hid, ln2_cache = layer_caches[i - 1]
+        x_in, q, k, v, attn, ctx, ln1_cache, pre, pre_t, ln2_cache = layer_caches[i - 1]
         d_r2, d_g2, d_b2 = layer_norm_backward(dx, ln2_cache, params[f"{p}.ln2.gain"])
         grads[f"{p}.ln2.gain"] = d_g2
         grads[f"{p}.ln2.bias"] = d_b2
         # r2 = x1 + ffn_out
         d_ffn = d_r2
+        hid = gelu_from_tanh(pre, pre_t)
         grads[f"{p}.ffn.w2"] = np.tensordot(hid, d_ffn, axes=([0, 1], [0, 1]))
+        del hid
         grads[f"{p}.ffn.b2"] = d_ffn.sum(axis=(0, 1))
         d_hid = d_ffn @ params[f"{p}.ffn.w2"].T
         d_pre = gelu_grad_cached(pre, pre_t)
         d_pre *= d_hid
+        x1 = layer_norm_affine(ln1_cache[0], params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
         grads[f"{p}.ffn.w1"] = np.tensordot(x1, d_pre, axes=([0, 1], [0, 1]))
+        del x1
         grads[f"{p}.ffn.b1"] = d_pre.sum(axis=(0, 1))
         d_x1 = d_r2 + d_pre @ params[f"{p}.ffn.w1"].T
         d_r1, d_g1, d_b1 = layer_norm_backward(d_x1, ln1_cache, params[f"{p}.ln1.gain"])

@@ -433,13 +433,20 @@ def prepare_question_oracle(model, kg, templates, encoder, record, condition):
             ),
             dtype=np.int64,
         )
-        cand = PreparedCandidate(ids=ids, facts=facts, fact_texts=texts, edge_matrix=matrix)
+        cand = PreparedCandidate(
+            ids=ids,
+            facts=facts,
+            fact_texts=texts,
+            edge_table=matrix,
+            edge_rows=np.arange(len(facts), dtype=np.int64),
+        )
         if model.kind == "gnn":
             cand.gnn = subgraph_arrays(sub, {rel: i for i, rel in enumerate(model.relations)})
             init = np.zeros((len(cand.gnn.node_ids), cfg.d))
             for i, node in enumerate(cand.gnn.node_ids):
                 if node != VIRTUAL_NODE_ID:
                     init[i] = encoder.encode_text(id_to_surface(node))
-            cand.node_init = init
+            cand.node_table = init
+            cand.node_rows = np.arange(len(init), dtype=np.int64)
         candidates.append(cand)
     return PreparedQuestion(candidates=candidates, answer_index=record.answer_index)

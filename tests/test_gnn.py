@@ -342,8 +342,10 @@ def test_gnn_score_reads_question_state():
     model.cfg.gnn_layers = 0
     scores = batch_forward(model, [prepared]).scores
     rng = np.random.default_rng(4)
+    # Each candidate gets a table of its own: the prepared set's table is shared.
     for cand in prepared.candidates:
-        cand.node_init = rng.standard_normal(cand.node_init.shape)
+        cand.node_table = rng.standard_normal(cand.node_init.shape)
+        cand.node_rows = np.arange(len(cand.node_rows))
     result = batch_forward(model, [prepared])
     assert np.array_equal(result.scores, scores)
     # a zeroed head adds exactly nothing to the text score

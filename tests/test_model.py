@@ -385,9 +385,9 @@ def test_graph_vectors_change_scores_only_through_fg_paths():
     record = next(r for r in records if r.meta.get("kind") == "kg")
     [prepared] = prepare_dataset(model, kg, templates, encoder, [record])
     distinct = batch_forward(model, [prepared])
-    # force identical pooled vectors by pointing every candidate at the same edges
+    # force identical pooled vectors by pointing every candidate at the same edge rows
     for cand in prepared.candidates[1:]:
-        cand.edge_matrix = prepared.candidates[0].edge_matrix
+        cand.edge_rows = prepared.candidates[0].edge_rows
     same_graph = batch_forward(model, [prepared])
     fq_only, _ = (None, None)
     scores = same_graph.scores
