@@ -21,6 +21,7 @@ import contextlib
 import hashlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +99,6 @@ def _steps(root: Path):
 def run_commands(root: Path) -> dict[str, str]:
     from factpool import cli
 
-    root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     (root / "run.cfg").write_text(CONFIG_TEXT, encoding="utf-8")
     for name, kind in (("toy", "shared-toy-encoder"), ("external", "external-file")):
@@ -121,10 +121,10 @@ def run_commands(root: Path) -> dict[str, str]:
     return digests
 
 
-def read_manifest(path: Path = MANIFEST) -> tuple[list[str], dict[str, str]]:
-    """(header lines, {name: sha256}) of a manifest file."""
+def read_manifest() -> tuple[list[str], dict[str, str]]:
+    """(header lines, {name: sha256}) of the committed manifest."""
     header, digests = [], {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in MANIFEST.read_text(encoding="utf-8").splitlines():
         if line.startswith("# "):
             header.append(line[2:])
         else:
@@ -133,27 +133,29 @@ def read_manifest(path: Path = MANIFEST) -> tuple[list[str], dict[str, str]]:
     return header, digests
 
 
-def write_manifest(digests: dict[str, str], path: Path = MANIFEST) -> None:
+def write_manifest(digests: dict[str, str]) -> None:
     lines = [f"# {line}" for line in environment()]
     lines += [f"{digest}  {name}" for name, digest in sorted(digests.items())]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    MANIFEST.parent.mkdir(parents=True, exist_ok=True)
+    MANIFEST.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def differing(want: dict[str, str], got: dict[str, str]) -> list[str]:
+    """The names whose digest differs, or that only one side has."""
+    return sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m tests.golden", description=__doc__)
     parser.add_argument("--write", action="store_true", help="regenerate the manifest")
     args = parser.parse_args(argv)
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         digests = run_commands(Path(tmp))
     if args.write:
         write_manifest(digests)
         print(f"{MANIFEST}: {len(digests)} entries")
         return 0
-    _, want = read_manifest()
-    moved = sorted(name for name in want.keys() | digests.keys() if want.get(name) != digests.get(name))
+    moved = differing(read_manifest()[1], digests)
     for name in moved:
         print(f"differs: {name}")
     return 1 if moved else 0
