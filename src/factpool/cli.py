@@ -180,7 +180,9 @@ def cmd_encode(args) -> int:
     if dim != encoder.dim:
         raise UsageError(f"{cache_path}: embedding cache width {dim} != config width d={cfg.d}")
     subgraphs = [sub for subs in ground_records(kg, records, cfg.max_nodes) for _, sub in subs]
-    if encode_subgraphs(subgraphs, templates, encoder, cache):
+    texts, vectors = encode_subgraphs(subgraphs, templates, encoder, cache)
+    if texts:
+        cache.update(zip(texts, vectors))
         write_embedding_cache(str(cache_path), cache, dim)
     total = sum(len(sub.edges) for sub in subgraphs)
     print(f"cache: {cache_path} ({total} edge encodings)")

@@ -1,13 +1,20 @@
 """Fact-text encoders producing d-dimensional edge embeddings.
 
-Three encoder families share one interface:
+Three encoder families share one interface: `encode_fact_texts` (and, for
+the two that compute, `encode_texts`) returns one [n, d] array, a row per
+input in input order; `encode_fact_text` (and `encode_text`) returns one [d]
+vector.
 
   * hash-bag: every token maps to a fixed seeded pseudo-random unit vector;
-    a fact embedding is the mean of its token vectors.  Needs no trained
-    model, so retrieval and pooling tests can run standalone.
+    a fact embedding is the mean of its token vectors.  A call encodes all
+    its texts in one vectorized pass.  Only the token vectors are memoized,
+    so the caller's array is the one copy of the texts' vectors.  Needs no
+    trained model, so retrieval and pooling tests can run standalone.
   * shared-toy-encoder: runs a frozen snapshot of the QA model's own token
     embedder and transformer trunk, as initialized, over the fact text, so
-    edge embeddings live in the same space the QA model starts from.
+    edge embeddings live in the same space the QA model starts from.  It
+    memoizes each text's vector, as a row of the array it returned, since a
+    trunk forward is costly.
   * external-file: reads embeddings from a cache file and never computes.
 
 Token pooling is `mean` (average over text-token states) or `cls` (state of
@@ -17,7 +24,7 @@ and always means; `Config.validate` rejects cls pooling with it.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Container, Iterable
 
 import numpy as np
 
@@ -37,13 +44,13 @@ ENCODE_BATCH = 8
 
 
 class HashBagEncoder:
-    """Mean of fixed seeded unit vectors, one per token."""
+    """Mean of fixed seeded unit vectors, one per token.  Memoizes the token
+    vectors only: a text is summed anew on every call."""
 
     def __init__(self, dim: int, seed: int = 0):
         self.dim = dim
         self.seed = seed
         self._token_vectors: dict[str, np.ndarray] = {}
-        self._memo: dict[str, np.ndarray] = {}
 
     def token_vector(self, token: str) -> np.ndarray:
         vec = self._token_vectors.get(token)
@@ -55,23 +62,40 @@ class HashBagEncoder:
         return vec
 
     def encode_text(self, text: str) -> np.ndarray:
-        cached = self._memo.get(text)
-        if cached is not None:
-            return cached
-        tokens = text_tokens(text)
-        if not tokens:
-            raise ValueError(f"cannot encode empty text: {text!r}")
-        vec = np.mean([self.token_vector(t) for t in tokens], axis=0)
-        self._memo[text] = vec
-        return vec
+        return self.encode_texts([text])[0]
 
-    def encode_texts(self, texts: list[str]) -> list[np.ndarray]:
-        return [self.encode_text(text) for text in texts]
+    def encode_texts(self, texts: list[str]) -> np.ndarray:
+        """[n, d]: row i is the mean of text i's token vectors.
+
+        Each row is summed in token order, one position at a time over every
+        text that long, then divided by its token count: the order `np.mean`
+        sums a [tokens, d] stack in, so a row's bytes equal `np.mean` over
+        its token vectors whatever other texts share the call.
+        """
+        index: dict[str, int] = {}  # the call's distinct tokens -> table row
+        ids = []
+        for text in texts:
+            tokens = text_tokens(text)
+            if not tokens:
+                raise ValueError(f"cannot encode empty text: {text!r}")
+            ids.append([index.setdefault(token, len(index)) for token in tokens])
+        table = np.array([self.token_vector(token) for token in index]).reshape(-1, self.dim)
+        lengths = np.array([len(row) for row in ids], dtype=np.int64)
+        padded = np.zeros((len(ids), max(lengths, default=1)), dtype=np.int64)
+        for row, token_ids in zip(padded, ids):
+            row[: len(token_ids)] = token_ids
+        vectors = table[padded[:, 0]]
+        for position in range(1, padded.shape[1]):
+            # In place, so the one temporary is the gathered column.
+            longer = (lengths > position)[:, None]
+            np.add(vectors, table[padded[:, position]], out=vectors, where=longer)
+        vectors /= lengths[:, None]
+        return vectors
 
     def encode_fact_text(self, fact: Fact, text: str) -> np.ndarray:
         return self.encode_text(text)
 
-    def encode_fact_texts(self, facts: list[Fact], texts: list[str]) -> list[np.ndarray]:
+    def encode_fact_texts(self, facts: list[Fact], texts: list[str]) -> np.ndarray:
         return self.encode_texts(texts)
 
 
@@ -99,17 +123,20 @@ class ToyTrunkEncoder:
     def encode_text(self, text: str) -> np.ndarray:
         return self.encode_texts([text])[0]
 
-    def encode_texts(self, texts: list[str]) -> list[np.ndarray]:
-        """One vector per text, each equal to its batch-1 encoding.
+    def encode_texts(self, texts: list[str]) -> np.ndarray:
+        """[n, d]: row i equals text i's batch-1 encoding.
 
         Texts not yet memoized are grouped by token length and run through
         the trunk up to ENCODE_BATCH at a time.  Nothing is padded, so each
         sequence sees the GEMM shapes and row reductions of a forward on its
         own (numpy's matmul loops over the batch axis).
         """
+        rows: dict[str, list[int]] = {}  # text -> its rows in the result
+        for i, text in enumerate(texts):
+            rows.setdefault(text, []).append(i)
         pending: dict[str, list[int]] = {}
-        for text in texts:
-            if text in self._memo or text in pending:
+        for text in rows:
+            if text in self._memo:
                 continue
             ids = self.tokenizer.encode_text(text)
             if not ids:
@@ -120,6 +147,9 @@ class ToyTrunkEncoder:
             by_length.setdefault(len(seq), []).append(text)
         # Position 0 carries the [CLS] embedding itself.
         cls_row = self.snapshot["tok_emb"][CLS_ID]
+        vectors = np.empty((len(texts), self.dim))
+        for text in rows.keys() - pending.keys():
+            vectors[rows[text]] = self._memo[text]
         for group in by_length.values():
             for start in range(0, len(group), ENCODE_BATCH):
                 batch = group[start : start + ENCODE_BATCH]
@@ -131,15 +161,17 @@ class ToyTrunkEncoder:
                 )
                 for text, seq_states in zip(batch, states):
                     if self.token_pooling == "cls":
-                        self._memo[text] = seq_states[0, :].copy()
+                        vectors[rows[text]] = seq_states[0, :]
                     else:
-                        self._memo[text] = seq_states[1:, :].mean(axis=0)
-        return [self._memo[text] for text in texts]
+                        vectors[rows[text]] = seq_states[1:, :].mean(axis=0)
+        # The memo keeps rows of the returned array, not a second copy of them.
+        self._memo.update(zip(texts, vectors))
+        return vectors
 
     def encode_fact_text(self, fact: Fact, text: str) -> np.ndarray:
         return self.encode_text(text)
 
-    def encode_fact_texts(self, facts: list[Fact], texts: list[str]) -> list[np.ndarray]:
+    def encode_fact_texts(self, facts: list[Fact], texts: list[str]) -> np.ndarray:
         return self.encode_texts(texts)
 
 
@@ -154,9 +186,9 @@ class FileBackedEncoder:
     def encode_fact_text(self, fact: Fact, text: str) -> np.ndarray:
         return self.encode_fact_texts([fact], [text])[0]
 
-    def encode_fact_texts(self, facts: list[Fact], texts: list[str]) -> list[np.ndarray]:
+    def encode_fact_texts(self, facts: list[Fact], texts: list[str]) -> np.ndarray:
         try:
-            return [self.entries[fact.key()] for fact in facts]
+            return np.array([self.entries[fact.key()] for fact in facts]).reshape(-1, self.dim)
         except KeyError as exc:
             raise CheckpointError(
                 f"{self.path}: embedding cache has no entry for fact {exc.args[0]!r}"
@@ -167,24 +199,23 @@ def encode_subgraphs(
     subgraphs: Iterable[Subgraph],
     templates: TemplateTable,
     encoder,
-    cache: dict[str, np.ndarray],
-) -> dict[str, str]:
-    """Add every edge missing from `cache` (keyed by `Fact.key()`) to it.
+    known: Container[str] = (),
+) -> tuple[dict[str, str], np.ndarray]:
+    """Verbalize and encode every edge whose `Fact.key()` is not in `known`.
 
-    The missing facts are verbalized once each, in first-seen canonical edge
+    The new facts are verbalized once each, in first-seen canonical edge
     order, and encoded in one `encode_fact_texts` call.  Returns their texts
-    by fact key.
+    by fact key and their [F, d] vectors, rows in the same order.
     """
-    missing: dict[str, Fact] = {}
+    new: dict[str, Fact] = {}
     for sub in subgraphs:
         for fact in sub.sorted_edges():
             key = fact.key()
-            if key not in cache and key not in missing:
-                missing[key] = fact
-    facts = list(missing.values())
+            if key not in known and key not in new:
+                new[key] = fact
+    facts = list(new.values())
     texts = [verbalize(fact, templates) for fact in facts]
-    cache.update(zip(missing, encoder.encode_fact_texts(facts, texts)))
-    return dict(zip(missing, texts))
+    return dict(zip(new, texts)), encoder.encode_fact_texts(facts, texts)
 
 
 # --- embedding cache file ----------------------------------------------------

@@ -269,12 +269,12 @@ def prepare_conditions(
     """`records` prepared under each of `conditions` from their grounding,
     `ground_records(kg, records, model.cfg.max_nodes)`.
 
-    Every distinct fact is verbalized once.  All edge vectors come from one
-    `encode_subgraphs` call and, for gnn, all entity surfaces from one
-    `encode_texts` call.  They are stacked into one edge table (rows in
-    first-seen fact order) and one node table (the virtual placeholder, then
-    the sorted entities) that every returned candidate indexes.  Only a
-    pooled model reads facts: gnn and lm candidates hold none.
+    Every distinct fact is verbalized once.  One `encode_subgraphs` call
+    returns the edge table (rows in first-seen fact order) and, for gnn, one
+    `encode_texts` call the node table's entity rows (after the virtual
+    placeholder, the sorted entities).  Every returned candidate indexes
+    these two tables.  Only a pooled model reads facts: gnn and lm
+    candidates hold none.
     """
     if model.kind == "gnn" and not hasattr(encoder, "encode_texts"):
         raise ValueError(
@@ -282,22 +282,21 @@ def prepare_conditions(
             "the external-file encoder only serves cached facts"
         )
     subgraphs = [sub for statements in grounding for _, sub in statements]
-    vectors: dict[str, np.ndarray] = {}
     texts: dict[str, str] = {}
+    edge_table = np.zeros((0, model.cfg.d))
     if model.kind == "pooled":
-        texts = encode_subgraphs(subgraphs, templates, encoder, vectors)
-    edge_table = np.stack(list(vectors.values())) if vectors else np.zeros((0, model.cfg.d))
+        texts, edge_table = encode_subgraphs(subgraphs, templates, encoder)
     node_table, node_ids = None, []
     if model.kind == "gnn":
         entities = sorted({node for sub in subgraphs for node in sub.nodes} - {VIRTUAL_NODE_ID})
         surfaces = [id_to_surface(entity) for entity in entities]
         # Row 0 is a placeholder for the question state.
-        node_table = np.stack([np.zeros(model.cfg.d), *encoder.encode_texts(surfaces)])
+        node_table = np.concatenate([np.zeros((1, model.cfg.d)), encoder.encode_texts(surfaces)])
         node_ids = [VIRTUAL_NODE_ID, *entities]
     encoding = DatasetEncoding(
         texts=texts,
         edge_table=edge_table,
-        edge_rows={key: i for i, key in enumerate(vectors)},
+        edge_rows={key: i for i, key in enumerate(texts)},
         node_table=node_table,
         node_rows={node: i for i, node in enumerate(node_ids)},
         relation_index={rel: i for i, rel in enumerate(model.relations)},

@@ -1,0 +1,201 @@
+"""Mutants the test suite must kill: each entry breaks one exact place under
+`src/` and names the tests that must fail on it.
+
+    PYTHONPATH=src python -m tests.mutants            # every mutant
+    PYTHONPATH=src python -m tests.mutants NAME ...   # the named ones
+
+The runner copies the repository to a temporary directory, applies each
+mutant there in turn, runs its tests with pytest, and exits 1 listing every
+survivor: a mutant some of whose tests passed or did not run.  The checkout
+itself is never written.  `tests/test_mutants.py` checks in the fast suite
+that each `old` string still occurs exactly once in its file, so a refactor
+that moves mutated code fails there and updates the entry.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to the repository root
+    old: str  # occurs exactly once in `file`
+    new: str
+    tests: tuple[str, ...]  # pytest node ids; every one must fail
+
+
+_LIFETIMES = "tests/test_lifetimes.py"
+_LAYOUT = "tests/test_memory_layout.py"
+
+MUTANTS = (
+    # A per-text memo: the encoder keeps every row it returns.
+    Mutant(
+        "hash-bag-memo",
+        "src/factpool/encoders.py",
+        "        vectors /= lengths[:, None]\n",
+        "        vectors /= lengths[:, None]\n"
+        "        self.__dict__.setdefault('_memo', {}).update(zip(texts, vectors))\n",
+        (
+            f"{_LIFETIMES}::test_the_hash_bag_encoder_keeps_no_vector_it_returns",
+            f"{_LAYOUT}::test_the_edge_table_is_the_only_holder_of_a_pooled_sets_fact_vectors",
+        ),
+    ),
+    # Each text summed by `np.add.reduceat`, which does not add in `np.mean`'s order.
+    Mutant(
+        "reduceat-sum",
+        "src/factpool/encoders.py",
+        "        vectors = table[padded[:, 0]]\n"
+        "        for position in range(1, padded.shape[1]):\n"
+        "            # In place, so the one temporary is the gathered column.\n"
+        "            longer = (lengths > position)[:, None]\n"
+        "            np.add(vectors, table[padded[:, position]], out=vectors, where=longer)\n",
+        "        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(np.int64)\n"
+        "        vectors = np.add.reduceat(table[np.concatenate(ids)], starts, axis=0)\n",
+        (
+            "tests/test_encoders.py::test_hash_bag_rows_are_byte_identical_to_the_per_text_mean",
+            "tests/test_golden.py::test_outputs_match_the_golden_manifest",
+        ),
+    ),
+    # A step's gradients live in train_model's frame into the next step.
+    Mutant(
+        "grads-kept",
+        "src/factpool/model.py",
+        "del grads  # the step's gradients die before the next forward runs",
+        "pass",
+        (f"{_LIFETIMES}::test_a_training_step_is_freed_before_the_next_step_runs",),
+    ),
+    # A module global keeps the last BatchResult.
+    Mutant(
+        "result-bound",
+        "src/factpool/model.py",
+        "    result = batch_forward(model, questions, backward_cache=True)\n",
+        "    global _kept_result\n"
+        "    result = _kept_result = batch_forward(model, questions, backward_cache=True)\n",
+        (f"{_LIFETIMES}::test_a_training_step_is_freed_before_the_next_step_runs",),
+    ),
+    # The prepared training set is bound to a name in _run_seed's frame.
+    Mutant(
+        "train-set-in-seed-frame",
+        "src/factpool/experiment.py",
+        "        prepare_conditions(\n            model,\n",
+        "        train_set := prepare_conditions(\n            model,\n",
+        (f"{_LIFETIMES}::test_a_run_frees_its_training_set_before_preparing_the_test_set",),
+    ),
+    # A module list keeps each seed's model.
+    Mutant(
+        "model-outlives-seed",
+        "src/factpool/experiment.py",
+        "    model = create_model(cfg, ecfg.model_kind, relation_table(assets.kg))\n",
+        "    model = create_model(cfg, ecfg.model_kind, relation_table(assets.kg))\n"
+        "    globals().setdefault('_kept_models', []).append(model)\n",
+        (f"{_LIFETIMES}::test_each_seed_is_freed_before_the_next_seed_trains",),
+    ),
+    # A module global keeps the last seed's prepared test set.
+    Mutant(
+        "test-set-outlives-seed",
+        "src/factpool/experiment.py",
+        "    test = prepare_conditions(",
+        "    global _kept_test\n    test = _kept_test = prepare_conditions(",
+        (f"{_LIFETIMES}::test_each_seed_is_freed_before_the_next_seed_trains",),
+    ),
+    # Each candidate holds its own copy of the prepared set's edge table.
+    Mutant(
+        "table-per-candidate",
+        "src/factpool/model.py",
+        "            edge_table=encoding.edge_table,\n",
+        "            edge_table=encoding.edge_table.copy(),\n",
+        (
+            f"{_LAYOUT}::test_a_prepared_set_shares_one_edge_table_with_a_row_per_fact",
+            f"{_LAYOUT}::test_the_edge_table_is_the_only_holder_of_a_pooled_sets_fact_vectors",
+        ),
+    ),
+    # Backward recomputes the GELU output in place into the cached tanh.
+    Mutant(
+        "hid-into-tanh-cache",
+        "src/factpool/transformer.py",
+        "        hid = gelu_from_tanh(pre, pre_t)\n",
+        "        hid = np.add(pre_t, 1.0, out=pre_t)\n        hid *= np.multiply(pre, 0.5)\n",
+        (
+            f"{_LAYOUT}::test_backward_twice_on_one_result_gives_identical_gradients[pooled]",
+            f"{_LAYOUT}::test_backward_twice_on_one_result_gives_identical_gradients[gnn]",
+        ),
+    ),
+    # Backward recomputes LayerNorm-1's output in place into its cached xhat.
+    Mutant(
+        "x1-into-xhat",
+        "src/factpool/transformer.py",
+        'params[f"{p}.ln1.bias"])\n        grads[f"{p}.ffn.w1"]',
+        'params[f"{p}.ln1.bias"], out=ln1_cache[0])\n        grads[f"{p}.ffn.w1"]',
+        (
+            f"{_LAYOUT}::test_backward_twice_on_one_result_gives_identical_gradients[pooled]",
+            f"{_LAYOUT}::test_backward_twice_on_one_result_gives_identical_gradients[gnn]",
+        ),
+    ),
+)
+
+
+def outcomes(root: Path, tests: tuple[str, ...]) -> dict[str, str]:
+    """{node id: PASSED, FAILED or ERROR} for each of `tests` run in `root`."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *tests],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    found = {}
+    for line in proc.stdout.splitlines():
+        outcome, _, rest = line.partition(" ")
+        if outcome in ("PASSED", "FAILED", "ERROR"):
+            found[rest.split(" - ")[0]] = outcome
+    return found
+
+
+def survivors(mutants) -> list[str]:
+    """One line per mutant some of whose tests did not fail."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "repo"
+        ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache")
+        shutil.copytree(ROOT, root, ignore=ignore)
+        for mutant in mutants:
+            path = root / mutant.file
+            original = path.read_text(encoding="utf-8")
+            if original.count(mutant.old) != 1:
+                lines.append(f"{mutant.name}: `old` occurs {original.count(mutant.old)} times")
+                continue
+            path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+            try:
+                found = outcomes(root, mutant.tests)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            alive = [f"{t} ({found.get(t, 'not run')})" for t in mutant.tests
+                     if found.get(t) not in ("FAILED", "ERROR")]
+            print(f"{mutant.name}: {'survived' if alive else 'killed'}", flush=True)
+            if alive:
+                lines.append(f"{mutant.name}: " + ", ".join(alive))
+    return lines
+
+
+def main(argv=None) -> int:
+    names = (sys.argv[1:] if argv is None else argv) or [m.name for m in MUTANTS]
+    unknown = sorted(set(names) - {m.name for m in MUTANTS})
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    lines = survivors([m for m in MUTANTS if m.name in names])
+    for line in lines:
+        print(f"SURVIVED {line}")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

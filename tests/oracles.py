@@ -5,7 +5,9 @@ not by calling the package kernels, so agreement is meaningful.  The
 exceptions are `subgraphs_oracle` and `prepare_question_oracle`: they reuse
 the package's retrieval, verbalizer and encoders one statement and one fact
 at a time, so agreement checks the dataset-level batching and the derived
-`without_answers` subgraphs.
+`without_answers` subgraphs.  `hash_bag_oracle` likewise reuses the hash-bag
+token vectors and means them one text at a time, so agreement checks the
+batched summation byte for byte.
 """
 
 from __future__ import annotations
@@ -405,6 +407,17 @@ def subgraphs_oracle(kg, record, max_nodes, condition):
             sub = remove_answer_edges(sub, stmt)
         statements.append((stmt, sub))
     return statements
+
+
+def hash_bag_oracle(encoder, text: str) -> np.ndarray:
+    """`text`'s hash-bag vector computed on its own: `np.mean` over its
+    token vectors, as `HashBagEncoder.encode_text` once did per text."""
+    from factpool.kg import text_tokens
+
+    tokens = text_tokens(text)
+    if not tokens:
+        raise ValueError(f"cannot encode empty text: {text!r}")
+    return np.mean([encoder.token_vector(token) for token in tokens], axis=0)
 
 
 def prepare_question_oracle(model, kg, templates, encoder, record, condition):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import kg_from_facts
+from oracles import hash_bag_oracle
 
 from factpool.checkpoint import CheckpointError, _container_bytes
 from factpool.encoders import (
@@ -16,7 +17,7 @@ from factpool.encoders import (
     read_embedding_cache,
     write_embedding_cache,
 )
-from factpool.kg import Fact, add_virtual_question_node, retrieve_subgraph
+from factpool.kg import Fact, add_virtual_question_node, retrieve_subgraph, text_tokens
 from factpool.tokenizer import CLS_ID, Tokenizer
 from factpool.transformer import init_trunk_params, trunk_forward
 from factpool.verbalize import TemplateTable, verbalize
@@ -67,6 +68,43 @@ def test_mean_pooling_of_constant_sequence_is_the_constant():
     v = enc.token_vector("echo")
     for text in ("echo echo", "echo echo echo", "echo echo echo echo echo"):
         assert np.allclose(enc.encode_text(text), v, atol=1e-15)
+
+
+def random_texts(rng, count, vocabulary=12):
+    """`count` texts of 1-20 tokens from a small vocabulary, so tokens repeat
+    within a text and across texts."""
+    words = [f"w{i}" for i in range(vocabulary)]
+    return [" ".join(rng.choice(words, size=n)) for n in rng.integers(1, 21, count)]
+
+
+def test_hash_bag_rows_are_byte_identical_to_the_per_text_mean():
+    enc = HashBagEncoder(dim=32, seed=4)
+    texts = [*random_texts(np.random.default_rng(0), 200), "echo echo echo", "Bird, bird!"]
+    assert {len(text_tokens(text)) for text in texts} == set(range(1, 21))
+    got = enc.encode_texts(texts)
+    assert got.shape == (len(texts), 32)
+    for text, row in zip(texts, got):
+        assert row.tobytes() == hash_bag_oracle(enc, text).tobytes(), text
+
+
+def test_hash_bag_text_encodes_the_same_whatever_shares_its_call():
+    rng = np.random.default_rng(1)
+    texts = random_texts(rng, 60)
+    alone = [HashBagEncoder(dim=16, seed=2).encode_text(text) for text in texts]
+    together = HashBagEncoder(dim=16, seed=2).encode_texts(texts)
+    order = rng.permutation(len(texts))
+    shuffled = HashBagEncoder(dim=16, seed=2).encode_texts([texts[i] for i in order])
+    for i, row in zip(order, shuffled):
+        assert alone[i].tobytes() == together[i].tobytes() == row.tobytes(), texts[i]
+
+
+def test_hash_bag_rejects_an_empty_text_by_name():
+    enc = HashBagEncoder(dim=8)
+    assert enc.encode_texts([]).shape == (0, 8)
+    with pytest.raises(ValueError, match=re.escape("cannot encode empty text: '!!'")):
+        enc.encode_texts(["bird", "!!", "winter"])
+    with pytest.raises(ValueError, match=re.escape("cannot encode empty text: ''")):
+        enc.encode_text("")
 
 
 # --- toy trunk encoder ------------------------------------------------------------
@@ -141,12 +179,13 @@ def test_encoder_vectors_byte_equal_to_caching_forward(pooling):
         assert vec.tobytes() == batch1_trunk_encoding(enc, text, backward_cache=True).tobytes()
 
 
-def test_encode_texts_memoizes_and_rejects_empty_text():
+def test_encode_texts_memoizes_and_rejects_empty_text(monkeypatch):
     enc = make_toy_encoder()
     first = enc.encode_texts(["winter storm", "bird"])
+    monkeypatch.setattr("factpool.encoders.trunk_forward", None)  # memoized texts run no forward
     again = enc.encode_texts(["bird", "winter storm"])
-    assert again[0] is first[1] and again[1] is first[0]
-    assert enc.encode_texts([]) == []
+    assert again.tobytes() == first[::-1].tobytes()
+    assert enc.encode_texts([]).shape == (0, 16)
     with pytest.raises(ValueError, match="empty text"):
         enc.encode_texts(["bird", "!!"])
 
@@ -169,23 +208,23 @@ class RecordingEncoder(HashBagEncoder):
 def test_encode_subgraph_canonical_order():
     sub = small_subgraph()
     enc = RecordingEncoder(dim=8, seed=0)
-    cache: dict = {}
     # The same subgraph twice: every fact is verbalized and encoded once, in
     # canonical edge order, in one call.
-    texts = encode_subgraphs([sub, sub], TEMPLATES, enc, cache)
+    texts, vectors = encode_subgraphs([sub, sub], TEMPLATES, enc)
     facts = sorted(sub.edges)
     assert enc.calls == [[verbalize(f, TEMPLATES) for f in facts]]
-    assert list(cache) == [f.key() for f in facts]
+    assert list(texts) == [f.key() for f in facts]
     assert texts == {f.key(): verbalize(f, TEMPLATES) for f in facts}
+    expected = HashBagEncoder(dim=8, seed=0).encode_texts(list(texts.values()))
+    assert vectors.tobytes() == expected.tobytes()
 
 
 def test_encode_subgraph_empty():
     from factpool.kg import Subgraph
 
     enc = RecordingEncoder(dim=8)
-    cache: dict = {}
-    assert encode_subgraphs([Subgraph(nodes=set(), edges=set())], TEMPLATES, enc, cache) == {}
-    assert cache == {}
+    texts, vectors = encode_subgraphs([Subgraph(nodes=set(), edges=set())], TEMPLATES, enc)
+    assert texts == {} and vectors.shape == (0, 8)
     assert enc.calls == [[]]
 
 
@@ -205,8 +244,7 @@ def test_encode_subgraph_with_cache_matches_direct(tmp_path):
     sub = small_subgraph()
     enc = HashBagEncoder(dim=8, seed=1)
     direct = {f.key(): enc.encode_fact_text(f, verbalize(f, TEMPLATES)) for f in sub.edges}
-    cache: dict = {}
-    encode_subgraphs([sub], TEMPLATES, HashBagEncoder(dim=8, seed=1), cache)
+    cache = dict(zip(*encode_subgraphs([sub], TEMPLATES, HashBagEncoder(dim=8, seed=1))))
     assert set(cache) == set(direct)
     path = tmp_path / "emb.bin"
     write_embedding_cache(str(path), cache, 8)
@@ -217,10 +255,9 @@ def test_encode_subgraph_with_cache_matches_direct(tmp_path):
 
         def encode_fact_texts(self, facts, texts):
             assert not facts and not texts, "cache should have been hit"
-            return []
+            return np.zeros((0, 8))
 
-    assert encode_subgraphs([sub], TEMPLATES, Exploding(), reloaded) == {}
-    assert len(reloaded) == len(cache)  # nothing new was added
+    assert encode_subgraphs([sub], TEMPLATES, Exploding(), reloaded)[0] == {}
     for key, vec in direct.items():
         assert vec.tobytes() == cache[key].tobytes() == reloaded[key].tobytes()
 

@@ -1,4 +1,4 @@
-"""What a training step, a run and a seed free, and when.
+"""What a training step, a run, a seed and an encoder free, and when.
 
 Each test keeps weak references to objects that must be unreachable at a
 named point and checks them there.  The cyclic collector is paused, so only
@@ -15,6 +15,7 @@ import pytest
 from factpool import experiment
 from factpool import model as model_mod
 from factpool.config import Config
+from factpool.encoders import HashBagEncoder
 from factpool.experiment import ExperimentAssets, ExperimentConfig, run_experiment
 from factpool.harness_data import tiny_benchmark
 from factpool.model import build_encoder, create_model, prepare_dataset, relation_table, train_model
@@ -128,3 +129,13 @@ def test_each_seed_is_freed_before_the_next_seed_trains(monkeypatch, records):
         run_experiment(ecfg, assets)
     assert len(models) == 2 and len(tests) == 8  # per seed, two conditions of two questions
     assert seen == [(0, 0), (0, 0)]
+
+
+def test_the_hash_bag_encoder_keeps_no_vector_it_returns():
+    encoder = HashBagEncoder(dim=8, seed=0)
+    with collector_paused():
+        vectors = encoder.encode_texts(["winter causes bird migration", "bird", "bird"])
+        row = encoder.encode_text("bird migration")
+        refs = [weakref.ref(vectors), weakref.ref(row.base)]
+        del vectors, row
+        assert alive(refs) == 0

@@ -1,6 +1,6 @@
 """What prepared sets and training steps hold in memory: one vector table per
-prepared set, and a backward cache that leaves out what backward can
-recompute."""
+prepared set, held by nothing else, and a backward cache that leaves out what
+backward can recompute."""
 
 import tracemalloc
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from factpool.config import Config
+from factpool.encoders import HashBagEncoder
 from factpool.harness_data import tiny_benchmark
 from factpool.kg import VIRTUAL_NODE_ID
 from factpool.model import (
@@ -25,13 +26,14 @@ from factpool.model import (
 )
 
 
-def prepared_set(kind):
+def prepared_set(kind, encoder=None):
     cfg = Config(L=2, d=8, heads=2, K=1, fusion_mode="early_late", vocab_size=64,
                  max_tokens=48, max_nodes=8, seed=0)
     kg, templates, records = tiny_benchmark(seed=1, questions=6)
     model = create_model(cfg, kind, relation_table(kg))
     grounding = ground_records(kg, records, cfg.max_nodes)
-    prepared = prepare_conditions(model, templates, build_encoder(model), records, grounding)
+    encoder = encoder or build_encoder(model)
+    prepared = prepare_conditions(model, templates, encoder, records, grounding)
     candidates = [c for condition in CONDITIONS for q in prepared[condition] for c in q.candidates]
     return model, candidates, grounding
 
@@ -69,6 +71,42 @@ def test_a_gnn_prepared_set_shares_one_node_table_with_a_row_per_node():
     )
     assert candidates[0].node_rows[candidates[0].gnn.node_ids.index(VIRTUAL_NODE_ID)] == 0
     assert not table[0].any()  # the question-state placeholder
+
+
+def arrays_reachable_from(root) -> list[np.ndarray]:
+    """Every array reachable from `root` through attributes, dict values and
+    list or tuple items."""
+    seen, stack, arrays = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return arrays
+
+
+def test_the_edge_table_is_the_only_holder_of_a_pooled_sets_fact_vectors():
+    encoder = HashBagEncoder(dim=8, seed=0)
+    _, candidates, _ = prepared_set("pooled", encoder)
+    table = candidates[0].edge_table
+    rows, width = {row.tobytes() for row in table}, table.shape[1]
+    holders = []
+    for array in arrays_reachable_from((encoder, candidates)):
+        if array.dtype != table.dtype or array.shape[-1:] != (width,):
+            continue
+        if np.shares_memory(array, table) or rows & {r.tobytes() for r in array.reshape(-1, width)}:
+            holders.append(array)
+    assert len(holders) == 1 and holders[0] is table
+    # The encoder holds its token vectors and nothing else.
+    assert len(arrays_reachable_from(encoder)) == len(encoder._token_vectors)
 
 
 @pytest.mark.parametrize("kind", ["pooled", "gnn"])
