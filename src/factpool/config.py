@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from factpool.tokenizer import Tokenizer
+from factpool.tokenizer import MIN_STATEMENT_TOKENS, Tokenizer
 
 FUSION_MODES = ("early", "early_late")
 TOKEN_POOLINGS = ("cls", "mean")
@@ -40,12 +40,14 @@ class Config:
         self.validate()
 
     def validate(self) -> None:
-        for name in (
-            "L", "d", "heads", "max_tokens", "max_nodes", "epochs", "batch_size", "gnn_layers"
-        ):
+        for name in ("L", "d", "heads", "max_nodes", "epochs", "batch_size", "gnn_layers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         Tokenizer(self.vocab_size)  # it owns the reserved-id bound
+        if self.max_tokens < MIN_STATEMENT_TOKENS:  # and the shortest statement
+            raise ValueError(
+                f"max_tokens must be at least {MIN_STATEMENT_TOKENS}, got {self.max_tokens}"
+            )
         if self.d % self.heads != 0:
             raise ValueError(f"width d={self.d} must be divisible by heads={self.heads}")
         if not 0 <= self.K <= self.L:

@@ -3,18 +3,16 @@
 Three encoder families share one interface: `encode_fact_texts` (and, for
 the two that compute, `encode_texts`) returns one [n, d] array, a row per
 input in input order; `encode_fact_text` (and `encode_text`) returns one [d]
-vector.
+vector.  The two that compute keep nothing of a call: each encodes a call's
+distinct texts once, so the array it returns is the one copy of its vectors.
 
   * hash-bag: every token maps to a fixed seeded pseudo-random unit vector;
     a fact embedding is the mean of its token vectors.  A call encodes all
-    its texts in one vectorized pass.  Only the token vectors are memoized,
-    so the caller's array is the one copy of the texts' vectors.  Needs no
-    trained model, so retrieval and pooling tests can run standalone.
+    its texts in one vectorized pass.  Needs no trained model, so retrieval
+    and pooling tests can run standalone.
   * shared-toy-encoder: runs a frozen snapshot of the QA model's own token
     embedder and transformer trunk, as initialized, over the fact text, so
-    edge embeddings live in the same space the QA model starts from.  It
-    memoizes each text's vector, as a row of the array it returned, since a
-    trunk forward is costly.
+    edge embeddings live in the same space the QA model starts from.
   * external-file: reads embeddings from a cache file and never computes.
 
 Token pooling is `mean` (average over text-token states) or `cls` (state of
@@ -44,21 +42,16 @@ ENCODE_BATCH = 8
 
 
 class HashBagEncoder:
-    """Mean of fixed seeded unit vectors, one per token.  Memoizes the token
-    vectors only: a text is summed anew on every call."""
+    """Mean of fixed seeded unit vectors, one per token."""
 
     def __init__(self, dim: int, seed: int = 0):
         self.dim = dim
         self.seed = seed
-        self._token_vectors: dict[str, np.ndarray] = {}
 
     def token_vector(self, token: str) -> np.ndarray:
-        vec = self._token_vectors.get(token)
-        if vec is None:
-            rng = np.random.default_rng(derive_seed(self.seed, "hash-bag", token))
-            vec = rng.standard_normal(self.dim)
-            vec /= np.linalg.norm(vec)
-            self._token_vectors[token] = vec
+        rng = np.random.default_rng(derive_seed(self.seed, "hash-bag", token))
+        vec = rng.standard_normal(self.dim)
+        vec /= np.linalg.norm(vec)
         return vec
 
     def encode_text(self, text: str) -> np.ndarray:
@@ -79,7 +72,7 @@ class HashBagEncoder:
             if not tokens:
                 raise ValueError(f"cannot encode empty text: {text!r}")
             ids.append([index.setdefault(token, len(index)) for token in tokens])
-        table = np.array([self.token_vector(token) for token in index]).reshape(-1, self.dim)
+        table = np.fromiter(map(self.token_vector, index), np.dtype((float, self.dim)), len(index))
         lengths = np.array([len(row) for row in ids], dtype=np.int64)
         padded = np.zeros((len(ids), max(lengths, default=1)), dtype=np.int64)
         for row, token_ids in zip(padded, ids):
@@ -118,7 +111,6 @@ class ToyTrunkEncoder:
         self.token_pooling = token_pooling
         self.max_tokens = max_tokens
         self.dim = snapshot["tok_emb"].shape[1]
-        self._memo: dict[str, np.ndarray] = {}
 
     def encode_text(self, text: str) -> np.ndarray:
         return self.encode_texts([text])[0]
@@ -126,46 +118,38 @@ class ToyTrunkEncoder:
     def encode_texts(self, texts: list[str]) -> np.ndarray:
         """[n, d]: row i equals text i's batch-1 encoding.
 
-        Texts not yet memoized are grouped by token length and run through
-        the trunk up to ENCODE_BATCH at a time.  Nothing is padded, so each
+        Each distinct text runs once, grouped by token length, through the
+        trunk up to ENCODE_BATCH at a time.  Nothing is padded, so each
         sequence sees the GEMM shapes and row reductions of a forward on its
         own (numpy's matmul loops over the batch axis).
         """
         rows: dict[str, list[int]] = {}  # text -> its rows in the result
         for i, text in enumerate(texts):
             rows.setdefault(text, []).append(i)
-        pending: dict[str, list[int]] = {}
+        by_length: dict[int, list[tuple[str, list[int]]]] = {}  # (text, token ids) by length
         for text in rows:
-            if text in self._memo:
-                continue
             ids = self.tokenizer.encode_text(text)
             if not ids:
                 raise ValueError(f"cannot encode empty text: {text!r}")
-            pending[text] = [CLS_ID] + ids[: self.max_tokens - 1]
-        by_length: dict[int, list[str]] = {}
-        for text, seq in pending.items():
-            by_length.setdefault(len(seq), []).append(text)
+            seq = [CLS_ID] + ids[: self.max_tokens - 1]
+            by_length.setdefault(len(seq), []).append((text, seq))
         # Position 0 carries the [CLS] embedding itself.
         cls_row = self.snapshot["tok_emb"][CLS_ID]
         vectors = np.empty((len(texts), self.dim))
-        for text in rows.keys() - pending.keys():
-            vectors[rows[text]] = self._memo[text]
         for group in by_length.values():
             for start in range(0, len(group), ENCODE_BATCH):
                 batch = group[start : start + ENCODE_BATCH]
-                seqs = np.array([pending[text] for text in batch], dtype=np.int64)
+                seqs = np.array([seq for _, seq in batch], dtype=np.int64)
                 mask = np.ones_like(seqs, dtype=bool)
                 cls_rows = np.broadcast_to(cls_row, (len(batch), self.dim))
                 states, _ = trunk_forward(
                     self.snapshot, self.L, self.heads, seqs, mask, cls_rows
                 )
-                for text, seq_states in zip(batch, states):
+                for (text, _), seq_states in zip(batch, states):
                     if self.token_pooling == "cls":
                         vectors[rows[text]] = seq_states[0, :]
                     else:
                         vectors[rows[text]] = seq_states[1:, :].mean(axis=0)
-        # The memo keeps rows of the returned array, not a second copy of them.
-        self._memo.update(zip(texts, vectors))
         return vectors
 
     def encode_fact_text(self, fact: Fact, text: str) -> np.ndarray:

@@ -35,6 +35,7 @@ from factpool.model import (
     build_encoder,
     create_model,
     evaluate_conditions,
+    gnn_entities,
     ground_records,
     prepare_conditions,
     prepare_dataset,
@@ -178,6 +179,8 @@ def run_experiment(ecfg: ExperimentConfig, assets: ExperimentAssets | None = Non
     max_nodes = ecfg.config.max_nodes
     train_grounding = ground_records(assets.kg, assets.train_records, max_nodes)
     test_grounding = ground_records(assets.kg, assets.test_records, max_nodes)
+    if ecfg.model_kind == "gnn":
+        gnn_entities(test_grounding)  # an entity it cannot encode fails before any training
     per_seed = [
         _run_seed(ecfg, assets, seed, train_grounding, test_grounding) for seed in ecfg.seeds
     ]
@@ -201,8 +204,8 @@ def _run_seed(
     train_grounding: Grounding,
     test_grounding: Grounding,
 ) -> SeedResult:
-    """One seed's training and evaluation.  Its model, encoder and prepared
-    test set die on return, before the next seed prepares its own."""
+    """One seed's training and evaluation.  Its model and prepared test set die
+    on return, before the next seed's; its encoder holds no vector to free."""
     cfg = replace(ecfg.config, seed=seed)
     model = create_model(cfg, ecfg.model_kind, relation_table(assets.kg))
     encoder = build_encoder(model)

@@ -43,6 +43,7 @@ from factpool.kg import (
     VIRTUAL_QUESTION_RELATION,
     Fact,
     GroundedStatement,
+    KGFormatError,
     KnowledgeGraph,
     Subgraph,
     add_virtual_question_node,
@@ -51,6 +52,7 @@ from factpool.kg import (
     link_entities,
     remove_answer_edges,
     retrieve_subgraph,
+    text_tokens,
 )
 from factpool.optim import RAdam
 from factpool.pooling import init_pooling_head, pool_backward_arrays, pool_forward
@@ -223,6 +225,17 @@ def ground_records(
     return grounding
 
 
+def gnn_entities(grounding: Grounding) -> list[str]:
+    """The grounding's entity nodes, sorted: a gnn encodes each one's surface
+    as its node state.  KGFormatError names one whose surface has no word."""
+    nodes = {node for statements in grounding for _, sub in statements for node in sub.nodes}
+    entities = sorted(nodes - {VIRTUAL_NODE_ID})
+    for entity in entities:
+        if not text_tokens(id_to_surface(entity)):
+            raise KGFormatError(f"entity {entity!r} has no word token for a gnn node state")
+    return entities
+
+
 def apply_condition(sub: Subgraph, stmt: GroundedStatement, condition: str) -> Subgraph:
     """The subgraph as seen under `condition`, from the intact subgraph."""
     if condition == WITHOUT_ANSWERS:
@@ -288,7 +301,7 @@ def prepare_conditions(
         texts, edge_table = encode_subgraphs(subgraphs, templates, encoder)
     node_table, node_ids = None, []
     if model.kind == "gnn":
-        entities = sorted({node for sub in subgraphs for node in sub.nodes} - {VIRTUAL_NODE_ID})
+        entities = gnn_entities(grounding)
         surfaces = [id_to_surface(entity) for entity in entities]
         # Row 0 is a placeholder for the question state.
         node_table = np.concatenate([np.zeros((1, model.cfg.d)), encoder.encode_texts(surfaces)])
@@ -770,6 +783,8 @@ def load_model(path: str) -> Model:
 
 # --- gradient checking ------------------------------------------------------------
 
+GRADCHECK_STEP = 1e-5  # a central difference moves one parameter element this far each way
+
 
 @dataclass
 class GradCheckReport:
@@ -787,10 +802,7 @@ class GradCheckReport:
 
 
 def gradient_check(
-    model: Model,
-    questions: list[PreparedQuestion],
-    step: float = 1e-5,
-    max_per_param: int | None = None,
+    model: Model, questions: list[PreparedQuestion], max_per_param: int | None = None
 ) -> GradCheckReport:
     """Central finite differences against the analytic gradients.
 
@@ -815,12 +827,12 @@ def gradient_check(
             indices = np.arange(flat.size)
         for idx in indices:
             original = flat[idx]
-            flat[idx] = original + step
+            flat[idx] = original + GRADCHECK_STEP
             up = batch_forward(model, questions).loss
-            flat[idx] = original - step
+            flat[idx] = original - GRADCHECK_STEP
             down = batch_forward(model, questions).loss
             flat[idx] = original
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * GRADCHECK_STEP)
             analytic = grad_flat[idx]
             denom = max(abs(analytic), abs(numeric), 1e-4)
             err = abs(analytic - numeric) / denom

@@ -7,6 +7,13 @@ import numpy as np
 # Graph-side parameters get the higher learning rate.
 _GRAPH_PREFIXES = ("pool", "fg.", "gnn.")
 
+# The moment estimates' decay rates, the floor under the second's root, and
+# the largest length of the second's approximating moving average.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+_RHO_INF = 2.0 / (1.0 - BETA2) - 1.0
+
 
 def is_graph_param(name: str) -> bool:
     return name.startswith(_GRAPH_PREFIXES)
@@ -15,47 +22,35 @@ def is_graph_param(name: str) -> bool:
 class RAdam:
     """Rectified Adam; falls back to unadapted momentum while variance is untrusted."""
 
-    def __init__(
-        self,
-        params: dict[str, np.ndarray],
-        lr_lm: float,
-        lr_graph: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, np.ndarray], lr_lm: float, lr_graph: float):
         self.lr = {name: (lr_graph if is_graph_param(name) else lr_lm) for name in params}
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {name: np.zeros_like(arr) for name, arr in params.items()}
         self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
-        self.rho_inf = 2.0 / (1.0 - beta2) - 1.0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
         t = self.step_count
-        beta1_t = self.beta1**t
-        beta2_t = self.beta2**t
-        rho = self.rho_inf - 2.0 * t * beta2_t / (1.0 - beta2_t)
+        beta1_t = BETA1**t
+        beta2_t = BETA2**t
+        rho = _RHO_INF - 2.0 * t * beta2_t / (1.0 - beta2_t)
         if rho > 4.0:
             rect = np.sqrt(
-                ((rho - 4.0) * (rho - 2.0) * self.rho_inf)
-                / ((self.rho_inf - 4.0) * (self.rho_inf - 2.0) * rho)
+                ((rho - 4.0) * (rho - 2.0) * _RHO_INF)
+                / ((_RHO_INF - 4.0) * (_RHO_INF - 2.0) * rho)
             )
         else:
             rect = None
         for name, grad in grads.items():
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
+            m *= BETA1
+            m += (1.0 - BETA1) * grad
+            v *= BETA2
+            v += (1.0 - BETA2) * grad * grad
             m_hat = m / (1.0 - beta1_t)
             if rect is not None:
-                v_hat = np.sqrt(v / (1.0 - beta2_t)) + self.eps
+                v_hat = np.sqrt(v / (1.0 - beta2_t)) + EPS
                 params[name] -= self.lr[name] * rect * m_hat / v_hat
             else:
                 params[name] -= self.lr[name] * m_hat

@@ -18,6 +18,8 @@ CLS_ID = 1
 SEP_ID = 2
 PAD_ID = 3
 _NUM_RESERVED = 4
+# The shortest statement: [GRAPH][CLS] [SEP] question [SEP] with a one-token question.
+MIN_STATEMENT_TOKENS = 5
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ def tokenize_statement(
     c_ids = tokenizer.encode_text(context)
     a_ids = tokenizer.encode_text(candidate)
     # [GRAPH][CLS] .. [SEP] question [SEP] is the incompressible skeleton.
-    skeleton = 4 + len(q_ids)
+    skeleton = MIN_STATEMENT_TOKENS - 1 + len(q_ids)
     if skeleton > max_tokens:
         raise DatasetFormatError(
             f"question {question!r} alone needs {skeleton} tokens, "

@@ -25,14 +25,16 @@ def kg_from_facts(facts) -> KnowledgeGraph:
 
 
 def rewrite_checkpoint_config(path, **values) -> None:
-    """Rewrite a saved model's config to `values`.  A vocab_size change trims
-    the embedding table to match, so only the config is wrong."""
+    """Rewrite a saved model's config to `values`.  A vocab_size or max_tokens
+    change trims the embedding table to match, so only the config is wrong."""
     from factpool.checkpoint import load_checkpoint, save_checkpoint
 
     params, header = load_checkpoint(path)
     header["config"].update(values)
     if "vocab_size" in values:
         params["tok_emb"] = params["tok_emb"][: values["vocab_size"]]
+    if "max_tokens" in values:
+        params["pos_emb"] = params["pos_emb"][: values["max_tokens"]]
     save_checkpoint(path, params, header["config"], header["seed"], header["step"], header["meta"])
 
 

@@ -36,6 +36,8 @@ class Mutant:
 
 _LIFETIMES = "tests/test_lifetimes.py"
 _LAYOUT = "tests/test_memory_layout.py"
+_STATELESS = f"{_LIFETIMES}::test_an_encode_call_leaves_the_encoder_as_it_was"
+_TRAIN_SET_FREED = f"{_LIFETIMES}::test_a_run_frees_its_training_set_before_preparing_the_test_set"
 
 MUTANTS = (
     # A per-text memo: the encoder keeps every row it returns.
@@ -48,7 +50,38 @@ MUTANTS = (
         (
             f"{_LIFETIMES}::test_the_hash_bag_encoder_keeps_no_vector_it_returns",
             f"{_LAYOUT}::test_the_edge_table_is_the_only_holder_of_a_pooled_sets_fact_vectors",
+            f"{_STATELESS}[hash-bag]",
         ),
+    ),
+    # A token memo: the hash-bag encoder keeps every token vector it derives.
+    Mutant(
+        "hash-bag-token-memo",
+        "src/factpool/encoders.py",
+        "        rng = np.random.default_rng(derive_seed(self.seed, \"hash-bag\", token))\n"
+        "        vec = rng.standard_normal(self.dim)\n"
+        "        vec /= np.linalg.norm(vec)\n"
+        "        return vec\n",
+        "        memo = self.__dict__.setdefault('_token_vectors', {})\n"
+        "        if token not in memo:\n"
+        "            rng = np.random.default_rng(derive_seed(self.seed, \"hash-bag\", token))\n"
+        "            memo[token] = rng.standard_normal(self.dim)\n"
+        "            memo[token] /= np.linalg.norm(memo[token])\n"
+        "        return memo[token]\n",
+        (
+            f"{_STATELESS}[hash-bag]",
+            f"{_LAYOUT}::test_the_edge_table_is_the_only_holder_of_a_pooled_sets_fact_vectors",
+        ),
+    ),
+    # A per-text memo in the shared-toy encoder, holding rows of each array it returns.
+    Mutant(
+        "toy-text-memo",
+        "src/factpool/encoders.py",
+        "                        vectors[rows[text]] = seq_states[1:, :].mean(axis=0)\n"
+        "        return vectors\n",
+        "                        vectors[rows[text]] = seq_states[1:, :].mean(axis=0)\n"
+        "        self.__dict__.setdefault('_memo', {}).update(zip(texts, vectors))\n"
+        "        return vectors\n",
+        (f"{_STATELESS}[shared-toy-encoder]", f"{_TRAIN_SET_FREED}[shared-toy-encoder]"),
     ),
     # Each text summed by `np.add.reduceat`, which does not add in `np.mean`'s order.
     Mutant(
@@ -89,7 +122,7 @@ MUTANTS = (
         "src/factpool/experiment.py",
         "        prepare_conditions(\n            model,\n",
         "        train_set := prepare_conditions(\n            model,\n",
-        (f"{_LIFETIMES}::test_a_run_frees_its_training_set_before_preparing_the_test_set",),
+        (f"{_TRAIN_SET_FREED}[hash-bag]", f"{_TRAIN_SET_FREED}[shared-toy-encoder]"),
     ),
     # A module list keeps each seed's model.
     Mutant(
@@ -140,6 +173,45 @@ MUTANTS = (
             f"{_LAYOUT}::test_backward_twice_on_one_result_gives_identical_gradients[pooled]",
             f"{_LAYOUT}::test_backward_twice_on_one_result_gives_identical_gradients[gnn]",
         ),
+    ),
+    # Backward stops before layer 1: its parameters get no gradient.
+    Mutant(
+        "backward-skips-layer-1",
+        "src/factpool/transformer.py",
+        "    for i in range(L, 0, -1):\n",
+        "    for i in range(L, 1, -1):\n",
+        ("tests/test_transformer.py::test_trunk_backward_vs_finite_differences",),
+    ),
+    # Every position of a padded batch is a key: real tokens attend to padding.
+    Mutant(
+        "key-mask-dropped",
+        "src/factpool/model.py",
+        "    mask = np.zeros((len(flat), t_max), dtype=bool)\n",
+        "    mask = np.ones((len(flat), t_max), dtype=bool)\n",
+        tuple(
+            f"tests/test_model.py::test_scores_alone_and_in_the_chunk_agree_within_1e_12[{s}]"
+            for s in ("gnn", "lm", "pooled-K0", "pooled-K2")
+        ),
+    ),
+    # The fg.* scoring head learns at the trunk's rate instead of the graph's.
+    Mutant(
+        "fg-head-at-lm-rate",
+        "src/factpool/optim.py",
+        '_GRAPH_PREFIXES = ("pool", "fg.", "gnn.")',
+        '_GRAPH_PREFIXES = ("pool", "gnn.")',
+        tuple(
+            f"tests/test_model.py::test_each_parameter_learns_at_its_group_rate[{kind}-{frozen}]"
+            for kind in ("pooled", "lm")
+            for frozen in ("lr_lm", "lr_graph")
+        ),
+    ),
+    # RAdam's denominator floor moved by 10%: every trained checkpoint's bytes move.
+    Mutant(
+        "radam-eps",
+        "src/factpool/optim.py",
+        "EPS = 1e-8\n",
+        "EPS = 1.1e-8\n",
+        ("tests/test_golden.py::test_outputs_match_the_golden_manifest",),
     ),
 )
 

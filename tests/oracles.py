@@ -345,9 +345,10 @@ def parse_config_oracle(text: str):
         except ValueError:
             return None
     c = {key: values.get(key, default) for key, (_, default) in CONFIG_FILE_KEYS.items()}
-    sizes = ("L", "d", "heads", "max_tokens", "max_nodes", "epochs", "batch_size")
+    sizes = ("L", "d", "heads", "max_nodes", "epochs", "batch_size")
     runnable = (
         all(c[name] >= 1 for name in sizes)
+        and c["max_tokens"] >= 5  # [GRAPH][CLS] [SEP] question [SEP]
         and c["seed"] >= 0
         and c["d"] % c["heads"] == 0
         and 0 <= c["K"] <= c["L"]

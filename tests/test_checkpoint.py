@@ -209,8 +209,8 @@ def test_load_model_checks_header_against_tensors(tmp_path, edit, message):
         load_model(str(path))
 
 
-# A gnn's parameter shapes do not depend on its round count, so only the
-# config check can reject these.
+# A gnn's parameter shapes do not depend on its round count, and the rewrite
+# trims the embedding tables to the rest, so only the config check can reject these.
 @pytest.mark.parametrize(
     "values, message",
     [
@@ -218,8 +218,10 @@ def test_load_model_checks_header_against_tensors(tmp_path, edit, message):
         ({"gnn_layers": -2}, "gnn_layers must be positive"),
         ({"vocab_size": 4}, "vocab_size must exceed the 4 reserved token ids, got 4"),
         ({"vocab_size": 2}, "vocab_size must exceed the 4 reserved token ids, got 2"),
+        ({"max_tokens": 4}, "max_tokens must be at least 5, got 4"),
     ],
-    ids=["gnn-layers-0", "gnn-layers-negative", "vocab-reserved-only", "vocab-below-reserved"],
+    ids=["gnn-layers-0", "gnn-layers-negative", "vocab-reserved-only", "vocab-below-reserved",
+         "max-tokens-below-skeleton"],
 )
 def test_load_model_rejects_a_config_no_model_can_run(tmp_path, values, message):
     cfg = Config(L=2, d=16, heads=2, vocab_size=64, max_tokens=16, max_nodes=8)

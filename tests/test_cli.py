@@ -335,6 +335,53 @@ def test_one_candidate_training_question_is_one_error_line(workspace, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "run"])
+def test_gnn_connector_with_no_word_token_is_one_error_line_before_training(
+    tmp_path, capsys, monkeypatch, command
+):
+    from factpool import cli
+    from factpool import model as model_mod
+    from factpool.config import load_config
+    from factpool.kg import load_kg
+
+    def no_training(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(model_mod, "batch_backward", no_training)
+    kg = tmp_path / "kg.tsv"
+    kg.write_text("alpha\tr\t???\n???\tr\tbeta\nalpha\tr\tgamma\n", encoding="utf-8")
+    templates = tmp_path / "templates.tsv"
+    templates.write_text("r\t{h} r {t}\n", encoding="utf-8")
+    # Only the second question retains `???`, the connector of alpha and beta.
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(
+        json.dumps({"question": "what about alpha", "candidates": ["gamma", "delta"],
+                    "answer_index": 0}) + "\n"
+        + json.dumps({"question": "what about alpha and beta", "candidates": ["beta", "gamma"],
+                      "answer_index": 0}) + "\n",
+        encoding="utf-8",
+    )
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG_TEXT, encoding="utf-8")
+    data = ["--kg", str(kg), "--dataset", str(dataset), "--templates", str(templates)]
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", *data, "--config", str(cfg), "--model", "gnn", "--out", str(out)]
+    elif command == "run":
+        argv = ["run", *data, "--config", str(cfg), "--kinds", "gnn", "--train-count", "1",
+                "--test-count", "1", "--out", str(out)]
+    else:
+        ckpt = tmp_path / "gnn.ckpt"
+        relations = model_mod.relation_table(load_kg(kg))
+        model_mod.save_model(model_mod.create_model(load_config(cfg), "gnn", relations), str(ckpt))
+        argv = ["eval", *data, "--checkpoint", str(ckpt), "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "factpool: error: entity '???' has no word token for a gnn node state\n"
+    )
+    assert not out.exists()
+
+
 def _bad_input(workspace, name: str):
     """(command args, expected message) for a command given one bad input file."""
     path = workspace / f"bad_{name}"

@@ -90,7 +90,7 @@ GOOD_VALUES = {
     "heads": ["1", "2", "4"],
     "K": ["0", "1", "2"],
     "fusion_mode": ["early", "early_late"],
-    "max_tokens": ["8", "100"],
+    "max_tokens": ["5", "8", "100"],
     "max_nodes": ["1", "32"],
     "token_pooling": ["mean", "cls"],
     "encoder_kind": ["hash-bag", "shared-toy-encoder", "external-file"],
