@@ -43,6 +43,7 @@ from factpool.model import (
     WITH_ANSWERS,
     apply_condition,
     build_encoder,
+    check_fact_texts,
     create_model,
     evaluate_conditions,
     gradient_check,
@@ -170,6 +171,8 @@ def cmd_encode(args) -> int:
     records = _dataset_slice(args, load_dataset(args.dataset))
     model = create_model(cfg, "pooled", relation_table(kg))
     encoder = build_encoder(model)
+    grounding = ground_records(kg, records, cfg.max_nodes)
+    check_fact_texts(grounding, templates)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cache_path = out / "embeddings.bin"
@@ -179,7 +182,7 @@ def cmd_encode(args) -> int:
         cache, dim = {}, encoder.dim
     if dim != encoder.dim:
         raise UsageError(f"{cache_path}: embedding cache width {dim} != config width d={cfg.d}")
-    subgraphs = [sub for subs in ground_records(kg, records, cfg.max_nodes) for _, sub in subs]
+    subgraphs = [sub for statements in grounding for _, sub in statements]
     texts, vectors = encode_subgraphs(subgraphs, templates, encoder, cache)
     if texts:
         cache.update(zip(texts, vectors))

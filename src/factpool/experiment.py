@@ -33,6 +33,7 @@ from factpool.model import (
     _graph_vectors,
     apply_condition,
     build_encoder,
+    check_fact_texts,
     create_model,
     evaluate_conditions,
     gnn_entities,
@@ -179,8 +180,11 @@ def run_experiment(ecfg: ExperimentConfig, assets: ExperimentAssets | None = Non
     max_nodes = ecfg.config.max_nodes
     train_grounding = ground_records(assets.kg, assets.train_records, max_nodes)
     test_grounding = ground_records(assets.kg, assets.test_records, max_nodes)
+    # A test entity or fact the encoder cannot encode fails before any training.
     if ecfg.model_kind == "gnn":
-        gnn_entities(test_grounding)  # an entity it cannot encode fails before any training
+        gnn_entities(test_grounding)
+    elif ecfg.model_kind == "pooled":
+        check_fact_texts(test_grounding, assets.templates)
     per_seed = [
         _run_seed(ecfg, assets, seed, train_grounding, test_grounding) for seed in ecfg.seeds
     ]

@@ -67,7 +67,7 @@ from factpool.transformer import (
     trunk_backward,
 )
 from factpool.util import derive_seed
-from factpool.verbalize import TemplateTable
+from factpool.verbalize import TemplateTable, verbalize
 from factpool.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 MODEL_KINDS = ("pooled", "gnn", "lm")
@@ -236,6 +236,26 @@ def gnn_entities(grounding: Grounding) -> list[str]:
     return entities
 
 
+def check_fact_texts(grounding: Grounding, templates: TemplateTable) -> None:
+    """KGFormatError names the templates file and the first grounding fact
+    whose verbalized text has no word token for a computing encoder.  Only a
+    fact between two entities with no word token can verbalize to one."""
+    nodes = {node for statements in grounding for _, sub in statements for node in sub.nodes}
+    wordless = {node for node in nodes if not text_tokens(id_to_surface(node))}
+    if not wordless:
+        return
+    facts = {fact for statements in grounding for _, sub in statements for fact in sub.edges}
+    for fact in sorted(facts):
+        if fact.head in wordless and fact.tail in wordless:
+            text = verbalize(fact, templates)
+            if not text_tokens(text):
+                where = f"{templates.path}: " if templates.path else ""
+                raise KGFormatError(
+                    f"{where}fact {fact.key()!r} verbalizes to {text!r}, "
+                    "which has no word token for a pooled edge vector"
+                )
+
+
 def apply_condition(sub: Subgraph, stmt: GroundedStatement, condition: str) -> Subgraph:
     """The subgraph as seen under `condition`, from the intact subgraph."""
     if condition == WITHOUT_ANSWERS:
@@ -298,6 +318,8 @@ def prepare_conditions(
     texts: dict[str, str] = {}
     edge_table = np.zeros((0, model.cfg.d))
     if model.kind == "pooled":
+        if hasattr(encoder, "encode_texts"):  # the external-file encoder reads facts by key
+            check_fact_texts(grounding, templates)
         texts, edge_table = encode_subgraphs(subgraphs, templates, encoder)
     node_table, node_ids = None, []
     if model.kind == "gnn":
@@ -428,8 +450,8 @@ def batch_forward(
     backward_cache: keep what `batch_backward` reads (the trunk's per-layer
     activations, the pooling, GNN and head caches and the score gradient).
     Without it the result carries only the trunk's token ids, injections and
-    per-layer graph-token states, and its final states, whose position 1
-    holds each question state.
+    per-layer graph-token states, and its final states at the SCORED_POSITIONS
+    (0: the graph token, 1: the question state).
     """
     flat, slices, ids, mask = _flatten(questions)
     g, pool_weights, pool_caches = _graph_vectors(model, flat, backward_cache)
@@ -492,13 +514,20 @@ def _graph_vectors(model: Model, flat: list[PreparedCandidate], backward_cache: 
     return g, [list(per_head) for per_head in zip(*head_weights)], pool_caches
 
 
+# Scoring reads the final states of the graph token (position 0) and the
+# question state (position 1) only, so the trunk's last layer computes those.
+SCORED_POSITIONS = 2
+
+
 def _run_trunk(model: Model, ids, mask, g: np.ndarray, backward_cache: bool = False):
     """Trunk stage: graph vector 0 initializes the graph token and vector k
-    is injected before layer L-k."""
+    is injected before layer L-k.  Returns ([B, SCORED_POSITIONS, d] final
+    states, trunk cache)."""
     cfg = model.cfg
     injections = {_injection_layer(cfg.L, k): g[k] for k in range(1, len(g))}
     return trunk_forward(
-        model.params, cfg.L, cfg.heads, ids, mask, g[0], injections, backward_cache
+        model.params, cfg.L, cfg.heads, ids, mask, g[0], injections, backward_cache,
+        read_positions=SCORED_POSITIONS,
     )
 
 
@@ -600,9 +629,10 @@ def loss_and_grads(model: Model, questions: list[PreparedQuestion]):
 
 EVAL_CHUNK = 64  # questions per evaluation batch
 # Sequences per trunk forward in evaluation.  A block of 32 at T=40, d=64
-# keeps each FFN activation near 2.6 MB (f64); whole evaluation batches of
-# 256 sequences ran the element-wise passes ~3x slower per element and set
-# the process's peak memory.
+# keeps each FFN activation of layers 1..L-1 near 2.6 MB (f64; the last
+# layer's, on the SCORED_POSITIONS rows, ~0.13 MB); whole evaluation batches
+# of 256 sequences ran the element-wise passes ~3x slower per element and
+# set the process's peak memory.
 TRUNK_BLOCK = 32
 
 
@@ -664,9 +694,9 @@ def evaluate_conditions(
         for b in range(0, len(source), TRUNK_BLOCK):
             block = source[b : b + TRUNK_BLOCK]
             out, _ = _run_trunk(model, ids[block], mask[block], g_rows[:, b : b + TRUNK_BLOCK])
-            if b == 0:  # scoring reads the graph and question positions only
-                states = np.empty((len(source), 2, out.shape[2]), out.dtype)
-            states[b : b + TRUNK_BLOCK] = out[:, :2]
+            if b == 0:
+                states = np.empty((len(source), *out.shape[1:]), out.dtype)
+            states[b : b + TRUNK_BLOCK] = out
         for name, chunk, flat, slices, g, rows in runs:
             scores = _score(model, flat, slices, g, states[rows, 1, :], states[rows, 0, :])[0]
             correct[name] += sum(

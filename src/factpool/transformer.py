@@ -4,9 +4,11 @@ Post-norm layers: x -> LN(x + MHA(x)) -> LN(. + FFN(.)), GELU feed-forward,
 additive key masking for padding.  The graph token occupies position 0; its
 input embedding is supplied by the caller (the pooled graph vector), and
 late-fusion injections add per-layer vectors to the graph token's hidden
-state immediately before selected layers.  All tensors are float64 by
-default; gradients are exact reverse-mode, computed from caches recorded
-during the forward pass.
+state immediately before selected layers.  A caller that reads only the
+leading positions of the output has the last layer computed for those rows
+alone: its keys and values still come from every position.  All tensors are
+float64 by default; gradients are exact reverse-mode, computed from caches
+recorded during the forward pass.
 
 Parameter dict layout (flat name -> array):
     tok_emb [V, d], pos_emb [max_tokens, d]
@@ -76,9 +78,16 @@ class NoBackwardCacheError(RuntimeError):
     """A backward pass was asked of a forward that kept no backward cache."""
 
 
-def _layer_forward(params, p: str, x: np.ndarray, heads: int, key_bias: np.ndarray, caches):
-    """One post-norm layer; appends its backward cache to `caches` unless None.
+def _layer_forward(
+    params, p: str, x: np.ndarray, heads: int, key_bias: np.ndarray, caches, rows=None
+):
+    """One post-norm layer over x [B, T, d]; appends its backward cache to
+    `caches` unless None.
 
+    rows: compute the output for the leading `rows` positions only (None:
+    all T).  Keys and values come from every position; the query projection,
+    the attention rows, the output projection, both LayerNorms and the FFN
+    run on the read rows, each row byte-identical to the full layer's.
     The cache keeps the layer input, q, k, v, the attention weights, the
     merged context, both LayerNorm caches, the FFN pre-activation and its
     tanh.  It leaves out the LayerNorm-1 output and the GELU output, which
@@ -87,14 +96,15 @@ def _layer_forward(params, p: str, x: np.ndarray, heads: int, key_bias: np.ndarr
     are freed on return rather than held until the next layer rebinds them.
     """
     dk = x.shape[-1] // heads
-    q = _split_heads(x @ params[f"{p}.attn.wq"] + params[f"{p}.attn.bq"], heads)
+    x_rows = x[:, :rows]
+    q = _split_heads(x_rows @ params[f"{p}.attn.wq"] + params[f"{p}.attn.bq"], heads)
     k = _split_heads(x @ params[f"{p}.attn.wk"] + params[f"{p}.attn.bk"], heads)
     v = _split_heads(x @ params[f"{p}.attn.wv"] + params[f"{p}.attn.bv"], heads)
     scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dk) + key_bias
     attn = softmax_stable(scores)
     ctx = _merge_heads(attn @ v)
     attn_out = ctx @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
-    r1 = x + attn_out
+    r1 = x_rows + attn_out
     x1, ln1_cache = layer_norm(r1, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
     pre = x1 @ params[f"{p}.ffn.w1"] + params[f"{p}.ffn.b1"]
     hid, pre_t = gelu_cached(pre)
@@ -115,6 +125,7 @@ def trunk_forward(
     graph_init: np.ndarray,
     injections: dict[int, np.ndarray] | None = None,
     backward_cache: bool = False,
+    read_positions: int | None = None,
 ):
     """Run the encoder.
 
@@ -128,7 +139,10 @@ def trunk_forward(
     and the cache holds only the token ids, the injections and the per-layer
     graph-token states (cache[4]).  Every op is row-wise, so a row's states
     do not depend on the other rows of the batch.
-    Returns (states [B, T, d], cache).
+    read_positions: the number of leading positions the caller reads (None:
+    all).  The last layer then computes only those rows, each byte-identical
+    to the full layer's, and `trunk_backward` takes d_states for them alone.
+    Returns (states [B, read_positions or T, d], cache).
     """
     injections = injections or {}
     t = ids.shape[1]
@@ -143,15 +157,32 @@ def trunk_forward(
         if i in injections:
             x = x.copy()
             x[:, 0, :] += injections[i]
-        x = _layer_forward(params, f"layer{i}", x, heads, key_bias, layer_caches)
+        rows = read_positions if i == L else None
+        x = _layer_forward(params, f"layer{i}", x, heads, key_bias, layer_caches, rows)
         graph_states.append(x[:, 0, :].copy())
     cache = (ids, injections, layer_caches, heads, graph_states)
     return x, cache
 
 
+def _pad_rows(a: np.ndarray, t: int) -> np.ndarray:
+    """a [B, n, X] zero-padded to [B, t, X]; `a` itself when n == t."""
+    if a.shape[1] == t:
+        return a
+    padded = np.zeros((a.shape[0], t, a.shape[2]), a.dtype)
+    padded[:, : a.shape[1]] = a
+    return padded
+
+
 def trunk_backward(params: dict[str, np.ndarray], L: int, cache, d_states: np.ndarray):
     """Backward through the encoder.
 
+    d_states covers the positions the forward computed.  A last layer that
+    computed n < T rows runs its element-wise work on those n rows.  Its
+    input-gradient products through transposed weights and its weight
+    gradients run on [B, T] operands zero-padded past row n, because their
+    bytes depend on the row count (GEMM kernel choice and K-blocking); the
+    gradients are then byte-identical to a full-layer backward given zero
+    d_states past row n.
     Returns (grads dict matching param names, d_graph_init [B, d],
     d_injections {layer: [B, d]}).
     """
@@ -168,39 +199,45 @@ def trunk_backward(params: dict[str, np.ndarray], L: int, cache, d_states: np.nd
     for i in range(L, 0, -1):
         p = f"layer{i}"
         x_in, q, k, v, attn, ctx, ln1_cache, pre, pre_t, ln2_cache = layer_caches[i - 1]
+        t, n = x_in.shape[1], q.shape[2]  # n < t: the layer computed n leading rows
         d_r2, d_g2, d_b2 = layer_norm_backward(dx, ln2_cache, params[f"{p}.ln2.gain"])
         grads[f"{p}.ln2.gain"] = d_g2
         grads[f"{p}.ln2.bias"] = d_b2
         # r2 = x1 + ffn_out
-        d_ffn = d_r2
-        hid = gelu_from_tanh(pre, pre_t)
+        d_ffn = _pad_rows(d_r2, t)
+        hid = _pad_rows(gelu_from_tanh(pre, pre_t), t)
         grads[f"{p}.ffn.w2"] = np.tensordot(hid, d_ffn, axes=([0, 1], [0, 1]))
         del hid
-        grads[f"{p}.ffn.b2"] = d_ffn.sum(axis=(0, 1))
-        d_hid = d_ffn @ params[f"{p}.ffn.w2"].T
+        grads[f"{p}.ffn.b2"] = d_r2.sum(axis=(0, 1))
+        d_hid = (d_ffn @ params[f"{p}.ffn.w2"].T)[:, :n]
+        del d_ffn
         d_pre = gelu_grad_cached(pre, pre_t)
         d_pre *= d_hid
+        del d_hid
         x1 = layer_norm_affine(ln1_cache[0], params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
-        grads[f"{p}.ffn.w1"] = np.tensordot(x1, d_pre, axes=([0, 1], [0, 1]))
+        x1 = _pad_rows(x1, t)
+        d_pre_pad = _pad_rows(d_pre, t)
+        grads[f"{p}.ffn.w1"] = np.tensordot(x1, d_pre_pad, axes=([0, 1], [0, 1]))
         del x1
         grads[f"{p}.ffn.b1"] = d_pre.sum(axis=(0, 1))
-        d_x1 = d_r2 + d_pre @ params[f"{p}.ffn.w1"].T
+        d_x1 = d_r2 + (d_pre_pad @ params[f"{p}.ffn.w1"].T)[:, :n]
+        del d_pre, d_pre_pad
         d_r1, d_g1, d_b1 = layer_norm_backward(d_x1, ln1_cache, params[f"{p}.ln1.gain"])
         grads[f"{p}.ln1.gain"] = d_g1
         grads[f"{p}.ln1.bias"] = d_b1
         # r1 = x_in + attn_out
-        d_attn_out = d_r1
-        grads[f"{p}.attn.wo"] = np.tensordot(ctx, d_attn_out, axes=([0, 1], [0, 1]))
-        grads[f"{p}.attn.bo"] = d_attn_out.sum(axis=(0, 1))
-        d_ctx = _split_heads(d_attn_out @ params[f"{p}.attn.wo"].T, heads)
+        d_attn_out = _pad_rows(d_r1, t)
+        grads[f"{p}.attn.wo"] = np.tensordot(_pad_rows(ctx, t), d_attn_out, axes=([0, 1], [0, 1]))
+        grads[f"{p}.attn.bo"] = d_r1.sum(axis=(0, 1))
+        d_ctx = _split_heads((d_attn_out @ params[f"{p}.attn.wo"].T)[:, :n], heads)
         d_attn = d_ctx @ v.transpose(0, 1, 3, 2)
         d_v = attn.transpose(0, 1, 3, 2) @ d_ctx
         d_scores = softmax_backward(attn, d_attn)
         d_q = d_scores @ k / np.sqrt(dk)
         d_k = d_scores.transpose(0, 1, 3, 2) @ q / np.sqrt(dk)
-        dx_in = d_r1.copy()
+        dx_in = d_attn_out  # nothing reads d_r1 after this, so it is written in place
         for mat, dmat in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
-            flat = _merge_heads(dmat)
+            flat = _pad_rows(_merge_heads(dmat), t)
             grads[f"{p}.attn.{mat}"] = np.tensordot(x_in, flat, axes=([0, 1], [0, 1]))
             grads[f"{p}.attn.b{mat[1]}"] = flat.sum(axis=(0, 1))
             dx_in += flat @ params[f"{p}.attn.{mat}"].T

@@ -38,6 +38,7 @@ _LIFETIMES = "tests/test_lifetimes.py"
 _LAYOUT = "tests/test_memory_layout.py"
 _STATELESS = f"{_LIFETIMES}::test_an_encode_call_leaves_the_encoder_as_it_was"
 _TRAIN_SET_FREED = f"{_LIFETIMES}::test_a_run_frees_its_training_set_before_preparing_the_test_set"
+_PRUNED = "tests/test_model.py::test_the_pruned_last_layer_is_byte_identical_to_the_full_layer"
 
 MUTANTS = (
     # A per-text memo: the encoder keeps every row it returns.
@@ -156,8 +157,9 @@ MUTANTS = (
     Mutant(
         "hid-into-tanh-cache",
         "src/factpool/transformer.py",
-        "        hid = gelu_from_tanh(pre, pre_t)\n",
-        "        hid = np.add(pre_t, 1.0, out=pre_t)\n        hid *= np.multiply(pre, 0.5)\n",
+        "        hid = _pad_rows(gelu_from_tanh(pre, pre_t), t)\n",
+        "        hid = np.add(pre_t, 1.0, out=pre_t)\n        hid *= np.multiply(pre, 0.5)\n"
+        "        hid = _pad_rows(hid, t)\n",
         (
             f"{_LAYOUT}::test_backward_twice_on_one_result_gives_identical_gradients[pooled]",
             f"{_LAYOUT}::test_backward_twice_on_one_result_gives_identical_gradients[gnn]",
@@ -167,12 +169,32 @@ MUTANTS = (
     Mutant(
         "x1-into-xhat",
         "src/factpool/transformer.py",
-        'params[f"{p}.ln1.bias"])\n        grads[f"{p}.ffn.w1"]',
-        'params[f"{p}.ln1.bias"], out=ln1_cache[0])\n        grads[f"{p}.ffn.w1"]',
+        'params[f"{p}.ln1.bias"])\n        x1 = _pad_rows(x1, t)\n',
+        'params[f"{p}.ln1.bias"], out=ln1_cache[0])\n        x1 = _pad_rows(x1, t)\n',
         (
             f"{_LAYOUT}::test_backward_twice_on_one_result_gives_identical_gradients[pooled]",
             f"{_LAYOUT}::test_backward_twice_on_one_result_gives_identical_gradients[gnn]",
         ),
+    ),
+    # The last layer's FFN-2 weight gradient summed over its read rows only:
+    # BLAS K-blocks the shorter sum differently, so its bytes move at d=64.
+    Mutant(
+        "last-layer-weight-grad-unpadded",
+        "src/factpool/transformer.py",
+        "        hid = _pad_rows(gelu_from_tanh(pre, pre_t), t)\n"
+        "        grads[f\"{p}.ffn.w2\"] = np.tensordot(hid, d_ffn, axes=([0, 1], [0, 1]))\n",
+        "        hid = gelu_from_tanh(pre, pre_t)\n"
+        "        grads[f\"{p}.ffn.w2\"] = np.tensordot(hid, d_r2, axes=([0, 1], [0, 1]))\n",
+        (f"{_PRUNED}[pooled]", f"{_PRUNED}[gnn]"),
+    ),
+    # The last layer's input gradient through W2^T computed for its read rows
+    # only: a product of fewer rows may take another GEMM kernel.
+    Mutant(
+        "last-layer-nt-grad-unpadded",
+        "src/factpool/transformer.py",
+        "        d_hid = (d_ffn @ params[f\"{p}.ffn.w2\"].T)[:, :n]\n",
+        "        d_hid = d_r2 @ params[f\"{p}.ffn.w2\"].T\n",
+        (f"{_PRUNED}[pooled]", f"{_PRUNED}[gnn]"),
     ),
     # Backward stops before layer 1: its parameters get no gradient.
     Mutant(
@@ -192,6 +214,37 @@ MUTANTS = (
             f"tests/test_model.py::test_scores_alone_and_in_the_chunk_agree_within_1e_12[{s}]"
             for s in ("gnn", "lm", "pooled-K0", "pooled-K2")
         ),
+    ),
+    # Each candidate's position within its question is added to its score.
+    Mutant(
+        "candidate-position-in-score",
+        "src/factpool/model.py",
+        "    scores = fq_scores + graph_scores\n",
+        "    scores = fq_scores + graph_scores\n"
+        "    scores += np.concatenate([np.arange(sl.stop - sl.start) for sl in slices])\n",
+        tuple(
+            f"tests/test_model.py::test_candidate_order_only_permutes_the_scores[{kind}]"
+            for kind in ("pooled", "gnn", "lm")
+        ),
+    ),
+    # Retrieval capped at one node per 40 KG entities instead of max_nodes.
+    Mutant(
+        "retrieval-cap-from-kg-size",
+        "src/factpool/kg.py",
+        "        raise ValueError(\"max_nodes must be >= 1\")\n",
+        "        raise ValueError(\"max_nodes must be >= 1\")\n"
+        "    max_nodes = len(kg.entities) // 40\n",
+        ("tests/test_experiment.py::test_a_fresh_kg_component_changes_only_the_kg_digest",),
+    ),
+    # A pooled run checks only what it trains on: a test fact the encoder
+    # cannot encode fails after the first seed has trained.
+    Mutant(
+        "pooled-test-facts-unchecked",
+        "src/factpool/experiment.py",
+        "        check_fact_texts(test_grounding, assets.templates)\n",
+        "        pass\n",
+        ("tests/test_cli.py::test_pooled_fact_with_no_word_token_is_one_error_line_before_training"
+         "[run]",),
     ),
     # The fg.* scoring head learns at the trunk's rate instead of the graph's.
     Mutant(

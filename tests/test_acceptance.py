@@ -36,6 +36,7 @@ from factpool.kg import (
     retrieve_subgraph,
 )
 from factpool.model import (
+    SCORED_POSITIONS,
     WITH_ANSWERS,
     WITHOUT_ANSWERS,
     batch_forward,
@@ -149,9 +150,9 @@ def test_criterion_04_fusion_reduction_bit_identical():
         assert all(np.array_equal(a, b) for a, b in zip(weights_e, weights_l))
     layer_states = [f._caches["trunk_cache"][4] for f in (early, late)]
     assert all(np.array_equal(a, b) for a, b in zip(*layer_states))
-    assert np.array_equal(
-        early._caches["graph_states_final"], late._caches["graph_states_final"]
-    )
+    final = early._caches["graph_states_final"]
+    assert final.shape == (len(early.scores), SCORED_POSITIONS, cfg.d)  # the read positions
+    assert np.array_equal(final, late._caches["graph_states_final"])
     assert curves["early"] == curves["early_late"]
     report(4, "early_late K=0 == early", f"bit-identical, {time.time()-start:.0f}s")
 

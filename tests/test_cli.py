@@ -335,10 +335,10 @@ def test_one_candidate_training_question_is_one_error_line(workspace, tmp_path, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "eval", "run"])
-def test_gnn_connector_with_no_word_token_is_one_error_line_before_training(
-    tmp_path, capsys, monkeypatch, command
-):
+def _wordless_run(tmp_path, monkeypatch, kind, command, kg_text, templates_text):
+    """`factpool <command>` of a `kind` model on two questions whose second
+    alone retains the connectors of alpha and beta; returns its exit code
+    and the output directory.  A training step fails the test."""
     from factpool import cli
     from factpool import model as model_mod
     from factpool.config import load_config
@@ -349,10 +349,9 @@ def test_gnn_connector_with_no_word_token_is_one_error_line_before_training(
 
     monkeypatch.setattr(model_mod, "batch_backward", no_training)
     kg = tmp_path / "kg.tsv"
-    kg.write_text("alpha\tr\t???\n???\tr\tbeta\nalpha\tr\tgamma\n", encoding="utf-8")
+    kg.write_text(kg_text, encoding="utf-8")
     templates = tmp_path / "templates.tsv"
-    templates.write_text("r\t{h} r {t}\n", encoding="utf-8")
-    # Only the second question retains `???`, the connector of alpha and beta.
+    templates.write_text(templates_text, encoding="utf-8")
     dataset = tmp_path / "dataset.jsonl"
     dataset.write_text(
         json.dumps({"question": "what about alpha", "candidates": ["gamma", "delta"],
@@ -366,18 +365,52 @@ def test_gnn_connector_with_no_word_token_is_one_error_line_before_training(
     data = ["--kg", str(kg), "--dataset", str(dataset), "--templates", str(templates)]
     out = tmp_path / "out"
     if command == "train":
-        argv = ["train", *data, "--config", str(cfg), "--model", "gnn", "--out", str(out)]
+        argv = ["train", *data, "--config", str(cfg), "--model", kind, "--out", str(out)]
     elif command == "run":
-        argv = ["run", *data, "--config", str(cfg), "--kinds", "gnn", "--train-count", "1",
+        argv = ["run", *data, "--config", str(cfg), "--kinds", kind, "--train-count", "1",
                 "--test-count", "1", "--out", str(out)]
+    elif command == "encode":
+        argv = ["encode", *data, "--config", str(cfg), "--out", str(out)]
     else:
-        ckpt = tmp_path / "gnn.ckpt"
+        ckpt = tmp_path / f"{kind}.ckpt"
         relations = model_mod.relation_table(load_kg(kg))
-        model_mod.save_model(model_mod.create_model(load_config(cfg), "gnn", relations), str(ckpt))
+        model_mod.save_model(model_mod.create_model(load_config(cfg), kind, relations), str(ckpt))
         argv = ["eval", *data, "--checkpoint", str(ckpt), "--out", str(out)]
-    assert cli.main(argv) == 1
+    return cli.main(argv), out
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "run"])
+def test_gnn_connector_with_no_word_token_is_one_error_line_before_training(
+    tmp_path, capsys, monkeypatch, command
+):
+    # Only the second question retains `???`, the connector of alpha and beta.
+    code, out = _wordless_run(
+        tmp_path, monkeypatch, "gnn", command,
+        "alpha\tr\t???\n???\tr\tbeta\nalpha\tr\tgamma\n", "r\t{h} r {t}\n",
+    )
+    assert code == 1
     assert capsys.readouterr().err == (
         "factpool: error: entity '???' has no word token for a gnn node state\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "run", "encode"])
+def test_pooled_fact_with_no_word_token_is_one_error_line_before_training(
+    tmp_path, capsys, monkeypatch, command
+):
+    # Only the second question retains both connectors of alpha and beta, so
+    # only it induces the `??? s !!!` edge, whose text is '??? !!!'.
+    code, out = _wordless_run(
+        tmp_path, monkeypatch, "pooled", command,
+        "alpha\tr\t???\n???\tr\tbeta\nalpha\tr\t!!!\n!!!\tr\tbeta\n???\ts\t!!!\n"
+        "alpha\tr\tgamma\n",
+        "r\tr {h} r {t}\ns\t{h} {t}\n",
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"factpool: error: {tmp_path / 'templates.tsv'}: fact '???\\ts\\t!!!' verbalizes "
+        "to '??? !!!', which has no word token for a pooled edge vector\n"
     )
     assert not out.exists()
 

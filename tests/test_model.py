@@ -31,6 +31,7 @@ from factpool.model import (
     candidate_log_probabilities,
     create_model,
     EVAL_CHUNK,
+    SCORED_POSITIONS,
     evaluate,
     evaluate_conditions,
     ground_records,
@@ -130,9 +131,9 @@ def test_early_late_k0_bit_identical_to_early():
         for wa, wb in zip(early.pool_weights, late.pool_weights)
         for a, b in zip(wa, wb)
     )
-    assert np.array_equal(
-        early._caches["graph_states_final"], late._caches["graph_states_final"]
-    )
+    final = early._caches["graph_states_final"]
+    assert final.shape == (len(early.scores), SCORED_POSITIONS, cfg_early.d)  # the read positions
+    assert np.array_equal(final, late._caches["graph_states_final"])
     layer_states = [r._caches["trunk_cache"][4] for r in results]
     assert len(layer_states[0]) == cfg_early.L + 1
     assert all(np.array_equal(a, b) for a, b in zip(*layer_states))
@@ -420,6 +421,67 @@ def test_cache_free_batch_forward_byte_equal_to_caching(kind, overrides):
         batch_backward(model, free)
 
 
+@pytest.mark.parametrize("kind", ["pooled", "gnn"])
+def test_the_pruned_last_layer_is_byte_identical_to_the_full_layer(monkeypatch, kind):
+    # Acceptance shapes: 16 questions x 4 candidates at T=40, d=64, 4 heads,
+    # L=4, K=2.  A weight gradient summed over fewer rows, or an input
+    # gradient through a transposed weight computed for fewer rows, changes
+    # its bytes at these sizes (BLAS K-blocking and kernel choice) but not at
+    # the golden runs' d=16.  So the trunk as a training step runs it, with
+    # its last layer on the SCORED_POSITIONS rows, must equal the full layer
+    # given zero d_states past those rows, byte for byte.
+    cfg = small_cfg(L=4, d=64, heads=4, K=2, fusion_mode="early_late", max_tokens=40,
+                    max_nodes=32)
+    bench = generate_synthetic(
+        SyntheticSpec(entities=1000, relations=3, questions=16, candidates=4,
+                      distractor_rate=0.5, kg_fraction=0.7, seed=0)
+    )
+    # One long context fills T=40; the other sequences are padded to it.
+    records = [replace(bench.records[0], context="filler " * 40), *bench.records[1:]]
+    kg = kg_from_facts(bench.facts)
+    model = create_model(cfg, kind, relation_table(kg))
+    prepared = prepare_dataset(model, kg, bench.templates, build_encoder(model), records)
+    seen = {}
+    real_forward, real_backward = model_mod.trunk_forward, model_mod.trunk_backward
+
+    def recording_forward(*args, **kwargs):
+        seen["args"], seen["kwargs"] = args, kwargs
+        seen["pruned"] = real_forward(*args, **kwargs)
+        return seen["pruned"]
+
+    def recording_backward(params, L, cache, d_states):
+        seen["d_states"] = d_states
+        seen["pruned_grads"] = real_backward(params, L, cache, d_states)
+        return seen["pruned_grads"]
+
+    monkeypatch.setattr(model_mod, "trunk_forward", recording_forward)
+    monkeypatch.setattr(model_mod, "trunk_backward", recording_backward)
+    result = batch_forward(model, prepared, backward_cache=True)
+    batch_backward(model, result)
+    assert seen["kwargs"] == {"read_positions": SCORED_POSITIONS}
+    ids, mask = seen["args"][3:5]
+    assert ids.shape == (64, 40) and not mask.all()
+    states, cache = seen["pruned"]
+    full_states, full_cache = real_forward(*seen["args"])
+    assert states.shape == (64, SCORED_POSITIONS, 64)
+    assert result._caches["graph_states_final"] is states
+    assert states.tobytes() == full_states[:, :SCORED_POSITIONS].tobytes()
+    assert [s.tobytes() for s in cache[4]] == [s.tobytes() for s in full_cache[4]]
+    d_full = np.zeros_like(full_states)
+    d_full[:, :SCORED_POSITIONS] = seen["d_states"]
+    grads, d_graph_init, d_injections = seen["pruned_grads"]
+    want_grads, want_d_graph_init, want_d_injections = real_backward(
+        model.params, cfg.L, full_cache, d_full
+    )
+    assert list(grads) == list(want_grads)
+    for name, want in want_grads.items():
+        assert grads[name].tobytes() == want.tobytes(), name
+    assert d_graph_init.tobytes() == want_d_graph_init.tobytes()
+    assert sorted(d_injections) == sorted(want_d_injections) == ([2, 3] if kind == "pooled" else [])
+    for layer, want in want_d_injections.items():
+        assert d_injections[layer].tobytes() == want.tobytes(), layer
+
+
 def test_evaluate_peak_memory_below_half_of_caching_forward():
     # numpy reports its buffers to tracemalloc, so the peaks are deterministic.
     cfg = small_cfg(L=4, d=64, heads=4, K=2, fusion_mode="early_late", max_tokens=40,
@@ -563,9 +625,9 @@ def test_evaluate_conditions_runs_each_distinct_trunk_row_once(
     rows = []
     real_forward = model_mod.trunk_forward
 
-    def counting_forward(params, L, heads, ids, *rest):
+    def counting_forward(params, L, heads, ids, *rest, **kwargs):
         rows.append(len(ids))
-        return real_forward(params, L, heads, ids, *rest)
+        return real_forward(params, L, heads, ids, *rest, **kwargs)
 
     monkeypatch.setattr(model_mod, "trunk_forward", counting_forward)
     evaluate_conditions(model, prepared)
