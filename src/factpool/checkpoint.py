@@ -92,6 +92,8 @@ def _read_container(path: str | Path, magic: bytes, kind: str):
             raise CheckpointError(
                 f"{path}: corrupt {kind} tensor name at byte {start} ({err})"
             ) from None
+        if name in tensors:
+            raise CheckpointError(f"{path}: {kind} repeats tensor name {name!r}")
         (ndim,) = struct.unpack_from("<I", data, take(4))
         shape = struct.unpack_from(f"<{ndim}Q", data, take(8 * ndim))
         # math.prod and positional frombuffer arguments: np.prod or keywords

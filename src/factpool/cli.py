@@ -113,10 +113,12 @@ def _checkpoint_model(args, pooled_only: bool = False):
 
 
 def _dataset_slice(args, records):
-    end = None if args.count is None else args.skip + args.count
+    end = len(records) if args.count is None else args.skip + args.count
+    flags = f"--skip {args.skip}" + ("" if args.count is None else f" --count {args.count}")
     if args.skip >= len(records):
-        flags = f"--skip {args.skip}" + ("" if args.count is None else f" --count {args.count}")
         raise UsageError(f"{flags} selects no record: {args.dataset} has {len(records)}")
+    if end > len(records):
+        raise UsageError(f"{flags} runs past the last record: {args.dataset} has {len(records)}")
     return records[args.skip : end]
 
 

@@ -394,12 +394,14 @@ def explain(
         raise ValueError("explain requires a pooled model")
     [prepared] = prepare_dataset(model, kg, templates, encoder, [record])
     _, pool_weights, _ = _graph_vectors(model, prepared.candidates)
+    # Each head's weights run over every candidate's edges in turn.
+    bounds = np.cumsum([len(cand.edge_rows) for cand in prepared.candidates])[:-1]
+    per_candidate = zip(*(np.split(weights, bounds) for weights in pool_weights))
     out = []
-    for idx, cand in enumerate(prepared.candidates):
+    for idx, (cand, head_weights) in enumerate(zip(prepared.candidates, per_candidate)):
         per_layer = []
         sums = []
-        for k in range(model.cfg.num_pooling_heads()):
-            weights = pool_weights[idx][k]
+        for weights in head_weights:
             order = np.argsort(-weights, kind="stable")[: min(top_n, len(weights))]
             per_layer.append(
                 [

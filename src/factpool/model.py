@@ -406,10 +406,10 @@ class DivergenceError(RuntimeError):
 class BatchResult:
     loss: float
     scores: np.ndarray  # [num candidates total]
-    probs: list[np.ndarray]  # per question
-    predictions: list[int]
-    slices: list[slice]
-    pool_weights: list[list[np.ndarray]]  # per candidate, per head
+    slices: list[slice]  # per question, its candidates' rows of `scores`
+    # Per pooling head, the [E] weights over the batch's edges in candidate
+    # order; a candidate's are the next len(edge_rows) of them.  gnn and lm: [].
+    pool_weights: list[np.ndarray]
     aggregations: int  # instrumented count of pooling/GNN aggregation events
     _caches: dict = field(default_factory=dict, repr=False)
 
@@ -445,7 +445,9 @@ def candidate_log_probabilities(scores: np.ndarray) -> np.ndarray:
 def batch_forward(
     model: Model, questions: list[PreparedQuestion], backward_cache: bool = False
 ) -> BatchResult:
-    """Scores, loss and predictions for a batch of questions.
+    """Candidate scores, the mean cross-entropy loss and the per-head pooling
+    weights of a batch of questions.  It makes no prediction: a question's is
+    the argmax of its `scores[slices[i]]`.
 
     backward_cache: keep what `batch_backward` reads (the trunk's per-layer
     activations, the pooling, GNN and head caches and the score gradient).
@@ -461,18 +463,12 @@ def batch_forward(
     )
     loss = 0.0
     d_scores = np.zeros(len(flat))
-    probs_per_q: list[np.ndarray] = []
-    predictions = []
     nq = len(questions)
     for q, sl in zip(questions, slices):
-        s = scores[sl]
-        log_probs = candidate_log_probabilities(s)
-        probs = np.exp(log_probs)
-        probs_per_q.append(probs)
-        predictions.append(int(np.argmax(s)))
+        log_probs = candidate_log_probabilities(scores[sl])
         loss += -log_probs[q.answer_index] / nq
         if backward_cache:
-            d = probs.copy()
+            d = np.exp(log_probs)
             d[q.answer_index] -= 1.0
             d_scores[sl] = d / nq
     caches = {"trunk_cache": trunk_cache, "graph_states_final": states}
@@ -481,8 +477,6 @@ def batch_forward(
     return BatchResult(
         loss=float(loss),
         scores=scores,
-        probs=probs_per_q,
-        predictions=predictions,
         slices=slices,
         pool_weights=pool_weights,
         aggregations=aggregations,
@@ -491,14 +485,13 @@ def batch_forward(
 
 
 def _graph_vectors(model: Model, flat: list[PreparedCandidate], backward_cache: bool = False):
-    """Pooling stage: ([heads, B, d] graph vectors, per-candidate per-head
-    pool weights, pooling caches).  A gnn or lm model has one head of zeros."""
+    """Pooling stage: ([heads, B, d] graph vectors, per-head [E] pool weights,
+    pooling caches).  A gnn or lm model has one head of zeros and no weights."""
     cfg = model.cfg
     bs = len(flat)
     if model.kind != "pooled":
-        return np.zeros((1, bs, cfg.d)), [[] for _ in range(bs)], []
+        return np.zeros((1, bs, cfg.d)), [], []
     counts = [len(cand.edge_rows) for cand in flat]
-    bounds = np.cumsum(counts[:-1])
     edges = np.concatenate([cand.edge_matrix for cand in flat])
     heads = cfg.num_pooling_heads()
     g = np.zeros((heads, bs, cfg.d))
@@ -506,12 +499,12 @@ def _graph_vectors(model: Model, flat: list[PreparedCandidate], backward_cache: 
     pool_caches = []
     for k in range(heads):
         g[k], weights, cache = pool_forward(model.params, edges, counts, f"pool{k}")
-        head_weights.append(np.split(weights, bounds))
+        head_weights.append(weights)
         # An edgeless batch keeps no pooling cache, so its pool* parameters
         # get no gradient: RAdam would move them on a zero gradient.
         if backward_cache and edges.shape[0]:
             pool_caches.append(cache)
-    return g, [list(per_head) for per_head in zip(*head_weights)], pool_caches
+    return g, head_weights, pool_caches
 
 
 # Scoring reads the final states of the graph token (position 0) and the
@@ -711,11 +704,11 @@ def evaluate_conditions(
 def train_model(
     model: Model,
     train_questions: list[PreparedQuestion],
-    epochs: int | None = None,
     out_dir: str | None = None,
     log: bool = False,
 ) -> list[float]:
-    """Cross-entropy training with RAdam; returns the per-epoch loss curve.
+    """`cfg.epochs` of cross-entropy training with RAdam; returns the
+    per-epoch loss curve.
 
     Deterministic for a fixed config seed.  When out_dir is given a
     checkpoint is written after every epoch plus a `final.ckpt`.
@@ -725,12 +718,11 @@ def train_model(
         raise ValueError("empty training set")
     if any(len(q.candidates) < 2 for q in train_questions):
         raise ValueError("training questions need at least two candidates")
-    epochs = cfg.epochs if epochs is None else epochs
     optimizer = RAdam(model.params, cfg.lr_lm, cfg.lr_graph)
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle", model.kind))
     losses: list[float] = []
     step = 0
-    for epoch in range(1, epochs + 1):
+    for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(len(train_questions))
         epoch_loss = 0.0
         batches = 0

@@ -8,17 +8,17 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 _LN_EPS = 1e-5
 
 
-def softmax_stable(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax with max subtraction; accumulation in float64."""
+def softmax_stable(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis with max subtraction; accumulation in float64."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - np.max(z, axis=axis, keepdims=True)
+    z = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def softmax_backward(weights: np.ndarray, d_weights: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Gradient w.r.t. logits given softmax outputs and their upstream grad."""
-    inner = np.sum(d_weights * weights, axis=axis, keepdims=True)
+def softmax_backward(weights: np.ndarray, d_weights: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. logits given last-axis softmax outputs and their upstream grad."""
+    inner = np.sum(d_weights * weights, axis=-1, keepdims=True)
     return weights * (d_weights - inner)
 
 

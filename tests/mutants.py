@@ -266,6 +266,86 @@ MUTANTS = (
         "EPS = 1.1e-8\n",
         ("tests/test_golden.py::test_outputs_match_the_golden_manifest",),
     ),
+    # Each entity's incident facts kept in the order given, not sorted.
+    Mutant(
+        "adjacency-in-file-order",
+        "src/factpool/kg.py",
+        "        ordered = sorted(dict.fromkeys(self.facts))\n"
+        "        self.facts = set(ordered)\n"
+        "        incidence: dict[str, list[Fact]] = defaultdict(list)\n"
+        "        for fact in ordered:\n",
+        "        given = list(dict.fromkeys(self.facts))\n"
+        "        ordered = sorted(given)\n"
+        "        self.facts = set(ordered)\n"
+        "        incidence: dict[str, list[Fact]] = defaultdict(list)\n"
+        "        for fact in given:\n",
+        ("tests/test_kg.py::test_graph_is_the_same_for_any_fact_order",),
+    ),
+    # The checkpoint-only `precision` becomes a config-file key.
+    Mutant(
+        "precision-in-file-keys",
+        "src/factpool/config.py",
+        'CHECKPOINT_ONLY = ("vocab_size", "gnn_layers", "precision")\n',
+        'CHECKPOINT_ONLY = ("vocab_size", "gnn_layers")\n',
+        ("tests/test_config.py::test_parse_config_text_matches_the_reference",),
+    ),
+    # The gnn scores the node before the virtual question node.
+    Mutant(
+        "gnn-scores-beside-virtual",
+        "src/factpool/model.py",
+        'scalar_head_forward(params, "gnn.score", final[virtual])\n',
+        'scalar_head_forward(params, "gnn.score", final[virtual - 1])\n',
+        ("tests/test_gnn.py::test_gnn_score_reads_question_state",),
+    ),
+    # The gnn scores the question node plus the mean of every node state.
+    Mutant(
+        "gnn-scores-node-mean",
+        "src/factpool/model.py",
+        'scalar_head_forward(params, "gnn.score", final[virtual])\n',
+        'scalar_head_forward(params, "gnn.score", final[virtual] + final.mean(axis=0))\n',
+        ("tests/test_gnn.py::test_gnn_score_reads_question_state",),
+    ),
+    # `summary.tsv` lists the kinds last to first.
+    Mutant(
+        "summary-rows-reversed",
+        "src/factpool/experiment.py",
+        "    for kind, metrics in results.items():\n",
+        "    for kind, metrics in reversed(results.items()):\n",
+        ("tests/test_golden.py::test_outputs_match_the_golden_manifest",),
+    ),
+    # `--skip S --count N` past the dataset's end is truncated to the records left.
+    Mutant(
+        "slice-past-the-end-truncated",
+        "src/factpool/cli.py",
+        "    if end > len(records):\n",
+        "    if False:\n",
+        tuple(
+            f"tests/test_cli.py::test_empty_dataset_slice_is_a_usage_error[{command}]"
+            for command in ("retrieve", "perturb", "encode", "train", "eval")
+        ),
+    ),
+    # A container that repeats a tensor name loads, and its last copy wins.
+    Mutant(
+        "repeated-tensor-name-kept",
+        "src/factpool/checkpoint.py",
+        "        if name in tensors:\n",
+        "        if False:\n",
+        (
+            "tests/test_checkpoint.py::test_a_repeated_tensor_name_is_rejected[checkpoint]",
+            "tests/test_checkpoint.py::test_a_repeated_tensor_name_is_rejected[embedding cache]",
+        ),
+    ),
+    # `explain` splits each head's weights one edge past each candidate's end.
+    Mutant(
+        "explain-shifted-bounds",
+        "src/factpool/experiment.py",
+        "    bounds = np.cumsum([len(cand.edge_rows) for cand in prepared.candidates])[:-1]\n",
+        "    bounds = np.cumsum([len(cand.edge_rows) for cand in prepared.candidates])[:-1] + 1\n",
+        (
+            "tests/test_experiment.py::test_explain_report_structure",
+            "tests/test_acceptance.py::test_criterion_09_explain_report",
+        ),
+    ),
 )
 
 

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import rewrite_checkpoint_config
+from helpers import rewrite_checkpoint_config
 
 from factpool.checkpoint import (
     CheckpointError,
@@ -103,7 +103,7 @@ def test_model_checkpoint_restores_everything(tmp_path):
     model = create_model(cfg, "pooled", relation_table(kg))
     encoder = build_encoder(model)
     prepared = prepare_dataset(model, kg, templates, encoder, records[:3])
-    train_model(model, prepared, epochs=1)
+    train_model(model, prepared)
     path = tmp_path / "trained.ckpt"
     save_model(model, str(path), step=3)
     restored = load_model(str(path))
@@ -273,3 +273,24 @@ def test_each_reader_rejects_the_other_kind(tmp_path):
         load_model(str(cache))
     with pytest.raises(CheckpointError, match=re.escape(f"{ckpt}: not an embedding cache file")):
         read_embedding_cache(str(ckpt))
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "embedding cache"])
+def test_a_repeated_tensor_name_is_rejected(tmp_path, kind):
+    # Two entries written under distinct names, the second renamed to the
+    # first: a dict would keep only the second copy.
+    path = tmp_path / "repeated.bin"
+    first, second = "a\tr\tb", "a\tr\tc"
+    tensors = {first: np.ones(2), second: np.full(2, 2.0)}
+    if kind == "checkpoint":
+        save_checkpoint(path, tensors, config={}, seed=0, step=0)
+        read = load_checkpoint
+    else:
+        write_embedding_cache(str(path), tensors, 2)
+        read = read_embedding_cache
+    data = path.read_bytes()
+    assert data.count(second.encode()) == 1
+    path.write_bytes(data.replace(second.encode(), first.encode()))
+    expected = re.escape(f"{path}: {kind} repeats tensor name {first!r}")
+    with pytest.raises(CheckpointError, match=expected):
+        read(str(path))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import rewrite_checkpoint_config
+from helpers import rewrite_checkpoint_config
 
 CONFIG_TEXT = """\
 L=2
@@ -578,13 +578,17 @@ def test_empty_dataset_slice_is_a_usage_error(workspace, tmp_path, capsys, comma
     source = ["--checkpoint", str(ckpt)] if command == "eval" else ["--config", str(cfg_path)]
     inputs = graph_args(workspace) if command in ("retrieve", "perturb") else data_args(workspace)
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, *inputs, *source, "--skip", "14", "--count", "2", "--out", str(out)])
-    assert exc.value.code == 2
     dataset = workspace / "data" / "dataset.jsonl"
-    expected = f"factpool: error: --skip 14 --count 2 selects no record: {dataset} has 14\n"
-    assert capsys.readouterr().err.endswith(expected)
-    assert not out.exists()
+    # Past the end of the 14 records, and running past it: neither is truncated.
+    for skip, count, problem in (("14", "2", "selects no record"),
+                                 ("10", "100", "runs past the last record")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *inputs, *source, "--skip", skip, "--count", count,
+                      "--out", str(out)])
+        assert exc.value.code == 2
+        expected = f"factpool: error: --skip {skip} --count {count} {problem}: {dataset} has 14\n"
+        assert capsys.readouterr().err.endswith(expected)
+        assert not out.exists()
 
 
 def test_relation_without_template_names_templates_file_and_fact(workspace, capsys):

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import kg_from_facts
+from helpers import kg_from_facts
 from oracles import hash_bag_oracle
 
 from factpool.checkpoint import CheckpointError, _container_bytes

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import candidate_pool_weights
+
 from factpool.config import Config
 from factpool.experiment import (
     DatasetTooSmallError,
@@ -155,20 +157,19 @@ def test_too_small_dataset_is_a_typed_error_naming_the_path(micro_assets):
 
 
 def test_explain_report_structure(micro_assets):
-    ecfg = micro_ecfg(micro_assets)
+    ecfg = micro_ecfg(micro_assets, config=micro_config(epochs=1))
     assets = load_assets(ecfg)
     model = create_model(ecfg.config, "pooled", relation_table(assets.kg))
     encoder = build_encoder(model)
     prepared = prepare_dataset(
         model, assets.kg, assets.templates, encoder, assets.train_records
     )
-    train_model(model, prepared, epochs=1)
+    train_model(model, prepared)
     record = next(r for r in assets.train_records if r.meta.get("kind") == "kg")
     report = explain(model, assets.kg, assets.templates, encoder, record, top_n=3)
-    forward = batch_forward(
-        model,
-        prepare_dataset(model, assets.kg, assets.templates, encoder, [record]),
-    )
+    [question] = prepare_dataset(model, assets.kg, assets.templates, encoder, [record])
+    forward = batch_forward(model, [question])
+    pool_weights = candidate_pool_weights(forward.pool_weights, question.candidates)
     assert len(report.candidates) == len(record.candidates)
     for idx, cand in enumerate(report.candidates):
         assert len(cand.per_layer) == ecfg.config.K + 1
@@ -176,7 +177,7 @@ def test_explain_report_structure(micro_assets):
             weights = [e.weight for e in entries]
             assert weights == sorted(weights, reverse=True)
             assert all(0.0 <= w <= 1.0 for w in weights)
-            full = forward.pool_weights[idx][k]
+            full = pool_weights[idx][k]
             assert len(entries) == min(3, len(full))
             # report weights are exactly the forward pass attention values
             top = sorted(full, reverse=True)[: len(entries)]

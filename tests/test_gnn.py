@@ -1,6 +1,6 @@
 import numpy as np
 
-from conftest import kg_from_facts
+from helpers import kg_from_facts
 from oracles import fd_gradient, gnn_oracle, message_oracle
 
 from factpool.config import Config

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import kg_from_facts
+from helpers import kg_from_facts
 from oracles import induced_edges_oracle, load_kg_oracle, two_hop_nodes_oracle
 
 from factpool import cli

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import kg_from_facts
+from helpers import kg_from_facts
 from oracles import prepare_question_oracle, softmax_oracle, subgraphs_oracle
 
 from factpool import model as model_mod
@@ -104,9 +104,9 @@ def test_probabilities_sum_to_one_and_positive():
 def test_score_shift_leaves_prediction():
     model, kg, templates, encoder, records, prepared = make_setup()
     result = batch_forward(model, prepared)
-    for i, sl in enumerate(result.slices):
+    for sl in result.slices:
         shifted = candidate_probabilities(result.scores[sl] + 17.5)
-        assert np.argmax(shifted) == np.argmax(result.probs[i])
+        assert np.argmax(shifted) == np.argmax(candidate_probabilities(result.scores[sl]))
 
 
 # --- fusion modes ----------------------------------------------------------------
@@ -126,11 +126,8 @@ def test_early_late_k0_bit_identical_to_early():
         results.append(batch_forward(model, prepared))
     early, late = results
     assert np.array_equal(early.scores, late.scores)
-    assert all(
-        np.array_equal(a, b)
-        for wa, wb in zip(early.pool_weights, late.pool_weights)
-        for a, b in zip(wa, wb)
-    )
+    assert len(early.pool_weights) == len(late.pool_weights) == 1
+    assert np.array_equal(early.pool_weights[0], late.pool_weights[0])
     final = early._caches["graph_states_final"]
     assert final.shape == (len(early.scores), SCORED_POSITIONS, cfg_early.d)  # the read positions
     assert np.array_equal(final, late._caches["graph_states_final"])
@@ -161,7 +158,8 @@ def test_zeroed_scoring_heads_give_uniform():
             model.params[name][:] = 0.0
     result = batch_forward(model, prepared)
     assert np.allclose(result.scores, 0.0, atol=0)
-    for probs in result.probs:
+    for sl in result.slices:
+        probs = candidate_probabilities(result.scores[sl])
         assert np.allclose(probs, 1.0 / len(probs), atol=1e-12)
 
 
@@ -171,7 +169,8 @@ def test_zeroed_scoring_heads_give_uniform():
 def predict(model, record, kg, templates, encoder):
     """(choice index, probabilities) for one question through batch_forward."""
     result = batch_forward(model, prepare_dataset(model, kg, templates, encoder, [record]))
-    return result.predictions[0], result.probs[0]
+    scores = result.scores[result.slices[0]]
+    return int(np.argmax(scores)), candidate_probabilities(scores)
 
 
 def test_predict_single_candidate():
@@ -221,7 +220,7 @@ def test_zero_learning_rate_keeps_params():
     cfg = small_cfg(lr_lm=0.0, lr_graph=0.0, epochs=1)
     model, kg, templates, encoder, records, prepared = make_setup(cfg=cfg)
     before = {k: v.copy() for k, v in model.params.items()}
-    train_model(model, prepared, epochs=1)
+    train_model(model, prepared)
     for name, arr in model.params.items():
         assert np.array_equal(arr, before[name]), name
 
@@ -230,21 +229,23 @@ def test_same_seed_identical_loss_curves():
     results = []
     for _ in range(2):
         model, kg, templates, encoder, records, prepared = make_setup(cfg=small_cfg(epochs=2))
-        results.append(train_model(model, prepared, epochs=2))
+        results.append(train_model(model, prepared))
     assert results[0] == results[1]
 
 
 def test_divergence_raises():
-    model, kg, templates, encoder, records, prepared = make_setup()
+    model, kg, templates, encoder, records, prepared = make_setup(cfg=small_cfg(epochs=1))
     model.params["fq.w2"][:] = np.nan
     with pytest.raises(DivergenceError):
-        train_model(model, prepared, epochs=1)
+        train_model(model, prepared)
 
 
 def test_non_finite_gradient_raises(monkeypatch):
     from factpool import model as model_mod
 
-    model, kg, templates, encoder, records, prepared = make_setup(questions=8)
+    model, kg, templates, encoder, records, prepared = make_setup(
+        cfg=small_cfg(epochs=1), questions=8
+    )
     real = model_mod.loss_and_grads
     calls = []
 
@@ -259,7 +260,7 @@ def test_non_finite_gradient_raises(monkeypatch):
     monkeypatch.setattr(model_mod, "loss_and_grads", nan_grad_on_second_step)
     before = {k: v.copy() for k, v in model.params.items()}
     with pytest.raises(DivergenceError, match=r"non-finite gradient of fq\.w2 at epoch 1 step 1 "):
-        train_model(model, prepared, epochs=1)
+        train_model(model, prepared)
     assert all(np.isfinite(loss) for loss in calls)
     # Only the first step was applied; the bad gradient never reached the parameters.
     assert all(np.isfinite(v).all() for v in model.params.values())
@@ -306,7 +307,7 @@ def test_training_needs_two_candidates():
     record = QuestionRecord(question="solo", candidates=["one"], answer_index=0)
     prepared = prepare_dataset(model, kg, templates, encoder, [record])
     with pytest.raises(ValueError, match="two candidates"):
-        train_model(model, prepared, epochs=1)
+        train_model(model, prepared)
 
 
 # --- gradient sanity ----------------------------------------------------------------
@@ -334,7 +335,7 @@ def test_optimizer_holds_state_for_every_parameter(monkeypatch):
             optimizers.append(self)
 
     monkeypatch.setattr(model_mod, "RAdam", Recording)
-    train_model(model, prepared, epochs=1)
+    train_model(model, prepared)
     (optimizer,) = optimizers
     assert set(optimizer.m) == set(optimizer.v) == set(optimizer.lr) == set(model.params)
 
@@ -344,10 +345,10 @@ def test_optimizer_holds_state_for_every_parameter(monkeypatch):
 def test_each_parameter_learns_at_its_group_rate(kind, frozen):
     # One step with one group's rate at zero moves exactly the other group:
     # the trunk and fq.* learn at lr_lm; pool*, fg.* and gnn.* at lr_graph.
-    cfg = small_cfg(K=1, fusion_mode="early_late", batch_size=4, **{frozen: 0.0})
+    cfg = small_cfg(K=1, fusion_mode="early_late", batch_size=4, epochs=1, **{frozen: 0.0})
     model, *_, prepared = make_setup(kind, cfg=cfg)
     before = {name: t.copy() for name, t in model.params.items()}
-    train_model(model, prepared, epochs=1)
+    train_model(model, prepared)
     unchanged = {n for n, t in model.params.items() if t.tobytes() == before[n].tobytes()}
     graph_side = {n for n in model.params if n.startswith(("pool", "fg.", "gnn."))}
     assert graph_side and graph_side != set(model.params)
@@ -409,14 +410,10 @@ def test_cache_free_batch_forward_byte_equal_to_caching(kind, overrides):
     free = batch_forward(model, prepared)
     cached = batch_forward(model, prepared, backward_cache=True)
     assert free.scores.tobytes() == cached.scores.tobytes()
-    assert free.predictions == cached.predictions
+    assert free.slices == cached.slices
     assert free.loss == cached.loss
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(free.probs, cached.probs))
-    assert all(
-        a.tobytes() == b.tobytes()
-        for wa, wb in zip(free.pool_weights, cached.pool_weights)
-        for a, b in zip(wa, wb)
-    )
+    assert len(free.pool_weights) == len(cached.pool_weights)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(free.pool_weights, cached.pool_weights))
     with pytest.raises(NoBackwardCacheError, match="without a backward cache"):
         batch_backward(model, free)
 
@@ -587,7 +584,10 @@ def test_evaluate_conditions_byte_equal_to_batch_forward_per_condition(
             chunk = questions[start : start + EVAL_CHUNK]
             result = batch_forward(model, chunk)
             want_scores[c].append(result.scores)
-            correct += sum(p == q.answer_index for p, q in zip(result.predictions, chunk))
+            correct += sum(
+                int(np.argmax(result.scores[sl])) == q.answer_index
+                for q, sl in zip(chunk, result.slices)
+            )
         assert accs[c] == 100.0 * correct / len(questions)
         assert accs[c] == evaluate(model, questions)
     got_scores = {c: scored[i :: len(CONDITIONS)] for i, c in enumerate(CONDITIONS)}

@@ -1,6 +1,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from helpers import candidate_pool_weights
 from oracles import barycentric_membership, fd_gradient, pool_oracle, softmax_oracle
 
 from factpool.config import Config
@@ -124,7 +125,7 @@ def test_empty_pool_returns_zero_vector():
     [prepared] = prepare_dataset(model, kg, templates, encoder, [record])
     assert all(c.edge_matrix.shape == (0, 8) for c in prepared.candidates)
     result = batch_forward(model, [prepared])
-    assert all(w[0].shape == (0,) for w in result.pool_weights)
+    assert result.pool_weights and all(w.shape == (0,) for w in result.pool_weights)
     text_only = create_model(model.cfg, "lm", model.relations)
     text_only.params = {n: a for n, a in model.params.items() if not n.startswith("pool")}
     assert np.array_equal(batch_forward(text_only, [prepared]).scores, result.scores)
@@ -139,19 +140,21 @@ def test_pool_multi_reductions():
     assert matrix.shape[0] >= 2
     n = matrix.shape[0]
     result = batch_forward(model, [prepared], backward_cache=True)
+    first = candidate_pool_weights(result.pool_weights, prepared.candidates)[0]
     for k in range(3):
         _, _, weights, values, _, _, _ = result._caches["pool_caches"][k]
-        assert np.array_equal(result.pool_weights[0][k], weights[:n])
+        assert np.array_equal(result.pool_weights[k], weights)
+        assert np.array_equal(first[k], weights[:n])
         expected = pool_oracle(model.params, matrix, f"pool{k}")
         assert np.allclose(weights[:n] @ values[:n], expected, atol=1e-12)
-    assert not np.array_equal(result.pool_weights[0][0], result.pool_weights[0][1])
+    assert not np.array_equal(first[0], first[1])
     # identical heads reduce to one pooled vector in every slot
     for k in (1, 2):
         for name in [name for name in model.params if name.startswith("pool0.")]:
             model.params[name.replace("pool0.", f"pool{k}.")][...] = model.params[name]
     same = batch_forward(model, [prepared])
     for k in (1, 2):
-        assert np.array_equal(same.pool_weights[0][k], same.pool_weights[0][0])
+        assert np.array_equal(same.pool_weights[k], same.pool_weights[0])
 
 
 def test_batch_pool_matches_oracle_per_candidate():
@@ -192,8 +195,12 @@ def test_batch_forward_pools_once_per_head(monkeypatch):
     monkeypatch.setattr(model_mod, "pool_forward", counting)
     result = batch_forward(model, prepared, backward_cache=True)
     assert calls == ["pool0", "pool1", "pool2"]
-    assert len(result.pool_weights) == sum(len(q.candidates) for q in prepared)
-    assert all(len(per_head) == 3 for per_head in result.pool_weights)
+    edges = sum(len(c.edge_rows) for q in prepared for c in q.candidates)
+    assert [w.shape for w in result.pool_weights] == [(edges,)] * 3
+    candidates = [c for q in prepared for c in q.candidates]
+    per_candidate = candidate_pool_weights(result.pool_weights, candidates)
+    assert len(per_candidate) == len(candidates)
+    assert all(len(per_head) == 3 for per_head in per_candidate)
 
 
 # --- gradients --------------------------------------------------------------------
