@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
     8-byte magic: b"FPCKPT01" for a checkpoint, b"FPEMC002" for a cache
     u32 header length, header bytes (canonical JSON object)
-    u32 tensor count, then per tensor (sorted by name):
+    u32 tensor count, then per tensor (names strictly ascending):
         u32 name length, name utf-8, u32 ndim, u64 x ndim shape,
         raw float64 little-endian data (C order)
 A checkpoint header holds config, seed, step and meta; a cache header holds
@@ -83,6 +83,7 @@ def _read_container(path: str | Path, magic: bytes, kind: str):
         raise CheckpointError(f"{path}: corrupt {kind} header (not a JSON object)")
     (count,) = struct.unpack_from("<I", data, take(4))
     tensors: dict[str, np.ndarray] = {}
+    previous = None
     for _ in range(count):
         (name_len,) = struct.unpack_from("<I", data, take(4))
         start = take(name_len)
@@ -92,8 +93,12 @@ def _read_container(path: str | Path, magic: bytes, kind: str):
             raise CheckpointError(
                 f"{path}: corrupt {kind} tensor name at byte {start} ({err})"
             ) from None
-        if name in tensors:
-            raise CheckpointError(f"{path}: {kind} repeats tensor name {name!r}")
+        # The writer sorts by name: a repeated or swapped name is a corrupt file.
+        if previous is not None and name <= previous:
+            raise CheckpointError(
+                f"{path}: {kind} tensor name {name!r} does not sort after {previous!r}"
+            )
+        previous = name
         (ndim,) = struct.unpack_from("<I", data, take(4))
         shape = struct.unpack_from(f"<{ndim}Q", data, take(8 * ndim))
         # math.prod and positional frombuffer arguments: np.prod or keywords

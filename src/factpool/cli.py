@@ -185,9 +185,9 @@ def cmd_encode(args) -> int:
     if dim != encoder.dim:
         raise UsageError(f"{cache_path}: embedding cache width {dim} != config width d={cfg.d}")
     subgraphs = [sub for statements in grounding for _, sub in statements]
-    texts, vectors = encode_subgraphs(subgraphs, templates, encoder, cache)
-    if texts:
-        cache.update(zip(texts, vectors))
+    facts, _, vectors = encode_subgraphs(subgraphs, templates, encoder, cache)
+    if facts:
+        cache.update((fact.key(), vector) for fact, vector in zip(facts, vectors))
         write_embedding_cache(str(cache_path), cache, dim)
     total = sum(len(sub.edges) for sub in subgraphs)
     print(f"cache: {cache_path} ({total} edge encodings)")

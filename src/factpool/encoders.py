@@ -184,22 +184,18 @@ def encode_subgraphs(
     templates: TemplateTable,
     encoder,
     known: Container[str] = (),
-) -> tuple[dict[str, str], np.ndarray]:
+) -> tuple[list[Fact], list[str], np.ndarray]:
     """Verbalize and encode every edge whose `Fact.key()` is not in `known`.
 
     The new facts are verbalized once each, in first-seen canonical edge
-    order, and encoded in one `encode_fact_texts` call.  Returns their texts
-    by fact key and their [F, d] vectors, rows in the same order.
+    order, and encoded in one `encode_fact_texts` call.  Returns the facts,
+    their texts and their [F, d] vectors, all in that order.
     """
-    new: dict[str, Fact] = {}
-    for sub in subgraphs:
-        for fact in sub.sorted_edges():
-            key = fact.key()
-            if key not in known and key not in new:
-                new[key] = fact
-    facts = list(new.values())
+    facts = list(dict.fromkeys(fact for sub in subgraphs for fact in sub.sorted_edges()))
+    if known:
+        facts = [fact for fact in facts if fact.key() not in known]
     texts = [verbalize(fact, templates) for fact in facts]
-    return dict(zip(new, texts)), encoder.encode_fact_texts(facts, texts)
+    return facts, texts, encoder.encode_fact_texts(facts, texts)
 
 
 # --- embedding cache file ----------------------------------------------------

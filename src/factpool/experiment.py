@@ -407,10 +407,10 @@ def explain(
                 [
                     ExplainEntry(
                         weight=float(weights[i]),
-                        fact_key=cand.facts[i].key(),
-                        text=cand.fact_texts[i],
+                        fact_key=cand.shared.facts[row].key(),
+                        text=cand.shared.texts[row],
                     )
-                    for i in order
+                    for i, row in zip(order, cand.edge_rows[order])
                 ]
             )
             sums.append(float(weights.sum()))

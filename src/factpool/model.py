@@ -163,29 +163,45 @@ def build_encoder(model: Model, cache_path: str | None = None):
 
 
 @dataclass
+class PreparedSet:
+    """What the candidates of one prepared set share: each distinct fact once,
+    its text and its edge vector in one row order, and for gnn one table of
+    node states.  A fact or an entity is held once however many candidates
+    and conditions read it."""
+
+    facts: list[Fact]  # edge_table row order
+    texts: list[str]  # verbalized facts, aligned with facts
+    edge_table: np.ndarray  # [F, d]
+    node_table: np.ndarray | None = None  # gnn: [N_set, d]; row 0 is the virtual placeholder
+
+
+@dataclass
 class PreparedCandidate:
-    """One statement's model input.  Its edge and node vectors are rows of
-    tables shared by every candidate of one prepared set, so a fact or an
-    entity is held once however many candidates and conditions read it."""
+    """One statement's model input: token ids and rows of its prepared set."""
 
     ids: np.ndarray  # [T] token ids
-    facts: list[Fact]  # canonical edge order, aligned with edge_rows
-    fact_texts: list[str]
-    edge_table: np.ndarray  # [F, d] the prepared set's edge vectors
-    edge_rows: np.ndarray  # [E] int64 edge_table rows; E may be 0
+    shared: PreparedSet
+    edge_rows: np.ndarray  # [E] int64 shared rows in canonical edge order; E may be 0
     gnn: SubgraphArrays | None = None
-    node_table: np.ndarray | None = None  # [N_set, d] the prepared set's node states
-    node_rows: np.ndarray | None = None  # [N] int64 node_table rows, aligned with gnn.node_ids
+    node_rows: np.ndarray | None = None  # [N] int64 shared.node_table rows, gnn.node_ids order
+
+    @property
+    def facts(self) -> list[Fact]:
+        return [self.shared.facts[row] for row in self.edge_rows]
+
+    @property
+    def fact_texts(self) -> list[str]:
+        return [self.shared.texts[row] for row in self.edge_rows]
 
     @property
     def edge_matrix(self) -> np.ndarray:
         """[E, d] edge vectors, a new array."""
-        return self.edge_table[self.edge_rows]
+        return self.shared.edge_table[self.edge_rows]
 
     @property
     def node_init(self) -> np.ndarray | None:
         """[N, d] initial node states, a new array; the virtual row is a placeholder."""
-        return None if self.node_rows is None else self.node_table[self.node_rows]
+        return None if self.node_rows is None else self.shared.node_table[self.node_rows]
 
 
 @dataclass
@@ -265,19 +281,6 @@ def apply_condition(sub: Subgraph, stmt: GroundedStatement, condition: str) -> S
     return sub
 
 
-@dataclass
-class DatasetEncoding:
-    """What a dataset's questions share: one table of its encoded facts and,
-    for gnn, one of its node states, each with a row per distinct key."""
-
-    texts: dict[str, str]  # fact key -> verbalized text
-    edge_table: np.ndarray  # [F, d]
-    edge_rows: dict[str, int]  # fact key -> edge_table row
-    node_table: np.ndarray | None  # gnn: [N_set, d]; row 0 is the virtual placeholder
-    node_rows: dict[str, int]  # gnn: node id -> node_table row
-    relation_index: dict[str, int]
-
-
 def prepare_dataset(
     model: Model,
     kg: KnowledgeGraph,
@@ -303,11 +306,11 @@ def prepare_conditions(
     `ground_records(kg, records, model.cfg.max_nodes)`.
 
     Every distinct fact is verbalized once.  One `encode_subgraphs` call
-    returns the edge table (rows in first-seen fact order) and, for gnn, one
-    `encode_texts` call the node table's entity rows (after the virtual
-    placeholder, the sorted entities).  Every returned candidate indexes
-    these two tables.  Only a pooled model reads facts: gnn and lm
-    candidates hold none.
+    returns the facts, their texts and the edge table, rows in first-seen
+    fact order, and for gnn one `encode_texts` call the node table's entity
+    rows (after the virtual placeholder, the sorted entities).  They form
+    one `PreparedSet`, which every returned candidate indexes.  Only a
+    pooled model reads facts: the sets of gnn and lm models hold none.
     """
     if model.kind == "gnn" and not hasattr(encoder, "encode_texts"):
         raise ValueError(
@@ -315,12 +318,11 @@ def prepare_conditions(
             "the external-file encoder only serves cached facts"
         )
     subgraphs = [sub for statements in grounding for _, sub in statements]
-    texts: dict[str, str] = {}
-    edge_table = np.zeros((0, model.cfg.d))
+    facts, texts, edge_table = [], [], np.zeros((0, model.cfg.d))
     if model.kind == "pooled":
         if hasattr(encoder, "encode_texts"):  # the external-file encoder reads facts by key
             check_fact_texts(grounding, templates)
-        texts, edge_table = encode_subgraphs(subgraphs, templates, encoder)
+        facts, texts, edge_table = encode_subgraphs(subgraphs, templates, encoder)
     node_table, node_ids = None, []
     if model.kind == "gnn":
         entities = gnn_entities(grounding)
@@ -328,16 +330,14 @@ def prepare_conditions(
         # Row 0 is a placeholder for the question state.
         node_table = np.concatenate([np.zeros((1, model.cfg.d)), encoder.encode_texts(surfaces)])
         node_ids = [VIRTUAL_NODE_ID, *entities]
-    encoding = DatasetEncoding(
-        texts=texts,
-        edge_table=edge_table,
-        edge_rows={key: i for i, key in enumerate(texts)},
-        node_table=node_table,
-        node_rows={node: i for i, node in enumerate(node_ids)},
-        relation_index={rel: i for i, rel in enumerate(model.relations)},
-    )
+    shared = PreparedSet(facts, texts, edge_table, node_table)
+    fact_row = {fact: i for i, fact in enumerate(facts)}
+    node_row = {node: i for i, node in enumerate(node_ids)}
+    relation_index = {rel: i for i, rel in enumerate(model.relations)}
     questions = [
-        prepare_question(model, record, statements, encoding, conditions)
+        prepare_question(
+            model, record, statements, shared, fact_row, node_row, relation_index, conditions
+        )
         for record, statements in zip(records, grounding, strict=True)
     ]
     return {condition: [q[condition] for q in questions] for condition in conditions}
@@ -347,49 +347,46 @@ def prepare_question(
     model: Model,
     record: QuestionRecord,
     statements: list[tuple[GroundedStatement, Subgraph]],
-    encoding: DatasetEncoding,
+    shared: PreparedSet,
+    fact_row: dict[Fact, int],
+    node_row: dict[str, int],
+    relation_index: dict[str, int],
     conditions: tuple[str, ...],
 ) -> dict[str, PreparedQuestion]:
     """One record under each condition, from its statements' intact subgraphs.
 
-    A without_answers candidate indexes the intact one's edge rows minus
-    the answer-incident edges'; its nodes, and so its token ids and node
-    states, stay.  A candidate that loses no edge is the intact candidate
-    itself.
+    `fact_row` and `node_row` give each fact's and node's row of `shared`.
+    A without_answers candidate is the intact one with the answer-incident
+    edges' rows dropped; its nodes, and so its token ids and node states,
+    stay.  A candidate that loses no edge is the intact candidate itself.
     """
     cfg = model.cfg
     tokenizer = Tokenizer(cfg.vocab_size)
     prepared = {c: PreparedQuestion([], record.answer_index) for c in conditions}
     for stmt, sub in statements:
         facts = sub.sorted_edges() if model.kind == "pooled" else []
-        keys = [fact.key() for fact in facts]
         ids = tokenize_statement(
             stmt.context, stmt.question, stmt.candidate, tokenizer, cfg.max_tokens
         )
         intact = PreparedCandidate(
             ids=np.asarray(ids, dtype=np.int64),
-            facts=facts,
-            fact_texts=[encoding.texts[key] for key in keys],
-            edge_table=encoding.edge_table,
-            edge_rows=np.array([encoding.edge_rows[key] for key in keys], dtype=np.int64),
+            shared=shared,
+            edge_rows=np.fromiter((fact_row[fact] for fact in facts), np.int64, len(facts)),
         )
         if model.kind == "gnn":
-            intact.gnn = subgraph_arrays(sub, encoding.relation_index)
-            intact.node_table = encoding.node_table
+            intact.gnn = subgraph_arrays(sub, relation_index)
             intact.node_rows = np.array(
-                [encoding.node_rows[node] for node in intact.gnn.node_ids], dtype=np.int64
+                [node_row[node] for node in intact.gnn.node_ids], dtype=np.int64
             )
         for condition, question in prepared.items():
             kept = apply_condition(sub, stmt, condition)
             cand = intact
             if len(kept.edges) != len(sub.edges):
-                rows = [i for i, fact in enumerate(facts) if fact in kept.edges]
+                keep = np.fromiter((fact in kept.edges for fact in facts), bool, len(facts))
                 cand = replace(
                     intact,
-                    facts=[facts[i] for i in rows],
-                    fact_texts=[intact.fact_texts[i] for i in rows],
-                    edge_rows=intact.edge_rows[rows],
-                    gnn=subgraph_arrays(kept, encoding.relation_index) if intact.gnn else None,
+                    edge_rows=intact.edge_rows[keep],
+                    gnn=subgraph_arrays(kept, relation_index) if intact.gnn else None,
                 )
             question.candidates.append(cand)
     return prepared
@@ -451,9 +448,9 @@ def batch_forward(
 
     backward_cache: keep what `batch_backward` reads (the trunk's per-layer
     activations, the pooling, GNN and head caches and the score gradient).
-    Without it the result carries only the trunk's token ids, injections and
-    per-layer graph-token states, and its final states at the SCORED_POSITIONS
-    (0: the graph token, 1: the question state).
+    Without it the result carries only the trunk's token ids and injections,
+    and its final states at the SCORED_POSITIONS (0: the graph token, 1: the
+    question state).
     """
     flat, slices, ids, mask = _flatten(questions)
     g, pool_weights, pool_caches = _graph_vectors(model, flat, backward_cache)

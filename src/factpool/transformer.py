@@ -136,9 +136,8 @@ def trunk_forward(
     backward_cache: keep each layer's backward cache (`_layer_forward`) for
     `trunk_backward`.
     Without it a layer's activations are freed when the next layer starts,
-    and the cache holds only the token ids, the injections and the per-layer
-    graph-token states (cache[4]).  Every op is row-wise, so a row's states
-    do not depend on the other rows of the batch.
+    and the cache holds only the token ids and the injections.  Every op is
+    row-wise, so a row's states do not depend on the other rows of the batch.
     read_positions: the number of leading positions the caller reads (None:
     all).  The last layer then computes only those rows, each byte-identical
     to the full layer's, and `trunk_backward` takes d_states for them alone.
@@ -152,15 +151,13 @@ def trunk_forward(
         x[:, 0, :] += injections[0]
     key_bias = np.where(real_mask[:, None, None, :], 0.0, _MASK_VALUE)
     layer_caches = [] if backward_cache else None
-    graph_states = [x[:, 0, :].copy()]  # embedding stage, then after each layer
     for i in range(1, L + 1):
         if i in injections:
             x = x.copy()
             x[:, 0, :] += injections[i]
         rows = read_positions if i == L else None
         x = _layer_forward(params, f"layer{i}", x, heads, key_bias, layer_caches, rows)
-        graph_states.append(x[:, 0, :].copy())
-    cache = (ids, injections, layer_caches, heads, graph_states)
+    cache = (ids, injections, layer_caches, heads)
     return x, cache
 
 
@@ -186,7 +183,7 @@ def trunk_backward(params: dict[str, np.ndarray], L: int, cache, d_states: np.nd
     Returns (grads dict matching param names, d_graph_init [B, d],
     d_injections {layer: [B, d]}).
     """
-    ids, injections, layer_caches, heads, _graph_states = cache
+    ids, injections, layer_caches, heads = cache
     if layer_caches is None:
         raise NoBackwardCacheError(
             "trunk_forward ran without a backward cache; call it with backward_cache=True"

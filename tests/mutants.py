@@ -39,6 +39,7 @@ _LAYOUT = "tests/test_memory_layout.py"
 _STATELESS = f"{_LIFETIMES}::test_an_encode_call_leaves_the_encoder_as_it_was"
 _TRAIN_SET_FREED = f"{_LIFETIMES}::test_a_run_frees_its_training_set_before_preparing_the_test_set"
 _PRUNED = "tests/test_model.py::test_the_pruned_last_layer_is_byte_identical_to_the_full_layer"
+_DATA_TYPES = "tests/test_data.py::test_load_dataset_rejects_wrong_json_types"
 
 MUTANTS = (
     # A per-text memo: the encoder keeps every row it returns.
@@ -146,8 +147,8 @@ MUTANTS = (
     Mutant(
         "table-per-candidate",
         "src/factpool/model.py",
-        "            edge_table=encoding.edge_table,\n",
-        "            edge_table=encoding.edge_table.copy(),\n",
+        "            shared=shared,\n",
+        "            shared=replace(shared, edge_table=shared.edge_table.copy()),\n",
         (
             f"{_LAYOUT}::test_a_prepared_set_shares_one_edge_table_with_a_row_per_fact",
             f"{_LAYOUT}::test_the_edge_table_is_the_only_holder_of_a_pooled_sets_fact_vectors",
@@ -324,16 +325,49 @@ MUTANTS = (
             for command in ("retrieve", "perturb", "encode", "train", "eval")
         ),
     ),
-    # A container that repeats a tensor name loads, and its last copy wins.
+    # Only a repeated tensor name is rejected: a container whose names were
+    # swapped in place loads, each name holding the other's tensor.
     Mutant(
-        "repeated-tensor-name-kept",
+        "swapped-tensor-names-kept",
         "src/factpool/checkpoint.py",
+        "        if previous is not None and name <= previous:\n",
         "        if name in tensors:\n",
-        "        if False:\n",
         (
-            "tests/test_checkpoint.py::test_a_repeated_tensor_name_is_rejected[checkpoint]",
-            "tests/test_checkpoint.py::test_a_repeated_tensor_name_is_rejected[embedding cache]",
+            "tests/test_checkpoint.py::test_swapped_tensor_names_are_rejected[checkpoint]",
+            "tests/test_checkpoint.py::test_swapped_tensor_names_are_rejected[embedding cache]",
         ),
+    ),
+    # A record with no candidate loads.
+    Mutant(
+        "record-without-candidates-kept",
+        "src/factpool/data.py",
+        "            raise ValueError(\"record needs at least one candidate\")\n",
+        "            pass\n",
+        (f"{_DATA_TYPES}[no-candidates]",),
+    ),
+    # An answer_index equal to the candidate count loads.
+    Mutant(
+        "answer-index-past-the-end-kept",
+        "src/factpool/data.py",
+        "        if not 0 <= self.answer_index < len(self.candidates):\n",
+        "        if not 0 <= self.answer_index <= len(self.candidates):\n",
+        (f"{_DATA_TYPES}[answer-index-past-the-end]",),
+    ),
+    # answer_entities with one list too few loads.
+    Mutant(
+        "answer-entities-length-unchecked",
+        "src/factpool/data.py",
+        "            raise ValueError(\"answer_entities must have one list per candidate\")\n",
+        "            pass\n",
+        (f"{_DATA_TYPES}[answer-entities-length]",),
+    ),
+    # A record missing a required field fails on the missing key, untyped.
+    Mutant(
+        "missing-field-unchecked",
+        "src/factpool/data.py",
+        "                raise ValueError(f\"missing field {name!r}\")\n",
+        "                pass\n",
+        (f"{_DATA_TYPES}[missing-question]",),
     ),
     # `explain` splits each head's weights one edge past each candidate's end.
     Mutant(

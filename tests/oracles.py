@@ -427,7 +427,7 @@ def prepare_question_oracle(model, kg, templates, encoder, record, condition):
     entity node."""
     from factpool.gnn import subgraph_arrays
     from factpool.kg import VIRTUAL_NODE_ID, id_to_surface
-    from factpool.model import PreparedCandidate, PreparedQuestion
+    from factpool.model import PreparedCandidate, PreparedQuestion, PreparedSet
     from factpool.tokenizer import Tokenizer, tokenize_statement
     from factpool.verbalize import verbalize
 
@@ -447,11 +447,10 @@ def prepare_question_oracle(model, kg, templates, encoder, record, condition):
             ),
             dtype=np.int64,
         )
+        # Each candidate gets a set of its own, rows in candidate order.
         cand = PreparedCandidate(
             ids=ids,
-            facts=facts,
-            fact_texts=texts,
-            edge_table=matrix,
+            shared=PreparedSet(facts, texts, matrix),
             edge_rows=np.arange(len(facts), dtype=np.int64),
         )
         if model.kind == "gnn":
@@ -460,7 +459,7 @@ def prepare_question_oracle(model, kg, templates, encoder, record, condition):
             for i, node in enumerate(cand.gnn.node_ids):
                 if node != VIRTUAL_NODE_ID:
                     init[i] = encoder.encode_text(id_to_surface(node))
-            cand.node_table = init
+            cand.shared.node_table = init
             cand.node_rows = np.arange(len(init), dtype=np.int64)
         candidates.append(cand)
     return PreparedQuestion(candidates=candidates, answer_index=record.answer_index)

@@ -275,22 +275,43 @@ def test_each_reader_rejects_the_other_kind(tmp_path):
         read_embedding_cache(str(ckpt))
 
 
-@pytest.mark.parametrize("kind", ["checkpoint", "embedding cache"])
-def test_a_repeated_tensor_name_is_rejected(tmp_path, kind):
-    # Two entries written under distinct names, the second renamed to the
-    # first: a dict would keep only the second copy.
-    path = tmp_path / "repeated.bin"
-    first, second = "a\tr\tb", "a\tr\tc"
-    tensors = {first: np.ones(2), second: np.full(2, 2.0)}
+FIRST, SECOND = "a\tr\tb", "a\tr\tc"
+
+
+def _two_tensor_file(path, kind):
+    """A `kind` file holding FIRST (ones) then SECOND (twos), and its reader."""
+    tensors = {FIRST: np.ones(2), SECOND: np.full(2, 2.0)}
     if kind == "checkpoint":
         save_checkpoint(path, tensors, config={}, seed=0, step=0)
-        read = load_checkpoint
-    else:
-        write_embedding_cache(str(path), tensors, 2)
-        read = read_embedding_cache
+        return load_checkpoint
+    write_embedding_cache(str(path), tensors, 2)
+    return read_embedding_cache
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "embedding cache"])
+def test_a_repeated_tensor_name_is_rejected(tmp_path, kind):
+    # The second entry renamed to the first: a dict would keep only the second copy.
+    path = tmp_path / "repeated.bin"
+    read = _two_tensor_file(path, kind)
     data = path.read_bytes()
-    assert data.count(second.encode()) == 1
-    path.write_bytes(data.replace(second.encode(), first.encode()))
-    expected = re.escape(f"{path}: {kind} repeats tensor name {first!r}")
+    assert data.count(SECOND.encode()) == 1
+    path.write_bytes(data.replace(SECOND.encode(), FIRST.encode()))
+    expected = re.escape(f"{path}: {kind} tensor name {FIRST!r} does not sort after {FIRST!r}")
+    with pytest.raises(CheckpointError, match=expected):
+        read(str(path))
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "embedding cache"])
+def test_swapped_tensor_names_are_rejected(tmp_path, kind):
+    # The two names swapped in place: read by name, each would hold the other's tensor.
+    path = tmp_path / "swapped.bin"
+    read = _two_tensor_file(path, kind)
+    data = bytearray(path.read_bytes())
+    assert data.count(FIRST.encode()) == data.count(SECOND.encode()) == 1
+    first, second = data.index(FIRST.encode()), data.index(SECOND.encode())
+    data[first : first + len(FIRST)] = SECOND.encode()
+    data[second : second + len(SECOND)] = FIRST.encode()
+    path.write_bytes(data)
+    expected = re.escape(f"{path}: {kind} tensor name {FIRST!r} does not sort after {SECOND!r}")
     with pytest.raises(CheckpointError, match=expected):
         read(str(path))

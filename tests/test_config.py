@@ -1,7 +1,7 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import CONFIG_FILE_KEYS, parse_config_oracle
 
@@ -127,6 +127,7 @@ def config_lines(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(config_lines(), max_size=6), st.sampled_from(["\n", "\r\n"]))
+@example(["precision=f64"], "\n")  # a valid value of a key only checkpoints carry
 def test_parse_config_text_matches_the_reference(lines, newline):
     text = newline.join(lines) + newline
     expected = parse_config_oracle(text)

@@ -20,6 +20,10 @@ GOOD = {"question": "what migrates?", "candidates": ["birds", "stones"], "answer
         (dict(GOOD, candidates=["birds", ""]), "candidates"),
         (dict(GOOD, candidates=5), "candidates"),
         (["birds", "stones"], "JSON object"),
+        (dict(GOOD, candidates=[]), "at least one candidate"),
+        (dict(GOOD, answer_index=2), "answer_index 2 out of range for 2 candidates"),
+        (dict(GOOD, answer_entities=[["bird"]]), "one list per candidate"),
+        ({k: v for k, v in GOOD.items() if k != "question"}, "missing field 'question'"),
     ],
     ids=[
         "float-answer-index",
@@ -29,6 +33,10 @@ GOOD = {"question": "what migrates?", "candidates": ["birds", "stones"], "answer
         "empty-candidate",
         "int-candidates",
         "list-line",
+        "no-candidates",
+        "answer-index-past-the-end",
+        "answer-entities-length",
+        "missing-question",
     ],
 )
 def test_load_dataset_rejects_wrong_json_types(tmp_path, line, field):

@@ -207,12 +207,11 @@ def test_encode_subgraph_canonical_order():
     enc = RecordingEncoder(dim=8, seed=0)
     # The same subgraph twice: every fact is verbalized and encoded once, in
     # canonical edge order, in one call.
-    texts, vectors = encode_subgraphs([sub, sub], TEMPLATES, enc)
-    facts = sorted(sub.edges)
+    facts, texts, vectors = encode_subgraphs([sub, sub], TEMPLATES, enc)
+    assert facts == sorted(sub.edges)
     assert enc.calls == [[verbalize(f, TEMPLATES) for f in facts]]
-    assert list(texts) == [f.key() for f in facts]
-    assert texts == {f.key(): verbalize(f, TEMPLATES) for f in facts}
-    expected = HashBagEncoder(dim=8, seed=0).encode_texts(list(texts.values()))
+    assert texts == [verbalize(f, TEMPLATES) for f in facts]
+    expected = HashBagEncoder(dim=8, seed=0).encode_texts(texts)
     assert vectors.tobytes() == expected.tobytes()
 
 
@@ -220,8 +219,8 @@ def test_encode_subgraph_empty():
     from factpool.kg import Subgraph
 
     enc = RecordingEncoder(dim=8)
-    texts, vectors = encode_subgraphs([Subgraph(nodes=set(), edges=set())], TEMPLATES, enc)
-    assert texts == {} and vectors.shape == (0, 8)
+    facts, texts, vectors = encode_subgraphs([Subgraph(nodes=set(), edges=set())], TEMPLATES, enc)
+    assert facts == texts == [] and vectors.shape == (0, 8)
     assert enc.calls == [[]]
 
 
@@ -241,7 +240,8 @@ def test_encode_subgraph_with_cache_matches_direct(tmp_path):
     sub = small_subgraph()
     enc = HashBagEncoder(dim=8, seed=1)
     direct = {f.key(): enc.encode_fact_text(f, verbalize(f, TEMPLATES)) for f in sub.edges}
-    cache = dict(zip(*encode_subgraphs([sub], TEMPLATES, HashBagEncoder(dim=8, seed=1))))
+    facts, _, vectors = encode_subgraphs([sub], TEMPLATES, HashBagEncoder(dim=8, seed=1))
+    cache = {fact.key(): vector for fact, vector in zip(facts, vectors)}
     assert set(cache) == set(direct)
     path = tmp_path / "emb.bin"
     write_embedding_cache(str(path), cache, 8)
@@ -254,7 +254,7 @@ def test_encode_subgraph_with_cache_matches_direct(tmp_path):
             assert not facts and not texts, "cache should have been hit"
             return np.zeros((0, 8))
 
-    assert encode_subgraphs([sub], TEMPLATES, Exploding(), reloaded)[0] == {}
+    assert encode_subgraphs([sub], TEMPLATES, Exploding(), reloaded)[0] == []
     for key, vec in direct.items():
         assert vec.tobytes() == cache[key].tobytes() == reloaded[key].tobytes()
 

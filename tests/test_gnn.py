@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 
 from helpers import kg_from_facts
@@ -342,9 +344,10 @@ def test_gnn_score_reads_question_state():
     model.cfg.gnn_layers = 0
     scores = batch_forward(model, [prepared]).scores
     rng = np.random.default_rng(4)
-    # Each candidate gets a table of its own: the prepared set's table is shared.
+    # Each candidate gets a set of its own: the prepared set is shared.
     for cand in prepared.candidates:
-        cand.node_table = rng.standard_normal(cand.node_init.shape)
+        table = rng.standard_normal(cand.node_init.shape)
+        cand.shared = replace(cand.shared, node_table=table)
         cand.node_rows = np.arange(len(cand.node_rows))
     result = batch_forward(model, [prepared])
     assert np.array_equal(result.scores, scores)

@@ -61,20 +61,23 @@ def kg_layout_case(tmp_path_factory):
     save_dataset(records, root / "dataset.jsonl")
     lines = [f.key() for f in sorted(kg.facts)]
     (root / "kg.tsv").write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
-    reference = _retrieve_output(root, root / "kg.tsv")
+    reference = _retrieve_output(root / "dataset.jsonl", root / "kg.tsv")
     return root, lines, load_kg(str(root / "kg.tsv")), reference
 
 
-def _retrieve_output(root, kg_path) -> bytes:
-    out = root / "retrieved"
+def _retrieve_output(dataset, kg_path) -> bytes:
+    """`retrieve`'s subgraphs, written beside `kg_path`."""
+    out = kg_path.parent / "retrieved"
     assert cli.main(["retrieve", "--kg", str(kg_path), "--dataset",
-                     str(root / "dataset.jsonl"), "--out", str(out)]) == 0
+                     str(dataset), "--out", str(out)]) == 0
     return (out / "subgraphs.jsonl").read_bytes()
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_kg_file_layout_does_not_reach_the_graph_or_retrieval(kg_layout_case, data):
+def test_kg_file_layout_does_not_reach_the_graph_or_retrieval(
+    kg_layout_case, tmp_path_factory, data
+):
     # Line order, repeated facts, blank and comment lines and \r\n endings
     # leave the loaded graph, its adjacency tuple order and `retrieve` unchanged.
     root, lines, expected, reference = kg_layout_case
@@ -85,7 +88,8 @@ def test_kg_file_layout_does_not_reach_the_graph_or_retrieval(kg_layout_case, da
     shuffled = data.draw(st.permutations(lines + extra))
     newline = data.draw(st.sampled_from(["\n", "\r\n"]))
     text = newline.join(shuffled) + data.draw(st.sampled_from(["", newline]))
-    path = root / "kg_layout.tsv"
+    # A fresh directory per example: replacing a file can cost a file-system flush.
+    path = tmp_path_factory.mktemp("kg_layout_example") / "kg_layout.tsv"
     path.write_bytes(text.encode("utf-8"))
     kg = load_kg(str(path))
     assert kg.facts == expected.facts
@@ -93,7 +97,7 @@ def test_kg_file_layout_does_not_reach_the_graph_or_retrieval(kg_layout_case, da
     assert kg.relations == expected.relations
     assert kg.adjacency == expected.adjacency
     assert kg.first_token_index == expected.first_token_index
-    assert _retrieve_output(root, path) == reference
+    assert _retrieve_output(root / "dataset.jsonl", path) == reference
 
 
 @settings(max_examples=60, deadline=None)
@@ -238,7 +242,8 @@ def _fields(fact):
 @settings(max_examples=200, deadline=None)
 @given(kg_texts)
 def test_load_kg_matches_line_parser_oracle(tmp_path_factory, text):
-    path = tmp_path_factory.getbasetemp() / "oracle_kg.tsv"
+    # A fresh directory per example: replacing a file can cost a file-system flush.
+    path = tmp_path_factory.mktemp("oracle_kg") / "kg.tsv"
     path.write_bytes(text.encode("utf-8"))
     try:
         expected = load_kg_oracle(str(path))

@@ -96,7 +96,7 @@ def test_a_run_frees_its_training_set_before_preparing_the_test_set(
         if batch is assets.train_records:
             questions = [q for condition in prepared.values() for q in condition]
             train_refs.extend(weakref.ref(q) for q in questions)
-            table_refs.append(weakref.ref(questions[0].candidates[0].edge_table))
+            table_refs.append(weakref.ref(questions[0].candidates[0].shared.edge_table))
         return prepared
 
     monkeypatch.setattr(experiment, "prepare_conditions", recording_prepare)

@@ -10,11 +10,12 @@ import pytest
 from factpool.config import Config
 from factpool.encoders import HashBagEncoder
 from factpool.harness_data import tiny_benchmark
-from factpool.kg import VIRTUAL_NODE_ID
+from factpool.kg import VIRTUAL_NODE_ID, Fact
 from factpool.model import (
     CONDITIONS,
     PreparedCandidate,
     PreparedQuestion,
+    PreparedSet,
     batch_backward,
     batch_forward,
     build_encoder,
@@ -49,10 +50,11 @@ def assert_one_row_per_key(table, keyed_rows):
 
 def test_a_prepared_set_shares_one_edge_table_with_a_row_per_fact():
     _, candidates, grounding = prepared_set("pooled")
-    table = candidates[0].edge_table
-    assert all(c.edge_table is table for c in candidates)
+    shared = candidates[0].shared
+    assert all(c.shared is shared for c in candidates)
+    table = shared.edge_table
     keys = {f.key() for statements in grounding for _, sub in statements for f in sub.edges}
-    assert table.shape[0] == len(keys) > 0
+    assert table.shape[0] == len(shared.facts) == len(shared.texts) == len(keys) > 0
     assert_one_row_per_key(
         table, ((f.key(), row) for c in candidates for f, row in zip(c.facts, c.edge_rows))
     )
@@ -62,8 +64,10 @@ def test_a_prepared_set_shares_one_edge_table_with_a_row_per_fact():
 
 def test_a_gnn_prepared_set_shares_one_node_table_with_a_row_per_node():
     _, candidates, grounding = prepared_set("gnn")
-    table = candidates[0].node_table
-    assert all(c.node_table is table for c in candidates)
+    shared = candidates[0].shared
+    assert all(c.shared is shared for c in candidates)
+    assert shared.facts == shared.texts == [] and shared.edge_table.shape[0] == 0
+    table = shared.node_table
     nodes = {n for statements in grounding for _, sub in statements for n in sub.nodes}
     assert table.shape[0] == len(nodes)
     assert_one_row_per_key(
@@ -96,7 +100,7 @@ def arrays_reachable_from(root) -> list[np.ndarray]:
 def test_the_edge_table_is_the_only_holder_of_a_pooled_sets_fact_vectors():
     encoder = HashBagEncoder(dim=8, seed=0)
     _, candidates, _ = prepared_set("pooled", encoder)
-    table = candidates[0].edge_table
+    table = candidates[0].shared.edge_table
     rows, width = {row.tobytes() for row in table}, table.shape[1]
     holders = []
     for array in arrays_reachable_from((encoder, candidates)):
@@ -137,13 +141,14 @@ def test_pooled_training_step_peak_memory():
                  vocab_size=256, seed=0)
     model = create_model(cfg, "pooled", ["r0", "r1"])
     rng = np.random.default_rng(0)
-    table = rng.standard_normal((64, cfg.d))
+    facts = [Fact(f"e{i}", "r0", f"e{i + 1}") for i in range(64)]
+    shared = PreparedSet(facts, [f.key() for f in facts], rng.standard_normal((64, cfg.d)))
     questions = [
         PreparedQuestion(
             [
                 PreparedCandidate(
-                    ids=rng.integers(5, cfg.vocab_size, 16), facts=[], fact_texts=[],
-                    edge_table=table, edge_rows=rng.integers(0, len(table), 12),
+                    ids=rng.integers(5, cfg.vocab_size, 16), shared=shared,
+                    edge_rows=rng.integers(0, len(facts), 12),
                 )
                 for _ in range(4)
             ],

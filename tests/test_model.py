@@ -131,9 +131,8 @@ def test_early_late_k0_bit_identical_to_early():
     final = early._caches["graph_states_final"]
     assert final.shape == (len(early.scores), SCORED_POSITIONS, cfg_early.d)  # the read positions
     assert np.array_equal(final, late._caches["graph_states_final"])
-    layer_states = [r._caches["trunk_cache"][4] for r in results]
-    assert len(layer_states[0]) == cfg_early.L + 1
-    assert all(np.array_equal(a, b) for a, b in zip(*layer_states))
+    # K=0 injects nothing before any layer in either mode.
+    assert early._caches["trunk_cache"][1] == {} == late._caches["trunk_cache"][1]
 
 
 def test_zero_graph_vectors_match_early_zero():
@@ -458,12 +457,11 @@ def test_the_pruned_last_layer_is_byte_identical_to_the_full_layer(monkeypatch, 
     assert seen["kwargs"] == {"read_positions": SCORED_POSITIONS}
     ids, mask = seen["args"][3:5]
     assert ids.shape == (64, 40) and not mask.all()
-    states, cache = seen["pruned"]
+    states, _ = seen["pruned"]
     full_states, full_cache = real_forward(*seen["args"])
     assert states.shape == (64, SCORED_POSITIONS, 64)
     assert result._caches["graph_states_final"] is states
     assert states.tobytes() == full_states[:, :SCORED_POSITIONS].tobytes()
-    assert [s.tobytes() for s in cache[4]] == [s.tobytes() for s in full_cache[4]]
     d_full = np.zeros_like(full_states)
     d_full[:, :SCORED_POSITIONS] = seen["d_states"]
     grads, d_graph_init, d_injections = seen["pruned_grads"]
