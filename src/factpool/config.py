@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from factpool.tokenizer import MIN_STATEMENT_TOKENS, Tokenizer
+from factpool.util import atomic_write_text
 
 FUSION_MODES = ("early", "early_late")
 TOKEN_POOLINGS = ("cls", "mean")
@@ -122,4 +123,4 @@ def config_text(cfg: Config) -> str:
 
 
 def save_config(cfg: Config, path: str | Path) -> None:
-    Path(path).write_text(config_text(cfg), encoding="utf-8")
+    atomic_write_text(path, config_text(cfg))

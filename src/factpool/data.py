@@ -14,6 +14,8 @@ import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from factpool.util import atomic_write_text
+
 
 @dataclass
 class QuestionRecord:
@@ -134,7 +136,4 @@ def require_training_candidates(records: list[QuestionRecord], path: str | Path)
 
 
 def save_dataset(records: list[QuestionRecord], path: str | Path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(record.to_json() + "\n")
+    atomic_write_text(path, "".join(record.to_json() + "\n" for record in records))

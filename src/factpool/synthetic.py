@@ -35,6 +35,7 @@ import numpy as np
 
 from factpool.data import QuestionRecord, save_dataset
 from factpool.kg import Fact
+from factpool.util import atomic_write_text
 from factpool.verbalize import TemplateTable, save_templates
 
 LINK_RELATION = "connects_with"
@@ -90,14 +91,9 @@ class SyntheticBenchmark:
 
 
 def _name_pool(spec: SyntheticSpec, rng: np.random.Generator) -> list[str]:
-    # One scalar draw per syllable.  The files depend on the call sequence,
-    # not only on the values: `integers(size=...)` would draw the same values
-    # but leave a different state, changing every file after the name pool.
-    n = len(_SYLLABLES)
-    return [
-        f"{_SYLLABLES[int(rng.integers(n))]}{_SYLLABLES[int(rng.integers(n))]}{i}"
-        for i in range(spec.entities)
-    ]
+    # Row i holds entity i's first and second syllable, in draw order.
+    draws = rng.integers(len(_SYLLABLES), size=(spec.entities, 2)).tolist()
+    return [f"{_SYLLABLES[a]}{_SYLLABLES[b]}{i}" for i, (a, b) in enumerate(draws)]
 
 
 def generate_synthetic(spec: SyntheticSpec) -> SyntheticBenchmark:
@@ -183,7 +179,7 @@ def write_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> dict[str, Path]
         "dataset": out / "dataset.jsonl",
     }
     lines = [f"{f.head}\t{f.relation}\t{f.tail}" for f in bench.facts]
-    paths["kg"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write_text(paths["kg"], "\n".join(lines) + "\n")
     save_templates(bench.templates, paths["templates"])
     save_dataset(bench.records, paths["dataset"])
     return paths

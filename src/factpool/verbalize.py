@@ -10,6 +10,7 @@ from factpool.kg import (
     Fact,
     id_to_surface,
 )
+from factpool.util import atomic_write_text
 
 # Virtual edges have fixed phrasings; template files cannot override them.
 _VIRTUAL_TEMPLATES = {
@@ -74,8 +75,7 @@ def load_templates(path: str) -> TemplateTable:
 
 def save_templates(table: TemplateTable, path: str) -> None:
     lines = [f"{relation}\t{template}" for relation, template in sorted(table.templates.items())]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def verbalize(fact: Fact, templates: TemplateTable) -> str:

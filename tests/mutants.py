@@ -40,6 +40,9 @@ _STATELESS = f"{_LIFETIMES}::test_an_encode_call_leaves_the_encoder_as_it_was"
 _TRAIN_SET_FREED = f"{_LIFETIMES}::test_a_run_frees_its_training_set_before_preparing_the_test_set"
 _PRUNED = "tests/test_model.py::test_the_pruned_last_layer_is_byte_identical_to_the_full_layer"
 _DATA_TYPES = "tests/test_data.py::test_load_dataset_rejects_wrong_json_types"
+_NAME_POOL = "tests/test_synthetic.py::test_name_pool_matches_the_scalar_draw_oracle"
+_PINNED = "tests/test_synthetic.py::test_generated_bytes_are_pinned"
+_PARTWAY = "tests/test_data.py::test_a_save_that_fails_partway_leaves_no_partial_dataset"
 
 MUTANTS = (
     # A per-text memo: the encoder keeps every row it returns.
@@ -379,6 +382,116 @@ MUTANTS = (
             "tests/test_experiment.py::test_explain_report_structure",
             "tests/test_acceptance.py::test_criterion_09_explain_report",
         ),
+    ),
+    # The dataset is written in place: a save that raises partway leaves
+    # the records before the failure as a shorter, valid dataset.
+    Mutant(
+        "dataset-written-in-place",
+        "src/factpool/data.py",
+        "    atomic_write_text(path, \"\".join("
+        "record.to_json() + \"\\n\" for record in records))\n",
+        "    with open(path, \"w\", encoding=\"utf-8\") as fh:\n"
+        "        for record in records:\n"
+        "            fh.write(record.to_json() + \"\\n\")\n",
+        (f"{_PARTWAY}[fresh]", f"{_PARTWAY}[existing]"),
+    ),
+    # The name pool reads its one draw column-major: the generator ends in
+    # the same state, but entity i gets other syllables.
+    Mutant(
+        "name-pool-column-major",
+        "src/factpool/synthetic.py",
+        "    draws = rng.integers(len(_SYLLABLES), size=(spec.entities, 2)).tolist()\n",
+        "    draws = rng.integers(len(_SYLLABLES), size=(2, spec.entities)).T.tolist()\n",
+        (
+            f"{_NAME_POOL}[3-0-fresh]",
+            f"{_NAME_POOL}[7000-1-primed]",
+            f"{_PINNED}[acceptance]",
+            f"{_PINNED}[small]",
+        ),
+    ),
+    # A distractor rate above 1 generates.
+    Mutant(
+        "distractor-rate-unchecked",
+        "src/factpool/synthetic.py",
+        "            raise ValueError(\"distractor_rate must be in [0, 1]\")\n",
+        "            pass\n",
+        ("tests/test_cli.py::test_generate_spec_the_generator_rejects_is_a_usage_error"
+         "[distractor-rate]",),
+    ),
+    # `fusion_mode=early` with injection layers builds.
+    Mutant(
+        "early-fusion-depth-unchecked",
+        "src/factpool/config.py",
+        "            raise ValueError(\"fusion_mode=early requires K=0\")\n",
+        "            pass\n",
+        ("tests/test_config.py::test_early_fusion_with_injection_layers_is_rejected",),
+    ),
+    # An unknown encoder kind builds.
+    Mutant(
+        "encoder-kind-unchecked",
+        "src/factpool/config.py",
+        "            raise ValueError(f\"encoder_kind must be one of {ENCODER_KINDS}\")\n",
+        "            pass\n",
+        ("tests/test_config.py::test_unknown_encoder_kind_is_rejected",),
+    ),
+    # A config line without `=` fails on unpacking, naming no line.
+    Mutant(
+        "config-line-without-equals-unchecked",
+        "src/factpool/config.py",
+        "            raise ValueError(f\"config line {lineno} is not key=value: {raw!r}\")\n",
+        "            pass\n",
+        ("tests/test_config.py::test_line_without_equals_is_rejected_naming_the_line",),
+    ),
+    # A checkpoint whose precision is neither f64 nor f32 loads as f32.
+    Mutant(
+        "precision-unchecked",
+        "src/factpool/config.py",
+        "            raise ValueError(\"precision must be 'f64' or 'f32'\")\n",
+        "            pass\n",
+        ("tests/test_checkpoint.py::test_load_model_rejects_a_config_no_model_can_run"
+         "[precision-f16]",),
+    ),
+    # `run_experiment` reads its files before it checks the condition.
+    Mutant(
+        "unknown-condition-unchecked",
+        "src/factpool/experiment.py",
+        "        raise ValueError(f\"condition must be one of {CONDITIONS}\")\n",
+        "        pass\n",
+        ("tests/test_experiment.py::"
+         "test_run_experiment_rejects_an_unknown_condition_before_reading_data",),
+    ),
+    # A sweep with no value has no cell.
+    Mutant(
+        "empty-sweep-unchecked",
+        "src/factpool/experiment.py",
+        "        raise ValueError(\"sweep needs at least one value\")\n",
+        "        pass\n",
+        ("tests/test_experiment.py::test_sweep_needs_at_least_one_value",),
+    ),
+    # A model of an unknown kind builds.
+    Mutant(
+        "unknown-model-kind-unchecked",
+        "src/factpool/model.py",
+        "        raise ValueError(f\"model kind must be one of {MODEL_KINDS}\")\n",
+        "        pass\n",
+        ("tests/test_model.py::test_create_model_rejects_an_unknown_kind",),
+    ),
+    # Training on no question fails on an epoch with no batch.
+    Mutant(
+        "empty-training-set-unchecked",
+        "src/factpool/model.py",
+        "        raise ValueError(\"empty training set\")\n",
+        "        pass\n",
+        ("tests/test_model.py::test_training_needs_a_question",),
+    ),
+    # An entity both in the question and in the answer grounds.
+    Mutant(
+        "overlapping-entity-sets-kept",
+        "src/factpool/kg.py",
+        "            raise ValueError("
+        "f\"question/answer entity sets overlap: {sorted(overlap)}\")\n",
+        "            pass\n",
+        ("tests/test_kg.py::test_grounded_statement_rejects_an_entity_on_both_sides",),
     ),
 )
 

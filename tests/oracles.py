@@ -220,6 +220,18 @@ def bfs_distances(adjacency: dict[str, set[str]], start: str) -> dict[str, int]:
     return dist
 
 
+def name_pool_oracle(spec, rng) -> list[str]:
+    """The synthetic name pool drawn one scalar `integers` call per syllable,
+    entity by entity, first syllable before second."""
+    from factpool.synthetic import _SYLLABLES
+
+    n = len(_SYLLABLES)
+    return [
+        f"{_SYLLABLES[int(rng.integers(n))]}{_SYLLABLES[int(rng.integers(n))]}{i}"
+        for i in range(spec.entities)
+    ]
+
+
 def two_hop_nodes_oracle(facts, linked: set[str]) -> set[str]:
     """All nodes on paths of length <= 2 between distinct linked entities."""
     adjacency: dict[str, set[str]] = {}

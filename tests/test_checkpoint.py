@@ -219,9 +219,11 @@ def test_load_model_checks_header_against_tensors(tmp_path, edit, message):
         ({"vocab_size": 4}, "vocab_size must exceed the 4 reserved token ids, got 4"),
         ({"vocab_size": 2}, "vocab_size must exceed the 4 reserved token ids, got 2"),
         ({"max_tokens": 4}, "max_tokens must be at least 5, got 4"),
+        # Unchecked, any precision but f64 would load as f32.
+        ({"precision": "f16"}, "precision must be 'f64' or 'f32'"),
     ],
     ids=["gnn-layers-0", "gnn-layers-negative", "vocab-reserved-only", "vocab-below-reserved",
-         "max-tokens-below-skeleton"],
+         "max-tokens-below-skeleton", "precision-f16"],
 )
 def test_load_model_rejects_a_config_no_model_can_run(tmp_path, values, message):
     cfg = Config(L=2, d=16, heads=2, vocab_size=64, max_tokens=16, max_nodes=8)

@@ -217,8 +217,9 @@ GENERATE_DEFAULTS = {
         ("--relations", "1", "1", "need at least the link relation and one noise relation"),
         ("--kg-fraction", "2", "2.0", "kg_fraction must be in [0, 1]"),
         ("--candidates", "0", "0", "spec counts must be positive"),
+        ("--distractor-rate", "1.5", "1.5", "distractor_rate must be in [0, 1]"),
     ],
-    ids=["entities", "relations", "kg-fraction", "candidates"],
+    ids=["entities", "relations", "kg-fraction", "candidates", "distractor-rate"],
 )
 def test_generate_spec_the_generator_rejects_is_a_usage_error(
     tmp_path, flag, value, shown, message

@@ -64,6 +64,27 @@ def test_zero_learning_rate_is_accepted():
     assert parse_config_text("lr_lm=0\nlr_graph=0.0\n").lr_lm == 0.0
 
 
+def test_early_fusion_with_injection_layers_is_rejected():
+    with pytest.raises(ValueError, match="fusion_mode=early requires K=0"):
+        Config(fusion_mode="early", K=1)
+    with pytest.raises(ValueError, match="fusion_mode=early requires K=0"):
+        parse_config_text("fusion_mode=early\nK=2\n")
+
+
+def test_unknown_encoder_kind_is_rejected():
+    with pytest.raises(ValueError, match="encoder_kind must be one of"):
+        Config(encoder_kind="bert")
+    with pytest.raises(ValueError, match="encoder_kind must be one of"):
+        parse_config_text("encoder_kind=bert\n")
+
+
+def test_line_without_equals_is_rejected_naming_the_line():
+    # Split without the check, such a line still fails, but on unpacking.
+    with pytest.raises(ValueError) as exc:
+        parse_config_text("L=2\nseed 4\n")
+    assert str(exc.value) == "config line 2 is not key=value: 'seed 4'"
+
+
 def test_repeated_key_is_rejected_naming_the_line():
     with pytest.raises(ValueError, match="config line 3 repeats key 'L'"):
         parse_config_text("L=2\nd=16\nL=4\n")

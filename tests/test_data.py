@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from factpool.data import DatasetFormatError, load_dataset
+from factpool.data import DatasetFormatError, QuestionRecord, load_dataset, save_dataset
 from factpool.kg import load_kg
 from factpool.synthetic import SyntheticSpec, generate_synthetic, write_synthetic
 from factpool.verbalize import load_templates
@@ -57,3 +57,28 @@ def test_synthetic_files_load_to_the_generated_records(tmp_path):
     assert load_templates(str(paths["templates"])) == bench.templates
     assert sorted(load_kg(str(paths["kg"])).facts) == bench.facts
 
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+def test_a_save_that_fails_partway_leaves_no_partial_dataset(tmp_path, monkeypatch, existing):
+    # A dataset cut at a line boundary would load as a smaller dataset, so a
+    # save that raises after some records must leave no file, or the old one.
+    records = [
+        QuestionRecord(question=f"question {i}?", candidates=["birds", "stones"], answer_index=0)
+        for i in range(4)
+    ]
+    path = tmp_path / "dataset.jsonl"
+    if existing:
+        save_dataset(records, path)
+        before = path.read_bytes()
+
+    def fail():
+        raise RuntimeError("serialization failed")
+
+    monkeypatch.setattr(records[2], "to_json", fail)
+    with pytest.raises(RuntimeError, match="serialization failed"):
+        save_dataset(records, path)
+    if existing:
+        assert [p.name for p in tmp_path.iterdir()] == ["dataset.jsonl"]
+        assert path.read_bytes() == before
+    else:
+        assert not any(tmp_path.iterdir())

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,10 +18,12 @@ from factpool.experiment import (
     pipeline_hashes,
     run_experiment,
     sweep,
+    sweep_cells,
 )
 from factpool.harness_data import tiny_benchmark
 from factpool.kg import Fact, KnowledgeGraph, text_tokens
 from factpool.model import (
+    CONDITIONS,
     WITH_ANSWERS,
     WITHOUT_ANSWERS,
     batch_forward,
@@ -145,6 +148,20 @@ def test_sweep_builds_every_cell_before_reading_data(micro_assets):
     ecfg = replace(micro_ecfg(micro_assets), dataset_path="missing.jsonl", kg_path="missing.tsv")
     with pytest.raises(ValueError, match="max_nodes=0: max_nodes must be positive"):
         sweep(ecfg, "max_nodes", [8, 0])
+
+
+def test_sweep_needs_at_least_one_value(micro_assets):
+    with pytest.raises(ValueError, match="sweep needs at least one value"):
+        sweep_cells(micro_ecfg(micro_assets), "K", [])
+
+
+def test_run_experiment_rejects_an_unknown_condition_before_reading_data():
+    # The files do not exist: unchecked, the condition would fail later and
+    # elsewhere, on the first file read.
+    missing = {"kg": "missing.tsv", "dataset": "missing.jsonl", "templates": "missing.tsv"}
+    ecfg = micro_ecfg(missing, condition="no_graph")
+    with pytest.raises(ValueError, match=re.escape(f"condition must be one of {CONDITIONS}")):
+        run_experiment(ecfg)
 
 
 def test_too_small_dataset_is_a_typed_error_naming_the_path(micro_assets):

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -313,6 +314,11 @@ def test_ground_statement_disjoint_sets(toy_kg):
     assert stmt.answer_entities == {"migrate"}
     assert "migrate" not in stmt.question_entities
     assert {"bird", "winter"} <= stmt.question_entities
+
+
+def test_grounded_statement_rejects_an_entity_on_both_sides():
+    with pytest.raises(ValueError, match=re.escape("entity sets overlap: ['bird', 'wing']")):
+        make_stmt({"sky", "wing", "bird"}, {"wing", "bird", "nest"})
 
 
 # --- retrieval ---------------------------------------------------------------

@@ -19,6 +19,7 @@ from factpool.harness_data import tiny_benchmark
 from factpool.kg import VIRTUAL_NODE_ID, id_to_surface, link_entities
 from factpool.model import (
     CONDITIONS,
+    MODEL_KINDS,
     WITH_ANSWERS,
     WITHOUT_ANSWERS,
     DivergenceError,
@@ -299,6 +300,17 @@ def test_non_finite_embedding_fails_evaluation(tmp_path):
     questions = prepare_dataset(external, kg, templates, cached, records[:4])
     with pytest.raises(DivergenceError, match=r"non-finite score .*\(kind=pooled\)"):
         evaluate(external, questions)
+
+
+def test_create_model_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match=re.escape(f"model kind must be one of {MODEL_KINDS}")):
+        create_model(small_cfg(), "bert", ["r0", "r1"])
+
+
+def test_training_needs_a_question():
+    model = create_model(small_cfg(), "pooled", ["r0", "r1"])
+    with pytest.raises(ValueError, match="empty training set"):
+        train_model(model, [])
 
 
 def test_training_needs_two_candidates():

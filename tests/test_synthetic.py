@@ -1,13 +1,20 @@
 import hashlib
 
+import numpy as np
 import pytest
 
-from oracles import bfs_distances
+from oracles import bfs_distances, name_pool_oracle
 
 from factpool.config import Config
 from factpool.harness_data import tiny_benchmark
 from factpool.model import build_encoder, create_model, prepare_dataset, relation_table
-from factpool.synthetic import LINK_RELATION, SyntheticSpec, generate_synthetic, write_synthetic
+from factpool.synthetic import (
+    LINK_RELATION,
+    SyntheticSpec,
+    _name_pool,
+    generate_synthetic,
+    write_synthetic,
+)
 
 
 def small_spec(**overrides):
@@ -62,6 +69,24 @@ def test_generated_bytes_are_pinned(tmp_path, spec, digests):
     write_synthetic(spec, tmp_path)
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("primed", [False, True], ids=["fresh", "primed"])
+@pytest.mark.parametrize("seed", [0, 1, 20240613])
+@pytest.mark.parametrize("entities", [3, 7000, 20000])
+def test_name_pool_matches_the_scalar_draw_oracle(entities, seed, primed):
+    # One (entities, 2) draw must give the names and leave the generator
+    # state that one scalar draw per syllable does, since every later draw
+    # of the generator, and so every file, follows from that state.  A
+    # primed generator has made one odd draw first, so it holds a buffered
+    # 32-bit half when the pool starts.
+    spec = small_spec(entities=entities)
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    if primed:
+        assert fast.integers(3) == slow.integers(3)
+        assert fast.bit_generator.state["has_uint32"] == 1
+    assert _name_pool(spec, fast) == name_pool_oracle(spec, slow)
+    assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_zero_distractors_exact_fact_count():
