@@ -7,6 +7,13 @@ is a written file's path under `root` or `stdout:<step>`.  Output paths are
 replaced by `<out>` in stdout before hashing, so the digests do not depend
 on where `root` is.
 
+The manifest has two sections.  The first runs every command at d=16.  The
+second, the wide tier (names under `wide/`), runs `configs/acceptance.cfg`
+for one epoch on a 96-question set, where d=64 and a batch's few hundred
+pooled edge rows make OpenBLAS pick the kernels the full-size runs take.
+Those bytes depend on the BLAS thread count, so `wide_digests(root)` runs
+the tier in a subprocess with one BLAS thread.
+
     python -m tests.golden --write   # regenerate tests/golden/outputs.sha256
 
 A change that moves output bytes on purpose regenerates the manifest and
@@ -20,6 +27,9 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
+import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -27,6 +37,9 @@ from pathlib import Path
 import numpy as np
 
 MANIFEST = Path(__file__).parent / "golden" / "outputs.sha256"
+REPO = Path(__file__).resolve().parent.parent
+WIDE = "wide/"  # the wide tier's name prefix
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 CONFIG_TEXT = """\
 L=2
@@ -96,16 +109,31 @@ def _steps(root: Path):
     return steps
 
 
-def run_commands(root: Path) -> dict[str, str]:
+def _wide_steps(root: Path):
+    """(name, argv) per command of the wide tier, in run order."""
+    data = root / "data"
+    full = ["--kg", str(data / "kg.tsv"), "--dataset", str(data / "dataset.jsonl"),
+            "--templates", str(data / "templates.tsv")]
+    run = root / "out" / "run"
+    ckpt = ["--checkpoint", str(run / "pooled_seed0" / "final.ckpt")]
+    return [
+        ("generate", ["generate", "--entities", "7000", "--relations", "6", "--questions", "96",
+                      "--candidates", "4", "--distractor-rate", "0.6", "--kg-fraction", "0.6",
+                      "--seed", "0", "--out", str(data)]),
+        ("run", ["run", *full, "--config", str(root / "acceptance.cfg"), "--train-count", "64",
+                 "--test-count", "32", "--out", str(run)]),
+        ("eval", ["eval", *full, *ckpt, "--skip", "64", "--count", "32",
+                  "--out", str(root / "out" / "eval")]),
+        ("explain", ["explain", *full, *ckpt, "--out", str(root / "out" / "explain")]),
+    ]
+
+
+def _run(root: Path, steps) -> dict[str, str]:
+    """{name: sha256} of each step's stdout and of every file under `root`."""
     from factpool import cli
 
-    root.mkdir(parents=True, exist_ok=True)
-    (root / "run.cfg").write_text(CONFIG_TEXT, encoding="utf-8")
-    for name, kind in (("toy", "shared-toy-encoder"), ("external", "external-file")):
-        text = CONFIG_TEXT.replace("encoder_kind=hash-bag", f"encoder_kind={kind}")
-        (root / f"{name}.cfg").write_text(text, encoding="utf-8")
     digests = {}
-    for name, argv in _steps(root):
+    for name, argv in steps:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             status = cli.main(argv)
@@ -121,13 +149,51 @@ def run_commands(root: Path) -> dict[str, str]:
     return digests
 
 
+def run_commands(root: Path) -> dict[str, str]:
+    """The d=16 section's digests."""
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "run.cfg").write_text(CONFIG_TEXT, encoding="utf-8")
+    for name, kind in (("toy", "shared-toy-encoder"), ("external", "external-file")):
+        text = CONFIG_TEXT.replace("encoder_kind=hash-bag", f"encoder_kind={kind}")
+        (root / f"{name}.cfg").write_text(text, encoding="utf-8")
+    return _run(root, _steps(root))
+
+
+def _run_wide(root: Path) -> dict[str, str]:
+    root.mkdir(parents=True, exist_ok=True)
+    text = (REPO / "configs" / "acceptance.cfg").read_text(encoding="utf-8")
+    text, count = re.subn(r"(?m)^epochs=\d+$", "epochs=1", text)
+    assert count == 1, "configs/acceptance.cfg needs one epochs= line"
+    (root / "acceptance.cfg").write_text(text, encoding="utf-8")
+    return {WIDE + name: digest for name, digest in _run(root, _wide_steps(root)).items()}
+
+
+def wide_digests(root: Path) -> dict[str, str]:
+    """The wide section's digests, taken by `_run_wide` in a subprocess with
+    one BLAS thread and this checkout's `src/`."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--wide-in", str(root)],
+        env=dict(os.environ, PYTHONPATH=path, **ONE_BLAS_THREAD),
+        capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"wide tier: exit status {proc.returncode}\n{proc.stderr}")
+    return dict(line.split("  ", 1)[::-1] for line in proc.stdout.splitlines())
+
+
+def all_digests(root: Path) -> dict[str, str]:
+    """Both sections' digests: what the manifest holds."""
+    return {**run_commands(root / "narrow"), **wide_digests(root / "wide")}
+
+
 def read_manifest() -> tuple[list[str], dict[str, str]]:
     """(header lines, {name: sha256}) of the committed manifest."""
     header, digests = [], {}
     for line in MANIFEST.read_text(encoding="utf-8").splitlines():
         if line.startswith("# "):
             header.append(line[2:])
-        else:
+        elif line:
             digest, name = line.split("  ", 1)
             digests[name] = digest
     return header, digests
@@ -135,7 +201,10 @@ def read_manifest() -> tuple[list[str], dict[str, str]]:
 
 def write_manifest(digests: dict[str, str]) -> None:
     lines = [f"# {line}" for line in environment()]
-    lines += [f"{digest}  {name}" for name, digest in sorted(digests.items())]
+    narrow = sorted(name for name in digests if not name.startswith(WIDE))
+    lines += [f"{digests[name]}  {name}" for name in narrow]
+    lines += ["", "# wide tier: configs/acceptance.cfg, 1 epoch, 1 BLAS thread"]
+    lines += [f"{digests[name]}  {name}" for name in sorted(digests.keys() - set(narrow))]
     MANIFEST.parent.mkdir(parents=True, exist_ok=True)
     MANIFEST.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -148,9 +217,14 @@ def differing(want: dict[str, str], got: dict[str, str]) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m tests.golden", description=__doc__)
     parser.add_argument("--write", action="store_true", help="regenerate the manifest")
+    parser.add_argument("--wide-in", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.wide_in:  # `wide_digests`' subprocess
+        for name, digest in _run_wide(args.wide_in).items():
+            print(f"{digest}  {name}")
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
-        digests = run_commands(Path(tmp))
+        digests = all_digests(Path(tmp))
     if args.write:
         write_manifest(digests)
         print(f"{MANIFEST}: {len(digests)} entries")

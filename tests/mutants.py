@@ -39,6 +39,7 @@ _LAYOUT = "tests/test_memory_layout.py"
 _STATELESS = f"{_LIFETIMES}::test_an_encode_call_leaves_the_encoder_as_it_was"
 _TRAIN_SET_FREED = f"{_LIFETIMES}::test_a_run_frees_its_training_set_before_preparing_the_test_set"
 _PRUNED = "tests/test_model.py::test_the_pruned_last_layer_is_byte_identical_to_the_full_layer"
+_WIDE = "tests/test_golden.py::test_wide_outputs_match_the_golden_manifest"
 _DATA_TYPES = "tests/test_data.py::test_load_dataset_rejects_wrong_json_types"
 _NAME_POOL = "tests/test_synthetic.py::test_name_pool_matches_the_scalar_draw_oracle"
 _PINNED = "tests/test_synthetic.py::test_generated_bytes_are_pinned"
@@ -189,7 +190,7 @@ MUTANTS = (
         "        grads[f\"{p}.ffn.w2\"] = np.tensordot(hid, d_ffn, axes=([0, 1], [0, 1]))\n",
         "        hid = gelu_from_tanh(pre, pre_t)\n"
         "        grads[f\"{p}.ffn.w2\"] = np.tensordot(hid, d_r2, axes=([0, 1], [0, 1]))\n",
-        (f"{_PRUNED}[pooled]", f"{_PRUNED}[gnn]"),
+        (f"{_PRUNED}[pooled]", f"{_PRUNED}[gnn]", _WIDE),
     ),
     # The last layer's input gradient through W2^T computed for its read rows
     # only: a product of fewer rows may take another GEMM kernel.
@@ -198,7 +199,7 @@ MUTANTS = (
         "src/factpool/transformer.py",
         "        d_hid = (d_ffn @ params[f\"{p}.ffn.w2\"].T)[:, :n]\n",
         "        d_hid = d_r2 @ params[f\"{p}.ffn.w2\"].T\n",
-        (f"{_PRUNED}[pooled]", f"{_PRUNED}[gnn]"),
+        (f"{_PRUNED}[pooled]", f"{_PRUNED}[gnn]", _WIDE),
     ),
     # Backward stops before layer 1: its parameters get no gradient.
     Mutant(
