@@ -9,9 +9,8 @@ _LN_EPS = 1e-5
 
 
 def softmax_stable(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis with max subtraction; accumulation in float64."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - np.max(z, axis=-1, keepdims=True)
+    """Softmax over the last axis with max subtraction, in the logits' dtype."""
+    z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / np.sum(e, axis=-1, keepdims=True)
 

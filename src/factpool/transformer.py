@@ -20,6 +20,8 @@ with i = 1..L.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from factpool.numerics import (
@@ -100,7 +102,7 @@ def _layer_forward(
     q = _split_heads(x_rows @ params[f"{p}.attn.wq"] + params[f"{p}.attn.bq"], heads)
     k = _split_heads(x @ params[f"{p}.attn.wk"] + params[f"{p}.attn.bk"], heads)
     v = _split_heads(x @ params[f"{p}.attn.wv"] + params[f"{p}.attn.bv"], heads)
-    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dk) + key_bias
+    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(dk) + key_bias
     attn = softmax_stable(scores)
     ctx = _merge_heads(attn @ v)
     attn_out = ctx @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
@@ -149,7 +151,7 @@ def trunk_forward(
     x[:, 0, :] = graph_init + params["pos_emb"][0]
     if 0 in injections:
         x[:, 0, :] += injections[0]
-    key_bias = np.where(real_mask[:, None, None, :], 0.0, _MASK_VALUE)
+    key_bias = np.where(real_mask[:, None, None, :], 0.0, _MASK_VALUE).astype(x.dtype)
     layer_caches = [] if backward_cache else None
     for i in range(1, L + 1):
         if i in injections:
@@ -230,8 +232,8 @@ def trunk_backward(params: dict[str, np.ndarray], L: int, cache, d_states: np.nd
         d_attn = d_ctx @ v.transpose(0, 1, 3, 2)
         d_v = attn.transpose(0, 1, 3, 2) @ d_ctx
         d_scores = softmax_backward(attn, d_attn)
-        d_q = d_scores @ k / np.sqrt(dk)
-        d_k = d_scores.transpose(0, 1, 3, 2) @ q / np.sqrt(dk)
+        d_q = d_scores @ k / math.sqrt(dk)
+        d_k = d_scores.transpose(0, 1, 3, 2) @ q / math.sqrt(dk)
         dx_in = d_attn_out  # nothing reads d_r1 after this, so it is written in place
         for mat, dmat in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
             flat = _pad_rows(_merge_heads(dmat), t)

@@ -113,6 +113,35 @@ def test_backward_without_cache_is_typed_error():
         trunk_backward(params, 4, cache, np.ones_like(states))
 
 
+@pytest.mark.parametrize("read_positions", [None, 2])
+def test_a_float32_trunk_computes_in_float32(read_positions):
+    """States, every layer-cache array and every gradient of a float32 trunk
+    are float32: no float64 constant promotes them."""
+    params, ids, mask, graph_init, injections = padded_injected_batch()
+    params = {name: t.astype(np.float32) for name, t in params.items()}
+    graph_init = graph_init.astype(np.float32)
+    injections = {layer: v.astype(np.float32) for layer, v in injections.items()}
+    states, cache = trunk_forward(
+        params, 4, 4, ids, mask, graph_init, injections, True, read_positions
+    )
+    assert states.dtype == np.float32
+
+    def arrays(tree):
+        if isinstance(tree, np.ndarray):
+            yield tree
+        elif isinstance(tree, (tuple, list)):
+            for item in tree:
+                yield from arrays(item)
+
+    layer_arrays = list(arrays(cache[2]))
+    assert len(layer_arrays) == 4 * 12
+    assert {a.dtype for a in layer_arrays} == {np.dtype(np.float32)}
+    grads, d_graph_init, d_injections = trunk_backward(params, 4, cache, np.ones_like(states))
+    assert grads.keys() == params.keys()
+    outputs = [*grads.values(), d_graph_init, *d_injections.values()]
+    assert {a.dtype for a in outputs} == {np.dtype(np.float32)}
+
+
 def test_trunk_backward_vs_finite_differences():
     params, ids, graph_init, rng = make_setup(L=1, d=8, heads=2, T=5, vocab=24, seed=7)
     mask = np.ones_like(ids, dtype=bool)
