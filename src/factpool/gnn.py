@@ -46,16 +46,20 @@ def init_gnn_params(d: int, num_relations: int, rng: np.random.Generator) -> dic
 
 @dataclass
 class SubgraphArrays:
-    """Index form of a subgraph for vectorized message passing."""
+    """Index form of a subgraph for vectorized message passing.  Node i is
+    the subgraph's i-th node in sorted-id order, the virtual node included."""
 
-    node_ids: list[str]  # sorted; includes the virtual node when present
+    node_rows: np.ndarray  # [N] int64, each node's row of a node-state table
     src: np.ndarray  # [M] int, message source node index
     dst: np.ndarray  # [M] int, message destination node index
     rel: np.ndarray  # [M] int, relation-table row per message
     virtual_index: int | None
 
 
-def subgraph_arrays(sub: Subgraph, relation_index: dict[str, int]) -> SubgraphArrays:
+def subgraph_arrays(
+    sub: Subgraph, relation_index: dict[str, int], node_row: dict[str, int]
+) -> SubgraphArrays:
+    """`node_row` gives each node's row of the node-state table."""
     node_ids = sorted(sub.nodes)
     pos = {node: i for i, node in enumerate(node_ids)}
     src, dst, rel = [], [], []
@@ -69,7 +73,7 @@ def subgraph_arrays(sub: Subgraph, relation_index: dict[str, int]) -> SubgraphAr
         dst.append(pos[fact.head])
         rel.append(r)
     return SubgraphArrays(
-        node_ids=node_ids,
+        node_rows=np.fromiter((node_row[node] for node in node_ids), np.int64, len(node_ids)),
         src=np.array(src, dtype=np.int64),
         dst=np.array(dst, dtype=np.int64),
         rel=np.array(rel, dtype=np.int64),
@@ -84,9 +88,9 @@ def union_arrays(parts: list[SubgraphArrays]) -> tuple[SubgraphArrays, np.ndarra
     match, so no message crosses parts.  Returns (union, each part's
     virtual-node index in the union).
     """
-    offsets = np.cumsum([0] + [len(part.node_ids) for part in parts[:-1]])
+    offsets = np.cumsum([0] + [len(part.node_rows) for part in parts[:-1]])
     union = SubgraphArrays(
-        node_ids=[node for part in parts for node in part.node_ids],
+        node_rows=np.concatenate([part.node_rows for part in parts]),
         src=np.concatenate([part.src + off for part, off in zip(parts, offsets)]),
         dst=np.concatenate([part.dst + off for part, off in zip(parts, offsets)]),
         rel=np.concatenate([part.rel for part in parts]),

@@ -182,8 +182,7 @@ class PreparedCandidate:
     ids: np.ndarray  # [T] token ids
     shared: PreparedSet
     edge_rows: np.ndarray  # [E] int64 shared rows in canonical edge order; E may be 0
-    gnn: SubgraphArrays | None = None
-    node_rows: np.ndarray | None = None  # [N] int64 shared.node_table rows, gnn.node_ids order
+    gnn: SubgraphArrays | None = None  # node_rows index shared.node_table
 
     @property
     def facts(self) -> list[Fact]:
@@ -197,11 +196,6 @@ class PreparedCandidate:
     def edge_matrix(self) -> np.ndarray:
         """[E, d] edge vectors, a new array."""
         return self.shared.edge_table[self.edge_rows]
-
-    @property
-    def node_init(self) -> np.ndarray | None:
-        """[N, d] initial node states, a new array; the virtual row is a placeholder."""
-        return None if self.node_rows is None else self.shared.node_table[self.node_rows]
 
 
 @dataclass
@@ -374,10 +368,7 @@ def prepare_question(
             edge_rows=np.fromiter((fact_row[fact] for fact in facts), np.int64, len(facts)),
         )
         if model.kind == "gnn":
-            intact.gnn = subgraph_arrays(sub, relation_index)
-            intact.node_rows = np.array(
-                [node_row[node] for node in intact.gnn.node_ids], dtype=np.int64
-            )
+            intact.gnn = subgraph_arrays(sub, relation_index, node_row)
         for condition, question in prepared.items():
             kept = apply_condition(sub, stmt, condition)
             cand = intact
@@ -386,7 +377,7 @@ def prepare_question(
                 cand = replace(
                     intact,
                     edge_rows=intact.edge_rows[keep],
-                    gnn=subgraph_arrays(kept, relation_index) if intact.gnn else None,
+                    gnn=subgraph_arrays(kept, relation_index, node_row) if intact.gnn else None,
                 )
             question.candidates.append(cand)
     return prepared
@@ -534,7 +525,7 @@ def _score(
     caches = {"fq_cache": fq_cache}
     if model.kind == "gnn":
         arrays, virtual = union_arrays([cand.gnn for cand in flat])
-        node_init = np.concatenate([cand.node_init for cand in flat])
+        node_init = np.concatenate([cand.shared.node_table[cand.gnn.node_rows] for cand in flat])
         node_init[virtual] = q_final
         final, gnn_cache, aggregations = gnn_forward_arrays(
             params, GNNConfig(cfg.gnn_layers), arrays, node_init, backward_cache
@@ -579,7 +570,7 @@ def batch_backward(model: Model, result: BatchResult) -> dict[str, np.ndarray]:
         grads.update(head_grads)
         gnn_cache, virtual = caches["gnn_cache"], caches["gnn_virtual"]
         arrays, _ = gnn_cache
-        d_final = np.zeros((len(arrays.node_ids), cfg.d))
+        d_final = np.zeros((len(arrays.node_rows), cfg.d))
         d_final[virtual] = d_gamma
         gnn_grads, d_init = gnn_backward_arrays(
             params, GNNConfig(cfg.gnn_layers), gnn_cache, d_final

@@ -11,8 +11,9 @@ The manifest has two sections.  The first runs every command at d=16.  The
 second, the wide tier (names under `wide/`), runs `configs/acceptance.cfg`
 for one epoch on a 96-question set, where d=64 and a batch's few hundred
 pooled edge rows make OpenBLAS pick the kernels the full-size runs take.
-Those bytes depend on the BLAS thread count, so `wide_digests(root)` runs
-the tier in a subprocess with one BLAS thread.
+Those bytes depend on the BLAS thread count, so `start_wide(root)` runs
+the tier in a subprocess with one BLAS thread, beside the first section,
+and `wide_digests` collects it.
 
     python -m tests.golden --write   # regenerate tests/golden/outputs.sha256
 
@@ -168,23 +169,29 @@ def _run_wide(root: Path) -> dict[str, str]:
     return {WIDE + name: digest for name, digest in _run(root, _wide_steps(root)).items()}
 
 
-def wide_digests(root: Path) -> dict[str, str]:
-    """The wide section's digests, taken by `_run_wide` in a subprocess with
-    one BLAS thread and this checkout's `src/`."""
+def start_wide(root: Path) -> subprocess.Popen:
+    """`_run_wide(root)` started in a subprocess with one BLAS thread and
+    this checkout's `src/`."""
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.Popen(
         [sys.executable, str(Path(__file__).resolve()), "--wide-in", str(root)],
         env=dict(os.environ, PYTHONPATH=path, **ONE_BLAS_THREAD),
-        capture_output=True, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
+
+
+def wide_digests(proc: subprocess.Popen) -> dict[str, str]:
+    """The wide section's digests, once `start_wide`'s process ends."""
+    out, err = proc.communicate()
     if proc.returncode != 0:
-        raise RuntimeError(f"wide tier: exit status {proc.returncode}\n{proc.stderr}")
-    return dict(line.split("  ", 1)[::-1] for line in proc.stdout.splitlines())
+        raise RuntimeError(f"wide tier: exit status {proc.returncode}\n{err}")
+    return dict(line.split("  ", 1)[::-1] for line in out.splitlines())
 
 
 def all_digests(root: Path) -> dict[str, str]:
-    """Both sections' digests: what the manifest holds."""
-    return {**run_commands(root / "narrow"), **wide_digests(root / "wide")}
+    """Both sections' digests, taken side by side: what the manifest holds."""
+    wide = start_wide(root / "wide")
+    return {**run_commands(root / "narrow"), **wide_digests(wide)}
 
 
 def read_manifest() -> tuple[list[str], dict[str, str]]:

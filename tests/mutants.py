@@ -44,6 +44,8 @@ _DATA_TYPES = "tests/test_data.py::test_load_dataset_rejects_wrong_json_types"
 _NAME_POOL = "tests/test_synthetic.py::test_name_pool_matches_the_scalar_draw_oracle"
 _PINNED = "tests/test_synthetic.py::test_generated_bytes_are_pinned"
 _PARTWAY = "tests/test_data.py::test_a_save_that_fails_partway_leaves_no_partial_dataset"
+_HEADER_CHECKS = "tests/test_checkpoint.py::test_load_model_checks_header_against_tensors"
+_GNN = "tests/test_gnn.py"
 
 MUTANTS = (
     # A per-text memo: the encoder keeps every row it returns.
@@ -493,6 +495,79 @@ MUTANTS = (
         "f\"question/answer entity sets overlap: {sorted(overlap)}\")\n",
         "            pass\n",
         ("tests/test_kg.py::test_grounded_statement_rejects_an_entity_on_both_sides",),
+    ),
+    # A container whose header is JSON but not an object loads: a checkpoint
+    # hands back a list, and a cache read fails untyped.
+    Mutant(
+        "container-header-not-object-kept",
+        "src/factpool/checkpoint.py",
+        "        raise CheckpointError(f\"{path}: corrupt {kind} header (not a JSON object)\")\n",
+        "        pass\n",
+        tuple(
+            f"tests/test_checkpoint.py::test_a_header_that_is_not_a_json_object_is_rejected[{k}]"
+            for k in ("checkpoint", "embedding cache")
+        ),
+    ),
+    # `--kinds` with a repeated or unknown kind parses.
+    Mutant(
+        "kinds-unchecked",
+        "src/factpool/cli.py",
+        "        raise argparse.ArgumentTypeError("
+        "f\"want distinct kinds of {MODEL_KINDS}: {text!r}\")\n",
+        "        pass\n",
+        tuple(
+            f"tests/test_cli.py::test_repeated_or_unknown_kind_is_a_usage_error[{kinds}]"
+            for kinds in ("pooled,pooled", "pooled,foo")
+        ),
+    ),
+    # An external-file encoder with no cache path fails untyped, opening None.
+    Mutant(
+        "external-file-cache-path-unchecked",
+        "src/factpool/model.py",
+        "            raise ValueError(\"external-file encoder needs a cache path\")\n",
+        "            pass\n",
+        ("tests/test_model.py::test_external_file_encoder_needs_a_cache_path",),
+    ),
+    # A checkpoint header whose config or meta is not an object fails later,
+    # with a message that does not say so.
+    Mutant(
+        "header-objects-unchecked",
+        "src/factpool/model.py",
+        "        raise CheckpointError(f\"{path}: checkpoint header needs config and meta objects\")\n",
+        "        pass\n",
+        (f"{_HEADER_CHECKS}[config-not-object]", f"{_HEADER_CHECKS}[meta-not-object]"),
+    ),
+    # An infinite loss from finite scores trains on.
+    Mutant(
+        "non-finite-loss-unchecked",
+        "src/factpool/model.py",
+        "            if not np.isfinite(loss):\n",
+        "            if False:\n",
+        ("tests/test_model.py::test_finite_scores_that_overflow_the_loss_raise_before_a_step",),
+    ),
+    # Each gnn node indexes its own subgraph's row, not the prepared set's node table.
+    Mutant(
+        "node-rows-local-positions",
+        "src/factpool/gnn.py",
+        "        node_rows=np.fromiter((node_row[node] for node in node_ids), np.int64, "
+        "len(node_ids)),\n",
+        "        node_rows=np.arange(len(node_ids)),\n",
+        (
+            f"{_GNN}::test_forward_arrays_cover_every_node",
+            f"{_GNN}::test_init_nodes_virtual_and_entities",
+            f"{_LAYOUT}::test_a_gnn_prepared_set_shares_one_node_table_with_a_row_per_node",
+        ),
+    ),
+    # The union offsets each part's nodes by the earlier parts' message counts.
+    Mutant(
+        "union-offset-by-messages",
+        "src/factpool/gnn.py",
+        "    offsets = np.cumsum([0] + [len(part.node_rows) for part in parts[:-1]])\n",
+        "    offsets = np.cumsum([0] + [len(part.src) for part in parts[:-1]])\n",
+        (
+            f"{_GNN}::test_union_matches_oracle_per_part",
+            f"{_GNN}::test_init_nodes_virtual_and_entities",
+        ),
     ),
 )
 

@@ -466,12 +466,13 @@ def prepare_question_oracle(model, kg, templates, encoder, record, condition):
             edge_rows=np.arange(len(facts), dtype=np.int64),
         )
         if model.kind == "gnn":
-            cand.gnn = subgraph_arrays(sub, {rel: i for i, rel in enumerate(model.relations)})
-            init = np.zeros((len(cand.gnn.node_ids), cfg.d))
-            for i, node in enumerate(cand.gnn.node_ids):
+            nodes = sorted(sub.nodes)
+            relation_index = {rel: i for i, rel in enumerate(model.relations)}
+            cand.gnn = subgraph_arrays(sub, relation_index, {n: i for i, n in enumerate(nodes)})
+            init = np.zeros((len(nodes), cfg.d))
+            for i, node in enumerate(nodes):
                 if node != VIRTUAL_NODE_ID:
                     init[i] = encoder.encode_text(id_to_surface(node))
             cand.shared.node_table = init
-            cand.node_rows = np.arange(len(init), dtype=np.int64)
         candidates.append(cand)
     return PreparedQuestion(candidates=candidates, answer_index=record.answer_index)

@@ -211,6 +211,7 @@ def test_criterion_06_oracle_equivalence():
         single = subgraph_arrays(
             Subgraph(nodes={"a", "b"}, edges={Fact("a", f"r{r}", "b")}),
             {f"r{i}": i for i in range(3)},
+            {"a": 0, "b": 1},
         )
         h = rng.standard_normal((2, d))
         _, (_, layer_caches), _ = gnn_forward_arrays(
@@ -235,7 +236,7 @@ def test_criterion_06_oracle_equivalence():
         }
         sub = Subgraph(nodes=set(names), edges=facts)
         relation_index = {f"r{i}": i for i in range(3)}
-        arrays = subgraph_arrays(sub, relation_index)
+        arrays = subgraph_arrays(sub, relation_index, {n: i for i, n in enumerate(names)})
         init = rng.standard_normal((n_nodes, d))
         layers = 1 + case % 2
         final, _, _ = gnn_forward_arrays(params, GNNConfig(layers=layers), arrays, init)

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -195,10 +196,14 @@ def _key_net_layout(header, params):
         (_frozen_snapshot_layout,
          "tensor 'frozen.layer1.attn.bk' has shape (16,), a pooled model needs none"),
         (_key_net_layout, "tensor 'pool0.b_key1' has shape (16,), a pooled model needs none"),
+        # Config's field names as a list: unchecked, it would fail as an invalid config.
+        (lambda h, p: h.update(config=sorted(h["config"])),
+         "checkpoint header needs config and meta objects"),
+        (lambda h, p: h.update(meta=["pooled"]), "checkpoint header needs config and meta objects"),
     ],
     ids=["unknown-key", "missing-key", "invalid-config", "cls-hash-bag", "no-kind",
          "unknown-kind", "no-relations", "fewer-layers", "more-layers", "tensor-shape",
-         "frozen-snapshot", "key-net-layout"],
+         "frozen-snapshot", "key-net-layout", "config-not-object", "meta-not-object"],
 )
 def test_load_model_checks_header_against_tensors(tmp_path, edit, message):
     path = _saved_model(tmp_path)
@@ -299,6 +304,19 @@ def test_a_repeated_tensor_name_is_rejected(tmp_path, kind):
     assert data.count(SECOND.encode()) == 1
     path.write_bytes(data.replace(SECOND.encode(), FIRST.encode()))
     expected = re.escape(f"{path}: {kind} tensor name {FIRST!r} does not sort after {FIRST!r}")
+    with pytest.raises(CheckpointError, match=expected):
+        read(str(path))
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "embedding cache"])
+def test_a_header_that_is_not_a_json_object_is_rejected(tmp_path, kind):
+    path = tmp_path / "listed.bin"
+    read = _two_tensor_file(path, kind)
+    data = path.read_bytes()
+    (length,) = struct.unpack_from("<I", data, 8)
+    header = b'["dim", 2]'  # valid JSON, but a list
+    path.write_bytes(data[:8] + struct.pack("<I", len(header)) + header + data[12 + length :])
+    expected = re.escape(f"{path}: corrupt {kind} header (not a JSON object)")
     with pytest.raises(CheckpointError, match=expected):
         read(str(path))
 

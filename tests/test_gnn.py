@@ -54,6 +54,11 @@ def rel_index(sub):
     return {r: i for i, r in enumerate(sorted({e.relation for e in sub.edges}))}
 
 
+def own_arrays(sub, relation_index):
+    """`sub`'s arrays over a node table of its own: node i at row i."""
+    return subgraph_arrays(sub, relation_index, {n: i for i, n in enumerate(sorted(sub.nodes))})
+
+
 def gnn_question():
     """A tiny gnn model, its encoder, one prepared graph-determined question and
     its grounding (per candidate: statement and intact subgraph)."""
@@ -69,7 +74,7 @@ def gnn_question():
 
 def single_edge_messages(params, init):
     """Messages aggregated at each node of the one-fact graph a -r-> b."""
-    arrays = subgraph_arrays(Subgraph(nodes={"a", "b"}, edges={Fact("a", "r", "b")}), {"r": 1})
+    arrays = own_arrays(Subgraph(nodes={"a", "b"}, edges={Fact("a", "r", "b")}), {"r": 1})
     _, cache, _ = gnn_forward_arrays(params, GNNConfig(layers=1), arrays, init, True)
     _, layer_caches = cache
     return layer_caches[0][4]  # sum aggregate: one message per node here
@@ -82,15 +87,15 @@ def test_init_nodes_virtual_and_entities():
     layer0 = layer_caches[0][0]  # the union graph's initial node states
     offset = 0
     for i, (cand, (_, sub)) in enumerate(zip(prepared.candidates, statements, strict=True)):
-        assert cand.gnn.node_ids == sorted(sub.nodes)
-        assert len(cand.gnn.node_ids) > 1
-        for row, node in enumerate(cand.gnn.node_ids, start=offset):
+        nodes = sorted(sub.nodes)
+        assert len(cand.gnn.node_rows) == len(nodes) > 1
+        for row, node in enumerate(nodes, start=offset):
             if node == VIRTUAL_NODE_ID:
                 assert result._caches["gnn_virtual"][i] == row
                 assert np.array_equal(layer0[row], result._caches["graph_states_final"][i, 1])
             else:
                 assert np.array_equal(layer0[row], encoder.encode_text(id_to_surface(node)))
-        offset += len(cand.gnn.node_ids)
+        offset += len(nodes)
     assert offset == len(layer0)
 
 
@@ -100,12 +105,12 @@ def test_batch_forward_message_passes_once(monkeypatch):
     real = model_mod.gnn_forward_arrays
 
     def counting(*args):
-        calls.append(len(args[2].node_ids))
+        calls.append(len(args[2].node_rows))
         return real(*args)
 
     monkeypatch.setattr(model_mod, "gnn_forward_arrays", counting)
     result = batch_forward(model, [prepared, prepared])
-    nodes = 2 * sum(len(cand.gnn.node_ids) for cand in prepared.candidates)
+    nodes = 2 * sum(len(cand.gnn.node_rows) for cand in prepared.candidates)
     assert calls == [nodes]
     assert result.aggregations == nodes * model.cfg.gnn_layers
 
@@ -119,11 +124,15 @@ def test_union_matches_oracle_per_part():
     ]
     subs = [make_sub(part, {f[0] for f in part} | {f[2] for f in part})[2] for part in facts]
     index = {"r": 0, "s": 1, VIRTUAL_QUESTION_RELATION: 2}
-    parts = [subgraph_arrays(sub, index) for sub in subs]
+    # One table for all parts, as in a prepared set: the virtual node at row 0.
+    ids = [VIRTUAL_NODE_ID, *sorted({n for sub in subs for n in sub.nodes} - {VIRTUAL_NODE_ID})]
+    node_row = {n: i for i, n in enumerate(ids)}
+    parts = [subgraph_arrays(sub, index, node_row) for sub in subs]
     union, virtual = union_arrays(parts)
-    sizes = [len(part.node_ids) for part in parts]
-    assert len(union.node_ids) == sum(sizes)
-    assert [union.node_ids[v] for v in virtual] == [VIRTUAL_NODE_ID] * len(parts)
+    sizes = [len(part.node_rows) for part in parts]
+    want_rows = [node_row[n] for sub in subs for n in sorted(sub.nodes)]
+    assert union.node_rows.tolist() == want_rows
+    assert union.node_rows[virtual].tolist() == [0] * len(parts)
     d = 6
     params = init_gnn_params(d, len(index), np.random.default_rng(15))
     rng = np.random.default_rng(16)
@@ -163,8 +172,8 @@ def test_zero_source_zero_relation_zero_bias_message():
 def test_zero_layers_leaves_states():
     _, _, sub = make_sub([("a", "r", "b")], {"a", "b"})
     params = init_gnn_params(4, 3, np.random.default_rng(0))
-    arrays = subgraph_arrays(sub, rel_index(sub))
-    init = np.random.default_rng(1).standard_normal((len(arrays.node_ids), 4))
+    arrays = own_arrays(sub, rel_index(sub))
+    init = np.random.default_rng(1).standard_normal((len(arrays.node_rows), 4))
     final, _, count = gnn_forward_arrays(params, GNNConfig(layers=0), arrays, init)
     assert np.array_equal(final, init)
     assert count == 0
@@ -174,8 +183,8 @@ def test_two_node_single_layer_matches_hand_computation():
     _, _, sub = make_sub([("a", "r", "b")], {"a", "b"})
     d = 6
     params = init_gnn_params(d, len(rel_index(sub)), np.random.default_rng(3))
-    arrays = subgraph_arrays(sub, rel_index(sub))
-    init = np.random.default_rng(4).standard_normal((len(arrays.node_ids), d))
+    arrays = own_arrays(sub, rel_index(sub))
+    init = np.random.default_rng(4).standard_normal((len(arrays.node_rows), d))
     final, _, _ = gnn_forward_arrays(params, GNNConfig(layers=1), arrays, init)
     edges = [(arrays.src[i], arrays.dst[i], arrays.rel[i]) for i in range(len(arrays.src))]
     expected = gnn_oracle(params, 1, init, edges)
@@ -190,11 +199,11 @@ def test_isolated_node_keeps_state_exactly():
         question_entities={"a", "b", "c"}, answer_entities=set(),
     )
     sub = retrieve_subgraph(kg, stmt, 32)
-    arrays = subgraph_arrays(sub, rel_index(sub))
-    c_index = arrays.node_ids.index("c")
+    arrays = own_arrays(sub, rel_index(sub))
+    c_index = sorted(sub.nodes).index("c")
     d = 6
     params = init_gnn_params(d, max(1, len(rel_index(sub))), np.random.default_rng(5))
-    init = np.random.default_rng(6).standard_normal((len(arrays.node_ids), d))
+    init = np.random.default_rng(6).standard_normal((len(arrays.node_rows), d))
     for layers in (1, 2, 3):
         final, _, _ = gnn_forward_arrays(params, GNNConfig(layers=layers), arrays, init)
         assert np.array_equal(final[c_index], init[c_index])
@@ -207,25 +216,25 @@ def test_answer_isolation_after_perturbation():
         [("q1", "r", "mid"), ("mid", "r", "ans")], {"q1"}, {"ans"}
     )
     pruned = remove_answer_edges(sub, stmt)
-    arrays = subgraph_arrays(pruned, rel_index(sub))
-    ans_index = arrays.node_ids.index("ans")
+    arrays = own_arrays(pruned, rel_index(sub))
+    ans_index = sorted(pruned.nodes).index("ans")
     d = 4
     params = init_gnn_params(d, len(rel_index(sub)), np.random.default_rng(0))
-    init = np.random.default_rng(1).standard_normal((len(arrays.node_ids), d))
+    init = np.random.default_rng(1).standard_normal((len(arrays.node_rows), d))
     final, _, _ = gnn_forward_arrays(params, GNNConfig(layers=2), arrays, init)
     assert np.array_equal(final[ans_index], init[ans_index])
 
 
 def test_permutation_invariance_of_message_order():
     _, _, sub = make_sub([("a", "r", "b"), ("b", "s", "c"), ("a", "s", "c")], {"a", "b", "c"})
-    arrays = subgraph_arrays(sub, rel_index(sub))
+    arrays = own_arrays(sub, rel_index(sub))
     d = 8
     params = init_gnn_params(d, len(rel_index(sub)), np.random.default_rng(7))
-    init = np.random.default_rng(8).standard_normal((len(arrays.node_ids), d))
+    init = np.random.default_rng(8).standard_normal((len(arrays.node_rows), d))
     base, _, _ = gnn_forward_arrays(params, GNNConfig(layers=2), arrays, init)
     perm = np.random.default_rng(9).permutation(len(arrays.src))
     shuffled = SubgraphArrays(
-        node_ids=arrays.node_ids,
+        node_rows=arrays.node_rows,
         src=arrays.src[perm],
         dst=arrays.dst[perm],
         rel=arrays.rel[perm],
@@ -247,40 +256,41 @@ def test_locality_remote_edge_is_bit_irrelevant():
     )
     sub_cut = retrieve_subgraph(kg2, stmt2, 32)
     index = {"r": 0}
-    arrays_full = subgraph_arrays(sub_full, index)
-    arrays_cut = subgraph_arrays(sub_cut, index)
+    arrays_full = own_arrays(sub_full, index)
+    arrays_cut = own_arrays(sub_cut, index)
+    nodes_full, nodes_cut = sorted(sub_full.nodes), sorted(sub_cut.nodes)
     d = 6
     params = init_gnn_params(d, 1, np.random.default_rng(11))
     rng = np.random.default_rng(12)
-    init_by_node = {node: rng.standard_normal(d) for node in arrays_full.node_ids}
-    init_full = np.stack([init_by_node[n] for n in arrays_full.node_ids])
-    init_cut = np.stack([init_by_node[n] for n in arrays_cut.node_ids])
+    init_by_node = {node: rng.standard_normal(d) for node in nodes_full}
+    init_full = np.stack([init_by_node[n] for n in nodes_full])
+    init_cut = np.stack([init_by_node[n] for n in nodes_cut])
     final_full, _, _ = gnn_forward_arrays(params, GNNConfig(layers=1), arrays_full, init_full)
     final_cut, _, _ = gnn_forward_arrays(params, GNNConfig(layers=1), arrays_cut, init_cut)
     for node in ("a", "b"):
-        i_full = arrays_full.node_ids.index(node)
-        i_cut = arrays_cut.node_ids.index(node)
+        i_full = nodes_full.index(node)
+        i_cut = nodes_cut.index(node)
         assert np.array_equal(final_full[i_full], final_cut[i_cut])
 
 
 def test_update_count_instrumentation():
     _, _, sub = make_sub([("a", "r", "b"), ("b", "r", "c")], {"a", "b", "c"})
-    arrays = subgraph_arrays(sub, rel_index(sub))
+    arrays = own_arrays(sub, rel_index(sub))
     params = init_gnn_params(4, len(rel_index(sub)), np.random.default_rng(0))
-    init = np.zeros((len(arrays.node_ids), 4))
+    init = np.zeros((len(arrays.node_rows), 4))
     for layers in (1, 2, 3):
         _, _, count = gnn_forward_arrays(params, GNNConfig(layers=layers), arrays, init)
-        assert count == len(arrays.node_ids) * layers
+        assert count == len(sub.nodes) * layers
 
 
 def test_gnn_backward_vs_finite_differences():
     _, _, sub = make_sub([("a", "r", "b"), ("b", "s", "c")], {"a", "b", "c"})
-    arrays = subgraph_arrays(sub, rel_index(sub))
+    arrays = own_arrays(sub, rel_index(sub))
     d = 6
     params = init_gnn_params(d, len(rel_index(sub)), np.random.default_rng(13))
     rng = np.random.default_rng(14)
-    init = rng.standard_normal((len(arrays.node_ids), d))
-    probe = rng.standard_normal((len(arrays.node_ids), d))
+    init = rng.standard_normal((len(arrays.node_rows), d))
+    probe = rng.standard_normal((len(arrays.node_rows), d))
     gcfg = GNNConfig(layers=2)
 
     def loss():
@@ -299,9 +309,9 @@ def test_gnn_backward_vs_finite_differences():
 
 def test_forward_without_backward_cache_is_bit_identical_and_keeps_none(monkeypatch):
     _, _, sub = make_sub([("a", "r", "b"), ("b", "s", "c"), ("c", "r", "a")], {"a", "c"})
-    arrays = subgraph_arrays(sub, rel_index(sub))
+    arrays = own_arrays(sub, rel_index(sub))
     params = init_gnn_params(6, len(rel_index(sub)), np.random.default_rng(21))
-    init = np.random.default_rng(22).standard_normal((len(arrays.node_ids), 6))
+    init = np.random.default_rng(22).standard_normal((len(arrays.node_rows), 6))
     gcfg = GNNConfig(layers=2)
     kept, cache, count = gnn_forward_arrays(params, gcfg, arrays, init, backward_cache=True)
     bare, no_cache, bare_count = gnn_forward_arrays(params, gcfg, arrays, init)
@@ -330,9 +340,13 @@ def test_forward_arrays_cover_every_node():
     _, _, sub = make_sub([("a", "r", "b")], {"a", "b"})
     index = rel_index(sub)
     params = init_gnn_params(4, len(index), np.random.default_rng(2))
-    arrays = subgraph_arrays(sub, index)
-    assert set(arrays.node_ids) == sub.nodes
-    init = np.random.default_rng(3).standard_normal((len(arrays.node_ids), 4))
+    # Rows of a larger table, in no order the subgraph's nodes have.
+    node_row = {n: 7 - 2 * i for i, n in enumerate(sorted(sub.nodes, reverse=True))}
+    arrays = subgraph_arrays(sub, index, node_row)
+    assert arrays.node_rows.dtype == np.int64
+    assert arrays.node_rows.tolist() == [node_row[n] for n in sorted(sub.nodes)]
+    assert arrays.virtual_index == sorted(sub.nodes).index(VIRTUAL_NODE_ID)
+    init = np.random.default_rng(3).standard_normal((len(arrays.node_rows), 4))
     final, _, _ = gnn_forward_arrays(params, GNNConfig(layers=1), arrays, init)
     assert final.shape == (len(sub.nodes), 4)
 
@@ -346,9 +360,9 @@ def test_gnn_score_reads_question_state():
     rng = np.random.default_rng(4)
     # Each candidate gets a set of its own: the prepared set is shared.
     for cand in prepared.candidates:
-        table = rng.standard_normal(cand.node_init.shape)
-        cand.shared = replace(cand.shared, node_table=table)
-        cand.node_rows = np.arange(len(cand.node_rows))
+        n = len(cand.gnn.node_rows)
+        cand.shared = replace(cand.shared, node_table=rng.standard_normal((n, model.cfg.d)))
+        cand.gnn = replace(cand.gnn, node_rows=np.arange(n))
     result = batch_forward(model, [prepared])
     assert np.array_equal(result.scores, scores)
     # a zeroed head adds exactly nothing to the text score

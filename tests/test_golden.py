@@ -1,6 +1,25 @@
 """Every CLI command's output bytes against the committed golden manifest."""
 
-from golden import WIDE, differing, environment, read_manifest, run_commands, wide_digests
+import pytest
+from golden import (
+    WIDE,
+    differing,
+    environment,
+    read_manifest,
+    run_commands,
+    start_wide,
+    wide_digests,
+)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def wide_run(tmp_path_factory):
+    """The wide tier's subprocess, started before the first test so that it
+    runs beside the d=16 commands."""
+    proc = start_wide(tmp_path_factory.mktemp("wide"))
+    yield proc
+    proc.kill()  # nothing if it has ended
+    proc.communicate()
 
 
 def _check(want: dict[str, str], got: dict[str, str]) -> None:
@@ -20,6 +39,6 @@ def test_outputs_match_the_golden_manifest(tmp_path):
     _check(_section(wide=False), run_commands(tmp_path))
 
 
-def test_wide_outputs_match_the_golden_manifest(tmp_path):
+def test_wide_outputs_match_the_golden_manifest(wide_run):
     """The d=64 section: one acceptance-config epoch of every kind, one BLAS thread."""
-    _check(_section(wide=True), wide_digests(tmp_path))
+    _check(_section(wide=True), wide_digests(wide_run))

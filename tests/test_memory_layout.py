@@ -70,10 +70,18 @@ def test_a_gnn_prepared_set_shares_one_node_table_with_a_row_per_node():
     table = shared.node_table
     nodes = {n for statements in grounding for _, sub in statements for n in sub.nodes}
     assert table.shape[0] == len(nodes)
+    # A candidate's nodes are its subgraph's in sorted-id order, in both conditions.
+    subs = [sub for condition in CONDITIONS for statements in grounding for _, sub in statements]
+    node_ids = [sorted(sub.nodes) for sub in subs]
     assert_one_row_per_key(
-        table, ((n, row) for c in candidates for n, row in zip(c.gnn.node_ids, c.node_rows))
+        table,
+        (
+            (n, row)
+            for c, ids in zip(candidates, node_ids, strict=True)
+            for n, row in zip(ids, c.gnn.node_rows, strict=True)
+        ),
     )
-    assert candidates[0].node_rows[candidates[0].gnn.node_ids.index(VIRTUAL_NODE_ID)] == 0
+    assert candidates[0].gnn.node_rows[node_ids[0].index(VIRTUAL_NODE_ID)] == 0
     assert not table[0].any()  # the question-state placeholder
 
 

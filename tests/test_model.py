@@ -267,6 +267,29 @@ def test_non_finite_gradient_raises(monkeypatch):
     assert any(not np.array_equal(v, before[k]) for k, v in model.params.items())
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_finite_scores_that_overflow_the_loss_raise_before_a_step(monkeypatch):
+    # Scores of +1e308 and -1e308 are finite, but their difference overflows
+    # the log-softmax: an answer scored -1e308 has an infinite loss.
+    from factpool import model as model_mod
+
+    model, kg, templates, encoder, records, prepared = make_setup(cfg=small_cfg(epochs=1))
+    assert len(prepared) <= model.cfg.batch_size and any(q.answer_index for q in prepared)
+    real = model_mod._score
+
+    def overflowing(model, flat, slices, *args):
+        scores, aggregations, caches = real(model, flat, slices, *args)
+        scores = np.full(len(scores), -1e308)
+        scores[[sl.start for sl in slices]] = 1e308
+        return scores, aggregations, caches
+
+    monkeypatch.setattr(model_mod, "_score", overflowing)
+    before = {k: v.copy() for k, v in model.params.items()}
+    with pytest.raises(DivergenceError, match=r"non-finite loss inf at epoch 1 step 0 "):
+        train_model(model, prepared)
+    assert all(np.array_equal(v, before[k]) for k, v in model.params.items())
+
+
 def fact_entries(prepared, width):
     """Embedding cache entries for every fact of the prepared questions."""
     return {
@@ -305,6 +328,12 @@ def test_non_finite_embedding_fails_evaluation(tmp_path):
 def test_create_model_rejects_an_unknown_kind():
     with pytest.raises(ValueError, match=re.escape(f"model kind must be one of {MODEL_KINDS}")):
         create_model(small_cfg(), "bert", ["r0", "r1"])
+
+
+def test_external_file_encoder_needs_a_cache_path():
+    model = create_model(small_cfg(encoder_kind="external-file"), "pooled", ["r0", "r1"])
+    with pytest.raises(ValueError, match="external-file encoder needs a cache path"):
+        build_encoder(model)
 
 
 def test_training_needs_a_question():
@@ -730,13 +759,17 @@ def assert_same_candidate(got, want, got_sub=None, want_sub=None):
     if want_sub is not None:
         assert got_sub.canonical() == want_sub.canonical()
     if want.gnn is None:
-        assert got.gnn is None and got.node_init is None
+        assert got.gnn is None
         return
-    assert got.gnn.node_ids == want.gnn.node_ids
+    assert len(got.gnn.node_rows) == len(want.gnn.node_rows)
     assert got.gnn.virtual_index == want.gnn.virtual_index
     for name in ("src", "dst", "rel"):
         assert_same_array(getattr(got.gnn, name), getattr(want.gnn, name))
-    assert_same_array(got.node_init, want.node_init)
+    # Each node's initial state, in node order: distinct entities encode to
+    # distinct vectors, so this pins the node order too.
+    assert_same_array(
+        got.shared.node_table[got.gnn.node_rows], want.shared.node_table[want.gnn.node_rows]
+    )
 
 
 ENCODER_SETUPS = {
@@ -885,7 +918,9 @@ def test_toy_encoder_runs_one_forward_per_batch_group(monkeypatch, kind):
     texts = [t for c in cands for t in c.fact_texts]
     bound = groups(texts)
     if kind == "gnn":
-        entities = [n for c in cands for n in c.gnn.node_ids if n != VIRTUAL_NODE_ID]
+        grounding = ground_records(kg, records, cfg.max_nodes)
+        nodes = [n for statements in grounding for _, sub in statements for n in sub.nodes]
+        entities = [n for n in nodes if n != VIRTUAL_NODE_ID]
         texts += [id_to_surface(n) for n in entities]
         bound += groups(id_to_surface(n) for n in entities)
     assert bound < len(set(texts))  # batching has something to save
