@@ -516,8 +516,8 @@ MUTANTS = (
         "f\"want distinct kinds of {MODEL_KINDS}: {text!r}\")\n",
         "        pass\n",
         tuple(
-            f"tests/test_cli.py::test_repeated_or_unknown_kind_is_a_usage_error[{kinds}]"
-            for kinds in ("pooled,pooled", "pooled,foo")
+            f"tests/test_cli.py::test_bad_sweep_flags_are_usage_errors[run---kinds-{kinds}]"
+            for kinds in ("pooled,pooled", "pooled,foo", "")
         ),
     ),
     # An external-file encoder with no cache path fails untyped, opening None.

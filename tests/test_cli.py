@@ -803,22 +803,8 @@ def test_bad_sweep_flags_are_usage_errors(capsys, command, flag, value):
         cli.main([command, "--kg", "kg.tsv", "--dataset", "d.jsonl", *extra,
                   *(f"{name}={text}" for name, text in flags.items())])
     assert exc.value.code == 2
-    assert flag in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("kinds", ["pooled,pooled", "pooled,foo"])
-def test_repeated_or_unknown_kind_is_a_usage_error(tmp_path, capsys, kinds):
-    from factpool import cli
-    from factpool.model import MODEL_KINDS
-
-    # Every other flag parses: unchecked, the run would fail reading the missing files.
-    files = [f"--{flag}={tmp_path / name}" for flag, name in
-             (("kg", "kg.tsv"), ("dataset", "d.jsonl"), ("templates", "t.tsv"))]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["run", *files, "--train-count=8", "--test-count=4", f"--kinds={kinds}"])
-    assert exc.value.code == 2
-    expected = f"argument --kinds: want distinct kinds of {MODEL_KINDS}: {kinds!r}"
-    assert expected in capsys.readouterr().err
+    # The flag's own error, not the usage line, which names every flag.
+    assert f"argument {flag}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
