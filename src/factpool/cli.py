@@ -26,6 +26,7 @@ from factpool.encoders import (
     write_embedding_cache,
 )
 from factpool.experiment import (
+    SWEEP_VALUES,
     DatasetTooSmallError,
     ExperimentConfig,
     compare_kinds,
@@ -41,6 +42,7 @@ from factpool.model import (
     CONDITIONS,
     MODEL_KINDS,
     WITH_ANSWERS,
+    WITHOUT_ANSWERS,
     apply_condition,
     build_encoder,
     check_fact_texts,
@@ -160,7 +162,7 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    path = _write_subgraphs(args, "without_answers")
+    path = _write_subgraphs(args, WITHOUT_ANSWERS)
     print(f"subgraphs: {path}")
     return 0
 
@@ -220,7 +222,7 @@ def cmd_eval(args) -> int:
     prepared = prepare_conditions(model, templates, encoder, records, grounding)
     accs = evaluate_conditions(model, prepared)
     lines = [f"acc_{condition}={accs[condition]:.10g}" for condition in CONDITIONS]
-    lines.append(f"delta_acc={delta_acc(accs['with_answers'], accs['without_answers']):.10g}")
+    lines.append(f"delta_acc={delta_acc(accs[WITH_ANSWERS], accs[WITHOUT_ANSWERS]):.10g}")
     text = "\n".join(lines) + "\n"
     atomic_write_text(Path(args.out) / "eval.txt", text)
     print(text, end="")
@@ -340,17 +342,19 @@ def _model_kinds(text: str) -> list[str]:
     return kinds
 
 
+# The generator's flags: one per `SyntheticSpec` field but the seed, with its default.
+_SPEC_FLAGS = {
+    f"--{f.name.replace('_', '-')}": dict(type=type(f.default), default=f.default)
+    for f in fields(SyntheticSpec)
+    if f.name != "seed"
+}
+
 # Every flag, once: name -> add_argument keywords.
 FLAGS = {
     "--config": dict(default=None, help="key=value config file"),
     "--seed": dict(type=_int_at_least(0), default=None, help="override the config seed"),
     "--out": dict(default="out", help="output directory"),
-    "--entities": dict(type=int, default=6000),
-    "--relations": dict(type=int, default=4),
-    "--questions": dict(type=int, default=700),
-    "--candidates": dict(type=int, default=4),
-    "--distractor-rate": dict(type=float, default=0.5),
-    "--kg-fraction": dict(type=float, default=0.6),
+    **_SPEC_FLAGS,
     "--kg": dict(required=True),
     "--dataset": dict(required=True),
     "--templates": dict(required=True),
@@ -366,7 +370,7 @@ FLAGS = {
     "--test-count": dict(type=_int_at_least(1), required=True),
     "--seeds": dict(type=_ints_at_least(0), default=None, help="comma-separated"),
     "--kinds": dict(type=_model_kinds, default=MODEL_KINDS, help="comma-separated; default all"),
-    "--axis": dict(choices=("K", "max_nodes"), required=True),
+    "--axis": dict(choices=tuple(SWEEP_VALUES), required=True),
     "--values": dict(type=_ints_at_least(0), default=None, help="comma-separated"),
     "--max-per-param": dict(type=_int_at_least(1), default=None),
     "--nodes": dict(type=_ints_at_least(1), default="4,16,32", help="comma-separated"),
@@ -385,8 +389,7 @@ _EXPERIMENT_FLAGS = (
 COMMANDS = {
     "generate": (
         "write a synthetic KG + dataset + templates",
-        ("--seed", "--out", "--entities", "--relations", "--questions", "--candidates",
-         "--distractor-rate", "--kg-fraction"),
+        ("--seed", "--out", *_SPEC_FLAGS),
     ),
     "retrieve": ("write retrieved per-candidate subgraphs", _SUBGRAPH_FLAGS),
     "perturb": ("write subgraphs with answer edges removed", _SUBGRAPH_FLAGS),

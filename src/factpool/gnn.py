@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from factpool.kg import VIRTUAL_NODE_ID, Subgraph
 from factpool.numerics import gelu_cached, gelu_grad_cached
 from factpool.transformer import init_scalar_head
 
@@ -46,57 +45,44 @@ def init_gnn_params(d: int, num_relations: int, rng: np.random.Generator) -> dic
 
 @dataclass
 class SubgraphArrays:
-    """Index form of a subgraph for vectorized message passing.  Node i is
-    the subgraph's i-th node in sorted-id order, the virtual node included."""
+    """Index form of a batch of subgraphs for one vectorized message-passing
+    run: their disjoint union.  Node i is the i-th node of the union, each
+    subgraph's nodes in sorted-id order after the previous subgraph's, so no
+    message crosses subgraphs."""
 
-    node_rows: np.ndarray  # [N] int64, each node's row of a node-state table
-    src: np.ndarray  # [M] int, message source node index
-    dst: np.ndarray  # [M] int, message destination node index
-    rel: np.ndarray  # [M] int, relation-table row per message
-    virtual_index: int | None
+    node_rows: np.ndarray  # [N] int64, each node's row of its subgraph's node table
+    src: np.ndarray  # [M] int64, message source node index
+    dst: np.ndarray  # [M] int64, message destination node index
+    rel: np.ndarray  # [M] int64, relation-table row per message
 
 
 def subgraph_arrays(
-    sub: Subgraph, relation_index: dict[str, int], node_row: dict[str, int]
-) -> SubgraphArrays:
-    """`node_row` gives each node's row of the node-state table."""
-    node_ids = sorted(sub.nodes)
-    pos = {node: i for i, node in enumerate(node_ids)}
-    src, dst, rel = [], [], []
-    for fact in sorted(sub.edges):
-        r = relation_index[fact.relation]
-        # one message per direction, shared relation embedding
-        src.append(pos[fact.head])
-        dst.append(pos[fact.tail])
-        rel.append(r)
-        src.append(pos[fact.tail])
-        dst.append(pos[fact.head])
-        rel.append(r)
-    return SubgraphArrays(
-        node_rows=np.fromiter((node_row[node] for node in node_ids), np.int64, len(node_ids)),
-        src=np.array(src, dtype=np.int64),
-        dst=np.array(dst, dtype=np.int64),
-        rel=np.array(rel, dtype=np.int64),
-        virtual_index=pos.get(VIRTUAL_NODE_ID),
-    )
-
-
-def union_arrays(parts: list[SubgraphArrays]) -> tuple[SubgraphArrays, np.ndarray]:
+    parts: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[SubgraphArrays, np.ndarray]:
     """The disjoint union of `parts`, for one message-passing run over a batch.
 
-    Part i's nodes follow part i-1's and its message indices are offset to
-    match, so no message crosses parts.  Returns (union, each part's
+    Part i is (node rows, facts): its nodes' rows of a node table, in
+    sorted-id order, and its [E_i, 3] facts as (head row, tail row, relation
+    row), in sorted-edge order.  Each fact sends one message per direction,
+    head to tail first, with one relation embedding.  Row 0 of every node
+    table is the virtual question node.  Returns (union, each part's
     virtual-node index in the union).
     """
-    offsets = np.cumsum([0] + [len(part.node_rows) for part in parts[:-1]])
+    node_rows = np.concatenate([rows for rows, _ in parts])
+    facts = np.concatenate([part_facts for _, part_facts in parts])
+    part, width = np.arange(len(parts)), int(node_rows.max()) + 1
+    # A node's key is (part, row), so a fact's ends are found among its own part's nodes.
+    keys = np.repeat(part, [len(rows) for rows, _ in parts]) * width + node_rows
+    end_keys = np.repeat(part, [len(f) for _, f in parts])[:, None] * width + facts[:, :2]
+    order = np.argsort(keys)
+    ends = order[np.searchsorted(keys, end_keys, sorter=order)]  # [E, 2] head, tail
     union = SubgraphArrays(
-        node_rows=np.concatenate([part.node_rows for part in parts]),
-        src=np.concatenate([part.src + off for part, off in zip(parts, offsets)]),
-        dst=np.concatenate([part.dst + off for part, off in zip(parts, offsets)]),
-        rel=np.concatenate([part.rel for part in parts]),
-        virtual_index=None,
+        node_rows=node_rows,
+        src=ends.ravel(),
+        dst=ends[:, ::-1].ravel(),
+        rel=np.repeat(facts[:, 2], 2),
     )
-    return union, offsets + [part.virtual_index for part in parts]
+    return union, np.flatnonzero(node_rows == 0)
 
 
 def gnn_forward_arrays(
@@ -111,7 +97,6 @@ def gnn_forward_arrays(
     backward_cache: keep each layer's activations for `gnn_backward_arrays`;
     without it the cache is None.
     """
-    n, d = node_init.shape
     h = node_init
     layer_caches = []
     for _ in range(cfg.layers):
@@ -120,7 +105,7 @@ def gnn_forward_arrays(
         )  # [M, 2d]
         pre_m = m_in @ params["gnn.msg.w"] + params["gnn.msg.b"]
         msg, pre_m_t = gelu_cached(pre_m)
-        agg = np.zeros((n, d))
+        agg = np.zeros(h.shape, h.dtype)
         np.add.at(agg, arrays.dst, msg)
         pre_u = agg @ params["gnn.upd.w"]
         upd, pre_u_t = gelu_cached(pre_u)
@@ -130,7 +115,7 @@ def gnn_forward_arrays(
             del m_in, pre_m, pre_m_t, msg
         h = upd + h
     cache = (arrays, layer_caches) if backward_cache else None
-    return h, cache, n * cfg.layers
+    return h, cache, len(node_init) * cfg.layers
 
 
 def gnn_backward_arrays(

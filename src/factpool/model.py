@@ -30,12 +30,10 @@ from factpool.data import QuestionRecord
 from factpool.encoders import FileBackedEncoder, HashBagEncoder, ToyTrunkEncoder, encode_subgraphs
 from factpool.gnn import (
     GNNConfig,
-    SubgraphArrays,
     gnn_backward_arrays,
     gnn_forward_arrays,
     init_gnn_params,
     subgraph_arrays,
-    union_arrays,
 )
 from factpool.kg import (
     VIRTUAL_ANSWER_RELATION,
@@ -164,15 +162,18 @@ def build_encoder(model: Model, cache_path: str | None = None):
 
 @dataclass
 class PreparedSet:
-    """What the candidates of one prepared set share: each distinct fact once,
-    its text and its edge vector in one row order, and for gnn one table of
-    node states.  A fact or an entity is held once however many candidates
-    and conditions read it."""
+    """What the candidates of one prepared set share: each distinct fact
+    once, in first-seen canonical edge order, and one table row per fact or
+    entity.  A pooled set holds each fact's text and edge vector; a gnn set
+    holds one table of node states and each fact's node and relation rows.
+    A fact or an entity is held once however many candidates and conditions
+    read it."""
 
-    facts: list[Fact]  # edge_table row order
-    texts: list[str]  # verbalized facts, aligned with facts
-    edge_table: np.ndarray  # [F, d]
+    facts: list[Fact]  # the row order of edge_table and fact_table
+    texts: list[str]  # pooled: verbalized facts, aligned with facts
+    edge_table: np.ndarray  # pooled: [F, d]
     node_table: np.ndarray | None = None  # gnn: [N_set, d]; row 0 is the virtual placeholder
+    fact_table: np.ndarray | None = None  # gnn: [F, 3] int64 (head, tail) node rows, relation row
 
 
 @dataclass
@@ -182,7 +183,7 @@ class PreparedCandidate:
     ids: np.ndarray  # [T] token ids
     shared: PreparedSet
     edge_rows: np.ndarray  # [E] int64 shared rows in canonical edge order; E may be 0
-    gnn: SubgraphArrays | None = None  # node_rows index shared.node_table
+    node_rows: np.ndarray | None = None  # gnn: [N] int64 node_table rows in sorted-id order
 
     @property
     def facts(self) -> list[Fact]:
@@ -190,11 +191,12 @@ class PreparedCandidate:
 
     @property
     def fact_texts(self) -> list[str]:
+        """Pooled: the verbalized facts."""
         return [self.shared.texts[row] for row in self.edge_rows]
 
     @property
     def edge_matrix(self) -> np.ndarray:
-        """[E, d] edge vectors, a new array."""
+        """Pooled: the [E, d] edge vectors, a new array."""
         return self.shared.edge_table[self.edge_rows]
 
 
@@ -299,12 +301,13 @@ def prepare_conditions(
     """`records` prepared under each of `conditions` from their grounding,
     `ground_records(kg, records, model.cfg.max_nodes)`.
 
-    Every distinct fact is verbalized once.  One `encode_subgraphs` call
-    returns the facts, their texts and the edge table, rows in first-seen
-    fact order, and for gnn one `encode_texts` call the node table's entity
-    rows (after the virtual placeholder, the sorted entities).  They form
-    one `PreparedSet`, which every returned candidate indexes.  Only a
-    pooled model reads facts: the sets of gnn and lm models hold none.
+    They form one `PreparedSet`, which every returned candidate indexes.  A
+    pooled model verbalizes every distinct fact once, and one
+    `encode_subgraphs` call returns the facts, their texts and the edge
+    table, rows in first-seen fact order.  A gnn model lists the facts in the
+    same order, with their node and relation rows, and one `encode_texts`
+    call gives the node table's entity rows (after the virtual placeholder,
+    the sorted entities).  An lm model reads no fact.
     """
     if model.kind == "gnn" and not hasattr(encoder, "encode_texts"):
         raise ValueError(
@@ -317,23 +320,26 @@ def prepare_conditions(
         if hasattr(encoder, "encode_texts"):  # the external-file encoder reads facts by key
             check_fact_texts(grounding, templates)
         facts, texts, edge_table = encode_subgraphs(subgraphs, templates, encoder)
-    node_table, node_ids = None, []
+    shared = PreparedSet(facts, texts, edge_table)
+    node_row = {}
     if model.kind == "gnn":
         entities = gnn_entities(grounding)
         surfaces = [id_to_surface(entity) for entity in entities]
         # Row 0 is a placeholder for the question state.
         node_table = np.concatenate([np.zeros((1, model.cfg.d)), encoder.encode_texts(surfaces)])
-        node_ids = [VIRTUAL_NODE_ID, *entities]
-    shared = PreparedSet(facts, texts, edge_table, node_table)
+        shared.node_table = node_table.astype(model.cfg.dtype, copy=False)
+        node_row = {node: i for i, node in enumerate([VIRTUAL_NODE_ID, *entities])}
     fact_row = {fact: i for i, fact in enumerate(facts)}
-    node_row = {node: i for i, node in enumerate(node_ids)}
-    relation_index = {rel: i for i, rel in enumerate(model.relations)}
     questions = [
-        prepare_question(
-            model, record, statements, shared, fact_row, node_row, relation_index, conditions
-        )
+        prepare_question(model, record, statements, shared, fact_row, node_row, conditions)
         for record, statements in zip(records, grounding, strict=True)
     ]
+    if model.kind == "gnn":
+        # `prepare_question` listed each fact where it first saw it.
+        shared.facts = list(fact_row)
+        relation_row = {rel: i for i, rel in enumerate(model.relations)}
+        ends = ((node_row[f.head], node_row[f.tail], relation_row[f.relation]) for f in fact_row)
+        shared.fact_table = np.fromiter(ends, np.dtype((np.int64, 3)), len(fact_row))
     return {condition: [q[condition] for q in questions] for condition in conditions}
 
 
@@ -344,41 +350,38 @@ def prepare_question(
     shared: PreparedSet,
     fact_row: dict[Fact, int],
     node_row: dict[str, int],
-    relation_index: dict[str, int],
     conditions: tuple[str, ...],
 ) -> dict[str, PreparedQuestion]:
     """One record under each condition, from its statements' intact subgraphs.
 
-    `fact_row` and `node_row` give each fact's and node's row of `shared`.
-    A without_answers candidate is the intact one with the answer-incident
-    edges' rows dropped; its nodes, and so its token ids and node states,
-    stay.  A candidate that loses no edge is the intact candidate itself.
+    `fact_row` and `node_row` give each fact's and node's row of `shared`; a
+    fact `fact_row` lacks is given the next row.  A without_answers
+    candidate is the intact one with the answer-incident edges' rows
+    dropped; its nodes, and so its token ids and node rows, stay.  A
+    candidate that loses no edge, an lm candidate always, is the intact
+    candidate itself.
     """
     cfg = model.cfg
     tokenizer = Tokenizer(cfg.vocab_size)
     prepared = {c: PreparedQuestion([], record.answer_index) for c in conditions}
     for stmt, sub in statements:
-        facts = sub.sorted_edges() if model.kind == "pooled" else []
+        facts = [] if model.kind == "lm" else sub.sorted_edges()
         ids = tokenize_statement(
             stmt.context, stmt.question, stmt.candidate, tokenizer, cfg.max_tokens
         )
+        rows = (fact_row.setdefault(fact, len(fact_row)) for fact in facts)
         intact = PreparedCandidate(
             ids=np.asarray(ids, dtype=np.int64),
             shared=shared,
-            edge_rows=np.fromiter((fact_row[fact] for fact in facts), np.int64, len(facts)),
+            edge_rows=np.fromiter(rows, np.int64, len(facts)),
         )
         if model.kind == "gnn":
-            intact.gnn = subgraph_arrays(sub, relation_index, node_row)
+            nodes = sorted(sub.nodes)
+            intact.node_rows = np.fromiter((node_row[n] for n in nodes), np.int64, len(nodes))
         for condition, question in prepared.items():
-            kept = apply_condition(sub, stmt, condition)
-            cand = intact
-            if len(kept.edges) != len(sub.edges):
-                keep = np.fromiter((fact in kept.edges for fact in facts), bool, len(facts))
-                cand = replace(
-                    intact,
-                    edge_rows=intact.edge_rows[keep],
-                    gnn=subgraph_arrays(kept, relation_index, node_row) if intact.gnn else None,
-                )
+            kept = apply_condition(sub, stmt, condition).edges
+            keep = np.fromiter((fact in kept for fact in facts), bool, len(facts))
+            cand = intact if keep.all() else replace(intact, edge_rows=intact.edge_rows[keep])
             question.candidates.append(cand)
     return prepared
 
@@ -524,8 +527,10 @@ def _score(
     fq_scores, fq_cache = scalar_head_forward(params, "fq", q_final)
     caches = {"fq_cache": fq_cache}
     if model.kind == "gnn":
-        arrays, virtual = union_arrays([cand.gnn for cand in flat])
-        node_init = np.concatenate([cand.shared.node_table[cand.gnn.node_rows] for cand in flat])
+        arrays, virtual = subgraph_arrays(
+            [(cand.node_rows, cand.shared.fact_table[cand.edge_rows]) for cand in flat]
+        )
+        node_init = np.concatenate([cand.shared.node_table[cand.node_rows] for cand in flat])
         node_init[virtual] = q_final
         final, gnn_cache, aggregations = gnn_forward_arrays(
             params, GNNConfig(cfg.gnn_layers), arrays, node_init, backward_cache
@@ -570,7 +575,7 @@ def batch_backward(model: Model, result: BatchResult) -> dict[str, np.ndarray]:
         grads.update(head_grads)
         gnn_cache, virtual = caches["gnn_cache"], caches["gnn_virtual"]
         arrays, _ = gnn_cache
-        d_final = np.zeros((len(arrays.node_rows), cfg.d))
+        d_final = np.zeros((len(arrays.node_rows), cfg.d), cfg.dtype)
         d_final[virtual] = d_gamma
         gnn_grads, d_init = gnn_backward_arrays(
             params, GNNConfig(cfg.gnn_layers), gnn_cache, d_final

@@ -46,6 +46,7 @@ _PINNED = "tests/test_synthetic.py::test_generated_bytes_are_pinned"
 _PARTWAY = "tests/test_data.py::test_a_save_that_fails_partway_leaves_no_partial_dataset"
 _HEADER_CHECKS = "tests/test_checkpoint.py::test_load_model_checks_header_against_tensors"
 _GNN = "tests/test_gnn.py"
+_MODEL = "tests/test_model.py"
 
 MUTANTS = (
     # A per-text memo: the encoder keeps every row it returns.
@@ -545,28 +546,33 @@ MUTANTS = (
         "            if False:\n",
         ("tests/test_model.py::test_finite_scores_that_overflow_the_loss_raise_before_a_step",),
     ),
-    # Each gnn node indexes its own subgraph's row, not the prepared set's node table.
+    # A fact's ends are looked up among the previous candidate's nodes.
     Mutant(
-        "node-rows-local-positions",
+        "fact-ends-in-previous-candidate",
         "src/factpool/gnn.py",
-        "        node_rows=np.fromiter((node_row[node] for node in node_ids), np.int64, "
-        "len(node_ids)),\n",
-        "        node_rows=np.arange(len(node_ids)),\n",
+        "    end_keys = np.repeat(part, [len(f) for _, f in parts])[:, None] * width"
+        " + facts[:, :2]\n",
+        "    end_keys = (np.repeat(part, [len(f) for _, f in parts])[:, None] - 1) * width"
+        " + facts[:, :2]\n",
         (
-            f"{_GNN}::test_forward_arrays_cover_every_node",
-            f"{_GNN}::test_init_nodes_virtual_and_entities",
-            f"{_LAYOUT}::test_a_gnn_prepared_set_shares_one_node_table_with_a_row_per_node",
+            f"{_GNN}::test_batch_arrays_match_the_per_subgraph_reference",
+            f"{_GNN}::test_union_matches_oracle_per_part",
         ),
     ),
-    # The union offsets each part's nodes by the earlier parts' message counts.
+    # A without_answers candidate keeps the intact candidate's edge rows.
     Mutant(
-        "union-offset-by-messages",
-        "src/factpool/gnn.py",
-        "    offsets = np.cumsum([0] + [len(part.node_rows) for part in parts[:-1]])\n",
-        "    offsets = np.cumsum([0] + [len(part.src) for part in parts[:-1]])\n",
+        "without-answers-keeps-intact-edges",
+        "src/factpool/model.py",
+        "            cand = intact if keep.all() else "
+        "replace(intact, edge_rows=intact.edge_rows[keep])\n",
+        "            cand = intact\n",
         (
-            f"{_GNN}::test_union_matches_oracle_per_part",
-            f"{_GNN}::test_init_nodes_virtual_and_entities",
+            f"{_GNN}::test_batch_arrays_match_the_per_subgraph_reference",
+            f"{_MODEL}::test_without_answers_candidate_that_loses_no_edge_is_the_intact_one",
+            *(
+                f"{_MODEL}::test_a_without_answers_candidate_drops_rows_of_the_intact_one[{kind}]"
+                for kind in ("pooled", "gnn")
+            ),
         ),
     ),
 )

@@ -435,9 +435,8 @@ def hash_bag_oracle(encoder, text: str) -> np.ndarray:
 
 def prepare_question_oracle(model, kg, templates, encoder, record, condition):
     """Per-question preparation from `subgraphs_oracle`: one encoder call per
-    fact of a pooled model (gnn and lm candidates hold no facts) and per GNN
-    entity node."""
-    from factpool.gnn import subgraph_arrays
+    fact of a pooled model (lm candidates hold no facts) and per GNN entity
+    node."""
     from factpool.kg import VIRTUAL_NODE_ID, id_to_surface
     from factpool.model import PreparedCandidate, PreparedQuestion, PreparedSet
     from factpool.tokenizer import Tokenizer, tokenize_statement
@@ -446,9 +445,9 @@ def prepare_question_oracle(model, kg, templates, encoder, record, condition):
     cfg = model.cfg
     candidates = []
     for stmt, sub in subgraphs_oracle(kg, record, cfg.max_nodes, condition):
-        facts = sub.sorted_edges() if model.kind == "pooled" else []
-        texts = [verbalize(f, templates) for f in facts]
-        if facts:
+        facts = [] if model.kind == "lm" else sub.sorted_edges()
+        texts = [verbalize(f, templates) for f in facts] if model.kind == "pooled" else []
+        if texts:
             matrix = np.stack([encoder.encode_fact_text(f, t) for f, t in zip(facts, texts)])
         else:
             matrix = np.zeros((0, cfg.d))
@@ -466,13 +465,41 @@ def prepare_question_oracle(model, kg, templates, encoder, record, condition):
             edge_rows=np.arange(len(facts), dtype=np.int64),
         )
         if model.kind == "gnn":
+            # The virtual node at row 0, as in a prepared set; then the entities.
             nodes = sorted(sub.nodes)
+            table_ids = [VIRTUAL_NODE_ID] + [n for n in nodes if n != VIRTUAL_NODE_ID]
+            row = {node: i for i, node in enumerate(table_ids)}
             relation_index = {rel: i for i, rel in enumerate(model.relations)}
-            cand.gnn = subgraph_arrays(sub, relation_index, {n: i for i, n in enumerate(nodes)})
-            init = np.zeros((len(nodes), cfg.d))
-            for i, node in enumerate(nodes):
-                if node != VIRTUAL_NODE_ID:
-                    init[i] = encoder.encode_text(id_to_surface(node))
-            cand.shared.node_table = init
+            table = np.zeros((len(table_ids), cfg.d))
+            for node in table_ids[1:]:
+                table[row[node]] = encoder.encode_text(id_to_surface(node))
+            cand.shared.node_table = table
+            cand.shared.fact_table = np.array(
+                [[row[f.head], row[f.tail], relation_index[f.relation]] for f in facts],
+                dtype=np.int64,
+            ).reshape(-1, 3)
+            cand.node_rows = np.array([row[node] for node in nodes], dtype=np.int64)
         candidates.append(cand)
     return PreparedQuestion(candidates=candidates, answer_index=record.answer_index)
+
+
+def subgraph_arrays_oracle(subs, relation_index):
+    """Loop reference for `gnn.subgraph_arrays` over the disjoint union of
+    `subs`: (src, dst, rel, virtual positions) as lists.  Each subgraph's
+    nodes, in sorted-id order, follow the previous subgraph's; each fact, in
+    sorted-edge order, sends one message per direction, head to tail first."""
+    from factpool.kg import VIRTUAL_NODE_ID
+
+    src, dst, rel, virtual = [], [], [], []
+    offset = 0
+    for sub in subs:
+        nodes = sorted(sub.nodes)
+        pos = {node: offset + i for i, node in enumerate(nodes)}
+        for fact in sorted(sub.edges):
+            r = relation_index[fact.relation]
+            src += [pos[fact.head], pos[fact.tail]]
+            dst += [pos[fact.tail], pos[fact.head]]
+            rel += [r, r]
+        virtual.append(pos.get(VIRTUAL_NODE_ID))
+        offset += len(nodes)
+    return src, dst, rel, virtual

@@ -25,7 +25,7 @@ from factpool.experiment import (
     pipeline_hashes,
     run_experiment,
 )
-from factpool.gnn import GNNConfig, gnn_forward_arrays, init_gnn_params, subgraph_arrays
+from factpool.gnn import GNNConfig, gnn_forward_arrays, init_gnn_params
 from factpool.harness_data import tiny_gradcheck_setup
 from factpool.kg import (
     Fact,
@@ -53,7 +53,7 @@ from factpool.numerics import softmax_stable
 from factpool.pooling import init_pooling_head, pool_forward
 from factpool.synthetic import SyntheticSpec, write_synthetic
 
-from helpers import candidate_pool_weights, kg_from_facts
+from helpers import candidate_pool_weights, kg_from_facts, own_arrays
 
 ACCEPTANCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "acceptance.cfg"
 
@@ -208,10 +208,9 @@ def test_criterion_06_oracle_equivalence():
         # message vs loop oracle: the one message a -> b of a single-fact graph
         params = init_gnn_params(d, num_relations=3, rng=rng)
         r = int(rng.integers(3))
-        single = subgraph_arrays(
+        single = own_arrays(
             Subgraph(nodes={"a", "b"}, edges={Fact("a", f"r{r}", "b")}),
             {f"r{i}": i for i in range(3)},
-            {"a": 0, "b": 1},
         )
         h = rng.standard_normal((2, d))
         _, (_, layer_caches), _ = gnn_forward_arrays(
@@ -236,7 +235,7 @@ def test_criterion_06_oracle_equivalence():
         }
         sub = Subgraph(nodes=set(names), edges=facts)
         relation_index = {f"r{i}": i for i in range(3)}
-        arrays = subgraph_arrays(sub, relation_index, {n: i for i, n in enumerate(names)})
+        arrays = own_arrays(sub, relation_index)
         init = rng.standard_normal((n_nodes, d))
         layers = 1 + case % 2
         final, _, _ = gnn_forward_arrays(params, GNNConfig(layers=layers), arrays, init)

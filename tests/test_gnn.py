@@ -2,8 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from helpers import kg_from_facts
-from oracles import fd_gradient, gnn_oracle, message_oracle
+from helpers import candidate_arrays, gnn_part, kg_from_facts, own_arrays
+from oracles import fd_gradient, gnn_oracle, message_oracle, subgraph_arrays_oracle
 
 from factpool.config import Config
 from factpool.gnn import (
@@ -13,7 +13,6 @@ from factpool.gnn import (
     gnn_forward_arrays,
     init_gnn_params,
     subgraph_arrays,
-    union_arrays,
 )
 from factpool.harness_data import tiny_benchmark
 from factpool.kg import (
@@ -28,10 +27,13 @@ from factpool.kg import (
 )
 from factpool import model as model_mod
 from factpool.model import (
+    CONDITIONS,
+    apply_condition,
     batch_forward,
     build_encoder,
     create_model,
     ground_records,
+    prepare_conditions,
     prepare_dataset,
     relation_table,
 )
@@ -52,11 +54,6 @@ def make_sub(facts, question_entities, answer_entities=()):
 
 def rel_index(sub):
     return {r: i for i, r in enumerate(sorted({e.relation for e in sub.edges}))}
-
-
-def own_arrays(sub, relation_index):
-    """`sub`'s arrays over a node table of its own: node i at row i."""
-    return subgraph_arrays(sub, relation_index, {n: i for i, n in enumerate(sorted(sub.nodes))})
 
 
 def gnn_question():
@@ -88,7 +85,7 @@ def test_init_nodes_virtual_and_entities():
     offset = 0
     for i, (cand, (_, sub)) in enumerate(zip(prepared.candidates, statements, strict=True)):
         nodes = sorted(sub.nodes)
-        assert len(cand.gnn.node_rows) == len(nodes) > 1
+        assert len(cand.node_rows) == len(nodes) > 1
         for row, node in enumerate(nodes, start=offset):
             if node == VIRTUAL_NODE_ID:
                 assert result._caches["gnn_virtual"][i] == row
@@ -110,7 +107,7 @@ def test_batch_forward_message_passes_once(monkeypatch):
 
     monkeypatch.setattr(model_mod, "gnn_forward_arrays", counting)
     result = batch_forward(model, [prepared, prepared])
-    nodes = 2 * sum(len(cand.gnn.node_rows) for cand in prepared.candidates)
+    nodes = 2 * sum(len(cand.node_rows) for cand in prepared.candidates)
     assert calls == [nodes]
     assert result.aggregations == nodes * model.cfg.gnn_layers
 
@@ -127,12 +124,11 @@ def test_union_matches_oracle_per_part():
     # One table for all parts, as in a prepared set: the virtual node at row 0.
     ids = [VIRTUAL_NODE_ID, *sorted({n for sub in subs for n in sub.nodes} - {VIRTUAL_NODE_ID})]
     node_row = {n: i for i, n in enumerate(ids)}
-    parts = [subgraph_arrays(sub, index, node_row) for sub in subs]
-    union, virtual = union_arrays(parts)
-    sizes = [len(part.node_rows) for part in parts]
+    union, virtual = subgraph_arrays([gnn_part(sub, index, node_row) for sub in subs])
+    sizes = [len(sub.nodes) for sub in subs]
     want_rows = [node_row[n] for sub in subs for n in sorted(sub.nodes)]
     assert union.node_rows.tolist() == want_rows
-    assert union.node_rows[virtual].tolist() == [0] * len(parts)
+    assert union.node_rows[virtual].tolist() == [0] * len(subs)
     d = 6
     params = init_gnn_params(d, len(index), np.random.default_rng(15))
     rng = np.random.default_rng(16)
@@ -141,8 +137,8 @@ def test_union_matches_oracle_per_part():
         params, GNNConfig(layers=2), union, np.concatenate(inits)
     )
     assert count == 2 * sum(sizes)
-    for part, init, rows in zip(parts, inits, np.split(final, np.cumsum(sizes[:-1]))):
-        edges = list(zip(part.src, part.dst, part.rel))
+    for sub, init, rows in zip(subs, inits, np.split(final, np.cumsum(sizes[:-1]))):
+        edges = list(zip(*subgraph_arrays_oracle([sub], index)[:3]))
         assert np.max(np.abs(rows - gnn_oracle(params, 2, init, edges))) < 1e-12
 
 
@@ -238,7 +234,6 @@ def test_permutation_invariance_of_message_order():
         src=arrays.src[perm],
         dst=arrays.dst[perm],
         rel=arrays.rel[perm],
-        virtual_index=arrays.virtual_index,
     )
     permuted, _, _ = gnn_forward_arrays(params, GNNConfig(layers=2), shuffled, init)
     assert np.allclose(base, permuted, atol=1e-12)
@@ -340,15 +335,43 @@ def test_forward_arrays_cover_every_node():
     _, _, sub = make_sub([("a", "r", "b")], {"a", "b"})
     index = rel_index(sub)
     params = init_gnn_params(4, len(index), np.random.default_rng(2))
-    # Rows of a larger table, in no order the subgraph's nodes have.
-    node_row = {n: 7 - 2 * i for i, n in enumerate(sorted(sub.nodes, reverse=True))}
-    arrays = subgraph_arrays(sub, index, node_row)
+    # Rows of a larger table, in no order the subgraph's nodes have; the
+    # virtual node at row 0, as in a prepared set.
+    node_row = {n: 7 - 2 * i for i, n in enumerate(sorted(sub.nodes - {VIRTUAL_NODE_ID}))}
+    node_row[VIRTUAL_NODE_ID] = 0
+    arrays, virtual = subgraph_arrays([gnn_part(sub, index, node_row)])
     assert arrays.node_rows.dtype == np.int64
     assert arrays.node_rows.tolist() == [node_row[n] for n in sorted(sub.nodes)]
-    assert arrays.virtual_index == sorted(sub.nodes).index(VIRTUAL_NODE_ID)
+    assert virtual.tolist() == [sorted(sub.nodes).index(VIRTUAL_NODE_ID)]
     init = np.random.default_rng(3).standard_normal((len(arrays.node_rows), 4))
     final, _, _ = gnn_forward_arrays(params, GNNConfig(layers=1), arrays, init)
     assert final.shape == (len(sub.nodes), 4)
+
+
+def test_batch_arrays_match_the_per_subgraph_reference():
+    # Intact and without_answers candidates of two prepared sets, interleaved:
+    # each candidate's facts resolve among its own nodes, over its own set.
+    cfg = Config(L=2, d=8, heads=2, vocab_size=64, max_tokens=48, max_nodes=8, seed=0)
+    kg, templates, records = tiny_benchmark(seed=1, questions=6)
+    model = create_model(cfg, "gnn", relation_table(kg))
+    encoder = build_encoder(model)
+    batch, subs, lost = [], [], 0
+    for part in (records[:3], records[3:]):
+        grounding = ground_records(kg, part, cfg.max_nodes)
+        prepared = prepare_conditions(model, templates, encoder, part, grounding)
+        statements = [pair for pairs in grounding for pair in pairs]
+        for i, (stmt, sub) in enumerate(statements):
+            condition = CONDITIONS[i % 2]
+            batch.append([c for q in prepared[condition] for c in q.candidates][i])
+            subs.append(apply_condition(sub, stmt, condition))
+            lost += len(subs[-1].edges) < len(sub.edges)
+    assert len({id(c.shared) for c in batch}) == 2 and lost
+    union, virtual = candidate_arrays(batch)
+    relation_index = {r: i for i, r in enumerate(model.relations)}
+    src, dst, rel, want_virtual = subgraph_arrays_oracle(subs, relation_index)
+    assert union.node_rows.tolist() == [row for c in batch for row in c.node_rows.tolist()]
+    assert union.src.tolist() == src and union.dst.tolist() == dst
+    assert union.rel.tolist() == rel and virtual.tolist() == want_virtual
 
 
 def test_gnn_score_reads_question_state():
@@ -360,9 +383,8 @@ def test_gnn_score_reads_question_state():
     rng = np.random.default_rng(4)
     # Each candidate gets a set of its own: the prepared set is shared.
     for cand in prepared.candidates:
-        n = len(cand.gnn.node_rows)
-        cand.shared = replace(cand.shared, node_table=rng.standard_normal((n, model.cfg.d)))
-        cand.gnn = replace(cand.gnn, node_rows=np.arange(n))
+        table = rng.standard_normal(cand.shared.node_table.shape)
+        cand.shared = replace(cand.shared, node_table=table)
     result = batch_forward(model, [prepared])
     assert np.array_equal(result.scores, scores)
     # a zeroed head adds exactly nothing to the text score
@@ -372,3 +394,30 @@ def test_gnn_score_reads_question_state():
     result = batch_forward(model, [prepared])
     fq, _ = scalar_head_forward(model.params, "fq", result._caches["graph_states_final"][:, 1])
     assert np.array_equal(result.scores, fq)
+
+
+def test_a_float32_gnn_passes_messages_in_float32(monkeypatch):
+    # The node table is cast once at preparation, and no float64 allocation
+    # in a step promotes the message passing or its gradients.
+    cfg = Config(L=2, d=8, heads=2, vocab_size=64, max_tokens=48, max_nodes=8, seed=0,
+                 precision="f32")
+    kg, templates, records = tiny_benchmark(seed=1, questions=4)
+    model = create_model(cfg, "gnn", relation_table(kg))
+    prepared = prepare_dataset(model, kg, templates, build_encoder(model), records)
+    assert prepared[0].candidates[0].shared.node_table.dtype == np.float32
+    result = batch_forward(model, prepared, backward_cache=True)
+    _, layer_caches = result._caches["gnn_cache"]
+    assert len(layer_caches) == cfg.gnn_layers
+    assert {a.dtype for layer in layer_caches for a in layer} == {np.dtype(np.float32)}
+    dtypes = {}
+    real = model_mod.gnn_backward_arrays
+
+    def spying(params, gnn_cfg, cache, d_final):
+        grads, d_init = real(params, gnn_cfg, cache, d_final)
+        dtypes.update(grads, d_final=d_final, d_init=d_init)
+        return grads, d_init
+
+    monkeypatch.setattr(model_mod, "gnn_backward_arrays", spying)
+    model_mod.batch_backward(model, result)
+    assert {"gnn.rel_emb", "gnn.msg.w", "gnn.msg.b", "gnn.upd.w"} < dtypes.keys()
+    assert {a.dtype for a in dtypes.values()} == {np.dtype(np.float32)}

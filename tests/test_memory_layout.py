@@ -63,26 +63,38 @@ def test_a_prepared_set_shares_one_edge_table_with_a_row_per_fact():
 
 
 def test_a_gnn_prepared_set_shares_one_node_table_with_a_row_per_node():
-    _, candidates, grounding = prepared_set("gnn")
+    model, candidates, grounding = prepared_set("gnn")
     shared = candidates[0].shared
     assert all(c.shared is shared for c in candidates)
-    assert shared.facts == shared.texts == [] and shared.edge_table.shape[0] == 0
+    assert shared.texts == [] and shared.edge_table.shape[0] == 0
     table = shared.node_table
     nodes = {n for statements in grounding for _, sub in statements for n in sub.nodes}
     assert table.shape[0] == len(nodes)
     # A candidate's nodes are its subgraph's in sorted-id order, in both conditions.
     subs = [sub for condition in CONDITIONS for statements in grounding for _, sub in statements]
     node_ids = [sorted(sub.nodes) for sub in subs]
+    node_row = {}
     assert_one_row_per_key(
         table,
         (
-            (n, row)
+            (n, node_row.setdefault(n, row))
             for c, ids in zip(candidates, node_ids, strict=True)
-            for n, row in zip(ids, c.gnn.node_rows, strict=True)
+            for n, row in zip(ids, c.node_rows, strict=True)
         ),
     )
-    assert candidates[0].gnn.node_rows[node_ids[0].index(VIRTUAL_NODE_ID)] == 0
+    assert node_row[VIRTUAL_NODE_ID] == 0
     assert not table[0].any()  # the question-state placeholder
+    # One fact-table row per distinct fact, first seen first, holding the
+    # rows of its ends and its relation.
+    subs = [sub for statements in grounding for _, sub in statements]
+    facts = list(dict.fromkeys(f for sub in subs for f in sorted(sub.edges)))
+    assert shared.facts == facts
+    relation_row = {rel: i for i, rel in enumerate(model.relations)}
+    want = [[node_row[f.head], node_row[f.tail], relation_row[f.relation]] for f in facts]
+    assert shared.fact_table.dtype == np.int64 and shared.fact_table.tolist() == want
+    assert_one_row_per_key(
+        shared.fact_table, ((f, row) for c in candidates for f, row in zip(c.facts, c.edge_rows))
+    )
 
 
 def arrays_reachable_from(root) -> list[np.ndarray]:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import kg_from_facts
+from helpers import candidate_arrays, kg_from_facts
 from oracles import prepare_question_oracle, softmax_oracle, subgraphs_oracle
 
 from factpool import model as model_mod
@@ -660,7 +660,8 @@ def test_evaluate_conditions_runs_each_distinct_trunk_row_once(
         for c_with, c_without in zip(q_with.candidates, q_without.candidates)
     ]
     changed = sum(c_without is not c_with for c_with, c_without in pairs)
-    assert 0 < changed < len(pairs)
+    # An lm candidate holds no edge: it is one object under both conditions.
+    assert changed == 0 if model.kind == "lm" else 0 < changed < len(pairs)
     rows = []
     real_forward = model_mod.trunk_forward
 
@@ -754,21 +755,22 @@ def assert_same_candidate(got, want, got_sub=None, want_sub=None):
     compared when given (a prepared candidate does not keep its subgraph)."""
     assert_same_array(got.ids, want.ids)
     assert got.facts == want.facts
-    assert got.fact_texts == want.fact_texts
-    assert_same_array(got.edge_matrix, want.edge_matrix)
     if want_sub is not None:
         assert got_sub.canonical() == want_sub.canonical()
-    if want.gnn is None:
-        assert got.gnn is None
+    if want.node_rows is None:
+        assert got.node_rows is None
+        assert got.fact_texts == want.fact_texts
+        assert_same_array(got.edge_matrix, want.edge_matrix)
         return
-    assert len(got.gnn.node_rows) == len(want.gnn.node_rows)
-    assert got.gnn.virtual_index == want.gnn.virtual_index
+    # The arrays a batch of the one candidate passes its messages over.
+    (got_arrays, got_virtual), (want_arrays, want_virtual) = map(candidate_arrays, [[got], [want]])
+    assert_same_array(got_virtual, want_virtual)
     for name in ("src", "dst", "rel"):
-        assert_same_array(getattr(got.gnn, name), getattr(want.gnn, name))
+        assert_same_array(getattr(got_arrays, name), getattr(want_arrays, name))
     # Each node's initial state, in node order: distinct entities encode to
     # distinct vectors, so this pins the node order too.
     assert_same_array(
-        got.shared.node_table[got.gnn.node_rows], want.shared.node_table[want.gnn.node_rows]
+        got.shared.node_table[got.node_rows], want.shared.node_table[want.node_rows]
     )
 
 
@@ -882,6 +884,27 @@ def test_without_answers_candidate_that_loses_no_edge_is_the_intact_one():
     assert kept and lost
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_without_answers_candidate_drops_rows_of_the_intact_one(kind):
+    # Its token ids, set and node rows are the intact candidate's own arrays;
+    # an lm candidate holds no edge, so it is the intact candidate itself.
+    model, kg, templates, encoder, records, _ = make_setup(kind=kind, questions=6)
+    grounding = ground_records(kg, records[:6], model.cfg.max_nodes)
+    both = prepare_conditions(model, templates, encoder, records[:6], grounding)
+    lost = 0
+    for q_with, q_without in zip(*both.values()):
+        for c_with, c_without in zip(q_with.candidates, q_without.candidates, strict=True):
+            if c_without is c_with:
+                continue
+            lost += 1
+            assert c_without.ids is c_with.ids and c_without.shared is c_with.shared
+            assert c_without.node_rows is c_with.node_rows
+            kept = c_without.edge_rows.tolist()
+            assert len(kept) < len(c_with.edge_rows)
+            assert kept == [row for row in c_with.edge_rows.tolist() if row in kept]
+    assert (lost == 0) == (kind == "lm")
+
+
 def test_prepare_rejects_unknown_condition():
     model, kg, templates, encoder, records, _ = make_setup()
     with pytest.raises(ValueError, match="condition must be one of"):
@@ -915,7 +938,8 @@ def test_toy_encoder_runs_one_forward_per_batch_group(monkeypatch, kind):
         return sum(-(-n // encoders.ENCODE_BATCH) for n in lengths.values())
 
     cands = [c for q in prepared for c in q.candidates]
-    texts = [t for c in cands for t in c.fact_texts]
+    # Only a pooled set verbalizes its facts.
+    texts = [t for c in cands for t in c.fact_texts] if kind == "pooled" else []
     bound = groups(texts)
     if kind == "gnn":
         grounding = ground_records(kg, records, cfg.max_nodes)
