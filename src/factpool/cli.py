@@ -51,6 +51,7 @@ from factpool.model import (
     gradient_check,
     ground_records,
     load_model,
+    make_encoder,
     prepare_conditions,
     prepare_dataset,
     relation_table,
@@ -78,7 +79,7 @@ def _file_encoder(
     flag: str, path: str | None, cfg: Config, kinds, cache: str | None = None
 ) -> FileBackedEncoder | None:
     """The --cache encoder of an external-file config; None for the other
-    encoder kinds, whose encoder `build_encoder` makes from the model.
+    encoder kinds, whose encoder `make_encoder` makes from the config.
 
     `cfg` is read from `path` given by `flag` (--config or --checkpoint).  A
     command that encodes facts for models of `kinds` calls this before it
@@ -173,8 +174,7 @@ def cmd_encode(args) -> int:
     kg = load_kg(args.kg)
     templates = load_templates(args.templates)
     records = _dataset_slice(args, load_dataset(args.dataset))
-    model = create_model(cfg, "pooled", relation_table(kg))
-    encoder = build_encoder(model)
+    encoder = make_encoder(cfg, "pooled")
     grounding = ground_records(kg, records, cfg.max_nodes)
     check_fact_texts(grounding, templates)
     out = Path(args.out)

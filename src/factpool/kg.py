@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import gc
 import re
-from collections import defaultdict
+from collections.abc import KeysView
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import NamedTuple
 
 from factpool.util import canonical_json
@@ -57,14 +58,14 @@ class Fact(NamedTuple):
 
 @dataclass
 class KnowledgeGraph:
-    """A graph is its facts; entities, relations and adjacency derive from them.
+    """A graph is its facts; relations, adjacency and entities derive from them.
 
     `facts` may be given as any iterable of facts; repeats collapse and it is
-    kept as a set.  Every derived field is the same for any order given.
+    held as the sorted tuple of the distinct facts.  Every derived field is
+    the same for any order given.
     """
 
-    facts: set[Fact]
-    entities: set[str] = field(init=False)
+    facts: tuple[Fact, ...]
     relations: set[str] = field(init=False)
     adjacency: dict[str, tuple[Fact, ...]] = field(init=False)
     # Entities grouped by (plural-folded) first surface token, for linking.
@@ -73,18 +74,20 @@ class KnowledgeGraph:
     def __post_init__(self) -> None:
         # Sorted in the order given, not in a set's hash order: timsort is
         # linear on sorted input, and `load_kg` passes a file's facts in file
-        # order, which is sorted for a generated KG.
-        ordered = sorted(dict.fromkeys(self.facts))
-        self.facts = set(ordered)
-        incidence: dict[str, list[Fact]] = defaultdict(list)
+        # order, which is sorted for a generated KG.  Repeats are then
+        # neighbours, so they collapse without a copy of the facts in a dict.
+        self.facts = ordered = tuple(fact for fact, _ in groupby(sorted(self.facts)))
+        adjacency: dict = {}
         for fact in ordered:
             head, _, tail = fact
-            incidence[head].append(fact)
+            adjacency.setdefault(head, []).append(fact)
             if tail != head:
-                incidence[tail].append(fact)
-        self.adjacency = {entity: tuple(facts) for entity, facts in incidence.items()}
-        # Heads and tails are exactly the adjacency's keys.
-        self.entities = set(self.adjacency)
+                adjacency.setdefault(tail, []).append(fact)
+        # Each list becomes a tuple in place, here and in the index below, so
+        # the lists are freed one by one and no second mapping is built.
+        for entity, facts in adjacency.items():
+            adjacency[entity] = tuple(facts)
+        self.adjacency = adjacency
         self.relations = {fact.relation for fact in ordered}
         # Built with the other derived fields, not on first use: every graph
         # is linked against, so laziness would save nothing.  Each bucket is
@@ -96,11 +99,20 @@ class KnowledgeGraph:
             if match is None:
                 continue
             first = match.group()
+            if first == entity:  # a one-token id keys its bucket with its own string
+                first = entity
             index.setdefault(first, []).append(entity)
             folded = _strip_plural(first)
             if folded != first:
                 index.setdefault(folded, []).append(entity)
-        self.first_token_index = {key: tuple(sorted(vals)) for key, vals in index.items()}
+        for key, vals in index.items():
+            index[key] = tuple(sorted(vals))
+        self.first_token_index = index
+
+    @property
+    def entities(self) -> KeysView[str]:
+        """Every head and tail: the adjacency's keys, as a set-like view."""
+        return self.adjacency.keys()
 
     def neighbors(self, entity: str) -> set[str]:
         out = set()
@@ -114,7 +126,10 @@ class _SurfaceIds(dict):
     """surface_to_id, memoized per distinct field text."""
 
     def __missing__(self, surface: str) -> str:
-        self[surface] = entity_id = surface_to_id(surface)
+        entity_id = surface_to_id(surface)
+        if entity_id == surface:  # the field text is its id: one string, not an equal copy
+            entity_id = surface
+        self[surface] = entity_id
         return entity_id
 
 
@@ -140,10 +155,10 @@ def load_kg(path: str) -> KnowledgeGraph:
             gc.enable()
 
 
-def _read_facts(path: str) -> dict[Fact, None]:
-    """The file's facts in file order, repeats collapsed (a dict as an ordered set)."""
+def _read_facts(path: str) -> list[Fact]:
+    """The file's facts in file order, repeats kept (`KnowledgeGraph` collapses them)."""
     ids = _SurfaceIds()
-    facts: dict[Fact, None] = {}
+    facts: list[Fact] = []
     # One read, split on "\n" after the universal-newline translation that
     # line iteration also does (str.splitlines would break at \v, \f and more).
     # Only the loop holds the line list, so it is freed before the graph is built.
@@ -165,7 +180,7 @@ def _read_facts(path: str) -> dict[Fact, None]:
                     f"{path}: line {lineno}: entity id '{VIRTUAL_NODE_ID}' is reserved "
                     f"for the virtual question node: {line!r}"
                 )
-            facts[Fact(head, relation, tail)] = None
+            facts.append(Fact(head, relation, tail))
     if not facts:
         raise KGFormatError(f"{path}: empty KG")
     return facts

@@ -130,13 +130,18 @@ def _init_params(cfg: Config, kind: str, num_relations: int, rng) -> dict[str, n
 
 
 def build_encoder(model: Model, cache_path: str | None = None):
-    cfg = model.cfg
+    """`make_encoder` for the model's config and kind."""
+    return make_encoder(model.cfg, model.kind, cache_path)
+
+
+def make_encoder(cfg: Config, kind: str, cache_path: str | None = None):
+    """The frozen fact encoder of a `kind` model of `cfg`, made without the model."""
     if cfg.encoder_kind == "hash-bag":
         return HashBagEncoder(cfg.d, derive_seed(cfg.seed, "encoder"))
     if cfg.encoder_kind == "shared-toy-encoder":
         # Re-draws the embedder and trunk as `create_model` first drew them: a
         # pre-fine-tuning snapshot that training never moves.
-        rng = _init_rng(cfg, model.kind)
+        rng = _init_rng(cfg, kind)
         return ToyTrunkEncoder(
             _cast(cfg, init_trunk_params(cfg.L, cfg.d, cfg.vocab_size, cfg.max_tokens, rng)),
             cfg.L,
@@ -176,6 +181,10 @@ class PreparedSet:
     fact_table: np.ndarray | None = None  # gnn: [F, 3] int64 (head, tail) node rows, relation row
 
 
+class NoFactVectorsError(LookupError):
+    """Fact texts or edge vectors were read from a gnn set, which holds neither."""
+
+
 @dataclass
 class PreparedCandidate:
     """One statement's model input: token ids and rows of its prepared set."""
@@ -192,12 +201,20 @@ class PreparedCandidate:
     @property
     def fact_texts(self) -> list[str]:
         """Pooled: the verbalized facts."""
-        return [self.shared.texts[row] for row in self.edge_rows]
+        return [self.shared.texts[row] for row in self._vector_rows()]
 
     @property
     def edge_matrix(self) -> np.ndarray:
         """Pooled: the [E, d] edge vectors, a new array."""
-        return self.shared.edge_table[self.edge_rows]
+        return self.shared.edge_table[self._vector_rows()]
+
+    def _vector_rows(self) -> np.ndarray:
+        if self.node_rows is not None:
+            raise NoFactVectorsError(
+                "a gnn prepared set holds no fact texts or edge vectors: "
+                "its facts index the node table through fact_table"
+            )
+        return self.edge_rows
 
 
 @dataclass

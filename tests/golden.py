@@ -169,15 +169,20 @@ def _run_wide(root: Path) -> dict[str, str]:
     return {WIDE + name: digest for name, digest in _run(root, _wide_steps(root)).items()}
 
 
-def start_wide(root: Path) -> subprocess.Popen:
-    """`_run_wide(root)` started in a subprocess with one BLAS thread and
-    this checkout's `src/`."""
+def start_script(script: Path, *args: str) -> subprocess.Popen:
+    """`script` with `args`, started in a subprocess with one BLAS thread and
+    this checkout's `src/`; its stdout and stderr are piped as text."""
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
-        [sys.executable, str(Path(__file__).resolve()), "--wide-in", str(root)],
+        [sys.executable, str(script), *args],
         env=dict(os.environ, PYTHONPATH=path, **ONE_BLAS_THREAD),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
+
+
+def start_wide(root: Path) -> subprocess.Popen:
+    """`_run_wide(root)`, started by `start_script`."""
+    return start_script(Path(__file__).resolve(), "--wide-in", str(root))
 
 
 def wide_digests(proc: subprocess.Popen) -> dict[str, str]:

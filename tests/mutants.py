@@ -278,16 +278,42 @@ MUTANTS = (
     Mutant(
         "adjacency-in-file-order",
         "src/factpool/kg.py",
-        "        ordered = sorted(dict.fromkeys(self.facts))\n"
-        "        self.facts = set(ordered)\n"
-        "        incidence: dict[str, list[Fact]] = defaultdict(list)\n"
+        "        self.facts = ordered = tuple(fact for fact, _ in groupby(sorted(self.facts)))\n"
+        "        adjacency: dict = {}\n"
         "        for fact in ordered:\n",
         "        given = list(dict.fromkeys(self.facts))\n"
-        "        ordered = sorted(given)\n"
-        "        self.facts = set(ordered)\n"
-        "        incidence: dict[str, list[Fact]] = defaultdict(list)\n"
+        "        self.facts = ordered = tuple(sorted(given))\n"
+        "        adjacency: dict = {}\n"
         "        for fact in given:\n",
         ("tests/test_kg.py::test_graph_is_the_same_for_any_fact_order",),
+    ),
+    # A graph stores its entity set beside the adjacency whose keys it is.
+    Mutant(
+        "kg-stores-entity-set",
+        "src/factpool/kg.py",
+        "        self.adjacency = adjacency\n",
+        "        self.adjacency = adjacency\n        self._entities = set(adjacency)\n",
+        (f"{_LAYOUT}::test_a_loaded_graph_holds_nothing_beyond_its_accounted_parts",),
+    ),
+    # A one-token entity id keys its index bucket with a copy of itself.
+    Mutant(
+        "kg-index-key-copies-the-id",
+        "src/factpool/kg.py",
+        "            if first == entity:  # a one-token id keys its bucket with its own string\n"
+        "                first = entity\n",
+        "",
+        (f"{_LAYOUT}::test_a_loaded_graph_holds_nothing_beyond_its_accounted_parts",),
+    ),
+    # `encode` draws a whole pooled model only to read its config and kind.
+    Mutant(
+        "encode-draws-a-model",
+        "src/factpool/cli.py",
+        "    encoder = make_encoder(cfg, \"pooled\")\n",
+        "    encoder = build_encoder(create_model(cfg, \"pooled\", relation_table(kg)))\n",
+        tuple(
+            f"tests/test_cli.py::test_encode_draws_no_model_parameters[{kind}]"
+            for kind in ("hash-bag", "shared-toy-encoder")
+        ),
     ),
     # The checkpoint-only `precision` becomes a config-file key.
     Mutant(

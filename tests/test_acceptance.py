@@ -2,23 +2,22 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the measured values.
 The robustness-trend criterion trains nine models (three kinds, three seeds)
-and is the long pole; everything else finishes in seconds to a couple of
-minutes.
+and is the long pole: `tests/robustness.py` runs it in a subprocess started
+at collection, beside the other tests (see `tests/conftest.py`); everything
+else finishes in seconds to a couple of minutes.
 """
 
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import gnn_oracle, message_oracle, pool_oracle
 
-from factpool.config import Config, load_config
+from factpool.config import Config
 from factpool.experiment import (
     ExperimentConfig,
-    compare_kinds,
     count_aggregations,
     delta_acc,
     explain,
@@ -54,8 +53,6 @@ from factpool.pooling import init_pooling_head, pool_forward
 from factpool.synthetic import SyntheticSpec, write_synthetic
 
 from helpers import candidate_pool_weights, kg_from_facts, own_arrays
-
-ACCEPTANCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "acceptance.cfg"
 
 
 def report(num, name, detail=""):
@@ -155,26 +152,6 @@ def test_criterion_04_fusion_reduction_bit_identical():
     assert np.array_equal(final, late._caches["graph_states_final"])
     assert curves["early"] == curves["early_late"]
     report(4, "early_late K=0 == early", f"bit-identical, {time.time()-start:.0f}s")
-
-
-@pytest.fixture(scope="module")
-def robustness_results(tmp_path_factory):
-    out = tmp_path_factory.mktemp("robustness")
-    spec = SyntheticSpec(
-        entities=7000, relations=6, questions=700, candidates=4,
-        distractor_rate=0.6, kg_fraction=0.6, seed=0,
-    )
-    paths = write_synthetic(spec, out)
-    ecfg = ExperimentConfig(
-        config=load_config(ACCEPTANCE_CONFIG),
-        kg_path=str(paths["kg"]),
-        dataset_path=str(paths["dataset"]),
-        templates_path=str(paths["templates"]),
-        train_count=500,
-        test_count=200,
-        seeds=(0, 1, 2),
-    )
-    return compare_kinds(ecfg)[0]
 
 
 def test_criterion_05_robustness_trend(robustness_results):

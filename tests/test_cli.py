@@ -942,6 +942,25 @@ def test_explain_question_index_out_of_range_is_usage_error(workspace, capsys):
     assert "--question-index 14 is out of range" in err and "has 14 questions" in err
 
 
+@pytest.mark.parametrize("kind", ["hash-bag", "shared-toy-encoder"])
+def test_encode_draws_no_model_parameters(workspace, monkeypatch, kind):
+    # `encode` runs only the frozen fact encoder: no model is drawn for it.
+    from factpool import cli, model as model_mod
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("encode drew a model's parameters")
+
+    monkeypatch.setattr(model_mod, "_init_params", no_model)
+    cfg_path = workspace / f"no_model_{kind}.cfg"
+    cfg_path.write_text(
+        CONFIG_TEXT.replace("encoder_kind=hash-bag", f"encoder_kind={kind}"), encoding="utf-8"
+    )
+    out = workspace / f"enc_no_model_{kind}"
+    assert cli.main(["encode", *data_args(workspace), "--config", str(cfg_path),
+                     "--count", "3", "--out", str(out)]) == 0
+    assert (out / "embeddings.bin").stat().st_size > 0
+
+
 def test_encode_into_cache_of_another_width_is_a_usage_error(workspace, capsys):
     from factpool import cli
 

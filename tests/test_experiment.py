@@ -298,7 +298,7 @@ def test_a_fresh_kg_component_changes_only_the_kg_digest(seed, extra, relations)
         Fact(FRESH_ENTITIES[h], table[r % len(table)], FRESH_ENTITIES[t])
         for (h, t), r in zip(pairs, relations)
     }
-    grown = KnowledgeGraph(kg.facts | component)
+    grown = KnowledgeGraph(kg.facts + tuple(component))
     assert grown.relations == kg.relations and len(grown.entities) == len(kg.entities) + 40
     statement_tokens = {
         tok

@@ -121,7 +121,7 @@ def test_graph_is_the_same_for_any_fact_order(facts, rng):
     orders = [sorted(facts), sorted(facts, reverse=True), shuffled, facts + facts[:3]]
     graphs = [KnowledgeGraph(order) for order in orders]
     for kg in graphs:
-        assert type(kg.facts) is set and kg.facts == set(facts)
+        assert type(kg.facts) is tuple and kg.facts == tuple(sorted(set(facts)))
         assert kg.entities == graphs[0].entities
         assert kg.relations == graphs[0].relations
         assert kg.adjacency == graphs[0].adjacency

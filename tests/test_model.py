@@ -25,6 +25,7 @@ from factpool.model import (
     DivergenceError,
     TRUNK_BLOCK,
     NoBackwardCacheError,
+    NoFactVectorsError,
     apply_condition,
     batch_backward,
     batch_forward,
@@ -882,6 +883,20 @@ def test_without_answers_candidate_that_loses_no_edge_is_the_intact_one():
                 assert c_without is not c_with
                 lost += 1
     assert kept and lost
+
+
+def test_a_gnn_candidate_has_no_fact_texts_or_edge_vectors():
+    # A gnn set holds its facts as node and relation rows: reading texts or
+    # edge vectors says so, for a candidate with edges and one without.
+    kg, templates, records = tiny_benchmark(seed=1, questions=8)
+    model = create_model(small_cfg(), "gnn", relation_table(kg))
+    prepared = prepare_dataset(model, kg, templates, build_encoder(model), records)
+    cands = [c for q in prepared for c in q.candidates]
+    assert any(len(c.edge_rows) for c in cands) and not all(len(c.edge_rows) for c in cands)
+    for cand in cands:
+        for name in ("fact_texts", "edge_matrix"):
+            with pytest.raises(NoFactVectorsError, match="holds no fact texts or edge vectors"):
+                getattr(cand, name)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
