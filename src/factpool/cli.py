@@ -19,12 +19,7 @@ from pathlib import Path
 from factpool.checkpoint import CheckpointError
 from factpool.config import Config, load_config
 from factpool.data import DatasetFormatError, load_dataset, require_training_candidates
-from factpool.encoders import (
-    FileBackedEncoder,
-    encode_subgraphs,
-    read_embedding_cache,
-    write_embedding_cache,
-)
+from factpool.encoders import FileBackedEncoder, read_embedding_cache, write_embedding_cache
 from factpool.experiment import (
     SWEEP_VALUES,
     DatasetTooSmallError,
@@ -50,6 +45,7 @@ from factpool.model import (
     evaluate_conditions,
     gradient_check,
     ground_records,
+    grounding_facts,
     load_model,
     make_encoder,
     prepare_conditions,
@@ -59,7 +55,7 @@ from factpool.model import (
 )
 from factpool.synthetic import SyntheticSpec, write_synthetic
 from factpool.util import atomic_write_text
-from factpool.verbalize import TemplateError, load_templates
+from factpool.verbalize import TemplateError, load_templates, verbalize
 
 
 class UsageError(ValueError):
@@ -186,12 +182,12 @@ def cmd_encode(args) -> int:
         cache, dim = {}, encoder.dim
     if dim != encoder.dim:
         raise UsageError(f"{cache_path}: embedding cache width {dim} != config width d={cfg.d}")
-    subgraphs = [sub for statements in grounding for _, sub in statements]
-    facts, _, vectors = encode_subgraphs(subgraphs, templates, encoder, cache)
+    facts = [fact for fact in grounding_facts(grounding) if fact.key() not in cache]
+    vectors = encoder.encode_fact_texts(facts, [verbalize(fact, templates) for fact in facts])
     if facts:
         cache.update((fact.key(), vector) for fact, vector in zip(facts, vectors))
         write_embedding_cache(str(cache_path), cache, dim)
-    total = sum(len(sub.edges) for sub in subgraphs)
+    total = sum(len(sub.edges) for statements in grounding for _, sub in statements)
     print(f"cache: {cache_path} ({total} edge encodings)")
     return 0
 

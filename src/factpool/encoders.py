@@ -22,16 +22,13 @@ and always means; `Config.validate` rejects cls pooling with it.
 
 from __future__ import annotations
 
-from typing import Container, Iterable
-
 import numpy as np
 
 from factpool.checkpoint import CheckpointError, _container_bytes, _read_container
-from factpool.kg import Fact, Subgraph, text_tokens
+from factpool.kg import Fact, text_tokens
 from factpool.tokenizer import CLS_ID, Tokenizer
 from factpool.transformer import trunk_forward
 from factpool.util import atomic_write_bytes, derive_seed
-from factpool.verbalize import TemplateTable, verbalize
 
 
 # Sequences per trunk forward in `ToyTrunkEncoder.encode_texts`.  On the
@@ -177,25 +174,6 @@ class FileBackedEncoder:
             raise CheckpointError(
                 f"{self.path}: embedding cache has no entry for fact {exc.args[0]!r}"
             ) from None
-
-
-def encode_subgraphs(
-    subgraphs: Iterable[Subgraph],
-    templates: TemplateTable,
-    encoder,
-    known: Container[str] = (),
-) -> tuple[list[Fact], list[str], np.ndarray]:
-    """Verbalize and encode every edge whose `Fact.key()` is not in `known`.
-
-    The new facts are verbalized once each, in first-seen canonical edge
-    order, and encoded in one `encode_fact_texts` call.  Returns the facts,
-    their texts and their [F, d] vectors, all in that order.
-    """
-    facts = list(dict.fromkeys(fact for sub in subgraphs for fact in sub.sorted_edges()))
-    if known:
-        facts = [fact for fact in facts if fact.key() not in known]
-    texts = [verbalize(fact, templates) for fact in facts]
-    return facts, texts, encoder.encode_fact_texts(facts, texts)
 
 
 # --- embedding cache file ----------------------------------------------------

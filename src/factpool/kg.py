@@ -276,7 +276,6 @@ def link_entities(statement_text: str, kg: KnowledgeGraph) -> set[str]:
 class Subgraph:
     nodes: set[str]
     edges: set[Fact]
-    virtual_node: str | None = None
 
     def sorted_edges(self) -> list[Fact]:
         return sorted(self.edges)
@@ -284,11 +283,11 @@ class Subgraph:
     def payload(self) -> dict:
         """The JSON-ready form; each edge ends with "virtual" or "kg" by its head.
 
-        `load_kg` rejects the virtual node id, so a KG fact never has it.
+        `load_kg` rejects the virtual node id, so no KG entity or fact has it.
         """
         return {
             "nodes": sorted(self.nodes),
-            "virtual_node": self.virtual_node,
+            "virtual_node": VIRTUAL_NODE_ID if VIRTUAL_NODE_ID in self.nodes else None,
             "edges": [
                 [e.head, e.relation, e.tail, "virtual" if e.head == VIRTUAL_NODE_ID else "kg"]
                 for e in sorted(self.edges)
@@ -349,7 +348,7 @@ def retrieve_subgraph(kg: KnowledgeGraph, stmt: GroundedStatement, max_nodes: in
 
 def add_virtual_question_node(sub: Subgraph, stmt: GroundedStatement) -> Subgraph:
     """Attach the virtual question node to retained question/answer entities."""
-    if sub.virtual_node is not None:
+    if VIRTUAL_NODE_ID in sub.nodes:
         raise ValueError("virtual node already present")
     nodes = set(sub.nodes)
     nodes.add(VIRTUAL_NODE_ID)
@@ -360,7 +359,7 @@ def add_virtual_question_node(sub: Subgraph, stmt: GroundedStatement) -> Subgrap
     for entity in sorted(stmt.answer_entities):
         if entity in sub.nodes:
             edges.add(Fact(VIRTUAL_NODE_ID, VIRTUAL_ANSWER_RELATION, entity))
-    return Subgraph(nodes=nodes, edges=edges, virtual_node=VIRTUAL_NODE_ID)
+    return Subgraph(nodes=nodes, edges=edges)
 
 
 def remove_answer_edges(sub: Subgraph, stmt: GroundedStatement) -> Subgraph:

@@ -27,7 +27,7 @@ import numpy as np
 
 from factpool.config import Config
 from factpool.data import QuestionRecord
-from factpool.encoders import FileBackedEncoder, HashBagEncoder, ToyTrunkEncoder, encode_subgraphs
+from factpool.encoders import FileBackedEncoder, HashBagEncoder, ToyTrunkEncoder
 from factpool.gnn import (
     GNNConfig,
     gnn_backward_arrays,
@@ -254,6 +254,14 @@ def ground_records(
     return grounding
 
 
+def grounding_facts(grounding: Grounding) -> list[Fact]:
+    """Each distinct fact of the grounding's subgraphs once, in first-seen
+    canonical edge order: the fact rows of a prepared set and the facts
+    `factpool encode` writes."""
+    subgraphs = (sub for statements in grounding for _, sub in statements)
+    return list(dict.fromkeys(fact for sub in subgraphs for fact in sub.sorted_edges()))
+
+
 def gnn_entities(grounding: Grounding) -> list[str]:
     """The grounding's entity nodes, sorted: a gnn encodes each one's surface
     as its node state.  KGFormatError names one whose surface has no word."""
@@ -318,26 +326,26 @@ def prepare_conditions(
     """`records` prepared under each of `conditions` from their grounding,
     `ground_records(kg, records, model.cfg.max_nodes)`.
 
-    They form one `PreparedSet`, which every returned candidate indexes.  A
-    pooled model verbalizes every distinct fact once, and one
-    `encode_subgraphs` call returns the facts, their texts and the edge
-    table, rows in first-seen fact order.  A gnn model lists the facts in the
-    same order, with their node and relation rows, and one `encode_texts`
-    call gives the node table's entity rows (after the virtual placeholder,
-    the sorted entities).  An lm model reads no fact.
+    They form one `PreparedSet`, complete before any candidate is built,
+    which every returned candidate indexes.  Its facts are
+    `grounding_facts(grounding)`; an lm model reads none.  A pooled model
+    verbalizes each fact once and encodes them in one `encode_fact_texts`
+    call.  A gnn model gives each fact its node and relation rows, and one
+    `encode_texts` call gives the node table's entity rows (after the
+    virtual placeholder, the sorted entities).
     """
     if model.kind == "gnn" and not hasattr(encoder, "encode_texts"):
         raise ValueError(
             "gnn models need a text-capable encoder for entity node states; "
             "the external-file encoder only serves cached facts"
         )
-    subgraphs = [sub for statements in grounding for _, sub in statements]
-    facts, texts, edge_table = [], [], np.zeros((0, model.cfg.d))
+    facts = [] if model.kind == "lm" else grounding_facts(grounding)
+    shared = PreparedSet(facts, [], np.zeros((0, model.cfg.d)))
     if model.kind == "pooled":
         if hasattr(encoder, "encode_texts"):  # the external-file encoder reads facts by key
             check_fact_texts(grounding, templates)
-        facts, texts, edge_table = encode_subgraphs(subgraphs, templates, encoder)
-    shared = PreparedSet(facts, texts, edge_table)
+        shared.texts = [verbalize(fact, templates) for fact in facts]
+        shared.edge_table = encoder.encode_fact_texts(facts, shared.texts)
     node_row = {}
     if model.kind == "gnn":
         entities = gnn_entities(grounding)
@@ -346,17 +354,14 @@ def prepare_conditions(
         node_table = np.concatenate([np.zeros((1, model.cfg.d)), encoder.encode_texts(surfaces)])
         shared.node_table = node_table.astype(model.cfg.dtype, copy=False)
         node_row = {node: i for i, node in enumerate([VIRTUAL_NODE_ID, *entities])}
+        relation_row = {rel: i for i, rel in enumerate(model.relations)}
+        ends = ((node_row[f.head], node_row[f.tail], relation_row[f.relation]) for f in facts)
+        shared.fact_table = np.fromiter(ends, np.dtype((np.int64, 3)), len(facts))
     fact_row = {fact: i for i, fact in enumerate(facts)}
     questions = [
         prepare_question(model, record, statements, shared, fact_row, node_row, conditions)
         for record, statements in zip(records, grounding, strict=True)
     ]
-    if model.kind == "gnn":
-        # `prepare_question` listed each fact where it first saw it.
-        shared.facts = list(fact_row)
-        relation_row = {rel: i for i, rel in enumerate(model.relations)}
-        ends = ((node_row[f.head], node_row[f.tail], relation_row[f.relation]) for f in fact_row)
-        shared.fact_table = np.fromiter(ends, np.dtype((np.int64, 3)), len(fact_row))
     return {condition: [q[condition] for q in questions] for condition in conditions}
 
 
@@ -371,11 +376,10 @@ def prepare_question(
 ) -> dict[str, PreparedQuestion]:
     """One record under each condition, from its statements' intact subgraphs.
 
-    `fact_row` and `node_row` give each fact's and node's row of `shared`; a
-    fact `fact_row` lacks is given the next row.  A without_answers
-    candidate is the intact one with the answer-incident edges' rows
-    dropped; its nodes, and so its token ids and node rows, stay.  A
-    candidate that loses no edge, an lm candidate always, is the intact
+    `fact_row` and `node_row` give each fact's and node's row of `shared`.
+    A without_answers candidate is the intact one with the answer-incident
+    edges' rows dropped; its nodes, and so its token ids and node rows, stay.
+    A candidate that loses no edge, an lm candidate always, is the intact
     candidate itself.
     """
     cfg = model.cfg
@@ -386,7 +390,7 @@ def prepare_question(
         ids = tokenize_statement(
             stmt.context, stmt.question, stmt.candidate, tokenizer, cfg.max_tokens
         )
-        rows = (fact_row.setdefault(fact, len(fact_row)) for fact in facts)
+        rows = (fact_row[fact] for fact in facts)
         intact = PreparedCandidate(
             ids=np.asarray(ids, dtype=np.int64),
             shared=shared,
@@ -651,11 +655,11 @@ def evaluate_conditions(
 
     Aligned lists have the same question count, candidate counts and token
     ids.  Per chunk of EVAL_CHUNK questions the trunk runs over the first
-    condition's candidates plus each other candidate whose graph vectors
-    differ from its first-condition counterpart by a byte; every other
-    candidate's trunk input is the same, and so are its states.  These rows
-    run in blocks of at most TRUNK_BLOCK, each padded to the chunk's T.
-    Each condition is then scored from its own rows.  The scores are
+    condition's candidates.  For each other condition it runs only the
+    candidates whose graph vectors differ from their first-condition
+    counterparts by a byte, into a copy of the first condition's states;
+    every other candidate's trunk input is the same, and so are its states.
+    Each condition is then scored from its own states.  The scores are
     byte-identical to `batch_forward` on each condition's chunks.
     """
     base, first = next(iter(prepared.items()), (None, []))
@@ -673,39 +677,33 @@ def evaluate_conditions(
             )
     correct = dict.fromkeys(prepared, 0)
     for start in range(0, len(first), EVAL_CHUNK):
-        runs = []
-        sources = []  # per condition, the first-condition rows it runs anew
-        parts = []  # their graph vectors
-        total = 0
+        first_states = None
         for name, questions in prepared.items():
             chunk = questions[start : start + EVAL_CHUNK]
-            flat, slices, ids_c, mask_c = _flatten(chunk)
+            flat, slices, ids, mask = _flatten(chunk)
             g = _graph_vectors(model, flat)[0]
-            if not runs:
-                ids, mask, g_first = ids_c, mask_c, g
-                changed = np.ones(len(flat), dtype=bool)
+            if first_states is None:
+                g_first = g
+                states = first_states = _trunk_states(model, ids, mask, g)
             else:
                 changed = (g.view(np.uint8) != g_first.view(np.uint8)).any(axis=(0, 2))
-            rows = np.arange(len(flat))  # each candidate's trunk row
-            rows[changed] = total + np.arange(changed.sum())
-            total += changed.sum()
-            sources.append(np.flatnonzero(changed))
-            parts.append(g[:, changed])
-            runs.append((name, chunk, flat, slices, g, rows))
-        source = np.concatenate(sources)
-        g_rows = np.concatenate(parts, axis=1)
-        for b in range(0, len(source), TRUNK_BLOCK):
-            block = source[b : b + TRUNK_BLOCK]
-            out, _ = _run_trunk(model, ids[block], mask[block], g_rows[:, b : b + TRUNK_BLOCK])
-            if b == 0:
-                states = np.empty((len(source), *out.shape[1:]), out.dtype)
-            states[b : b + TRUNK_BLOCK] = out
-        for name, chunk, flat, slices, g, rows in runs:
-            scores = _score(model, flat, slices, g, states[rows, 1, :], states[rows, 0, :])[0]
+                states = first_states.copy()
+                states[changed] = _trunk_states(model, ids[changed], mask[changed], g[:, changed])
+            scores = _score(model, flat, slices, g, states[:, 1, :], states[:, 0, :])[0]
             correct[name] += sum(
                 int(np.argmax(scores[sl]) == q.answer_index) for q, sl in zip(chunk, slices)
             )
     return {name: 100.0 * correct[name] / len(first) for name in prepared}
+
+
+def _trunk_states(model: Model, ids, mask, g: np.ndarray) -> np.ndarray:
+    """`_run_trunk`'s [B, SCORED_POSITIONS, d] final states, the trunk run
+    over blocks of at most TRUNK_BLOCK rows."""
+    states = np.empty((len(ids), SCORED_POSITIONS, model.cfg.d), model.cfg.dtype)
+    for b in range(0, len(ids), TRUNK_BLOCK):
+        block = slice(b, b + TRUNK_BLOCK)
+        states[block] = _run_trunk(model, ids[block], mask[block], g[:, block])[0]
+    return states
 
 
 # --- training -------------------------------------------------------------------

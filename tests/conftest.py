@@ -29,20 +29,21 @@ def pytest_collection_finish(session):
 
 
 def pytest_sessionfinish(session):
-    proc, root = session.config.stash.get(_robustness, (None, None))
-    if proc is not None:
+    procs, root = session.config.stash.get(_robustness, ((), None))
+    for proc in procs:
         proc.kill()  # nothing if it has ended
         proc.communicate()
+    if root is not None:
         root.cleanup()
 
 
 @pytest.fixture(scope="session")
 def robustness_results(pytestconfig):
-    """Criterion 5's {kind: Metrics}, from the run started at collection."""
+    """Criterion 5's {kind: Metrics}, merged from the runs started at collection."""
     import robustness
 
-    proc = pytestconfig.stash[_robustness][0]
-    return robustness.results(proc)
+    procs = pytestconfig.stash[_robustness][0]
+    return {kind: m for proc in procs for kind, m in robustness.results(proc).items()}
 
 
 @pytest.fixture

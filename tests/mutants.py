@@ -601,6 +601,61 @@ MUTANTS = (
             ),
         ),
     ),
+    # An f32 evaluation's trunk states are held in the graph vectors' f64.
+    Mutant(
+        "eval-states-in-graph-vector-dtype",
+        "src/factpool/model.py",
+        "    states = np.empty((len(ids), SCORED_POSITIONS, model.cfg.d), model.cfg.dtype)\n",
+        "    states = np.empty((len(ids), SCORED_POSITIONS, model.cfg.d), g.dtype)\n",
+        tuple(
+            f"{_MODEL}::test_an_f32_evaluation_scores_as_batch_forward_does[{setup}]"
+            for setup in ("gnn", "lm", "pooled-K0", "pooled-K2")
+        ),
+    ),
+    # A later condition writes its rows into the first condition's states,
+    # where the condition after it reads them.
+    Mutant(
+        "eval-later-condition-writes-first-states",
+        "src/factpool/model.py",
+        "                states = first_states.copy()\n",
+        "                states = first_states\n",
+        (f"{_MODEL}::test_a_later_condition_reads_only_the_first_conditions_states",),
+    ),
+    # A set's facts are listed in sorted order, not first-seen order.
+    Mutant(
+        "grounding-facts-sorted",
+        "src/factpool/model.py",
+        "    return list(dict.fromkeys(fact for sub in subgraphs for fact in sub.sorted_edges()))\n",
+        "    return sorted({fact for sub in subgraphs for fact in sub.sorted_edges()})\n",
+        (f"{_MODEL}::test_grounding_facts_lists_each_fact_once_in_first_seen_canonical_order",),
+    ),
+    # `encode` into a cache encodes the facts the cache already holds.
+    Mutant(
+        "encode-re-encodes-cached-facts",
+        "src/factpool/cli.py",
+        "    facts = [fact for fact in grounding_facts(grounding) if fact.key() not in cache]\n",
+        "    facts = grounding_facts(grounding)\n",
+        (
+            "tests/test_cli.py::test_encode_into_a_cache_encodes_only_the_facts_it_lacks",
+            "tests/test_cli.py::test_encode_incremental_matches_one_pass",
+        ),
+    ),
+    # A subgraph that holds the virtual node gets a second set of its edges.
+    Mutant(
+        "virtual-node-added-twice",
+        "src/factpool/kg.py",
+        "    if VIRTUAL_NODE_ID in sub.nodes:\n",
+        "    if False:\n",
+        ("tests/test_kg.py::test_add_virtual_twice_errors",),
+    ),
+    # A subgraph without the virtual node names it in its payload.
+    Mutant(
+        "payload-names-an-absent-virtual-node",
+        "src/factpool/kg.py",
+        '            "virtual_node": VIRTUAL_NODE_ID if VIRTUAL_NODE_ID in self.nodes else None,\n',
+        '            "virtual_node": VIRTUAL_NODE_ID,\n',
+        ("tests/test_kg.py::test_add_virtual_edges",),
+    ),
 )
 
 

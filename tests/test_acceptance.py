@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the measured values.
 The robustness-trend criterion trains nine models (three kinds, three seeds)
-and is the long pole: `tests/robustness.py` runs it in a subprocess started
-at collection, beside the other tests (see `tests/conftest.py`); everything
+and is the long pole: `tests/robustness.py` runs it in two subprocesses
+started at collection, beside the other tests (see `tests/conftest.py`); everything
 else finishes in seconds to a couple of minutes.
 """
 

@@ -114,6 +114,40 @@ def test_encode_incremental_matches_one_pass(workspace, monkeypatch):
     assert (grown / "embeddings.bin").read_bytes() == (one_pass / "embeddings.bin").read_bytes()
 
 
+def test_encode_into_a_cache_encodes_only_the_facts_it_lacks(workspace, monkeypatch):
+    from factpool import cli
+    from factpool.config import load_config
+    from factpool.data import load_dataset
+    from factpool.kg import load_kg
+    from factpool.model import ground_records, grounding_facts
+
+    encoded = []  # the facts of each encode_fact_texts call
+    real_make_encoder = cli.make_encoder
+
+    def recording_make_encoder(*args, **kwargs):
+        encoder = real_make_encoder(*args, **kwargs)
+        real_encode = encoder.encode_fact_texts
+
+        def encode_fact_texts(facts, texts):
+            encoded.append(list(facts))
+            return real_encode(facts, texts)
+
+        encoder.encode_fact_texts = encode_fact_texts
+        return encoder
+
+    monkeypatch.setattr(cli, "make_encoder", recording_make_encoder)
+    common = [*data_args(workspace), "--config", str(workspace / "run.cfg"),
+              "--out", str(workspace / "enc_lacking")]
+    for count in (3, 6, 6):
+        assert cli.main(["encode", *common, "--count", str(count)]) == 0
+    cfg = load_config(str(workspace / "run.cfg"))
+    kg = load_kg(str(workspace / "data" / "kg.tsv"))
+    records = load_dataset(str(workspace / "data" / "dataset.jsonl"))
+    first, grown = (grounding_facts(ground_records(kg, records[:n], cfg.max_nodes)) for n in (3, 6))
+    lacking = [fact for fact in grown if fact not in first]
+    assert first and lacking and encoded == [first, lacking, []]
+
+
 def test_encode_toy_encoder_cache_matches_fresh_encoder(workspace):
     from factpool import cli
     from factpool.config import load_config

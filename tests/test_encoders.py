@@ -3,7 +3,6 @@ import re
 import numpy as np
 import pytest
 
-from helpers import kg_from_facts
 from oracles import hash_bag_oracle
 
 from factpool.checkpoint import CheckpointError, _container_bytes
@@ -13,32 +12,12 @@ from factpool.encoders import (
     FileBackedEncoder,
     HashBagEncoder,
     ToyTrunkEncoder,
-    encode_subgraphs,
     read_embedding_cache,
     write_embedding_cache,
 )
-from factpool.kg import Fact, add_virtual_question_node, retrieve_subgraph, text_tokens
+from factpool.kg import Fact, text_tokens
 from factpool.tokenizer import CLS_ID, Tokenizer
 from factpool.transformer import init_trunk_params, trunk_forward
-from factpool.verbalize import TemplateTable, verbalize
-
-TEMPLATES = TemplateTable({"causes": "{h} causes {t}", "related_to": "{h} relates to {t}"})
-
-
-def small_subgraph():
-    kg = kg_from_facts(
-        [("winter", "causes", "bird_migration"), ("bird", "related_to", "chirp")]
-    )
-    from factpool.kg import GroundedStatement
-
-    stmt = GroundedStatement(
-        context="",
-        question="q",
-        candidate="",
-        question_entities={"winter", "bird", "bird_migration", "chirp"},
-        answer_entities=set(),
-    )
-    return add_virtual_question_node(retrieve_subgraph(kg, stmt, 32), stmt)
 
 
 # --- hash-bag ------------------------------------------------------------------
@@ -187,41 +166,7 @@ def test_encode_texts_rejects_empty_text(monkeypatch):
         enc.encode_texts(["bird", "!!"])
 
 
-# --- subgraph encoding and the cache ----------------------------------------------
-
-
-class RecordingEncoder(HashBagEncoder):
-    """Hash-bag encoder that records the text lists it is asked to encode."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.calls = []
-
-    def encode_texts(self, texts):
-        self.calls.append(list(texts))
-        return super().encode_texts(texts)
-
-
-def test_encode_subgraph_canonical_order():
-    sub = small_subgraph()
-    enc = RecordingEncoder(dim=8, seed=0)
-    # The same subgraph twice: every fact is verbalized and encoded once, in
-    # canonical edge order, in one call.
-    facts, texts, vectors = encode_subgraphs([sub, sub], TEMPLATES, enc)
-    assert facts == sorted(sub.edges)
-    assert enc.calls == [[verbalize(f, TEMPLATES) for f in facts]]
-    assert texts == [verbalize(f, TEMPLATES) for f in facts]
-    expected = HashBagEncoder(dim=8, seed=0).encode_texts(texts)
-    assert vectors.tobytes() == expected.tobytes()
-
-
-def test_encode_subgraph_empty():
-    from factpool.kg import Subgraph
-
-    enc = RecordingEncoder(dim=8)
-    facts, texts, vectors = encode_subgraphs([Subgraph(nodes=set(), edges=set())], TEMPLATES, enc)
-    assert facts == texts == [] and vectors.shape == (0, 8)
-    assert enc.calls == [[]]
+# --- the embedding cache ----------------------------------------------------------
 
 
 def test_cache_round_trip_exact(tmp_path):
@@ -234,29 +179,6 @@ def test_cache_round_trip_exact(tmp_path):
     assert set(loaded) == set(entries)
     for key, vec in entries.items():
         assert vec.tobytes() == loaded[key].tobytes()
-
-
-def test_encode_subgraph_with_cache_matches_direct(tmp_path):
-    sub = small_subgraph()
-    enc = HashBagEncoder(dim=8, seed=1)
-    direct = {f.key(): enc.encode_fact_text(f, verbalize(f, TEMPLATES)) for f in sub.edges}
-    facts, _, vectors = encode_subgraphs([sub], TEMPLATES, HashBagEncoder(dim=8, seed=1))
-    cache = {fact.key(): vector for fact, vector in zip(facts, vectors)}
-    assert set(cache) == set(direct)
-    path = tmp_path / "emb.bin"
-    write_embedding_cache(str(path), cache, 8)
-    reloaded, _ = read_embedding_cache(str(path))
-
-    class Exploding:
-        dim = 8
-
-        def encode_fact_texts(self, facts, texts):
-            assert not facts and not texts, "cache should have been hit"
-            return np.zeros((0, 8))
-
-    assert encode_subgraphs([sub], TEMPLATES, Exploding(), reloaded)[0] == []
-    for key, vec in direct.items():
-        assert vec.tobytes() == cache[key].tobytes() == reloaded[key].tobytes()
 
 
 def _cache_bytes(tmp_path):

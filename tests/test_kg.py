@@ -371,9 +371,12 @@ def test_retrieve_no_linked_entities_gives_virtual_only():
 def test_add_virtual_edges():
     kg = kg_from_facts([("bird", "r", "children")])
     stmt = make_stmt({"bird"}, {"children"})
-    sub = add_virtual_question_node(retrieve_subgraph(kg, stmt, 8), stmt)
+    retrieved = retrieve_subgraph(kg, stmt, 8)
+    sub = add_virtual_question_node(retrieved, stmt)
     assert Fact("question", "entity", "bird") in sub.edges
     assert Fact("question", "a_entity", "children") in sub.edges
+    assert retrieved.payload()["virtual_node"] is None
+    assert sub.payload()["virtual_node"] == "question"
     edges = json.loads(sub.canonical())["edges"]
     assert ["question", "entity", "bird", "virtual"] in edges
     assert ["bird", "r", "children", "kg"] in edges

@@ -16,7 +16,7 @@ from factpool import model as model_mod
 from factpool.checkpoint import CheckpointError, load_checkpoint
 from factpool.config import ENCODER_KINDS, Config
 from factpool.harness_data import tiny_benchmark
-from factpool.kg import VIRTUAL_NODE_ID, id_to_surface, link_entities
+from factpool.kg import VIRTUAL_NODE_ID, Fact, Subgraph, id_to_surface, link_entities
 from factpool.model import (
     CONDITIONS,
     MODEL_KINDS,
@@ -37,6 +37,7 @@ from factpool.model import (
     evaluate,
     evaluate_conditions,
     ground_records,
+    grounding_facts,
     load_model,
     loss_and_grads,
     prepare_conditions,
@@ -592,10 +593,10 @@ def eval_benchmark():
     return tiny_benchmark(seed=2, questions=70)
 
 
-def prepare_both(setup, eval_benchmark):
+def prepare_both(setup, eval_benchmark, precision="f64"):
     kind, overrides = EVAL_SETUPS[setup]
     kg, templates, records = eval_benchmark
-    model = create_model(small_cfg(**overrides), kind, relation_table(kg))
+    model = create_model(small_cfg(**overrides, precision=precision), kind, relation_table(kg))
     grounding = ground_records(kg, records, model.cfg.max_nodes)
     return model, prepare_conditions(model, templates, build_encoder(model), records, grounding)
 
@@ -634,6 +635,62 @@ def test_evaluate_conditions_byte_equal_to_batch_forward_per_condition(
     for c in CONDITIONS:
         assert len(got_scores[c]) == len(want_scores[c]) == 2
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got_scores[c], want_scores[c]))
+
+
+def recorded_scores(monkeypatch, model, prepared):
+    """(accuracies, each `_score` call's scores) of `evaluate_conditions`."""
+    scored = []
+    real_score = model_mod._score
+
+    def recording_score(*args):
+        out = real_score(*args)
+        scored.append(out[0])
+        return out
+
+    monkeypatch.setattr(model_mod, "_score", recording_score)
+    accs = evaluate_conditions(model, prepared)
+    monkeypatch.undo()
+    return accs, scored
+
+
+@pytest.mark.parametrize("setup", sorted(EVAL_SETUPS))
+def test_an_f32_evaluation_scores_as_batch_forward_does(monkeypatch, eval_benchmark, setup):
+    model, prepared = prepare_both(setup, eval_benchmark, precision="f32")
+    scored = recorded_scores(monkeypatch, model, prepared)[1]
+    want = [
+        batch_forward(model, questions[start : start + EVAL_CHUNK]).scores
+        for start in range(0, len(prepared[WITH_ANSWERS]), EVAL_CHUNK)
+        for questions in prepared.values()
+    ]
+    assert len(scored) == len(want) == 4
+    for got, w in zip(scored, want):
+        assert got.dtype == w.dtype and got.tobytes() == w.tobytes()
+
+
+def test_a_later_condition_reads_only_the_first_conditions_states(monkeypatch, eval_benchmark):
+    # c is a again: it reads a's states, not b's, and runs no trunk row.
+    model, prepared = prepare_both("pooled-K2", eval_benchmark)
+    with_q, without_q = prepared[WITH_ANSWERS], prepared[WITHOUT_ANSWERS]
+    pairs = [
+        (c_with, c_without)
+        for q_with, q_without in zip(with_q, without_q)
+        for c_with, c_without in zip(q_with.candidates, q_without.candidates)
+    ]
+    changed = sum(c_without is not c_with for c_with, c_without in pairs)
+    rows = []
+    real_forward = model_mod.trunk_forward
+
+    def counting_forward(params, L, heads, ids, *rest, **kwargs):
+        rows.append(len(ids))
+        return real_forward(params, L, heads, ids, *rest, **kwargs)
+
+    monkeypatch.setattr(model_mod, "trunk_forward", counting_forward)
+    accs, scored = recorded_scores(monkeypatch, model, {"a": with_q, "b": without_q, "c": with_q})
+    assert sum(rows) == len(pairs) + changed and changed > 0
+    a, b, c = scored[0::3], scored[1::3], scored[2::3]
+    assert len(c) == 2 and all(x.tobytes() == z.tobytes() for x, z in zip(a, c))
+    assert any(x.tobytes() != y.tobytes() for x, y in zip(a, b))
+    assert accs == {"a": evaluate(model, with_q), "b": evaluate(model, without_q), "c": accs["a"]}
 
 
 @pytest.mark.parametrize("setup", sorted(EVAL_SETUPS))
@@ -860,6 +917,48 @@ def test_prepare_conditions_equals_one_condition_at_a_time():
         for q_both, q_alone in zip(both[condition], alone):
             for c_both, c_alone in zip(q_both.candidates, q_alone.candidates):
                 assert_same_candidate(c_both, c_alone)
+
+
+def test_grounding_facts_lists_each_fact_once_in_first_seen_canonical_order():
+    a, b, c = Fact("a", "r", "b"), Fact("b", "r", "c"), Fact("c", "r", "d")
+    grounding = [
+        [(None, Subgraph({"b", "c", "d"}, {c, b})), (None, Subgraph({"a", "b"}, {a}))],
+        [(None, Subgraph({"a", "b", "c"}, {b, a}))],
+    ]
+    assert grounding_facts(grounding) == [b, c, a]
+    assert grounding_facts([[(None, Subgraph(set(), set()))]]) == []
+
+
+class RecordingEncoder:
+    """Passes every call to `inner`; records the texts of each
+    `encode_fact_texts` call."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def encode_texts(self, texts):
+        return self.inner.encode_texts(texts)
+
+    def encode_fact_texts(self, facts, texts):
+        self.calls.append(list(texts))
+        return self.inner.encode_fact_texts(facts, texts)
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["subgraphs", "empty-subgraphs"])
+def test_a_pooled_set_encodes_its_listed_facts_in_one_call(empty):
+    model, kg, templates, encoder, records, _ = make_setup(questions=4)
+    grounding = ground_records(kg, records[:4], model.cfg.max_nodes)
+    if empty:
+        grounding = [[(stmt, Subgraph(set(), set())) for stmt, _ in sts] for sts in grounding]
+    recording = RecordingEncoder(encoder)
+    prepared = prepare_conditions(model, templates, recording, records[:4], grounding)
+    shared = prepared[WITH_ANSWERS][0].candidates[0].shared
+    facts = grounding_facts(grounding)
+    assert shared.facts == facts and bool(facts) != empty
+    assert empty or len(facts) < sum(len(sub.edges) for sts in grounding for _, sub in sts)
+    texts = [verbalize(fact, templates) for fact in facts]
+    assert recording.calls == [texts] and shared.texts == texts
+    assert_same_array(shared.edge_table, encoder.encode_fact_texts(facts, texts))
 
 
 def test_without_answers_candidate_that_loses_no_edge_is_the_intact_one():
